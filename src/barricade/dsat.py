@@ -21,6 +21,8 @@ RELATIONS = ("<=", "<", ">=", ">", "=")
 
 TRUE, FALSE, UNKNOWN = 1, 0, -1
 
+EMPTY = None
+
 
 class BudgetExhausted(RuntimeError):
     """Box budget ran out before a verdict was reached."""
@@ -84,67 +86,6 @@ class DsatResult:
     wall_time: float
 
 
-def _constraint_status(c, bx, cache=None):
-    lo, hi = _interval_eval_raw(c.lhs, bx, cache)
-    r = c.rhs
-    rel = c.rel
-    if rel in ("<=", "<"):
-        if rel == "<=":
-            if hi <= r:
-                return TRUE
-            if lo > r:
-                return FALSE
-        else:
-            if hi < r:
-                return TRUE
-            if lo >= r:
-                return FALSE
-        return UNKNOWN
-    if rel in (">=", ">"):
-        if rel == ">=":
-            if lo >= r:
-                return TRUE
-            if hi < r:
-                return FALSE
-        else:
-            if lo > r:
-                return TRUE
-            if hi <= r:
-                return FALSE
-        return UNKNOWN
-    # "="
-    if lo == hi == r:
-        return TRUE
-    if r < lo or r > hi:
-        return FALSE
-    return UNKNOWN
-
-
-def _status(node, bx):
-    if isinstance(node, Constraint):
-        try:
-            return _constraint_status(node, bx)
-        except sx.EvalError:
-            return UNKNOWN
-    if isinstance(node, And):
-        out = TRUE
-        for p in node.parts:
-            s = _status(p, bx)
-            if s == FALSE:
-                return FALSE
-            if s == UNKNOWN:
-                out = UNKNOWN
-        return out
-    out = FALSE
-    for p in node.parts:
-        s = _status(p, bx)
-        if s == TRUE:
-            return TRUE
-        if s == UNKNOWN:
-            out = UNKNOWN
-    return out
-
-
 # ---------------------------------------------------------------------------
 # HC4-style contraction (backward pass through arithmetic nodes only)
 # ---------------------------------------------------------------------------
@@ -157,72 +98,195 @@ def _target_interval(rel, rhs):
     return (rhs, rhs)
 
 
-def _backward(e, target, cache, bx):
-    """Contract bx assuming the value of e lies in target.
+# How an occurrence's target follows from its parent's: the parent's op
+# and, where it matters, which operand the occurrence is.
+_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL = range(6)
+_HC4_ROLES = {"add": (_ADD, _ADD), "sub": (_SUB_L, _SUB_R),
+              "mul": (_MUL, _MUL), "neg": (_NEG,)}
 
-    Returns the contracted Box or None when the intersection is empty.
-    Only add/sub/mul/neg (and var/const) participate; other node types
-    terminate the walk, which is sound (no contraction, no exclusion).
+
+def _hc4_plan(tape):
+    """Occurrences of the tape's tree that the backward pass visits.
+
+    The walk descends from the root through add/sub/mul/neg only; other
+    nodes end it (no contraction below them, which is sound).  Entries are
+    ``(slot, how, parent entry, sibling slot, var index or -1)`` in
+    preorder, the order in which a recursive walk intersects the
+    variables.
     """
-    fwd = cache[id(e)]
-    lo = max(fwd[0], target[0])
-    hi = min(fwd[1], target[1])
-    if lo > hi:
-        return None
-    t = (lo, hi)
-    op = e.op
-    if op == "var":
-        iv = bx[e.idx].intersect(Interval(max(t[0], -math.inf), t[1]))
-        if iv is None:
-            return None
-        return bx.replace(e.idx, iv)
-    if op == "const":
-        return bx
-    if op == "add":
-        a, b = e.args
-        bx = _backward(a, _isub(t, cache[id(b)]), cache, bx)
-        if bx is None:
-            return None
-        return _backward(b, _isub(t, cache[id(a)]), cache, bx)
-    if op == "sub":
-        a, b = e.args
-        bx = _backward(a, _iadd(t, cache[id(b)]), cache, bx)
-        if bx is None:
-            return None
-        return _backward(b, _isub(cache[id(a)], t), cache, bx)
-    if op == "neg":
-        return _backward(e.args[0], _ineg(t), cache, bx)
-    if op == "mul":
-        a, b = e.args
-        fb = cache[id(b)]
-        if not (fb[0] <= 0.0 <= fb[1]):
-            bx = _backward(a, _idiv(t, fb), cache, bx)
-            if bx is None:
-                return None
-        fa = cache[id(a)]
-        if not (fa[0] <= 0.0 <= fa[1]):
-            bx = _backward(b, _idiv(t, fa), cache, bx)
-            if bx is None:
-                return None
-        return bx
-    return bx
+    nodes = tape.nodes
+    plan = []
+    stack = [(tape.root, _ROOT, -1, -1)]
+    while stack:
+        slot, how, parent, sib = stack.pop()
+        op, _, idx, kids = nodes[slot]
+        me = len(plan)
+        plan.append((slot, how, parent, sib, idx if op == "var" else -1))
+        roles = _HC4_ROLES.get(op)
+        if roles is not None:
+            # A binary operand's sibling is the other operand.
+            children = list(zip(kids, roles, reversed(kids)))
+            stack.extend((kid, how, me, sib)
+                         for kid, how, sib in reversed(children))
+    return plan
 
 
-EMPTY = None
+def _contract(plan, vals, box, target):
+    """HC4 backward pass: contract box (in place) assuming the root lies
+    in target, given the forward enclosures vals of every tape slot.
+
+    Returns False when the box is refuted.  Each occurrence's target
+    depends only on its parent's and on forward values, and variables are
+    narrowed by exact min/max, so one preorder sweep gives the contraction
+    of the recursive walk.
+    """
+    ts = [None] * len(plan)
+    for i, (slot, how, parent, sib, idx) in enumerate(plan):
+        if how == _ROOT:
+            t = target
+        else:
+            t = ts[parent]
+            if t is None:       # below a mul factor that was skipped
+                continue
+            if how == _ADD:
+                t = _isub(t, vals[sib])
+            elif how == _MUL:
+                f = vals[sib]
+                if f[0] <= 0.0 <= f[1]:
+                    continue
+                t = _idiv(t, f)
+            elif how == _SUB_L:
+                t = _iadd(t, vals[sib])
+            elif how == _SUB_R:
+                t = _isub(vals[sib], t)
+            else:
+                t = _ineg(t)
+        f = vals[slot]
+        lo = max(f[0], t[0])
+        hi = min(f[1], t[1])
+        if lo > hi:
+            return False
+        ts[i] = (lo, hi)
+        if idx >= 0:
+            cur = box[idx]
+            lo = max(cur[0], lo)
+            hi = min(cur[1], hi)
+            if lo > hi:
+                return False
+            box[idx] = (lo, hi)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Formulas lowered for one query
+# ---------------------------------------------------------------------------
+
+class _Atom:
+    """A constraint with its lhs lowered to a tape."""
+
+    __slots__ = ("tape", "plan", "rel", "rhs", "target")
+
+    def __init__(self, c):
+        self.tape = sx.lower(c.lhs)
+        self.plan = _hc4_plan(self.tape)
+        self.rel = c.rel
+        self.rhs = c.rhs
+        self.target = _target_interval(c.rel, c.rhs)
+
+    def status(self, vals):
+        """TRUE/FALSE/UNKNOWN given the forward enclosures of the tape."""
+        lo, hi = vals[self.tape.root]
+        rel, r = self.rel, self.rhs
+        if rel == "<=":
+            true, false = hi <= r, lo > r
+        elif rel == "<":
+            true, false = hi < r, lo >= r
+        elif rel == ">=":
+            true, false = lo >= r, hi < r
+        elif rel == ">":
+            true, false = lo > r, hi <= r
+        else:
+            true, false = lo == hi == r, r < lo or r > hi
+        return TRUE if true else FALSE if false else UNKNOWN
+
+
+def _lower_node(node):
+    if isinstance(node, Constraint):
+        return _Atom(node)
+    return type(node)(tuple(_lower_node(p) for p in node.parts))
+
+
+def _status(node, box):
+    """TRUE/FALSE/UNKNOWN status of a lowered formula node on box."""
+    if isinstance(node, _Atom):
+        try:
+            return node.status(_interval_eval_raw(node.tape, box))
+        except sx.EvalError:
+            return UNKNOWN
+    # FALSE decides a conjunction, TRUE a disjunction.
+    decisive = FALSE if isinstance(node, And) else TRUE
+    out = TRUE if decisive == FALSE else FALSE
+    for p in node.parts:
+        s = _status(p, box)
+        if s == decisive:
+            return s
+        if s == UNKNOWN:
+            out = UNKNOWN
+    return out
 
 
 def _conjuncts(node):
-    if isinstance(node, Constraint):
+    """The atoms of a formula that is a pure conjunction, else None."""
+    if isinstance(node, _Atom):
         return [node]
-    if isinstance(node, And):
-        out = []
-        for p in node.parts:
-            sub = _conjuncts(p)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
+    if isinstance(node, Or):
+        return None
+    parts = [_conjuncts(p) for p in node.parts]
+    return None if None in parts else [a for p in parts for a in p]
+
+
+class _Query:
+    """A formula lowered to tapes; lives for one check call."""
+
+    def __init__(self, phi):
+        self.root = _lower_node(phi.root if isinstance(phi, Formula) else phi)
+        self.conj = _conjuncts(self.root)
+
+    def prune(self, box, rounds):
+        """Contract box (a list of pairs) in place.  Returns EMPTY, or the
+        box and its status, None when the last round still contracted it."""
+        if self.conj is None:
+            status = _status(self.root, box)
+            return EMPTY if status == FALSE else (box, status)
+        for _ in range(rounds):
+            prev = list(box)
+            status = TRUE
+            for atom in self.conj:
+                try:
+                    vals = _interval_eval_raw(atom.tape, box)
+                except sx.EvalError:
+                    status = UNKNOWN
+                    continue
+                s = atom.status(vals)
+                if s == FALSE:
+                    return EMPTY
+                if s == UNKNOWN:
+                    status = UNKNOWN
+                if not _contract(atom.plan, vals, box, atom.target):
+                    return EMPTY
+            if box == prev:
+                # Contraction only narrows, so every conjunct of this
+                # round was evaluated on a box equal to the returned one.
+                return box, status
+        return box, None
+
+
+def _pairs(bx):
+    return [(iv.lo, iv.hi) for iv in bx]
+
+
+def _box(pairs):
+    return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
 def prune(phi, bx, rounds=3):
@@ -230,37 +294,34 @@ def prune(phi, bx, rounds=3):
 
     Runs forward interval evaluation plus the HC4 backward pass for every
     top-level conjunct; disjunctive formulas only get forward refutation.
+    check passes its _Query and a list of (lo, hi) pairs instead and gets
+    what _Query.prune returns.
     """
-    node = phi.root if isinstance(phi, Formula) else phi
-    conj = _conjuncts(node)
-    if conj is None:
-        return EMPTY if _status(node, bx) == FALSE else bx
-    for _ in range(rounds):
-        prev = bx
-        for c in conj:
-            cache = {}
-            try:
-                _interval_eval_raw(c.lhs, bx, cache)
-            except sx.EvalError:
-                continue
-            if _constraint_status(c, bx, None) == FALSE:
-                return EMPTY
-            bx = _backward(c.lhs, _target_interval(c.rel, c.rhs), cache, bx)
-            if bx is None:
-                return EMPTY
-        if bx == prev:
-            break
-    return bx
+    if isinstance(phi, _Query):
+        return phi.prune(bx, rounds)
+    out = _Query(phi).prune(_pairs(bx), rounds)
+    return EMPTY if out is EMPTY else _box(out[0])
+
+
+def _bisect(box):
+    """Halves of box split at the midpoint of its widest dimension."""
+    widths = [hi - lo for lo, hi in box]
+    dim = max(range(len(widths)), key=widths.__getitem__)
+    lo, hi = box[dim]
+    mid = 0.5 * (lo + hi)
+    if not lo <= mid <= hi:     # lo + hi overflowed
+        raise ValueError("cannot bisect [%r, %r]" % (lo, hi))
+    left = list(box)
+    right = list(box)
+    left[dim] = (lo, mid)
+    right[dim] = (mid, hi)
+    return left, right
 
 
 def branch(bx):
     """Bisect the widest dimension at its midpoint."""
-    widths = bx.widths()
-    dim = int(max(range(len(widths)), key=lambda i: widths[i]))
-    iv = bx[dim]
-    mid = iv.mid
-    return (bx.replace(dim, Interval(iv.lo, mid)),
-            bx.replace(dim, Interval(mid, iv.hi)))
+    left, right = _bisect(_pairs(bx))
+    return _box(left), _box(right)
 
 
 def check(phi, domain, delta, max_boxes=10_000_000):
@@ -275,31 +336,33 @@ def check(phi, domain, delta, max_boxes=10_000_000):
         raise ValueError("domain arity %d != formula arity %d"
                          % (domain.arity, phi.arity))
     t0 = time.perf_counter()
-    stack = [domain]
+    query = _Query(phi)
+    stack = [_pairs(domain)]
     explored = 0
     while stack:
-        bx = stack.pop()
+        box = stack.pop()
         explored += 1
         if explored > max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-        contracted = prune(phi, bx)
-        if contracted is EMPTY:
+        pruned = prune(query, box)
+        if pruned is EMPTY:
             continue
-        bx = contracted
-        status = _status(phi.root, bx)
+        box, status = pruned
+        if status is None:
+            status = _status(query.root, box)
         if status == FALSE:
             continue
-        if bx.max_width() <= delta:
-            return DsatResult("DELTA_SAT", bx, explored,
+        if max(hi - lo for lo, hi in box) <= delta:
+            return DsatResult("DELTA_SAT", _box(box), explored,
                               time.perf_counter() - t0)
         if status == TRUE:
             # Certainly satisfied somewhere in here: the midpoint is a
             # genuine witness, reported as a degenerate box.
-            mid = bx.midpoint()
-            wit = Box(tuple(Interval(v, v) for v in mid))
+            mid = [0.5 * (lo + hi) for lo, hi in box]
+            wit = _box(zip(mid, mid))
             return DsatResult("DELTA_SAT", wit, explored,
                               time.perf_counter() - t0)
-        left, right = branch(bx)
+        left, right = _bisect(box)
         stack.append(right)
         stack.append(left)
     return DsatResult("UNSAT", None, explored, time.perf_counter() - t0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import symexpr as sx
 from . import network as nn
@@ -34,8 +35,13 @@ class VectorField:
     def eval_at(self, x):
         return [sx.eval_expr(c, x) for c in self.components]
 
-    def compiled(self, backend="math"):
-        fns = [sx.compile_expr(c, backend) for c in self.components]
+    def compiled(self):
+        """f as one callable x -> [f_i(x)], compiled on first use."""
+        return self._compiled
+
+    @cached_property
+    def _compiled(self):
+        fns = [sx.compile_expr(c) for c in self.components]
         return lambda x: [f(x) for f in fns]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 _INF = math.inf
 
@@ -363,23 +364,8 @@ class Interval:
     def mid(self):
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def is_bounded(self):
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def contains(self, x):
         return self.lo <= x <= self.hi
-
-    def intersect(self, other):
-        """Intersection, or None when empty."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-
-WHOLE_LINE = Interval(-_INF, _INF)
 
 
 @dataclass(frozen=True)
@@ -402,9 +388,6 @@ class Box:
     def midpoint(self):
         return [iv.mid for iv in self.intervals]
 
-    def widths(self):
-        return [iv.width for iv in self.intervals]
-
     def max_width(self):
         return max(iv.width for iv in self.intervals)
 
@@ -426,34 +409,36 @@ def box(*bounds):
 # rounding-prone primitive is widened outward by at least one ulp per
 # endpoint, which keeps containment sound without touching FPU modes.
 
-def _down(x, n=1):
-    for _ in range(n):
-        x = math.nextafter(x, -_INF)
-    return x
-
-
-def _up(x, n=1):
-    for _ in range(n):
-        x = math.nextafter(x, _INF)
-    return x
+_nextafter = math.nextafter
 
 
 def _widen(lo, hi, n=1):
-    return _down(lo, n), _up(hi, n)
+    for _ in range(n):
+        lo = _nextafter(lo, -_INF)
+        hi = _nextafter(hi, _INF)
+    return lo, hi
 
 
 def _iadd(a, b):
-    return _widen(a[0] + b[0], a[1] + b[1])
+    return (_nextafter(a[0] + b[0], -_INF), _nextafter(a[1] + b[1], _INF))
 
 
 def _isub(a, b):
-    return _widen(a[0] - b[1], a[1] - b[0])
+    return (_nextafter(a[0] - b[1], -_INF), _nextafter(a[1] - b[0], _INF))
 
 
 def _imul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    p = [0.0 if x != x else x for x in p]  # 0*inf -> treat as 0 contribution
-    return _widen(min(p), max(p))
+    a0, a1 = a
+    b0, b1 = b
+    p0 = a0 * b0
+    p1 = a0 * b1
+    p2 = a1 * b0
+    p3 = a1 * b1
+    s = p0 + p1 + p2 + p3
+    if s != s:  # 0*inf -> treat as 0 contribution
+        p0, p1, p2, p3 = [0.0 if x != x else x for x in (p0, p1, p2, p3)]
+    return (_nextafter(min(p0, p1, p2, p3), -_INF),
+            _nextafter(max(p0, p1, p2, p3), _INF))
 
 
 def _idiv(a, b):
@@ -467,9 +452,17 @@ def _ineg(a):
     return (-a[1], -a[0])
 
 
+def _pow(x, n):
+    """x ** n, infinite where the float result overflows."""
+    try:
+        return x ** n
+    except OverflowError:
+        return -_INF if x < 0.0 and n % 2 else _INF
+
+
 def _ipow(a, n):
     lo, hi = a
-    cands = [lo ** n, hi ** n]
+    cands = [_pow(lo, n), _pow(hi, n)]
     if n % 2 == 0 and lo < 0.0 < hi:
         cands.append(0.0)
     out = _widen(min(cands), max(cands), 3)
@@ -537,47 +530,90 @@ def _icos(a):
     return (max(vlo, -1.0), min(vhi, 1.0))
 
 
-def _interval_eval_raw(e, bx, cache=None):
-    """Forward interval evaluation on (lo, hi) pairs.
+_KERNELS = {
+    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
+    "sin": _isin, "cos": _icos, "exp": _iexp, "tanh": _itanh,
+}
 
-    cache, when given, maps id(node) -> pair; it is what the HC4 backward
-    pass in the checker walks over.
+
+# ---------------------------------------------------------------------------
+# Flat interval tape
+# ---------------------------------------------------------------------------
+
+class Tape:
+    """An expression lowered to a flat program over (lo, hi) pairs.
+
+    ``nodes[s]`` is the subterm in slot s as ``(op, val, idx, child
+    slots)``.  Slots are in topological order (children first) and
+    structurally equal subterms share one, so a forward pass evaluates
+    each distinct subterm once.  ``root`` is the slot of the expression.
     """
-    op = e.op
-    if op == "const":
-        r = (e.val, e.val)
-    elif op == "var":
-        iv = bx[e.idx]
-        r = (iv.lo, iv.hi)
-    elif op == "add":
-        r = _iadd(_interval_eval_raw(e.args[0], bx, cache),
-                  _interval_eval_raw(e.args[1], bx, cache))
-    elif op == "sub":
-        r = _isub(_interval_eval_raw(e.args[0], bx, cache),
-                  _interval_eval_raw(e.args[1], bx, cache))
-    elif op == "mul":
-        r = _imul(_interval_eval_raw(e.args[0], bx, cache),
-                  _interval_eval_raw(e.args[1], bx, cache))
-    elif op == "div":
-        r = _idiv(_interval_eval_raw(e.args[0], bx, cache),
-                  _interval_eval_raw(e.args[1], bx, cache))
-    elif op == "neg":
-        r = _ineg(_interval_eval_raw(e.args[0], bx, cache))
-    elif op == "pow":
-        r = _ipow(_interval_eval_raw(e.args[0], bx, cache), e.val)
-    elif op == "sin":
-        r = _isin(_interval_eval_raw(e.args[0], bx, cache))
-    elif op == "cos":
-        r = _icos(_interval_eval_raw(e.args[0], bx, cache))
-    elif op == "exp":
-        r = _iexp(_interval_eval_raw(e.args[0], bx, cache))
-    elif op == "tanh":
-        r = _itanh(_interval_eval_raw(e.args[0], bx, cache))
-    else:
-        raise EvalError("unknown op %r" % op)
-    if cache is not None:
-        cache[id(e)] = r
-    return r
+
+    __slots__ = ("nodes", "root", "init", "loads", "code")
+
+    def __init__(self, nodes, root):
+        self.nodes = nodes
+        self.root = root
+        self.init = [None] * len(nodes)   # constants, pre-placed
+        self.loads = []                   # (slot, variable index)
+        self.code = []                    # (slot, kernel, arg, arg or None)
+        for slot, (op, val, idx, kids) in enumerate(nodes):
+            if op == "const":
+                self.init[slot] = (val[0], val[0])
+            elif op == "var":
+                self.loads.append((slot, idx))
+            elif op == "pow":
+                self.code.append((slot, partial(_ipow, n=val), kids[0], None))
+            elif op in _KERNELS:
+                self.code.append((slot, _KERNELS[op], kids[0],
+                                  kids[1] if len(kids) == 2 else None))
+            else:
+                raise EvalError("unknown op %r" % op)
+
+
+def lower(e):
+    """Lower e to a Tape.  Iterative, so tree depth is not limited by the
+    interpreter's recursion limit."""
+    slot_of = {}    # id(node) -> slot
+    key_slot = {}   # (op, val, idx, child slots) -> slot
+    nodes = []
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot_of:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if id(a) not in slot_of]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        val = node.val
+        if node.op == "const":
+            # -0.0 == 0.0, yet the two constants are kept apart.
+            val = (val, math.copysign(1.0, val))
+        key = (node.op, val, node.idx,
+               tuple(slot_of[id(a)] for a in node.args))
+        slot = key_slot.get(key)
+        if slot is None:
+            slot = key_slot[key] = len(nodes)
+            nodes.append(key)
+        slot_of[id(node)] = slot
+    return Tape(nodes, slot_of[id(e)])
+
+
+def _interval_eval_raw(tape, bx):
+    """Forward interval evaluation of a tape over a box of (lo, hi) pairs.
+
+    Returns the enclosure of every slot, which the checker's HC4 backward
+    pass reads.
+    """
+    vals = tape.init[:]
+    for slot, i in tape.loads:
+        vals[slot] = bx[i]
+    for slot, fn, a, b in tape.code:
+        vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+    return vals
 
 
 def interval_eval(e, bx):
@@ -586,8 +622,9 @@ def interval_eval(e, bx):
     Division by an interval containing zero yields the whole line, which
     callers must treat as "no information".
     """
-    lo, hi = _interval_eval_raw(e, bx)
-    return Interval(lo, hi)
+    tape = lower(e)
+    vals = _interval_eval_raw(tape, [(iv.lo, iv.hi) for iv in bx])
+    return Interval(*vals[tape.root])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from barricade import certify
+from barricade import cli
 from barricade import lpgen
 from barricade import network as nn
 from barricade import plant
@@ -196,6 +197,17 @@ class TestCegis:
 
 
 class TestVerify:
+    def test_bundled_box_counts(self):
+        # boxes_explored depends only on the enclosures, not on the host
+        net = nn.load(cli.bundled_controller_path(10))
+        f = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        for seed, boxes in ((1, (1044, 1, 4)), (2, (830, 1, 4))):
+            out = certify.verify(certify.default_spec(), f,
+                                 certify.CertifyConfig(seed=seed))
+            assert out.iterations == 1
+            assert tuple(out.transcripts[name].boxes_explored for name in (
+                "decrease", "init_containment", "unsafe_disjoint")) == boxes
+
     def test_end_to_end_hand_controller(self):
         f = _hand_controller_field()
         out = certify.verify(certify.default_spec(), f)

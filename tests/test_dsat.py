@@ -106,6 +106,19 @@ class TestCheck:
         assert a.verdict == b.verdict
         assert a.witness == b.witness
 
+    def test_pow_overflow_gives_verdict(self):
+        # x^2 on [1e200, 1e201] overflows the float range
+        bx = sx.box((1e200, 1e201))
+        sq = sx.pow_(sx.var(0), 2)
+        iv = sx.interval_eval(sq, bx)
+        assert iv.hi == math.inf and 0.0 < iv.lo
+        cube = sx.interval_eval(sx.pow_(sx.var(0), 3), sx.box((-1e201, -1e200)))
+        assert cube.lo == -math.inf and cube.hi < 0.0
+        out = dsat.check(dsat.Formula(1, _c(sq, ">=", 0.0)), bx, 1e-3)
+        assert out.verdict == "DELTA_SAT"
+        out = dsat.check(dsat.Formula(1, _c(sq, "<=", 0.0)), bx, 1e-3)
+        assert out.verdict == "UNSAT"
+
     def test_unsat_battery_grid_refutation(self):
         # each analytically-UNSAT instance survives a 10^6-point search
         dom2 = sx.box((-2.0, 2.0), (-2.0, 2.0))

@@ -112,3 +112,7 @@ class TestVectorField:
         for _ in range(100):
             x = rng.uniform(-1, 1, size=2)
             assert fn(x) == field.eval_at(x)
+
+    def test_compiled_once(self):
+        field = plant.VectorField(1, (sx.neg(sx.var(0)),))
+        assert field.compiled() is field.compiled()

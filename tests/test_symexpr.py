@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from barricade import certify, cli, lpgen, plant
+from barricade import network as nn
 from barricade import symexpr as sx
 
 
@@ -111,6 +113,30 @@ class TestInterval:
         iv = sx.interval_eval(sx.div(sx.const(1.0), sx.var(0)),
                               sx.box((-1.0, 1.0)))
         assert iv.lo == -math.inf and iv.hi == math.inf
+
+
+class TestTape:
+    def test_lowering_is_iterative_and_merges_shared_subterms(self):
+        # far deeper than the interpreter's recursion limit
+        e = sx.var(0)
+        for _ in range(3000):
+            e = sx.add(e, sx.const(1.0))
+        iv = sx.interval_eval(e, sx.box((0.0, 1.0)))
+        assert iv.lo <= 3000.0 and 3001.0 <= iv.hi
+        assert iv.hi - iv.lo < 1.0 + 1e-8  # one ulp out per add
+
+        net = nn.load(cli.bundled_controller_path(10))
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        cand = lpgen.candidate_from([1.0, 0.1, 1.0, 0.0, 0.0, 0.0],
+                                    lpgen.QuadraticTemplate(2))
+        lie = certify.lie_derivative(cand, field)
+        nodes = {}
+        stack = [lie]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(node.args)
+        assert len(sx.lower(lie).nodes) < len(nodes)
 
 
 class TestSexpr:
