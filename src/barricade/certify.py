@@ -111,7 +111,6 @@ class CertifyConfig:
     eps_pos: float = 1e-3
     eps_dec: float = 1e-3
     box_budget: int = 10_000_000
-    sample_x0_only: bool = False   # sample seeds from X0 instead of the ring
     cex_spread: float = 0.05       # counterexample jitter, fraction of width
 
 
@@ -200,7 +199,7 @@ def load_certificate(path):
 
 @dataclass
 class Inconclusive:
-    stage: str                 # "no_candidate" | "no_level" | "final_queries" | "budget"
+    stage: str   # "no_candidate" | "no_level" | "budget" | "simulation" | "lp_unbounded"
     detail: str
     transcripts: dict = field(default_factory=dict)
     iterations: int = 0
@@ -351,11 +350,9 @@ def find_generator(spec, f, config):
     NoCandidateError.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
-    sample_box = spec.x0 if config.sample_x0_only else spec.safe_rect
-    exclude = None if config.sample_x0_only else spec.x0
-    traces = sim.seed_traces(f, sample_box, config.n_seed_traces,
+    traces = sim.seed_traces(f, spec.safe_rect, config.n_seed_traces,
                              config.sim_duration, config.sim_step,
-                             config.seed, exclude=exclude)
+                             config.seed, exclude=spec.x0)
     lp_region = (spec.safe_rect, spec.x0)
     for iteration in range(1, config.max_iterations + 1):
         lp = lpgen.build_constraints(traces, tmpl, config.eps_pos,
@@ -373,9 +370,9 @@ def find_generator(spec, f, config):
         if transcript.verdict == "UNSAT":
             return cand, transcript, iteration, traces
         cex = transcript.witness.midpoint()
-        for start in _cex_cluster(cex, spec, config.cex_spread):
-            traces.append(sim.simulate(f, start, config.sim_duration,
-                                       config.sim_step))
+        traces.extend(sim.simulate_batch(
+            f, _cex_cluster(cex, spec, config.cex_spread),
+            config.sim_duration, config.sim_step))
     raise NoCandidateError("no candidate within %d iterations"
                            % config.max_iterations)
 
@@ -408,24 +405,27 @@ class NoCandidateError(RuntimeError):
 def verify(spec, f, config=None, controller_hash=""):
     """Full procedure; returns a Certificate or an Inconclusive record."""
     config = config or CertifyConfig()
+    transcripts, iterations = {}, 0
     try:
         cand, t1, iterations, _traces = find_generator(spec, f, config)
-    except NoCandidateError as exc:
-        return Inconclusive("no_candidate", str(exc))
-    except dsat.BudgetExhausted as exc:
-        return Inconclusive("budget", str(exc))
-    try:
+        transcripts["decrease"] = t1
         level, level_transcripts = select_level(
             cand, spec, config.delta, config.bisection_budget,
             config.box_budget)
+    except NoCandidateError as exc:
+        return Inconclusive("no_candidate", str(exc))
+    except dsat.BudgetExhausted as exc:
+        return Inconclusive("budget", str(exc), transcripts, iterations)
+    except sim.SimulationDivergence as exc:
+        return Inconclusive("simulation", str(exc))
+    except lpgen.LPUnboundedError as exc:
+        return Inconclusive("lp_unbounded", str(exc))
     except NotEllipsoidError as exc:
-        return Inconclusive("no_level", str(exc),
-                            {"decrease": t1}, iterations)
+        return Inconclusive("no_level", str(exc), transcripts, iterations)
     if level is NO_LEVEL:
         return Inconclusive("no_level",
                             "no admissible level within bisection budget",
-                            {"decrease": t1}, iterations)
-    transcripts = {"decrease": t1}
+                            transcripts, iterations)
     transcripts.update(level_transcripts)
     return Certificate(cand, level, config.gamma, config.delta, transcripts,
                        spec, controller_hash, iterations)

@@ -310,6 +310,8 @@ def _bisect(box):
     lo, hi = box[dim]
     mid = 0.5 * (lo + hi)
     if not lo <= mid <= hi:     # lo + hi overflowed
+        mid = 0.5 * lo + 0.5 * hi
+    if not lo <= mid <= hi:     # an endpoint is infinite
         raise ValueError("cannot bisect [%r, %r]" % (lo, hi))
     left = list(box)
     right = list(box)

@@ -77,14 +77,6 @@ class GeneratorCandidate:
         x = np.asarray(x, dtype=float)
         return 2.0 * self.p_matrix @ x + self.q_vector
 
-    def coefficients(self, tmpl):
-        out = []
-        for i, j in tmpl.pairs:
-            out.append(self.p_matrix[i, j])
-        out.extend(self.q_vector)
-        out.append(self.c_scalar)
-        return np.array(out)
-
 
 @dataclass
 class LPProblem:
@@ -100,16 +92,9 @@ class LPProblem:
             worst = min(worst, b - v if rel == "<=" else v - b)
         return worst
 
-    def dump(self, path):
-        with open(path, "w") as fh:
-            fh.write("maximize " + " ".join(repr(v) for v in self.objective) + "\n")
-            for a, rel, b in self.rows:
-                fh.write(" ".join(repr(float(v)) for v in a)
-                         + " %s %r\n" % (rel, float(b)))
-
 
 def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
-                      region=None, max_points=4000, use_difference=False):
+                      region=None, max_points=4000):
     """Rows from trace data.
 
     For each retained point x_k with stored derivative dx_k:
@@ -118,8 +103,7 @@ def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
     plus the normalization box |coeff| <= 1 and s in [-10, 10]; the
     objective maximizes the shared margin s.  `region`, when given,
     filters points to the domain the SMT check will cover (points inside
-    `region.exclude` are also dropped).  The finite-difference decrease
-    form (v(x_{k+1}) - v(x_k)) is available behind `use_difference`.
+    `region.exclude` are also dropped).
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -133,11 +117,7 @@ def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
             x = tr.states[k]
             if region is not None and not _in_region(x, region):
                 continue
-            if use_difference and k + subsample < len(tr):
-                dt = tr.times[k + subsample] - tr.times[k]
-                dx = (tr.states[k + subsample] - x) / dt
-            else:
-                dx = tr.derivs[k]
+            dx = tr.derivs[k]
             # Trace heads are kept unconditionally: counterexample traces
             # start exactly at the state the last candidate failed on.
             (heads if k == 0 else points).append((x, dx))

@@ -1,5 +1,6 @@
-"""Feedforward neural-network controller: numeric forward pass and lowering
-to Expr so the checker sees exactly the arithmetic the simulator runs.
+"""Feedforward neural-network controller: the scalar forward pass, which
+matches the lowered Expr bit for bit, a batched numpy forward pass for the
+simulator, and lowering to Expr for the checker.
 """
 
 from __future__ import annotations
@@ -7,6 +8,8 @@ from __future__ import annotations
 import json
 import hashlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import symexpr as sx
 
@@ -135,21 +138,30 @@ def to_expr(net, inputs=None):
     return values
 
 
-# --- fast numpy forward, used by the training rollouts only ---------------
+# --- batched numpy forward ------------------------------------------------
 
 def numpy_arrays(net):
-    import numpy as np
     return [(np.array(l.weights, dtype=float), np.array(l.bias, dtype=float),
              l.activation) for l in net.layers]
 
 
+def batch_arrays(net, batch):
+    """numpy_arrays(net) with each bias repeated to (d_out, batch): numpy
+    adds equal shapes about three times as fast as it broadcasts."""
+    return [(w, np.repeat(b[:, None], batch, axis=1), act)
+            for w, b, act in numpy_arrays(net)]
+
+
 def forward_fast(arrays, y):
-    import numpy as np
+    """Forward pass over the columns of y, (d_in, B) -> (d_out, B), with
+    arrays = batch_arrays(net, B).  The matrix products may round
+    differently from forward in the last bits."""
     v = y
     for w, b, act in arrays:
-        v = w @ v + b
+        v = w @ v
+        v += b
         if act == "tanh":
-            v = np.tanh(v)
+            np.tanh(v, out=v)
         elif act == "sigmoid":
             v = 1.0 / (1.0 + np.exp(-v))
     return v

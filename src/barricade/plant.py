@@ -3,15 +3,18 @@ error dynamics.
 
 State for the verified system is (d_err, theta_e): signed lateral offset
 from the target line and heading error.  The closed loop composes the
-plant field with the network controller symbolically, so the checker and
-the simulator share one expression for f.
+plant field with the network controller symbolically for the checker; the
+simulator evaluates the same composition numerically, one network layer
+at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+
+import numpy as np
 
 from . import symexpr as sx
 from . import network as nn
@@ -25,6 +28,10 @@ class ArityError(ValueError):
 class VectorField:
     arity: int
     components: tuple
+    # (plant_f, output_g, controller, gain) for a field built by
+    # close_loop: the batched evaluator then runs the controller layer by
+    # layer instead of through the unrolled components.
+    loop: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -43,6 +50,42 @@ class VectorField:
     def _compiled(self):
         fns = [sx.compile_expr(c) for c in self.components]
         return lambda x: [f(x) for f in fns]
+
+    @cached_property
+    def batched(self):
+        """f over the columns of X, as a callable X (n, B) -> F (n, B),
+        built on first use.  It may round differently from the scalar
+        evaluators in the last bits (numpy's elementary functions, the
+        order of the sums in the controller's matrix products)."""
+        if self.loop is None:
+            fns = _numpy_fns(self.components)
+            return lambda x: _rows(fns, x)
+        plant_f, output_g, controller, gain = self.loop
+        f_fns = _numpy_fns(plant_f)
+        g_fns = (None if output_g == tuple(identity_output(self.arity))
+                 else _numpy_fns(output_g))
+        arrays = cache(lambda batch: nn.batch_arrays(controller, batch))
+
+        def f(x):
+            y = x if g_fns is None else _rows(g_fns, x)
+            u = nn.forward_fast(arrays(x.shape[1]), y)
+            if gain != 1.0:
+                u *= gain
+            return _rows(f_fns, np.concatenate((x, u)))
+        return f
+
+
+def _numpy_fns(exprs):
+    return [sx.compile_expr(e, "numpy") for e in exprs]
+
+
+def _rows(fns, p):
+    """fn(p) for each fn, as the rows of a (len(fns), B) array, where p is
+    (k, B); constant components broadcast."""
+    out = np.empty((len(fns), p.shape[1]))
+    for i, fn in enumerate(fns):
+        out[i] = fn(p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,7 +154,8 @@ def close_loop(plant_f, output_g, controller, gain=1.0):
         u_exprs = [sx.mul(sx.const(gain), u) for u in u_exprs]
     mapping = {n + k: u_exprs[k] for k in range(m)}
     comps = [sx.substitute(fc, mapping) for fc in plant_f]
-    return VectorField(n, tuple(comps))
+    return VectorField(n, tuple(comps),
+                       (tuple(plant_f), tuple(output_g), controller, gain))
 
 
 def dubins_closed_loop(params, controller, gain=1.0):

@@ -48,28 +48,6 @@ class Expr:
         self.val = val
         self.idx = idx
 
-    # Arithmetic sugar, mostly for building quadratic forms in tests.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return "Expr(%s)" % to_sexpr(self)
 
@@ -81,12 +59,6 @@ class Expr:
 
     def __hash__(self):
         return hash((self.op, self.val, self.idx, self.args))
-
-
-def _wrap(x):
-    if isinstance(x, Expr):
-        return x
-    return const(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -265,42 +237,48 @@ def compile_expr(e, backend="math"):
     """Compile e to a callable f(point) via generated Python source.
 
     backend "math" produces a scalar function identical in result to
-    eval_expr; backend "numpy" produces a vectorized function for grid
-    oracles (point components may be arrays).
+    eval_expr; backend "numpy" produces a vectorized function (point
+    components may be arrays).  The numpy backend binds each constant as
+    a 0-d array: numpy combines one with a small array about twice as
+    fast as it does a Python float.
     """
-    src = _codegen(e)
     if backend == "math":
         ns = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "tanh": math.tanh}
+        wrap = float
     elif backend == "numpy":
         import numpy as np
         ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
+        wrap = np.array
     else:
         raise ValueError("unknown backend %r" % backend)
-    code = "def _f(p):\n    return %s\n" % src
+    consts = []
+    code = "def _f(p):\n    return %s\n" % _codegen(e, consts)
+    ns.update(("c%d" % i, wrap(v)) for i, v in enumerate(consts))
     exec(code, ns)  # noqa: S102 - generated from our own AST
     return ns["_f"]
 
 
-def _codegen(e):
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def _codegen(e, consts):
+    """Source of e over p[i]; constants become names c0, c1, ... bound to
+    the values appended to `consts`."""
     op = e.op
     if op == "const":
-        return repr(e.val)
+        consts.append(e.val)
+        return "c%d" % (len(consts) - 1)
     if op == "var":
         return "p[%d]" % e.idx
-    if op == "add":
-        return "(%s + %s)" % (_codegen(e.args[0]), _codegen(e.args[1]))
-    if op == "sub":
-        return "(%s - %s)" % (_codegen(e.args[0]), _codegen(e.args[1]))
-    if op == "mul":
-        return "(%s * %s)" % (_codegen(e.args[0]), _codegen(e.args[1]))
-    if op == "div":
-        return "(%s / %s)" % (_codegen(e.args[0]), _codegen(e.args[1]))
+    if op in _INFIX:
+        return "(%s %s %s)" % (_codegen(e.args[0], consts), _INFIX[op],
+                               _codegen(e.args[1], consts))
     if op == "neg":
-        return "(-%s)" % _codegen(e.args[0])
+        return "(-%s)" % _codegen(e.args[0], consts)
     if op == "pow":
-        return "(%s ** %d)" % (_codegen(e.args[0]), e.val)
-    return "%s(%s)" % (op, _codegen(e.args[0]))
+        return "(%s ** %d)" % (_codegen(e.args[0], consts), e.val)
+    return "%s(%s)" % (op, _codegen(e.args[0], consts))
 
 
 # ---------------------------------------------------------------------------

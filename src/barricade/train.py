@@ -84,29 +84,12 @@ def _path_segments(waypoints):
     return starts, deltas, lengths, dirs, angles
 
 
-def path_errors(x, y, theta, segments):
-    """(d_err, theta_e) against the nearest polyline segment.
+def _path_errors_batch(xs, ys, thetas, segments):
+    """(d_err, theta_e) of each pose against the nearest polyline segment.
 
     Per-segment projection with clamping; ties go to the lower segment
     index.  d_err is positive on the left of the path.
     """
-    starts, deltas, lengths, dirs, angles = segments
-    rel = np.array([x, y]) - starts
-    t = np.clip((rel * dirs).sum(axis=1), 0.0, lengths)
-    closest = starts + t[:, None] * dirs
-    d2 = ((np.array([x, y]) - closest) ** 2).sum(axis=1)
-    k = int(np.argmin(d2))
-    seg_angle = angles[k]
-    rx = x - starts[k, 0]
-    ry = y - starts[k, 1]
-    d_err = -rx * math.cos(seg_angle) + ry * math.sin(seg_angle)
-    theta_e = seg_angle - theta
-    theta_e = (theta_e + math.pi) % (2.0 * math.pi) - math.pi
-    return d_err, theta_e
-
-
-def _path_errors_batch(xs, ys, thetas, segments):
-    """Vectorized path_errors over a batch of poses."""
     starts, deltas, lengths, dirs, angles = segments
     pts = np.stack([xs, ys], axis=1)                    # (m, 2)
     rel = pts[:, None, :] - starts[None, :, :]          # (m, S, 2)

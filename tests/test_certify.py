@@ -7,6 +7,7 @@ import pytest
 
 from barricade import certify
 from barricade import cli
+from barricade import dsat
 from barricade import lpgen
 from barricade import network as nn
 from barricade import plant
@@ -207,6 +208,30 @@ class TestVerify:
             assert out.iterations == 1
             assert tuple(out.transcripts[name].boxes_explored for name in (
                 "decrease", "init_containment", "unsafe_disjoint")) == boxes
+
+    def test_diverging_field_is_inconclusive(self):
+        # xdot = (x0^2, x1): the seed traces blow up in finite time
+        f = plant.VectorField(2, (sx.mul(sx.var(0), sx.var(0)), sx.var(1)))
+        out = certify.verify(certify.default_spec(), f)
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "simulation"
+
+    def test_level_budget_is_inconclusive(self, monkeypatch):
+        def exhausted(*args):
+            raise dsat.BudgetExhausted("explored more than 1 boxes")
+        monkeypatch.setattr(certify, "select_level", exhausted)
+        out = certify.verify(_square_spec(), _contraction_field())
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "budget"
+        assert out.transcripts["decrease"].verdict == "UNSAT"
+
+    def test_unbounded_lp_is_inconclusive(self, monkeypatch):
+        def unbounded(lp):
+            raise lpgen.LPUnboundedError("LP unbounded; add box constraints")
+        monkeypatch.setattr(lpgen, "solve_lp", unbounded)
+        out = certify.verify(_square_spec(), _contraction_field())
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "lp_unbounded"
 
     def test_end_to_end_hand_controller(self):
         f = _hand_controller_field()

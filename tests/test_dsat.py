@@ -119,6 +119,14 @@ class TestCheck:
         out = dsat.check(dsat.Formula(1, _c(sq, "<=", 0.0)), bx, 1e-3)
         assert out.verdict == "UNSAT"
 
+    def test_bisection_near_float_max(self):
+        # lo + hi overflows, so the midpoint comes from the halves
+        x = sx.var(0)
+        phi = dsat.Formula(1, dsat.Or((_c(x, "<=", 1.2e308),
+                                       _c(x, ">=", 1.6e308))))
+        out = dsat.check(phi, sx.box((1.1e308, 1.7e308)), 1e-3)
+        assert out.verdict == "DELTA_SAT"
+
     def test_unsat_battery_grid_refutation(self):
         # each analytically-UNSAT instance survives a 10^6-point search
         dom2 = sx.box((-2.0, 2.0), (-2.0, 2.0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from barricade import cli
 from barricade import network as nn
 from barricade import plant
 from barricade import simulate as sim
@@ -113,3 +114,113 @@ class TestCsv:
         assert np.array_equal(back.times, tr.times)
         assert np.array_equal(back.states, tr.states)
         assert np.array_equal(back.derivs, tr.derivs)
+
+
+def _bundled_field(size):
+    net = nn.load(cli.bundled_controller_path(size))
+    return plant.dubins_closed_loop(plant.DubinsParams(), net)
+
+
+def _scalar_rk4_states(field, x0, n_steps, step):
+    f = field.compiled()
+    x = [float(v) for v in x0]
+    out = [x]
+    for _ in range(n_steps):
+        x = sim.rk4_step(f, x, step)
+        out.append(x)
+    return np.array(out)
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("size,count", [(10, 20), (100, 8)])
+    def test_members_match_scalar_rk4(self, size, count):
+        field = _bundled_field(size)
+        rng = np.random.default_rng(size)
+        starts = rng.uniform([-1.0, -1.5], [1.0, 1.5], size=(count, 2))
+        traces = sim.simulate_batch(field, starts, 10.0, 0.01)
+        assert len(traces) == count
+        fn = field.compiled()
+        for x0, tr in zip(starts, traces):
+            ref = _scalar_rk4_states(field, x0, 1000, 0.01)
+            assert np.max(np.abs(tr.states - ref)) <= 1e-12
+            ref_d = np.array([fn(list(x)) for x in tr.states])
+            assert np.max(np.abs(tr.derivs - ref_d)) <= 1e-12
+
+    def test_one_diverging_member_raises(self):
+        field = plant.VectorField(1, (sx.mul(sx.var(0), sx.var(0)),))
+        with pytest.raises(sim.SimulationDivergence):
+            sim.simulate_batch(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
+
+    def test_nan_counts_as_divergence(self):
+        field = plant.VectorField(1, (sx.neg(sx.var(0)),))
+        with pytest.raises(sim.SimulationDivergence):
+            sim.simulate_batch(field, [[1.0], [math.nan]], 1.0, 0.1)
+
+    def test_seed_starts_match_rejection_loop(self):
+        field = _dubins_zero_controller()
+        region = sx.box((-1.0, 1.0), (-0.5, 0.5))
+        inner = sx.box((-0.1, 0.1), (-0.1, 0.1))
+        traces = sim.seed_traces(field, region, 30, 0.5, 0.1, 42,
+                                 exclude=inner)
+        assert traces[0].states[0].tolist() == [0.5479120971119267,
+                                                -0.06112156024794768]
+        # one start at a time, rejecting draws inside `inner`
+        rng = np.random.default_rng(42)
+        expected = []
+        while len(expected) < 30:
+            x0 = rng.uniform([-1.0, -0.5], [1.0, 0.5])
+            if not inner.contains(x0):
+                expected.append(x0)
+        for tr, x0 in zip(traces, expected):
+            assert np.array_equal(tr.states[0], x0)
+
+
+def _net(rng, widths, activations):
+    return nn.Network(tuple(
+        nn.make_layer(rng.uniform(-1.5, 1.5, size=(d_out, d_in)),
+                      rng.uniform(-0.5, 0.5, size=d_out), act)
+        for d_in, d_out, act in zip(widths, widths[1:], activations)))
+
+
+def _assert_within_ulps(got, ref, ulps=8):
+    ref = np.asarray(ref, dtype=float)
+    assert np.all(np.abs(got - ref)
+                  <= ulps * np.spacing(np.maximum(np.abs(ref), 1.0)))
+
+
+class TestBatchedField:
+    @pytest.mark.parametrize("widths,acts,gain", [
+        ((2, 1), ("tanh",), 1.0),
+        ((2, 6, 1), ("sigmoid", "sigmoid"), 1.0),
+        ((2, 6, 1), ("identity", "identity"), 1.0),
+        ((2, 5, 4, 1), ("tanh", "sigmoid", "identity"), 1.0),
+        ((2, 6, 1), ("tanh", "tanh"), 2.0),
+    ], ids=["tanh", "sigmoid", "identity", "three-layer", "gain-2"])
+    def test_closed_loop_matches_eval_at(self, widths, acts, gain):
+        rng = np.random.default_rng(len(widths) + int(gain))
+        field = plant.dubins_closed_loop(
+            plant.DubinsParams(), _net(rng, widths, acts), gain=gain)
+        xs = rng.uniform(-1.5, 1.5, size=(2, 40))
+        got = field.batched(xs)
+        for b in range(xs.shape[1]):
+            _assert_within_ulps(got[:, b], field.eval_at(list(xs[:, b])))
+
+    def test_output_map_is_applied(self):
+        rng = np.random.default_rng(4)
+        output = [sx.sub(sx.var(0), sx.var(1)), sx.const(0.25)]
+        field = plant.close_loop(plant.dubins_error_field(
+            plant.DubinsParams()), output, _net(rng, (2, 3, 1),
+                                                ("tanh", "tanh")))
+        xs = rng.uniform(-1.0, 1.0, size=(2, 7))
+        got = field.batched(xs)
+        for b in range(xs.shape[1]):
+            _assert_within_ulps(got[:, b], field.eval_at(list(xs[:, b])))
+
+    def test_plain_field_with_constant_component(self):
+        field = plant.VectorField(2, (sx.const(0.5),
+                                      sx.mul(sx.var(0), sx.sin(sx.var(1)))))
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(2, 9))
+        got = field.batched(xs)
+        assert got.shape == (2, 9)
+        for b in range(xs.shape[1]):
+            _assert_within_ulps(got[:, b], field.eval_at(list(xs[:, b])))
