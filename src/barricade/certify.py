@@ -279,11 +279,17 @@ def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT,
 
 def halfspace_min(cand, a, b):
     """Exact minimum of v over the halfspace a.x >= b (P must be PD)."""
+    from fractions import Fraction  # not at import: it loads decimal
     p = cand.p_matrix
-    try:
-        np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        raise NotEllipsoidError("quadratic part is not positive definite")
+    # Sylvester's criterion on the exact rationals of P's floats: the k-th
+    # pivot of elimination is the k-th leading minor over the (k-1)-th.
+    m = [[Fraction(v) for v in row] for row in p.tolist()]
+    for k, pivot in enumerate(m):
+        if pivot[k] <= 0:
+            raise NotEllipsoidError("quadratic part is not positive definite")
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            row[:] = [x - f * y for x, y in zip(row, pivot)]
     a = np.asarray(a, dtype=float)
     x_star = np.linalg.solve(p, -0.5 * cand.q_vector)
     if a @ x_star >= b:
@@ -445,8 +451,8 @@ def certificate_grid_oracle(cert, f, n_boundary=10_000, n_grid=101):
     cand = cert.candidate
     spec = cert.spec
     level = cert.level
-    lie = sx.compile_expr(lie_derivative(cand, f), "numpy")
-    vfun = sx.compile_expr(cand.expr, "numpy")
+    lie = sx.compile_expr(lie_derivative(cand, f))
+    vfun = sx.compile_expr(cand.expr)
 
     # Ellipse boundary: x = x* + r(phi) direction, solving v(x) = level.
     p = cand.p_matrix

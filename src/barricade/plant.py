@@ -42,28 +42,21 @@ class VectorField:
     def eval_at(self, x):
         return [sx.eval_expr(c, x) for c in self.components]
 
-    def compiled(self):
-        """f as one callable x -> [f_i(x)], compiled on first use."""
-        return self._compiled
-
-    @cached_property
-    def _compiled(self):
-        fns = [sx.compile_expr(c) for c in self.components]
-        return lambda x: [f(x) for f in fns]
-
     @cached_property
     def batched(self):
         """f over the columns of X, as a callable X (n, B) -> F (n, B),
-        built on first use.  It may round differently from the scalar
-        evaluators in the last bits (numpy's elementary functions, the
-        order of the sums in the controller's matrix products)."""
+        built on first use.  The components run as compile_expr array
+        programs; a closed loop runs its controller layer by layer
+        instead.  It may round differently from eval_at in the last bits
+        (numpy's elementary functions, the order of the sums in the
+        controller's matrix products)."""
         if self.loop is None:
-            fns = _numpy_fns(self.components)
+            fns = [sx.compile_expr(c) for c in self.components]
             return lambda x: _rows(fns, x)
         plant_f, output_g, controller, gain = self.loop
-        f_fns = _numpy_fns(plant_f)
+        f_fns = [sx.compile_expr(c) for c in plant_f]
         g_fns = (None if output_g == tuple(identity_output(self.arity))
-                 else _numpy_fns(output_g))
+                 else [sx.compile_expr(g) for g in output_g])
         arrays = cache(lambda batch: nn.batch_arrays(controller, batch))
 
         def f(x):
@@ -73,10 +66,6 @@ class VectorField:
                 u *= gain
             return _rows(f_fns, np.concatenate((x, u)))
         return f
-
-
-def _numpy_fns(exprs):
-    return [sx.compile_expr(e, "numpy") for e in exprs]
 
 
 def _rows(fns, p):

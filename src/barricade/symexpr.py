@@ -1,17 +1,20 @@
 """Expression trees shared by the simulator, the LP generator and the checker.
 
-A single Expr semantics is used everywhere: numeric evaluation, symbolic
-differentiation, conservative interval evaluation and the s-expression
-serialization that goes into certificate files.  Keeping one semantics is
-what makes an UNSAT verdict from the interval checker meaningful for the
-system that was simulated.
+A single Expr semantics is used everywhere: symbolic differentiation, the
+s-expression serialization of certificate files, and one flat tape per
+expression (`lower`), which the interval checker and the array evaluator
+both run.  Keeping one semantics is what makes an UNSAT verdict from the
+interval checker meaningful for the system that was simulated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 _INF = math.inf
 
@@ -233,54 +236,6 @@ def eval_expr(e, point):
     return r
 
 
-def compile_expr(e, backend="math"):
-    """Compile e to a callable f(point) via generated Python source.
-
-    backend "math" produces a scalar function identical in result to
-    eval_expr; backend "numpy" produces a vectorized function (point
-    components may be arrays).  The numpy backend binds each constant as
-    a 0-d array: numpy combines one with a small array about twice as
-    fast as it does a Python float.
-    """
-    if backend == "math":
-        ns = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "tanh": math.tanh}
-        wrap = float
-    elif backend == "numpy":
-        import numpy as np
-        ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
-        wrap = np.array
-    else:
-        raise ValueError("unknown backend %r" % backend)
-    consts = []
-    code = "def _f(p):\n    return %s\n" % _codegen(e, consts)
-    ns.update(("c%d" % i, wrap(v)) for i, v in enumerate(consts))
-    exec(code, ns)  # noqa: S102 - generated from our own AST
-    return ns["_f"]
-
-
-_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
-def _codegen(e, consts):
-    """Source of e over p[i]; constants become names c0, c1, ... bound to
-    the values appended to `consts`."""
-    op = e.op
-    if op == "const":
-        consts.append(e.val)
-        return "c%d" % (len(consts) - 1)
-    if op == "var":
-        return "p[%d]" % e.idx
-    if op in _INFIX:
-        return "(%s %s %s)" % (_codegen(e.args[0], consts), _INFIX[op],
-                               _codegen(e.args[1], consts))
-    if op == "neg":
-        return "(-%s)" % _codegen(e.args[0], consts)
-    if op == "pow":
-        return "(%s ** %d)" % (_codegen(e.args[0], consts), e.val)
-    return "%s(%s)" % (op, _codegen(e.args[0], consts))
-
-
 # ---------------------------------------------------------------------------
 # Symbolic differentiation
 # ---------------------------------------------------------------------------
@@ -423,6 +378,9 @@ def _idiv(a, b):
     if b[0] <= 0.0 <= b[1]:
         return (-_INF, _INF)
     p = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    s = p[0] + p[1] + p[2] + p[3]
+    if s != s:  # inf/inf, or both infinities among p: the whole line
+        return (-_INF, _INF)
     return _widen(min(p), max(p))
 
 
@@ -597,12 +555,58 @@ def _interval_eval_raw(tape, bx):
 def interval_eval(e, bx):
     """Sound interval enclosure of e over box bx.
 
-    Division by an interval containing zero yields the whole line, which
-    callers must treat as "no information".
+    Division by an interval containing zero, or with a quotient inf/inf,
+    yields the whole line, which callers must treat as "no information".
     """
     tape = lower(e)
     vals = _interval_eval_raw(tape, [(iv.lo, iv.hi) for iv in bx])
     return Interval(*vals[tape.root])
+
+
+_ARRAY_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "neg": operator.neg, "pow": operator.pow,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+}
+
+
+def compile_expr(e):
+    """e as a callable f(p) over numpy arrays, p[i] being var(i): the tape
+    of e run with numpy's operators (which may round differently from
+    eval_expr; no division or NaN check), constants as 0-d arrays, which
+    numpy combines with an array about twice as fast as a float."""
+    tape = lower(e)
+    nodes = tape.nodes
+    last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
+    init, loads, code, free, reg = [], [], [], [], []
+    for slot, (op, val, idx, kids) in enumerate(nodes):
+        args = [reg[k] for k in kids]
+        if op == "pow":     # the integer exponent gets a register
+            args.append(len(init))
+            init.append(val)
+        # Computed registers are reused after their slot's last read, so
+        # no more arrays stay referenced than are ever live at once.
+        free.extend(reg[k] for k in dict.fromkeys(kids)
+                    if last_read[k] == slot and nodes[k][3])
+        if not (kids and free):
+            free.append(len(init))
+            init.append(np.array(val[0]) if op == "const" else None)
+        reg.append(free.pop())
+        if op == "var":
+            loads.append((reg[slot], idx))
+        elif kids:
+            code.append((reg[slot], _ARRAY_OPS[op], args[0],
+                         args[1] if len(args) == 2 else None))
+    root = reg[tape.root]
+
+    def f(p):
+        r = init[:]
+        for dst, i in loads:
+            r[dst] = p[i]
+        for dst, fn, a, b in code:
+            r[dst] = fn(r[a]) if b is None else fn(r[a], r[b])
+        return r[root]
+    return f
 
 
 # ---------------------------------------------------------------------------

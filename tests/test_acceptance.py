@@ -218,7 +218,7 @@ def test_criterion_07_dsat_battery():
             side2 = np.linspace(dom[1].lo, dom[1].hi, 1000)
             xx, yy = np.meshgrid(side, side2)
             pts = np.column_stack([xx.ravel(), yy.ravel()])
-        fn = sx.compile_expr(phi.root.lhs, backend="numpy") if isinstance(
+        fn = sx.compile_expr(phi.root.lhs) if isinstance(
             phi.root, dsat.Constraint) else None
         if fn is not None:
             vals = fn(pts.T)

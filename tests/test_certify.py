@@ -143,6 +143,15 @@ class TestLevelAnalytics:
         with pytest.raises(certify.NotEllipsoidError):
             certify.halfspace_min(_neg_candidate(), [1.0, 0.0], 1.0)
 
+    def test_not_ellipsoid_by_rounding(self):
+        # float Cholesky accepts this P, but its exact determinant is -1.4e-16
+        cand = lpgen.candidate_from(
+            [0.18212704632184262, -2.254300341002616, 27.9028849919642,
+             0.0, 0.0, 0.0], lpgen.QuadraticTemplate(2))
+        np.linalg.cholesky(cand.p_matrix)
+        with pytest.raises(certify.NotEllipsoidError):
+            certify.halfspace_min(cand, [1.0, 0.0], 1.0)
+
     def test_vertex_max_symmetric(self):
         cand = _identity_candidate()
         assert certify.vertex_max(cand, _square_spec().x0) == pytest.approx(0.02)

@@ -119,6 +119,14 @@ class TestCheck:
         out = dsat.check(dsat.Formula(1, _c(sq, "<=", 0.0)), bx, 1e-3)
         assert out.verdict == "UNSAT"
 
+    def test_inf_over_inf_gives_verdict(self):
+        # both exps overflow, so the quotient bounds include inf/inf
+        q = sx.div(sx.sub(sx.const(1.0), sx.exp(sx.var(0))),
+                   sx.neg(sx.exp(sx.var(1))))
+        bx = sx.box((700.0, 800.0), (700.0, 800.0))
+        out = dsat.check(dsat.Formula(2, _c(sx.sin(q), ">=", 2.0)), bx, 1e-3)
+        assert out.verdict == "DELTA_SAT"
+
     def test_bisection_near_float_max(self):
         # lo + hi overflows, so the midpoint comes from the halves
         x = sx.var(0)

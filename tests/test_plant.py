@@ -101,18 +101,3 @@ class TestCloseLoop:
                                  gain=2.0)
         assert field.eval_at([0.5])[0] == 2.0 * math.tanh(0.5)
 
-
-class TestVectorField:
-    def test_compiled_matches_eval(self):
-        net = nn.Network((nn.make_layer([[0.4, -0.6]], [0.1], "tanh"),
-                          nn.make_layer([[1.2]], [0.0], "tanh")))
-        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
-        fn = field.compiled()
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            x = rng.uniform(-1, 1, size=2)
-            assert fn(x) == field.eval_at(x)
-
-    def test_compiled_once(self):
-        field = plant.VectorField(1, (sx.neg(sx.var(0)),))
-        assert field.compiled() is field.compiled()

@@ -28,11 +28,11 @@ def _dubins_zero_controller():
 
 class TestRk4:
     def test_zero_field_fixed_point(self):
-        f = _const_zero_field().compiled()
+        f = _const_zero_field().eval_at
         assert sim.rk4_step(f, [2.5], 0.1) == [2.5]
 
     def test_exponential_hand_value(self):
-        f = _exp_field().compiled()
+        f = _exp_field().eval_at
         got = sim.rk4_step(f, [1.0], 0.1)[0]
         # RK4 truncation of e^0.1: 1 + h + h^2/2 + h^3/6 + h^4/24
         h = 0.1
@@ -50,7 +50,7 @@ class TestRk4:
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            sim.rk4_step(_const_zero_field().compiled(), [0.0], 0.0)
+            sim.rk4_step(_const_zero_field().eval_at, [0.0], 0.0)
 
 
 class TestSimulate:
@@ -72,9 +72,8 @@ class TestSimulate:
     def test_derivs_match_field(self):
         field = _dubins_zero_controller()
         tr = sim.simulate(field, [0.2, -0.1], 0.5, 0.05)
-        fn = field.compiled()
         for x, dx in zip(tr.states, tr.derivs):
-            assert list(dx) == fn(list(x))
+            assert list(dx) == field.eval_at(list(x))
 
     def test_divergence_guard(self):
         field = plant.VectorField(1, (sx.mul(sx.const(50.0), sx.var(0)),))
@@ -121,8 +120,20 @@ def _bundled_field(size):
     return plant.dubins_closed_loop(plant.DubinsParams(), net)
 
 
+def _scalar_field(field):
+    """A closed loop with gain 1 at one state, through network.forward
+    and eval_expr on the plant components: the operations of eval_at,
+    with the network evaluated once."""
+    plant_f, output_g, net, _ = field.loop
+
+    def f(x):
+        u = nn.forward(net, [sx.eval_expr(g, x) for g in output_g])
+        return [sx.eval_expr(c, list(x) + u) for c in plant_f]
+    return f
+
+
 def _scalar_rk4_states(field, x0, n_steps, step):
-    f = field.compiled()
+    f = _scalar_field(field)
     x = [float(v) for v in x0]
     out = [x]
     for _ in range(n_steps):
@@ -139,7 +150,7 @@ class TestSimulateBatch:
         starts = rng.uniform([-1.0, -1.5], [1.0, 1.5], size=(count, 2))
         traces = sim.simulate_batch(field, starts, 10.0, 0.01)
         assert len(traces) == count
-        fn = field.compiled()
+        fn = _scalar_field(field)
         for x0, tr in zip(starts, traces):
             ref = _scalar_rk4_states(field, x0, 1000, 0.01)
             assert np.max(np.abs(tr.states - ref)) <= 1e-12

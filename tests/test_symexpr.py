@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from barricade import certify, cli, lpgen, plant
+from barricade import certify, cli, lpgen, plant, train
 from barricade import network as nn
 from barricade import symexpr as sx
 
@@ -30,6 +30,10 @@ def _rand_expr(rng, depth, arity=2):
     return getattr(sx, op)(a, b)
 
 
+def _assert_within_ulps(got, ref, ulps=8):
+    assert abs(got - ref) <= ulps * np.spacing(max(abs(ref), 1.0))
+
+
 class TestEval:
     def test_sin_zero(self):
         assert sx.eval_expr(sx.sin(sx.var(0)), [0.0]) == 0.0
@@ -52,13 +56,26 @@ class TestEval:
         with pytest.raises(sx.EvalError):
             sx.eval_expr(sx.div(sx.const(1.0), sx.var(0)), [0.0])
 
-    def test_compile_matches_eval(self):
+    def test_compile_on_arrays_matches_eval(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             e = _rand_expr(rng, 4)
-            p = rng.uniform(-2, 2, size=2)
-            fn = sx.compile_expr(e)
-            assert fn(p) == sx.eval_expr(e, p)
+            p = rng.uniform(-2, 2, size=(2, 5))
+            got = np.broadcast_to(sx.compile_expr(e)(p), (5,))
+            for b in range(5):
+                _assert_within_ulps(got[b], sx.eval_expr(e, p[:, b]))
+
+    def test_compile_widened_closed_loop(self):
+        # one network sum is nested 200 deep
+        net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
+                                     200, seed=0)
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        xs = np.random.default_rng(9).uniform(-1.0, 1.0, size=(2, 8))
+        got = [sx.compile_expr(c)(xs) for c in field.components]
+        for b in range(xs.shape[1]):
+            ref = field.eval_at(list(xs[:, b]))
+            for g, r in zip(got, ref):
+                _assert_within_ulps(g[b], r)
 
 
 class TestDiff:
@@ -114,6 +131,12 @@ class TestInterval:
                               sx.box((-1.0, 1.0)))
         assert iv.lo == -math.inf and iv.hi == math.inf
 
+    def test_inf_over_inf_is_whole_line(self):
+        q = sx.div(sx.sub(sx.const(1.0), sx.exp(sx.var(0))),
+                   sx.neg(sx.exp(sx.var(1))))
+        iv = sx.interval_eval(q, sx.box((700.0, 800.0), (700.0, 800.0)))
+        assert iv.lo == -math.inf and iv.hi == math.inf
+
 
 class TestTape:
     def test_lowering_is_iterative_and_merges_shared_subterms(self):
@@ -124,6 +147,8 @@ class TestTape:
         iv = sx.interval_eval(e, sx.box((0.0, 1.0)))
         assert iv.lo <= 3000.0 and 3001.0 <= iv.hi
         assert iv.hi - iv.lo < 1.0 + 1e-8  # one ulp out per add
+        got = sx.compile_expr(e)([np.array([0.0, 0.5, 1.0])])
+        assert got.tolist() == [3000.0, 3000.5, 3001.0]
 
         net = nn.load(cli.bundled_controller_path(10))
         field = plant.dubins_closed_loop(plant.DubinsParams(), net)
