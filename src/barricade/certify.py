@@ -180,21 +180,32 @@ class Certificate:
 
 
 def load_certificate(path):
+    """Read a file written by Certificate.save.  Raises ValueError when a
+    field is missing or ill-typed; the queries are not re-run."""
     with open(path) as fh:
         data = json.load(fh)
-    gen = data["generator"]
-    p = np.array(gen["p_matrix"])
-    q = np.array(gen["q_vector"])
-    cand = lpgen.GeneratorCandidate(
-        len(q), p, q, float(gen["c"]),
-        sx.parse_sexpr(gen["expr"]),
-        tuple(sx.parse_sexpr(g) for g in gen["grad"]))
-    spec = SafetySpec(sx.box(*data["spec"]["x0"]),
-                      sx.box(*data["spec"]["safe_rect"]))
-    return Certificate(cand, float(data["level"]), float(data["gamma"]),
-                       float(data["delta"]), {}, spec,
-                       data["controller_hash"], int(data["iterations"]),
-                       data.get("version", "?"))
+    try:
+        gen = data["generator"]
+        p = np.array(gen["p_matrix"], dtype=float)
+        q = np.array(gen["q_vector"], dtype=float)
+        n = len(q)
+        grad = tuple(sx.parse_sexpr(g) for g in gen["grad"])
+        if not (p.shape == (n, n) and q.shape == (n,) and len(grad) == n
+                and np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ValueError("generator p_matrix, q_vector and grad do "
+                             "not describe one quadratic")
+        cand = lpgen.GeneratorCandidate(n, p, q, float(gen["c"]),
+                                        sx.parse_sexpr(gen["expr"]), grad)
+        spec = SafetySpec(sx.box(*data["spec"]["x0"]),
+                          sx.box(*data["spec"]["safe_rect"]))
+        return Certificate(cand, float(data["level"]), float(data["gamma"]),
+                           float(data["delta"]), {}, spec,
+                           str(data["controller_hash"]),
+                           int(data["iterations"]),
+                           str(data.get("version", "?")))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed certificate %s: %s %s"
+                         % (path, type(exc).__name__, exc)) from None
 
 
 @dataclass

@@ -303,14 +303,20 @@ def prune(phi, bx, rounds=3):
     return EMPTY if out is EMPTY else _box(out[0])
 
 
+def _mid(lo, hi):
+    """Midpoint of [lo, hi], also where lo + hi overflows."""
+    mid = 0.5 * (lo + hi)
+    if not lo <= mid <= hi:     # lo + hi overflowed
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
+
+
 def _bisect(box):
     """Halves of box split at the midpoint of its widest dimension."""
     widths = [hi - lo for lo, hi in box]
     dim = max(range(len(widths)), key=widths.__getitem__)
     lo, hi = box[dim]
-    mid = 0.5 * (lo + hi)
-    if not lo <= mid <= hi:     # lo + hi overflowed
-        mid = 0.5 * lo + 0.5 * hi
+    mid = _mid(lo, hi)
     if not lo <= mid <= hi:     # an endpoint is infinite
         raise ValueError("cannot bisect [%r, %r]" % (lo, hi))
     left = list(box)
@@ -360,7 +366,7 @@ def check(phi, domain, delta, max_boxes=10_000_000):
         if status == TRUE:
             # Certainly satisfied somewhere in here: the midpoint is a
             # genuine witness, reported as a degenerate box.
-            mid = [0.5 * (lo + hi) for lo, hi in box]
+            mid = [_mid(lo, hi) for lo, hi in box]
             wit = _box(zip(mid, mid))
             return DsatResult("DELTA_SAT", wit, explored,
                               time.perf_counter() - t0)

@@ -5,6 +5,11 @@ s-expression serialization of certificate files, and one flat tape per
 expression (`lower`), which the interval checker and the array evaluator
 both run.  Keeping one semantics is what makes an UNSAT verdict from the
 interval checker meaningful for the system that was simulated.
+
+Trees are walked without recursion: `lower`, `arity`, `substitute`, `diff`
+and `==` loop over one iterative post-order (`_postorder`), and the
+s-expression writer and parser run on explicit stacks.  Only the scalar
+reference `eval_expr` recurses, so controller size has no depth ceiling.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ class ExprSyntaxError(ValueError):
     """Malformed s-expression text."""
 
 
-_UNARY = frozenset(("neg", "sin", "cos", "exp", "tanh"))
-_BINARY = frozenset(("add", "sub", "mul", "div"))
+# The operands of each op's s-expression form: "e" an expression, "a" a
+# number.
+_FORMS = {"const": "a", "var": "a", "pow": "ea", "add": "ee", "sub": "ee",
+          "mul": "ee", "div": "ee", "neg": "e", "sin": "e", "cos": "e",
+          "exp": "e", "tanh": "e"}
 
 
 class Expr:
@@ -55,13 +63,14 @@ class Expr:
         return "Expr(%s)" % to_sexpr(self)
 
     def __eq__(self, other):
+        """Structural equality, decided on the tapes, which keep the
+        constants -0.0 and 0.0 apart."""
         if not isinstance(other, Expr):
             return NotImplemented
-        return (self.op == other.op and self.val == other.val
-                and self.idx == other.idx and self.args == other.args)
+        return lower(self).nodes == lower(other).nodes
 
     def __hash__(self):
-        return hash((self.op, self.val, self.idx, self.args))
+        return hash((self.op, self.val, self.idx, len(self.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +129,6 @@ def div(a, b):
     return Expr("div", (a, b))
 
 
-def neg(a):
-    if _is_const(a):
-        return const(-a.val)
-    return Expr("neg", (a,))
-
-
 def pow_(a, n):
     n = int(n)
     if n < 0:
@@ -139,51 +142,60 @@ def pow_(a, n):
     return Expr("pow", (a,), val=n)
 
 
-def sin(a):
-    if _is_const(a):
-        return const(math.sin(a.val))
-    return Expr("sin", (a,))
+def _unary(op, fn):
+    """The smart constructor of op, folding a constant argument with fn."""
+    def build(a):
+        if _is_const(a):
+            return const(fn(a.val))
+        return Expr(op, (a,))
+    build.__name__ = op
+    return build
 
 
-def cos(a):
-    if _is_const(a):
-        return const(math.cos(a.val))
-    return Expr("cos", (a,))
+neg = _unary("neg", operator.neg)
+sin = _unary("sin", math.sin)
+cos = _unary("cos", math.cos)
+exp = _unary("exp", math.exp)
+tanh = _unary("tanh", math.tanh)
 
 
-def exp(a):
-    if _is_const(a):
-        return const(math.exp(a.val))
-    return Expr("exp", (a,))
-
-
-def tanh(a):
-    if _is_const(a):
-        return const(math.tanh(a.val))
-    return Expr("tanh", (a,))
+def _postorder(e):
+    """The distinct nodes of e (by identity), each after its arguments."""
+    done = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        pending = [a for a in node.args if id(a) not in done]
+        if pending:
+            stack.append(node)
+            stack.extend(reversed(pending))
+        else:
+            done.add(id(node))
+            yield node
 
 
 def arity(e):
     """1 + highest variable index occurring in e (0 for closed terms)."""
-    if e.op == "var":
-        return e.idx + 1
-    if not e.args:
-        return 0
-    return max(arity(a) for a in e.args)
+    return max((n.idx + 1 for n in _postorder(e) if n.op == "var"), default=0)
 
 
 def substitute(e, mapping):
     """Replace var(i) by mapping[i] where present; rebuilds with folding."""
-    if e.op == "var":
-        return mapping.get(e.idx, e)
-    if e.op == "const":
-        return e
-    args = tuple(substitute(a, mapping) for a in e.args)
-    if args == e.args:
-        return e
-    if e.op == "pow":
-        return pow_(args[0], e.val)
-    return _BUILDERS[e.op](*args)
+    new = {}    # id(node) -> its substitute
+    for node in _postorder(e):
+        args = tuple(new[id(a)] for a in node.args)
+        if node.op == "var":
+            out = mapping.get(node.idx, node)
+        elif all(a is b for a, b in zip(args, node.args)):
+            out = node
+        elif node.op == "pow":
+            out = pow_(args[0], node.val)
+        else:
+            out = _BUILDERS[node.op](*args)
+        new[id(node)] = out
+    return new[id(e)]
 
 
 _BUILDERS = {
@@ -242,38 +254,40 @@ def eval_expr(e, point):
 
 def diff(e, i):
     """Symbolic partial derivative of e with respect to var(i)."""
-    op = e.op
-    if op == "const":
-        return const(0.0)
-    if op == "var":
-        return const(1.0) if e.idx == i else const(0.0)
-    if op == "add":
-        return add(diff(e.args[0], i), diff(e.args[1], i))
-    if op == "sub":
-        return sub(diff(e.args[0], i), diff(e.args[1], i))
-    if op == "mul":
-        a, b = e.args
-        return add(mul(diff(a, i), b), mul(a, diff(b, i)))
-    if op == "div":
-        a, b = e.args
-        num = sub(mul(diff(a, i), b), mul(a, diff(b, i)))
-        return div(num, pow_(b, 2))
-    if op == "neg":
-        return neg(diff(e.args[0], i))
-    if op == "pow":
-        a = e.args[0]
-        return mul(mul(const(e.val), pow_(a, e.val - 1)), diff(a, i))
-    if op == "sin":
-        return mul(cos(e.args[0]), diff(e.args[0], i))
-    if op == "cos":
-        return neg(mul(sin(e.args[0]), diff(e.args[0], i)))
-    if op == "exp":
-        return mul(exp(e.args[0]), diff(e.args[0], i))
-    if op == "tanh":
-        # d/dv tanh(v) = 1 - tanh(v)^2
-        return mul(sub(const(1.0), pow_(tanh(e.args[0]), 2)),
-                   diff(e.args[0], i))
-    raise ValueError("unknown op %r" % op)
+    d = {}      # id(node) -> its derivative
+    for node in _postorder(e):
+        op = node.op
+        if not node.args:
+            out = const(1.0 if op == "var" and node.idx == i else 0.0)
+        else:
+            a, da = node.args[0], d[id(node.args[0])]
+            if len(node.args) == 2:
+                b, db = node.args[1], d[id(node.args[1])]
+            if op == "add":
+                out = add(da, db)
+            elif op == "sub":
+                out = sub(da, db)
+            elif op == "mul":
+                out = add(mul(da, b), mul(a, db))
+            elif op == "div":
+                out = div(sub(mul(da, b), mul(a, db)), pow_(b, 2))
+            elif op == "neg":
+                out = neg(da)
+            elif op == "pow":
+                out = mul(mul(const(node.val), pow_(a, node.val - 1)), da)
+            elif op == "sin":
+                out = mul(cos(a), da)
+            elif op == "cos":
+                out = neg(mul(sin(a), da))
+            elif op == "exp":
+                out = mul(exp(a), da)
+            elif op == "tanh":
+                # d/dv tanh(v) = 1 - tanh(v)^2
+                out = mul(sub(const(1.0), pow_(tanh(a), 2)), da)
+            else:
+                raise ValueError("unknown op %r" % op)
+        d[id(node)] = out
+    return d[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +300,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError("interval lo > hi: [%r, %r]" % (self.lo, self.hi))
+        # [inf, inf] and [-inf, -inf] hold no real number.
+        if not (self.lo <= self.hi and self.lo < _INF and self.hi > -_INF):
+            raise ValueError("empty interval: [%r, %r]" % (self.lo, self.hi))
 
     @property
     def width(self):
@@ -436,34 +451,25 @@ def _trig_has_crit(lo, hi, offset):
     return k_lo <= k_hi
 
 
-def _isin(a):
+def _itrig(a, fn, top, bottom):
+    """fn (sin or cos) over a, which peaks at top + 2*pi*k and bottoms out
+    at bottom + 2*pi*k."""
     lo, hi = a
     if max(abs(lo), abs(hi)) > TRIG_ARG_LIMIT:
         raise EvalError("sin/cos argument magnitude exceeds %g" % TRIG_ARG_LIMIT)
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
-    vlo, vhi = sorted((math.sin(lo), math.sin(hi)))
-    if _trig_has_crit(lo, hi, math.pi / 2):
+    vlo, vhi = sorted((fn(lo), fn(hi)))
+    if _trig_has_crit(lo, hi, top):
         vhi = 1.0
-    if _trig_has_crit(lo, hi, -math.pi / 2):
+    if _trig_has_crit(lo, hi, bottom):
         vlo = -1.0
     vlo, vhi = _widen(vlo, vhi, 2)
     return (max(vlo, -1.0), min(vhi, 1.0))
 
 
-def _icos(a):
-    lo, hi = a
-    if max(abs(lo), abs(hi)) > TRIG_ARG_LIMIT:
-        raise EvalError("sin/cos argument magnitude exceeds %g" % TRIG_ARG_LIMIT)
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    vlo, vhi = sorted((math.cos(lo), math.cos(hi)))
-    if _trig_has_crit(lo, hi, 0.0):
-        vhi = 1.0
-    if _trig_has_crit(lo, hi, math.pi):
-        vlo = -1.0
-    vlo, vhi = _widen(vlo, vhi, 2)
-    return (max(vlo, -1.0), min(vhi, 1.0))
+_isin = partial(_itrig, fn=math.sin, top=math.pi / 2, bottom=-math.pi / 2)
+_icos = partial(_itrig, fn=math.cos, top=0.0, bottom=math.pi)
 
 
 _KERNELS = {
@@ -508,22 +514,11 @@ class Tape:
 
 
 def lower(e):
-    """Lower e to a Tape.  Iterative, so tree depth is not limited by the
-    interpreter's recursion limit."""
+    """Lower e to a Tape."""
     slot_of = {}    # id(node) -> slot
     key_slot = {}   # (op, val, idx, child slots) -> slot
     nodes = []
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in slot_of:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if id(a) not in slot_of]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
+    for node in _postorder(e):
         val = node.val
         if node.op == "const":
             # -0.0 == 0.0, yet the two constants are kept apart.
@@ -614,62 +609,66 @@ def compile_expr(e):
 # ---------------------------------------------------------------------------
 
 def to_sexpr(e):
-    op = e.op
-    if op == "const":
-        return "(const %s)" % repr(e.val)
-    if op == "var":
-        return "(var %d)" % e.idx
-    if op == "pow":
-        return "(pow %s %d)" % (to_sexpr(e.args[0]), e.val)
-    return "(%s %s)" % (op, " ".join(to_sexpr(a) for a in e.args))
+    """e as an s-expression, e.g. ``(add (const 2.0) (sin (var 1)))``."""
+    out = []
+    stack = [e]     # nodes still to write, and the text that follows them
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.op == "const":
+            out.append("(const %r)" % node.val)
+        elif node.op == "var":
+            out.append("(var %d)" % node.idx)
+        else:
+            out.append("(" + node.op)
+            stack.append(" %d)" % node.val if node.op == "pow" else ")")
+            for a in reversed(node.args):
+                stack += (a, " ")
+    return "".join(out)
 
 
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+def _form(head=None, *rest):
+    """The Expr of the form ``(head rest...)``."""
+    kinds = "".join("e" if isinstance(x, Expr) else "a" for x in rest)
+    if not isinstance(head, str) or _FORMS.get(head) != kinds:
+        raise ExprSyntaxError("malformed (%s ...) form" % (head,))
+    if kinds[-1] == "e":
+        return Expr(head, rest)
+    try:
+        num = float(rest[-1]) if head == "const" else int(rest[-1])
+    except ValueError:
+        raise ExprSyntaxError("bad number %r in (%s ...)"
+                              % (rest[-1], head)) from None
+    if head == "const":
+        return Expr("const", val=num)
+    if num < 0:     # var and pow_ reject these too
+        raise ExprSyntaxError("negative integer in (%s ...)" % head)
+    if head == "var":
+        return Expr("var", idx=num)
+    return Expr("pow", rest[:1], val=num)
 
 
 def parse_sexpr(text):
-    tokens = _tokenize(text)
-    pos = 0
+    """Inverse of to_sexpr; ExprSyntaxError on malformed text.
 
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ExprSyntaxError("unexpected end of input")
-        tok = tokens[pos]
-        if tok != "(":
-            raise ExprSyntaxError("expected '(' at token %r" % tok)
-        pos += 1
-        head = tokens[pos]
-        pos += 1
-        if head == "const":
-            v = float(tokens[pos])
-            pos += 1
-            node = Expr("const", val=v)
-        elif head == "var":
-            i = int(tokens[pos])
-            pos += 1
-            node = Expr("var", idx=i)
-        elif head == "pow":
-            base = parse()
-            n = int(tokens[pos])
-            pos += 1
-            node = Expr("pow", (base,), val=n)
-        elif head in _BINARY:
-            a = parse()
-            b = parse()
-            node = Expr(head, (a, b))
-        elif head in _UNARY:
-            a = parse()
-            node = Expr(head, (a,))
+    The tokens are read right to left, so each '(' closes a complete form
+    whose operands are already on the stack.
+    """
+    stack = []      # None marks a ')' whose form is still open
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for tok in reversed(tokens):
+        if tok == ")":
+            stack.append(None)
+        elif tok != "(":
+            stack.append(tok)
         else:
-            raise ExprSyntaxError("unknown operator %r" % head)
-        if tokens[pos] != ")":
-            raise ExprSyntaxError("expected ')' after %r form" % head)
-        pos += 1
-        return node
-
-    e = parse()
-    if pos != len(tokens):
-        raise ExprSyntaxError("trailing tokens after expression")
-    return e
+            form = []
+            while stack and stack[-1] is not None:
+                form.append(stack.pop())
+            if not stack:
+                raise ExprSyntaxError("unbalanced '('")
+            stack[-1] = _form(*form)
+    if len(stack) != 1 or not isinstance(stack[0], Expr):
+        raise ExprSyntaxError("expected exactly one (...) expression")
+    return stack[0]

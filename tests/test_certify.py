@@ -1,5 +1,6 @@
 """Certification pipeline: queries, level selection, CEGIS, certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -280,3 +281,45 @@ class TestVerify:
         for _ in range(100):
             x = rng.uniform(-1, 1, size=2)
             assert out.barrier_value(x) == out.candidate.value(x) - out.level
+
+
+def _certificate_dict():
+    cert = certify.Certificate(_identity_candidate(), 0.5, 1e-3, 1e-3, {},
+                               certify.default_spec(), "abc", 1)
+    return cert.to_dict()
+
+
+def _set(path, value):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return edit
+
+
+class TestCertificateFile:
+    def test_hand_built_round_trip(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_certificate_dict()))
+        back = certify.load_certificate(path)
+        assert back.to_dict() == _certificate_dict()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("generator"),
+        _set(("generator", "grad"), 5),
+        _set(("generator", "expr"), 3),
+        _set(("generator", "expr"), "(var 0"),
+        _set(("generator", "grad"), ["(var -1)", "(const abc)"]),
+        _set(("generator", "p_matrix"), [[1.0]]),
+        _set(("generator", "q_vector"), [0.0, None]),
+        _set(("level",), None),
+        _set(("spec", "x0"), 1.0),
+    ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
+            "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float"])
+    def test_malformed_file_is_value_error(self, tmp_path, edit):
+        data = _certificate_dict()
+        edit(data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            certify.load_certificate(path)

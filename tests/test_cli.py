@@ -137,6 +137,25 @@ class TestPlotCmd:
                        "--out", str(tmp_path / "p.svg")])
         assert rc == 1
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("generator"),
+        lambda d: d["generator"].update(expr="(var 0"),
+    ], ids=["missing_field", "unclosed_form"])
+    def test_malformed_certificate_one_error_line(self, tmp_path, hand_nn,
+                                                  capsys, edit):
+        cert_path = tmp_path / "certificate.json"
+        cli.main(["verify", "--nn", hand_nn, "--out", str(cert_path)])
+        data = json.load(open(cert_path))
+        edit(data)
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = cli.main(["plot", "--nn", hand_nn, "--count", "1",
+                       "--certificate", str(cert_path),
+                       "--out", str(tmp_path / "p.svg")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestBenchCmd:
     def test_csv_structure_single_size(self, tmp_path, hand_nn):

@@ -135,6 +135,15 @@ class TestCheck:
         out = dsat.check(phi, sx.box((1.1e308, 1.7e308)), 1e-3)
         assert out.verdict == "DELTA_SAT"
 
+    def test_true_box_witness_near_float_max_is_in_domain(self):
+        # the witness is the box's midpoint, and lo + hi overflows
+        dom = sx.box((1.6e308, 1.7e308))
+        out = dsat.check(dsat.Formula(1, _c(sx.var(0), ">=", 1.6e308)),
+                         dom, 1e-3)
+        assert out.verdict == "DELTA_SAT"
+        assert out.witness[0].lo == out.witness[0].hi
+        assert dom.contains([out.witness[0].lo])
+
     def test_unsat_battery_grid_refutation(self):
         # each analytically-UNSAT instance survives a 10^6-point search
         dom2 = sx.box((-2.0, 2.0), (-2.0, 2.0))

@@ -1,11 +1,13 @@
 """Expression trees: evaluation, differentiation, intervals, serialization."""
 
 import math
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
-from barricade import certify, cli, lpgen, plant, train
+from barricade import certify, cli, dsat, lpgen, plant, simulate, train
 from barricade import network as nn
 from barricade import symexpr as sx
 
@@ -138,6 +140,80 @@ class TestInterval:
         assert iv.lo == -math.inf and iv.hi == math.inf
 
 
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300,
+             sys.float_info.max, -sys.float_info.max, math.inf, -math.inf)
+
+
+def _extreme_intervals():
+    """Every (lo, hi) pair of _EXTREMES that Interval accepts."""
+    out = []
+    for lo in _EXTREMES:
+        for hi in _EXTREMES:
+            try:
+                sx.Interval(lo, hi)
+            except ValueError:
+                continue
+            out.append((lo, hi))
+    return out
+
+
+class TestExtremeEndpoints:
+    def test_degenerate_infinite_intervals_rejected(self):
+        for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
+            with pytest.raises(ValueError):
+                sx.Interval(lo, hi)
+        with pytest.raises(ValueError):
+            sx.box((-math.inf, -math.inf), (-math.inf, math.inf))
+        assert sx.Interval(-math.inf, math.inf).width == math.inf
+        assert sx.Interval(-math.inf, -1e308).hi == -1e308
+
+    def test_kernels_on_extreme_endpoints(self):
+        ivs = _extreme_intervals()
+        cases = []
+        for name, fn in sx._KERNELS.items():
+            if name in ("add", "sub", "mul", "div"):
+                cases += [(name, fn, (a, b)) for a in ivs for b in ivs]
+            else:
+                cases += [(name, fn, (a,)) for a in ivs]
+        for n in (2, 3):
+            cases += [("pow", partial(sx._ipow, n=n), (a,)) for a in ivs]
+        for name, fn, args in cases:
+            try:
+                lo, hi = fn(*args)
+            except sx.EvalError:
+                assert name in ("sin", "cos"), (name, args)
+                continue
+            assert lo == lo and hi == hi and lo <= hi, (name, args, lo, hi)
+        assert len(cases) > 20000
+
+    def test_prune_on_extreme_boxes(self):
+        x, y = sx.var(0), sx.var(1)
+        formulas = [dsat.Formula(2, dsat.Constraint(lhs, rel, rhs))
+                    for lhs, rel, rhs in ((sx.add(x, y), "<=", 0.0),
+                                          (sx.sub(x, y), ">=", 0.0),
+                                          (sx.mul(x, y), "<=", 1.0),
+                                          (sx.neg(x), ">=", 0.0),
+                                          (sx.div(x, y), "<=", 0.0),
+                                          (sx.div(x, y), ">=", 1.0))]
+        ivs = [sx.Interval(lo, hi) for lo, hi in _extreme_intervals()]
+        for a in ivs:
+            for b in ivs:
+                bx = sx.Box((a, b))
+                for phi in formulas:
+                    out = dsat.prune(phi, bx)
+                    assert out is dsat.EMPTY or all(
+                        i.lo <= o.lo and o.hi <= i.hi
+                        for o, i in zip(out, bx)), (phi, bx, out)
+
+
+def _chain(depth=3000):
+    """var(0) + 1 + 1 + ..., nested far deeper than the recursion limit."""
+    e = sx.var(0)
+    for _ in range(depth):
+        e = sx.add(e, sx.const(1.0))
+    return e
+
+
 class TestTape:
     def test_lowering_is_iterative_and_merges_shared_subterms(self):
         # far deeper than the interpreter's recursion limit
@@ -163,6 +239,39 @@ class TestTape:
             stack.extend(node.args)
         assert len(sx.lower(lie).nodes) < len(nodes)
 
+    @pytest.mark.parametrize("walk", [
+        lambda e: sx.arity(e) == 1,
+        lambda e: sx.arity(sx.substitute(e, {0: sx.var(1)})) == 2,
+        lambda e: sx.compile_expr(sx.diff(sx.mul(e, e), 0))(
+            [np.array([0.5])]).tolist() == [6001.0],
+        lambda e: sx.to_sexpr(e) == ("(add " * 3000 + "(var 0)"
+                                     + " (const 1.0))" * 3000),
+        lambda e: (sx.to_sexpr(sx.parse_sexpr(sx.to_sexpr(e)))
+                   == sx.to_sexpr(e)),
+        lambda e: e == _chain() and e != sx.add(_chain(2999), sx.const(2.0)),
+        lambda e: hash(e) == hash(_chain()),
+        lambda e: repr(e).startswith("Expr(" + "(add " * 3000),
+    ], ids=["arity", "substitute", "diff", "to_sexpr", "parse_sexpr", "eq",
+            "hash", "repr"])
+    def test_walks_are_iterative(self, walk):
+        assert walk(_chain())
+
+    def test_thousand_neuron_closed_loop(self):
+        net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
+                                     1000, seed=0)
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        traces = simulate.simulate_batch(field, [[0.1, 0.05], [-0.2, 0.1]],
+                                         10.0, 0.01)
+        for tr in traces:
+            assert len(tr) == 1001 and np.isfinite(tr.states).all()
+        cand = lpgen.candidate_from([1.0, 0.1, 1.0, 0.0, 0.0, 0.0],
+                                    lpgen.QuadraticTemplate(2))
+        lie = certify.lie_derivative(cand, field)
+        text = sx.to_sexpr(lie)
+        back = sx.parse_sexpr(text)
+        assert back == lie and sx.to_sexpr(back) == text
+        assert sx.lower(back).nodes == sx.lower(lie).nodes
+
 
 class TestSexpr:
     def test_round_trip(self):
@@ -181,6 +290,26 @@ class TestSexpr:
             sx.parse_sexpr("(bogus 1 2)")
         with pytest.raises(sx.ExprSyntaxError):
             sx.parse_sexpr("(add (var 0)")
+
+    @pytest.mark.parametrize("text", [
+        "(", "(const", "(var 0", "(const abc)", "(pow (var 0))", "(var -1)",
+        "(pow (var 0) -2)"])
+    def test_malformed_is_syntax_error(self, text):
+        with pytest.raises(sx.ExprSyntaxError):
+            sx.parse_sexpr(text)
+
+    @pytest.mark.parametrize("text", [
+        "", ")", "()", "((var 0))", "(var 0))", "(var 0) (var 1)", "var 0",
+        "(var 1.5)", "(const 1 2)", "(add (var 0))", "(sin (var 0) (var 1))",
+        "(pow 2 (var 0))", "(neg 1)"])
+    def test_other_malformed_forms(self, text):
+        with pytest.raises(sx.ExprSyntaxError):
+            sx.parse_sexpr(text)
+
+    def test_exact_forms_accepted(self):
+        assert sx.parse_sexpr(" ( pow(var 3)0 ) ") == sx.Expr(
+            "pow", (sx.var(3),), val=0)
+        assert sx.parse_sexpr("(const -0.0)") != sx.const(0.0)
 
 
 class TestSubstitute:
