@@ -37,6 +37,9 @@ class SafetySpec:
     safe_rect: sx.Box
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for b in (self.x0, self.safe_rect)
+                   for iv in b for v in (iv.lo, iv.hi)):
+            raise ValueError("X0 and the safe rectangle must be bounded")
         for inner, outer in zip(self.x0, self.safe_rect):
             if not (outer.lo < inner.lo and inner.hi < outer.hi):
                 raise ValueError("X0 must lie strictly inside the safe rectangle")
@@ -180,8 +183,11 @@ class Certificate:
 
 
 def load_certificate(path):
-    """Read a file written by Certificate.save.  Raises ValueError when a
-    field is missing or ill-typed; the queries are not re-run."""
+    """Read a file written by Certificate.save.  The candidate is rebuilt
+    from p_matrix's upper triangle, q_vector and c, and the stored expr and
+    grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
+    when a field is missing, ill-typed or inconsistent; queries are not
+    re-run."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -189,13 +195,19 @@ def load_certificate(path):
         p = np.array(gen["p_matrix"], dtype=float)
         q = np.array(gen["q_vector"], dtype=float)
         n = len(q)
-        grad = tuple(sx.parse_sexpr(g) for g in gen["grad"])
-        if not (p.shape == (n, n) and q.shape == (n,) and len(grad) == n
-                and np.isfinite(p).all() and np.isfinite(q).all()):
-            raise ValueError("generator p_matrix, q_vector and grad do "
-                             "not describe one quadratic")
-        cand = lpgen.GeneratorCandidate(n, p, q, float(gen["c"]),
-                                        sx.parse_sexpr(gen["expr"]), grad)
+        if not (p.shape == (n, n) and q.shape == (n,)
+                and np.isfinite(p).all() and np.isfinite(q).all()
+                and (p == p.T).all()):
+            raise ValueError("generator p_matrix and q_vector do not "
+                             "describe one quadratic")
+        tmpl = lpgen.QuadraticTemplate(n)
+        cand = lpgen.candidate_from(
+            [p[i, j] for i, j in tmpl.pairs] + q.tolist() + [float(gen["c"])],
+            tmpl)
+        if (gen["expr"] != sx.to_sexpr(cand.expr)
+                or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
+            raise ValueError("generator expr or grad differs from the one "
+                             "rebuilt from p_matrix, q_vector and c")
         spec = SafetySpec(sx.box(*data["spec"]["x0"]),
                           sx.box(*data["spec"]["safe_rect"]))
         return Certificate(cand, float(data["level"]), float(data["gamma"]),

@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass
 
 from . import symexpr as sx
-from .symexpr import Box, Interval, _interval_eval_raw, _iadd, _isub, _ineg, _idiv
+from .symexpr import (Box, Interval, _interval_eval_raw, _iadd, _isub, _ineg,
+                      _idiv, _mid)
 
 RELATIONS = ("<=", "<", ">=", ">", "=")
 
@@ -249,76 +250,55 @@ class _Query:
     """A formula lowered to tapes; lives for one check call."""
 
     def __init__(self, phi):
-        self.root = _lower_node(phi.root if isinstance(phi, Formula) else phi)
+        self.root = _lower_node(phi.root)
         self.conj = _conjuncts(self.root)
 
-    def prune(self, box, rounds):
-        """Contract box (a list of pairs) in place.  Returns EMPTY, or the
-        box and its status, None when the last round still contracted it."""
-        if self.conj is None:
-            status = _status(self.root, box)
-            return EMPTY if status == FALSE else (box, status)
-        for _ in range(rounds):
-            prev = list(box)
-            status = TRUE
-            for atom in self.conj:
-                try:
-                    vals = _interval_eval_raw(atom.tape, box)
-                except sx.EvalError:
-                    status = UNKNOWN
-                    continue
-                s = atom.status(vals)
-                if s == FALSE:
-                    return EMPTY
-                if s == UNKNOWN:
-                    status = UNKNOWN
-                if not _contract(atom.plan, vals, box, atom.target):
-                    return EMPTY
-            if box == prev:
-                # Contraction only narrows, so every conjunct of this
-                # round was evaluated on a box equal to the returned one.
-                return box, status
-        return box, None
 
+def prune(query, box, rounds=3):
+    """Contract box (a list of (lo, hi) pairs) in place against a _Query.
 
-def _pairs(bx):
-    return [(iv.lo, iv.hi) for iv in bx]
+    Returns EMPTY (None) when the box is refuted, else the box and its
+    status, None when the last round still contracted it.  Each round runs
+    forward interval evaluation plus the HC4 backward pass for every
+    conjunct; a formula with a disjunction only gets forward refutation.
+    """
+    if query.conj is None:
+        status = _status(query.root, box)
+        return EMPTY if status == FALSE else (box, status)
+    for _ in range(rounds):
+        prev = list(box)
+        status = TRUE
+        for atom in query.conj:
+            try:
+                vals = _interval_eval_raw(atom.tape, box)
+            except sx.EvalError:
+                status = UNKNOWN
+                continue
+            s = atom.status(vals)
+            if s == FALSE:
+                return EMPTY
+            if s == UNKNOWN:
+                status = UNKNOWN
+            if not _contract(atom.plan, vals, box, atom.target):
+                return EMPTY
+        if box == prev:
+            # Contraction only narrows, so every conjunct of this round
+            # was evaluated on a box equal to the returned one.
+            return box, status
+    return box, None
 
 
 def _box(pairs):
     return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
-def prune(phi, bx, rounds=3):
-    """Contract bx against phi; EMPTY (None) when refuted on the whole box.
-
-    Runs forward interval evaluation plus the HC4 backward pass for every
-    top-level conjunct; disjunctive formulas only get forward refutation.
-    check passes its _Query and a list of (lo, hi) pairs instead and gets
-    what _Query.prune returns.
-    """
-    if isinstance(phi, _Query):
-        return phi.prune(bx, rounds)
-    out = _Query(phi).prune(_pairs(bx), rounds)
-    return EMPTY if out is EMPTY else _box(out[0])
-
-
-def _mid(lo, hi):
-    """Midpoint of [lo, hi], also where lo + hi overflows."""
-    mid = 0.5 * (lo + hi)
-    if not lo <= mid <= hi:     # lo + hi overflowed
-        mid = 0.5 * lo + 0.5 * hi
-    return mid
-
-
-def _bisect(box):
-    """Halves of box split at the midpoint of its widest dimension."""
+def branch(box):
+    """Halves of box (a list of (lo, hi) pairs) split at the midpoint of
+    its widest dimension."""
     widths = [hi - lo for lo, hi in box]
     dim = max(range(len(widths)), key=widths.__getitem__)
     lo, hi = box[dim]
     mid = _mid(lo, hi)
-    if not lo <= mid <= hi:     # an endpoint is infinite
-        raise ValueError("cannot bisect [%r, %r]" % (lo, hi))
     left = list(box)
     right = list(box)
     left[dim] = (lo, mid)
@@ -326,26 +306,23 @@ def _bisect(box):
     return left, right
 
 
-def branch(bx):
-    """Bisect the widest dimension at its midpoint."""
-    left, right = _bisect(_pairs(bx))
-    return _box(left), _box(right)
-
-
 def check(phi, domain, delta, max_boxes=10_000_000):
     """Branch-and-prune decision over a bounded box.
 
-    Depth-first worklist, widest-dimension bisection.  Raises
-    BudgetExhausted when more than max_boxes boxes are processed.
+    Depth-first worklist, widest-dimension bisection.  Raises ValueError
+    for a domain with an infinite endpoint, which bisection cannot split,
+    and BudgetExhausted when more than max_boxes boxes are processed.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     if domain.arity != phi.arity:
         raise ValueError("domain arity %d != formula arity %d"
                          % (domain.arity, phi.arity))
+    if not all(math.isfinite(iv.lo) and math.isfinite(iv.hi) for iv in domain):
+        raise ValueError("unbounded domain %s" % (domain,))
     t0 = time.perf_counter()
     query = _Query(phi)
-    stack = [_pairs(domain)]
+    stack = [[(iv.lo, iv.hi) for iv in domain]]
     explored = 0
     while stack:
         box = stack.pop()
@@ -370,7 +347,7 @@ def check(phi, domain, delta, max_boxes=10_000_000):
             wit = _box(zip(mid, mid))
             return DsatResult("DELTA_SAT", wit, explored,
                               time.perf_counter() - t0)
-        left, right = _bisect(box)
+        left, right = branch(box)
         stack.append(right)
         stack.append(left)
     return DsatResult("UNSAT", None, explored, time.perf_counter() - t0)

@@ -73,10 +73,6 @@ class GeneratorCandidate:
         x = np.asarray(x, dtype=float)
         return float(x @ self.p_matrix @ x + self.q_vector @ x + self.c_scalar)
 
-    def grad_value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * self.p_matrix @ x + self.q_vector
-
 
 @dataclass
 class LPProblem:

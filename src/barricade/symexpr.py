@@ -8,8 +8,8 @@ interval checker meaningful for the system that was simulated.
 
 Trees are walked without recursion: `lower`, `arity`, `substitute`, `diff`
 and `==` loop over one iterative post-order (`_postorder`), and the
-s-expression writer and parser run on explicit stacks.  Only the scalar
-reference `eval_expr` recurses, so controller size has no depth ceiling.
+s-expression writer runs on an explicit stack.  Only the scalar reference
+`eval_expr` recurses, so controller size has no depth ceiling.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ TRIG_ARG_LIMIT = 1.0e6
 
 class EvalError(ArithmeticError):
     """Division by zero, NaN propagation or domain violation during eval."""
-
-
-class ExprSyntaxError(ValueError):
-    """Malformed s-expression text."""
-
-
-# The operands of each op's s-expression form: "e" an expression, "a" a
-# number.
-_FORMS = {"const": "a", "var": "a", "pow": "ea", "add": "ee", "sub": "ee",
-          "mul": "ee", "div": "ee", "neg": "e", "sin": "e", "cos": "e",
-          "exp": "e", "tanh": "e"}
 
 
 class Expr:
@@ -294,6 +283,14 @@ def diff(e, i):
 # Intervals and boxes
 # ---------------------------------------------------------------------------
 
+def _mid(lo, hi):
+    """Midpoint of [lo, hi], also where lo + hi overflows."""
+    mid = 0.5 * (lo + hi)
+    if not lo <= mid <= hi:     # lo + hi overflowed
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -310,7 +307,7 @@ class Interval:
 
     @property
     def mid(self):
-        return 0.5 * (self.lo + self.hi)
+        return _mid(self.lo, self.hi)
 
     def contains(self, x):
         return self.lo <= x <= self.hi
@@ -626,49 +623,3 @@ def to_sexpr(e):
             for a in reversed(node.args):
                 stack += (a, " ")
     return "".join(out)
-
-
-def _form(head=None, *rest):
-    """The Expr of the form ``(head rest...)``."""
-    kinds = "".join("e" if isinstance(x, Expr) else "a" for x in rest)
-    if not isinstance(head, str) or _FORMS.get(head) != kinds:
-        raise ExprSyntaxError("malformed (%s ...) form" % (head,))
-    if kinds[-1] == "e":
-        return Expr(head, rest)
-    try:
-        num = float(rest[-1]) if head == "const" else int(rest[-1])
-    except ValueError:
-        raise ExprSyntaxError("bad number %r in (%s ...)"
-                              % (rest[-1], head)) from None
-    if head == "const":
-        return Expr("const", val=num)
-    if num < 0:     # var and pow_ reject these too
-        raise ExprSyntaxError("negative integer in (%s ...)" % head)
-    if head == "var":
-        return Expr("var", idx=num)
-    return Expr("pow", rest[:1], val=num)
-
-
-def parse_sexpr(text):
-    """Inverse of to_sexpr; ExprSyntaxError on malformed text.
-
-    The tokens are read right to left, so each '(' closes a complete form
-    whose operands are already on the stack.
-    """
-    stack = []      # None marks a ')' whose form is still open
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    for tok in reversed(tokens):
-        if tok == ")":
-            stack.append(None)
-        elif tok != "(":
-            stack.append(tok)
-        else:
-            form = []
-            while stack and stack[-1] is not None:
-                form.append(stack.pop())
-            if not stack:
-                raise ExprSyntaxError("unbalanced '('")
-            stack[-1] = _form(*form)
-    if len(stack) != 1 or not isinstance(stack[0], Expr):
-        raise ExprSyntaxError("expected exactly one (...) expression")
-    return stack[0]

@@ -47,6 +47,11 @@ class TestSpec:
         assert (spec.safe_rect[0].lo, spec.safe_rect[0].hi) == (-1.0, 1.0)
         assert spec.safe_rect[1].hi == pytest.approx(math.pi / 2)
 
+    def test_unbounded_safe_rect_rejected(self):
+        with pytest.raises(ValueError):
+            certify.SafetySpec(sx.box((-0.1, 0.1), (-0.1, 0.1)),
+                               sx.box((-math.inf, 1.0), (-1.5, 1.5)))
+
     def test_x0_must_be_strictly_inside(self):
         with pytest.raises(ValueError):
             certify.SafetySpec(sx.box((-1.0, 1.0), (0.0, 0.1)),
@@ -273,6 +278,9 @@ class TestVerify:
         assert back.level == out.level
         assert back.gamma == out.gamma
         assert back.controller_hash == out.controller_hash
+        saved = out.to_dict()
+        saved["queries"] = {}   # transcripts are not loaded
+        assert back.to_dict() == saved
 
     def test_barrier_identity(self, tmp_path):
         f = _hand_controller_field()
@@ -314,8 +322,12 @@ class TestCertificateFile:
         _set(("generator", "q_vector"), [0.0, None]),
         _set(("level",), None),
         _set(("spec", "x0"), 1.0),
+        _set(("generator", "expr"), "(var 0)"),
+        lambda d: d["generator"]["grad"].reverse(),
+        _set(("generator", "p_matrix"), [[1.0, 0.5], [0.0, 1.0]]),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
-            "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float"])
+            "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
+            "expr_tampered", "grad_swapped", "p_asymmetric"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)

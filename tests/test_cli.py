@@ -10,6 +10,7 @@ import pytest
 
 from barricade import certify
 from barricade import cli
+from barricade import lpgen
 from barricade import network as nn
 from barricade import plant
 from barricade import simulate as sim
@@ -131,6 +132,11 @@ class TestPlotCmd:
         data["spec"] = {"x0": [[-0.1, 0.1]], "safe_rect": [[-1.0, 1.0]]}
         data["generator"]["q_vector"] = [0.0]
         data["generator"]["p_matrix"] = [[1.0]]
+        # a consistent 1-d generator, so that loading succeeds
+        one = lpgen.candidate_from([1.0, 0.0, data["generator"]["c"]],
+                                   lpgen.QuadraticTemplate(1))
+        data["generator"]["expr"] = sx.to_sexpr(one.expr)
+        data["generator"]["grad"] = [sx.to_sexpr(one.grad[0])]
         cert_path.write_text(json.dumps(data))
         rc = cli.main(["plot", "--nn", hand_nn,
                        "--certificate", str(cert_path),

@@ -144,6 +144,12 @@ class TestCheck:
         assert out.witness[0].lo == out.witness[0].hi
         assert dom.contains([out.witness[0].lo])
 
+    def test_unbounded_domain_rejected(self):
+        # bisection of [1, inf] splits at inf and never shrinks the box
+        phi = dsat.Formula(1, _c(sx.sub(sx.var(0), sx.var(0)), ">=", 1.0))
+        with pytest.raises(ValueError):
+            dsat.check(phi, sx.box((1.0, math.inf)), 1e-3, max_boxes=20000)
+
     def test_unsat_battery_grid_refutation(self):
         # each analytically-UNSAT instance survives a 10^6-point search
         dom2 = sx.box((-2.0, 2.0), (-2.0, 2.0))
@@ -166,15 +172,16 @@ class TestCheck:
 class TestPrune:
     def test_sum_refuted(self):
         phi = dsat.Formula(2, _c(sx.add(sx.var(0), sx.var(1)), "=", 0.0))
-        bx = sx.box((1.0, 2.0), (5.0, 6.0))
-        assert dsat.prune(phi, bx) is dsat.EMPTY
+        bx = [(1.0, 2.0), (5.0, 6.0)]
+        assert dsat.prune(dsat._Query(phi), bx) is dsat.EMPTY
 
     def test_contracts_upper_bound(self):
         phi = dsat.Formula(1, _c(sx.var(0), "<=", 0.5))
-        out = dsat.prune(phi, sx.box((0.0, 1.0)))
+        out = dsat.prune(dsat._Query(phi), [(0.0, 1.0)])
         assert out is not dsat.EMPTY
-        assert out[0].hi <= 0.5 + 1e-12
-        assert out[0].lo == 0.0
+        box, _ = out
+        assert box[0][1] <= 0.5 + 1e-12
+        assert box[0][0] == 0.0
 
     def test_planted_solution_survives(self):
         rng = np.random.default_rng(31)
@@ -189,20 +196,20 @@ class TestPrune:
             rel = "<=" if rng.random() < 0.5 else ">="
             rhs = val + (0.1 if rel == "<=" else -0.1)
             phi = dsat.Formula(2, _c(lhs, rel, float(rhs)))
-            out = dsat.prune(phi, sx.box((-1.0, 1.0), (-1.0, 1.0)))
+            out = dsat.prune(dsat._Query(phi), [(-1.0, 1.0), (-1.0, 1.0)])
             assert out is not dsat.EMPTY
-            assert out.contains(p)
+            assert all(lo <= v <= hi for (lo, hi), v in zip(out[0], p))
 
 
 class TestBranch:
     def test_splits_widest(self):
-        left, right = dsat.branch(sx.box((0.0, 4.0), (0.0, 1.0)))
-        assert (left[0].lo, left[0].hi) == (0.0, 2.0)
-        assert (right[0].lo, right[0].hi) == (2.0, 4.0)
+        left, right = dsat.branch([(0.0, 4.0), (0.0, 1.0)])
+        assert left[0] == (0.0, 2.0)
+        assert right[0] == (2.0, 4.0)
         assert left[1] == right[1]
 
     def test_children_cover_parent(self):
-        bx = sx.box((-1.0, 3.0), (2.0, 2.5))
+        bx = [(-1.0, 3.0), (2.0, 2.5)]
         left, right = dsat.branch(bx)
-        assert left[0].hi == right[0].lo
-        assert left[0].lo == bx[0].lo and right[0].hi == bx[0].hi
+        assert left[0][1] == right[0][0]
+        assert left[0][0] == bx[0][0] and right[0][1] == bx[0][1]

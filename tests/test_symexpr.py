@@ -167,6 +167,12 @@ class TestExtremeEndpoints:
         assert sx.Interval(-math.inf, math.inf).width == math.inf
         assert sx.Interval(-math.inf, -1e308).hi == -1e308
 
+    def test_midpoint_near_float_max(self):
+        # lo + hi overflows
+        bx = sx.box((1.6e308, 1.7e308))
+        mid = bx.midpoint()
+        assert math.isfinite(mid[0]) and bx.contains(mid)
+
     def test_kernels_on_extreme_endpoints(self):
         ivs = _extreme_intervals()
         cases = []
@@ -195,15 +201,16 @@ class TestExtremeEndpoints:
                                           (sx.neg(x), ">=", 0.0),
                                           (sx.div(x, y), "<=", 0.0),
                                           (sx.div(x, y), ">=", 1.0))]
-        ivs = [sx.Interval(lo, hi) for lo, hi in _extreme_intervals()]
+        queries = [dsat._Query(phi) for phi in formulas]
+        ivs = _extreme_intervals()
         for a in ivs:
             for b in ivs:
-                bx = sx.Box((a, b))
-                for phi in formulas:
-                    out = dsat.prune(phi, bx)
+                bx = (a, b)
+                for query in queries:
+                    out = dsat.prune(query, list(bx))
                     assert out is dsat.EMPTY or all(
-                        i.lo <= o.lo and o.hi <= i.hi
-                        for o, i in zip(out, bx)), (phi, bx, out)
+                        i[0] <= o[0] and o[1] <= i[1]
+                        for o, i in zip(out[0], bx)), (bx, out)
 
 
 def _chain(depth=3000):
@@ -246,12 +253,10 @@ class TestTape:
             [np.array([0.5])]).tolist() == [6001.0],
         lambda e: sx.to_sexpr(e) == ("(add " * 3000 + "(var 0)"
                                      + " (const 1.0))" * 3000),
-        lambda e: (sx.to_sexpr(sx.parse_sexpr(sx.to_sexpr(e)))
-                   == sx.to_sexpr(e)),
         lambda e: e == _chain() and e != sx.add(_chain(2999), sx.const(2.0)),
         lambda e: hash(e) == hash(_chain()),
         lambda e: repr(e).startswith("Expr(" + "(add " * 3000),
-    ], ids=["arity", "substitute", "diff", "to_sexpr", "parse_sexpr", "eq",
+    ], ids=["arity", "substitute", "diff", "to_sexpr", "eq",
             "hash", "repr"])
     def test_walks_are_iterative(self, walk):
         assert walk(_chain())
@@ -268,48 +273,14 @@ class TestTape:
                                     lpgen.QuadraticTemplate(2))
         lie = certify.lie_derivative(cand, field)
         text = sx.to_sexpr(lie)
-        back = sx.parse_sexpr(text)
-        assert back == lie and sx.to_sexpr(back) == text
-        assert sx.lower(back).nodes == sx.lower(lie).nodes
+        assert text.startswith("(add ") and text.count("(") == text.count(")")
 
 
 class TestSexpr:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            e = _rand_expr(rng, 4)
-            assert sx.parse_sexpr(sx.to_sexpr(e)) == e
-
     def test_documented_form(self):
         e = sx.add(sx.mul(sx.const(2.0), sx.var(0)), sx.sin(sx.var(1)))
         text = sx.to_sexpr(e)
         assert text.startswith("(add (mul (const 2") and "(sin (var 1))" in text
-
-    def test_reject_garbage(self):
-        with pytest.raises(sx.ExprSyntaxError):
-            sx.parse_sexpr("(bogus 1 2)")
-        with pytest.raises(sx.ExprSyntaxError):
-            sx.parse_sexpr("(add (var 0)")
-
-    @pytest.mark.parametrize("text", [
-        "(", "(const", "(var 0", "(const abc)", "(pow (var 0))", "(var -1)",
-        "(pow (var 0) -2)"])
-    def test_malformed_is_syntax_error(self, text):
-        with pytest.raises(sx.ExprSyntaxError):
-            sx.parse_sexpr(text)
-
-    @pytest.mark.parametrize("text", [
-        "", ")", "()", "((var 0))", "(var 0))", "(var 0) (var 1)", "var 0",
-        "(var 1.5)", "(const 1 2)", "(add (var 0))", "(sin (var 0) (var 1))",
-        "(pow 2 (var 0))", "(neg 1)"])
-    def test_other_malformed_forms(self, text):
-        with pytest.raises(sx.ExprSyntaxError):
-            sx.parse_sexpr(text)
-
-    def test_exact_forms_accepted(self):
-        assert sx.parse_sexpr(" ( pow(var 3)0 ) ") == sx.Expr(
-            "pow", (sx.var(3),), val=0)
-        assert sx.parse_sexpr("(const -0.0)") != sx.const(0.0)
 
 
 class TestSubstitute:
