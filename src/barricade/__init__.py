@@ -5,9 +5,10 @@ Dubins-car path following.
 
 from ._version import __version__
 
-from . import symexpr, network, plant, simulate, lpgen, dsat, certify, train
+from . import (symexpr, interval, network, plant, simulate, lpgen, dsat,
+               certify, train)
 
 __all__ = [
-    "__version__", "symexpr", "network", "plant", "simulate", "lpgen",
-    "dsat", "certify", "train",
+    "__version__", "symexpr", "interval", "network", "plant", "simulate",
+    "lpgen", "dsat", "certify", "train",
 ]

@@ -37,6 +37,9 @@ class SafetySpec:
     safe_rect: sx.Box
 
     def __post_init__(self):
+        if self.x0.arity != self.safe_rect.arity:
+            raise ValueError("X0 has arity %d, the safe rectangle %d"
+                             % (self.x0.arity, self.safe_rect.arity))
         if not all(math.isfinite(v) for b in (self.x0, self.safe_rect)
                    for iv in b for v in (iv.lo, iv.hi)):
             raise ValueError("X0 and the safe rectangle must be bounded")
@@ -186,8 +189,9 @@ def load_certificate(path):
     """Read a file written by Certificate.save.  The candidate is rebuilt
     from p_matrix's upper triangle, q_vector and c, and the stored expr and
     grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
-    when a field is missing, ill-typed or inconsistent; queries are not
-    re-run."""
+    when a field is missing, ill-typed, non-finite or inconsistent; queries
+    are not re-run, and neither their formula text nor the version is
+    read."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -210,8 +214,11 @@ def load_certificate(path):
                              "rebuilt from p_matrix, q_vector and c")
         spec = SafetySpec(sx.box(*data["spec"]["x0"]),
                           sx.box(*data["spec"]["safe_rect"]))
-        return Certificate(cand, float(data["level"]), float(data["gamma"]),
-                           float(data["delta"]), {}, spec,
+        level, gamma, delta = (float(data[k])
+                               for k in ("level", "gamma", "delta"))
+        if not all(map(math.isfinite, (level, gamma, delta))):
+            raise ValueError("level, gamma and delta must be finite")
+        return Certificate(cand, level, gamma, delta, {}, spec,
                            str(data["controller_hash"]),
                            int(data["iterations"]),
                            str(data.get("version", "?")))
@@ -469,8 +476,13 @@ def certificate_grid_oracle(cert, f, n_boundary=10_000, n_grid=101):
 
     Returns a dict of violation counts: boundary points of {v = level}
     must have grad v . f < 0, an X0 grid must satisfy v <= level, and a
-    grid over U (within the enclosing box) must satisfy v > level.
+    grid over U (within the enclosing box) must satisfy v > level.  The
+    boundary and the grids are planar, so it raises ValueError unless the
+    spec and the field have arity 2.
     """
+    if not cert.spec.arity == f.arity == 2:
+        raise ValueError("the grid oracle is 2-D; spec arity %d, field "
+                         "arity %d" % (cert.spec.arity, f.arity))
     cand = cert.candidate
     spec = cert.spec
     level = cert.level

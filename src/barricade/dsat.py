@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 
 from . import symexpr as sx
-from .symexpr import (Box, Interval, _interval_eval_raw, _iadd, _isub, _ineg,
-                      _idiv, _mid)
+from .interval import Box, Interval, _iadd, _isub, _ineg, _idiv, _mid
+from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", "<", ">=", ">", "=")
 

@@ -1,6 +1,11 @@
-"""Feedforward neural-network controller: the scalar forward pass, which
-matches the lowered Expr bit for bit, a batched numpy forward pass for the
-simulator, and lowering to Expr for the checker.
+"""Feedforward neural-network controller: layers, JSON persistence and the
+forward passes that the expression node `symexpr.net` runs.
+
+`forward` is the scalar reference, which matches the unrolled `to_expr`
+sums bit for bit; `forward_fast` runs the layers over the columns of an
+array, for the simulator and the oracle.  The checker's interval pass is
+`interval._inet`.  `to_expr` lowers a network neuron by neuron: the
+independent form that tests check the layer-wise passes against.
 """
 
 from __future__ import annotations
@@ -10,8 +15,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import symexpr as sx
 
 ACTIVATIONS = ("tanh", "sigmoid", "identity")
 
@@ -113,6 +116,7 @@ def forward(net, y):
 
 
 def _act_expr(name, e):
+    from . import symexpr as sx     # symexpr imports this module
     if name == "tanh":
         return sx.tanh(e)
     if name == "sigmoid":
@@ -121,7 +125,9 @@ def _act_expr(name, e):
 
 
 def to_expr(net, inputs=None):
-    """Lower the network to one Expr per output, over var(0..d_in-1)."""
+    """Lower the network to one Expr per output, over var(0..d_in-1),
+    neuron by neuron."""
+    from . import symexpr as sx     # symexpr imports this module
     if inputs is None:
         inputs = [sx.var(i) for i in range(net.input_dim)]
     values = list(inputs)
@@ -145,10 +151,20 @@ def numpy_arrays(net):
              l.activation) for l in net.layers]
 
 
+# The widest batch whose bias is repeated to the batch width.
+REPEAT_MAX = 256
+
+
 def batch_arrays(net, batch):
-    """numpy_arrays(net) with each bias repeated to (d_out, batch): numpy
-    adds equal shapes about three times as fast as it broadcasts."""
-    return [(w, np.repeat(b[:, None], batch, axis=1), act)
+    """numpy_arrays(net) with each bias shaped to add to (d_out, batch).
+
+    Up to REPEAT_MAX columns the bias is repeated to that shape: numpy adds
+    equal shapes two to three times as fast as it broadcasts a column,
+    which the simulator's narrow batches feel.  Wider batches broadcast a
+    column, which costs no memory (a repeated bias is 8 MB at 100 neurons
+    and 10,000 columns)."""
+    return [(w, np.repeat(b[:, None], batch, axis=1) if batch <= REPEAT_MAX
+             else b[:, None], act)
             for w, b, act in numpy_arrays(net)]
 
 

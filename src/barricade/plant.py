@@ -2,22 +2,21 @@
 error dynamics.
 
 State for the verified system is (d_err, theta_e): signed lateral offset
-from the target line and heading error.  The closed loop composes the
-plant field with the network controller symbolically for the checker; the
-simulator evaluates the same composition numerically, one network layer
-at a time.
+from the target line and heading error.  The closed loop substitutes one
+`symexpr.net` node per controller output into the plant field, so the
+checker, the simulator and the oracle all evaluate the same expressions,
+each running the network one layer at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import symexpr as sx
-from . import network as nn
 
 
 class ArityError(ValueError):
@@ -28,10 +27,6 @@ class ArityError(ValueError):
 class VectorField:
     arity: int
     components: tuple
-    # (plant_f, output_g, controller, gain) for a field built by
-    # close_loop: the batched evaluator then runs the controller layer by
-    # layer instead of through the unrolled components.
-    loop: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -45,27 +40,12 @@ class VectorField:
     @cached_property
     def batched(self):
         """f over the columns of X, as a callable X (n, B) -> F (n, B),
-        built on first use.  The components run as compile_expr array
-        programs; a closed loop runs its controller layer by layer
-        instead.  It may round differently from eval_at in the last bits
-        (numpy's elementary functions, the order of the sums in the
-        controller's matrix products)."""
-        if self.loop is None:
-            fns = [sx.compile_expr(c) for c in self.components]
-            return lambda x: _rows(fns, x)
-        plant_f, output_g, controller, gain = self.loop
-        f_fns = [sx.compile_expr(c) for c in plant_f]
-        g_fns = (None if output_g == tuple(identity_output(self.arity))
-                 else [sx.compile_expr(g) for g in output_g])
-        arrays = cache(lambda batch: nn.batch_arrays(controller, batch))
-
-        def f(x):
-            y = x if g_fns is None else _rows(g_fns, x)
-            u = nn.forward_fast(arrays(x.shape[1]), y)
-            if gain != 1.0:
-                u *= gain
-            return _rows(f_fns, np.concatenate((x, u)))
-        return f
+        built on first use: the components as compile_expr array programs.
+        It may round differently from eval_at in the last bits (numpy's
+        elementary functions, the order of the sums in a controller's
+        matrix products)."""
+        fns = [sx.compile_expr(c) for c in self.components]
+        return lambda x: _rows(fns, x)
 
 
 def _rows(fns, p):
@@ -120,7 +100,8 @@ def identity_output(n):
 
 
 def close_loop(plant_f, output_g, controller, gain=1.0):
-    """Substitute u = gain * h(g(x)) into the plant field.
+    """Substitute u = gain * h(g(x)) into the plant field, u_k being one
+    `net` node per controller output.
 
     plant_f: expressions over vars (x_0..x_{n-1}, u_0..u_{m-1});
     output_g: n -> q expressions; controller: Network with q inputs and
@@ -138,13 +119,12 @@ def close_loop(plant_f, output_g, controller, gain=1.0):
     for fc in plant_f:
         if sx.arity(fc) > n + m:
             raise ArityError("plant component uses var >= n + m")
-    u_exprs = nn.to_expr(controller, inputs=list(output_g))
+    u_exprs = [sx.net(controller, k, output_g) for k in range(m)]
     if gain != 1.0:
         u_exprs = [sx.mul(sx.const(gain), u) for u in u_exprs]
     mapping = {n + k: u_exprs[k] for k in range(m)}
     comps = [sx.substitute(fc, mapping) for fc in plant_f]
-    return VectorField(n, tuple(comps),
-                       (tuple(plant_f), tuple(output_g), controller, gain))
+    return VectorField(n, tuple(comps))
 
 
 def dubins_closed_loop(params, controller, gain=1.0):

@@ -6,38 +6,40 @@ expression (`lower`), which the interval checker and the array evaluator
 both run.  Keeping one semantics is what makes an UNSAT verdict from the
 interval checker meaningful for the system that was simulated.
 
+A controller is one node, `net`: output k of a network applied to input
+expressions.  Each evaluator runs it a layer at a time: the interval
+checker with one interval matrix product per layer (`interval._inet`),
+the array evaluator with `network.forward_fast`, the scalar reference
+with `network.forward`.  So a tree's size does not grow with the
+network's.  The interval types and kernels live in `interval` and are
+re-exported here.
+
 Trees are walked without recursion: `lower`, `arity`, `substitute`, `diff`
 and `==` loop over one iterative post-order (`_postorder`), and the
 s-expression writer runs on an explicit stack.  Only the scalar reference
-`eval_expr` recurses, so controller size has no depth ceiling.
+`eval_expr` recurses.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-_INF = math.inf
-
-# Argument bound beyond which sin/cos interval evaluation refuses to work
-# (argument reduction accuracy degrades; the case study stays in [-pi, pi]).
-TRIG_ARG_LIMIT = 1.0e6
-
-
-class EvalError(ArithmeticError):
-    """Division by zero, NaN propagation or domain violation during eval."""
+from . import network as nn
+from .interval import (EvalError, Interval, Box, box, _KERNELS, _ipow,
+                       _inet, _net_layers)
 
 
 class Expr:
     """Immutable expression node.
 
     op is one of: const, var, add, sub, mul, div, neg, pow, sin, cos,
-    exp, tanh.  ``val`` holds the constant value (const) or the integer
-    exponent (pow); ``idx`` holds the variable index (var).
+    exp, tanh, net.  ``val`` holds the constant value (const), the integer
+    exponent (pow) or ``(network, k)`` (net, whose args are the network's
+    inputs); ``idx`` holds the variable index (var).
     """
 
     __slots__ = ("op", "args", "val", "idx")
@@ -148,6 +150,24 @@ exp = _unary("exp", math.exp)
 tanh = _unary("tanh", math.tanh)
 
 
+def net(network, k, inputs):
+    """Output k of network (a network.Network) applied to the input
+    expressions.  Folds to a constant when the inputs cannot reach the
+    output: all of them are constants, or the first layer's weights are
+    all zero (as the unrolled sums of network.to_expr fold)."""
+    inputs = tuple(inputs)
+    if len(inputs) != network.input_dim or not 0 <= k < network.output_dim:
+        raise ValueError("network with %d inputs and %d outputs has no "
+                         "output %r of %d inputs" % (network.input_dim,
+                                                     network.output_dim, k,
+                                                     len(inputs)))
+    if (all(_is_const(a) for a in inputs)
+            or not any(any(row) for row in network.layers[0].weights)):
+        y = [a.val if _is_const(a) else 0.0 for a in inputs]
+        return const(nn.forward(network, y)[k])
+    return Expr("net", inputs, val=(network, k))
+
+
 def _postorder(e):
     """The distinct nodes of e (by identity), each after its arguments."""
     done = set()
@@ -181,6 +201,8 @@ def substitute(e, mapping):
             out = node
         elif node.op == "pow":
             out = pow_(args[0], node.val)
+        elif node.op == "net":
+            out = net(*node.val, args)
         else:
             out = _BUILDERS[node.op](*args)
         new[id(node)] = out
@@ -204,7 +226,13 @@ def eval_expr(e, point):
         return e.val
     if op == "var":
         return point[e.idx]
-    if op == "add":
+    if op == "net":
+        network, k = e.val
+        try:
+            r = nn.forward(network, [eval_expr(a, point) for a in e.args])[k]
+        except OverflowError:   # a sigmoid's exp
+            raise EvalError("exp overflow") from None
+    elif op == "add":
         r = eval_expr(e.args[0], point) + eval_expr(e.args[1], point)
     elif op == "sub":
         r = eval_expr(e.args[0], point) - eval_expr(e.args[1], point)
@@ -246,6 +274,9 @@ def diff(e, i):
     d = {}      # id(node) -> its derivative
     for node in _postorder(e):
         op = node.op
+        if op == "net":
+            # Only the quadratic candidate is ever differentiated.
+            raise ValueError("diff of a net node is not supported")
         if not node.args:
             out = const(1.0 if op == "var" and node.idx == i else 0.0)
         else:
@@ -280,202 +311,6 @@ def diff(e, i):
 
 
 # ---------------------------------------------------------------------------
-# Intervals and boxes
-# ---------------------------------------------------------------------------
-
-def _mid(lo, hi):
-    """Midpoint of [lo, hi], also where lo + hi overflows."""
-    mid = 0.5 * (lo + hi)
-    if not lo <= mid <= hi:     # lo + hi overflowed
-        mid = 0.5 * lo + 0.5 * hi
-    return mid
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        # [inf, inf] and [-inf, -inf] hold no real number.
-        if not (self.lo <= self.hi and self.lo < _INF and self.hi > -_INF):
-            raise ValueError("empty interval: [%r, %r]" % (self.lo, self.hi))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return _mid(self.lo, self.hi)
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
-class Box:
-    intervals: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-
-    @property
-    def arity(self):
-        return len(self.intervals)
-
-    def __getitem__(self, i):
-        return self.intervals[i]
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def midpoint(self):
-        return [iv.mid for iv in self.intervals]
-
-    def max_width(self):
-        return max(iv.width for iv in self.intervals)
-
-    def contains(self, point):
-        return all(iv.contains(x) for iv, x in zip(self.intervals, point))
-
-    def replace(self, i, interval):
-        ivs = list(self.intervals)
-        ivs[i] = interval
-        return Box(tuple(ivs))
-
-
-def box(*bounds):
-    """box((lo, hi), (lo, hi), ...) convenience constructor."""
-    return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
-
-
-# Low-level interval kernels work on (lo, hi) float pairs for speed; every
-# rounding-prone primitive is widened outward by at least one ulp per
-# endpoint, which keeps containment sound without touching FPU modes.
-
-_nextafter = math.nextafter
-
-
-def _widen(lo, hi, n=1):
-    for _ in range(n):
-        lo = _nextafter(lo, -_INF)
-        hi = _nextafter(hi, _INF)
-    return lo, hi
-
-
-def _iadd(a, b):
-    return (_nextafter(a[0] + b[0], -_INF), _nextafter(a[1] + b[1], _INF))
-
-
-def _isub(a, b):
-    return (_nextafter(a[0] - b[1], -_INF), _nextafter(a[1] - b[0], _INF))
-
-
-def _imul(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    p0 = a0 * b0
-    p1 = a0 * b1
-    p2 = a1 * b0
-    p3 = a1 * b1
-    s = p0 + p1 + p2 + p3
-    if s != s:  # 0*inf -> treat as 0 contribution
-        p0, p1, p2, p3 = [0.0 if x != x else x for x in (p0, p1, p2, p3)]
-    return (_nextafter(min(p0, p1, p2, p3), -_INF),
-            _nextafter(max(p0, p1, p2, p3), _INF))
-
-
-def _idiv(a, b):
-    if b[0] <= 0.0 <= b[1]:
-        return (-_INF, _INF)
-    p = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    s = p[0] + p[1] + p[2] + p[3]
-    if s != s:  # inf/inf, or both infinities among p: the whole line
-        return (-_INF, _INF)
-    return _widen(min(p), max(p))
-
-
-def _ineg(a):
-    return (-a[1], -a[0])
-
-
-def _pow(x, n):
-    """x ** n, infinite where the float result overflows."""
-    try:
-        return x ** n
-    except OverflowError:
-        return -_INF if x < 0.0 and n % 2 else _INF
-
-
-def _ipow(a, n):
-    lo, hi = a
-    cands = [_pow(lo, n), _pow(hi, n)]
-    if n % 2 == 0 and lo < 0.0 < hi:
-        cands.append(0.0)
-    out = _widen(min(cands), max(cands), 3)
-    if n % 2 == 0:
-        out = (max(out[0], 0.0), out[1])
-    return out
-
-
-def _iexp(a):
-    try:
-        lo = math.exp(a[0])
-    except OverflowError:
-        lo = _INF
-    try:
-        hi = math.exp(a[1])
-    except OverflowError:
-        hi = _INF
-    lo, hi = _widen(lo, hi, 2)
-    return (max(lo, 0.0), hi)
-
-
-def _itanh(a):
-    lo, hi = _widen(math.tanh(a[0]), math.tanh(a[1]), 2)
-    return (max(lo, -1.0), min(hi, 1.0))
-
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _trig_has_crit(lo, hi, offset):
-    """Does [lo, hi] (slightly expanded) contain offset + 2*pi*k for some k?"""
-    slack = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    k_lo = math.ceil((lo - slack - offset) / _TWO_PI)
-    k_hi = math.floor((hi + slack - offset) / _TWO_PI)
-    return k_lo <= k_hi
-
-
-def _itrig(a, fn, top, bottom):
-    """fn (sin or cos) over a, which peaks at top + 2*pi*k and bottoms out
-    at bottom + 2*pi*k."""
-    lo, hi = a
-    if max(abs(lo), abs(hi)) > TRIG_ARG_LIMIT:
-        raise EvalError("sin/cos argument magnitude exceeds %g" % TRIG_ARG_LIMIT)
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    vlo, vhi = sorted((fn(lo), fn(hi)))
-    if _trig_has_crit(lo, hi, top):
-        vhi = 1.0
-    if _trig_has_crit(lo, hi, bottom):
-        vlo = -1.0
-    vlo, vhi = _widen(vlo, vhi, 2)
-    return (max(vlo, -1.0), min(vhi, 1.0))
-
-
-_isin = partial(_itrig, fn=math.sin, top=math.pi / 2, bottom=-math.pi / 2)
-_icos = partial(_itrig, fn=math.cos, top=0.0, bottom=math.pi)
-
-
-_KERNELS = {
-    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
-    "sin": _isin, "cos": _icos, "exp": _iexp, "tanh": _itanh,
-}
-
-
-# ---------------------------------------------------------------------------
 # Flat interval tape
 # ---------------------------------------------------------------------------
 
@@ -486,6 +321,13 @@ class Tape:
     slots)``.  Slots are in topological order (children first) and
     structurally equal subterms share one, so a forward pass evaluates
     each distinct subterm once.  ``root`` is the slot of the expression.
+    A net node takes two slots: ``("net", network, None, input slots)``
+    runs the network, and ``("row", k, None, (net slot,))`` picks output
+    k, so the outputs of one network call share one pass.
+
+    ``code`` holds ``(slot, kernel, arg, arg)`` for a unary (second arg
+    None) or binary op, and ``(slot, kernel, None, input slots)`` for a
+    network pass.
     """
 
     __slots__ = ("nodes", "root", "init", "loads", "code")
@@ -503,6 +345,12 @@ class Tape:
                 self.loads.append((slot, idx))
             elif op == "pow":
                 self.code.append((slot, partial(_ipow, n=val), kids[0], None))
+            elif op == "net":
+                self.code.append((slot, partial(_inet, _net_layers(val)),
+                                  None, kids))
+            elif op == "row":
+                self.code.append((slot, operator.itemgetter(val), kids[0],
+                                  None))
             elif op in _KERNELS:
                 self.code.append((slot, _KERNELS[op], kids[0],
                                   kids[1] if len(kids) == 2 else None))
@@ -515,18 +363,24 @@ def lower(e):
     slot_of = {}    # id(node) -> slot
     key_slot = {}   # (op, val, idx, child slots) -> slot
     nodes = []
-    for node in _postorder(e):
-        val = node.val
-        if node.op == "const":
-            # -0.0 == 0.0, yet the two constants are kept apart.
-            val = (val, math.copysign(1.0, val))
-        key = (node.op, val, node.idx,
-               tuple(slot_of[id(a)] for a in node.args))
+
+    def intern(key):
         slot = key_slot.get(key)
         if slot is None:
             slot = key_slot[key] = len(nodes)
             nodes.append(key)
-        slot_of[id(node)] = slot
+        return slot
+
+    for node in _postorder(e):
+        op, val = node.op, node.val
+        kids = tuple(slot_of[id(a)] for a in node.args)
+        if op == "const":
+            # -0.0 == 0.0, yet the two constants are kept apart.
+            val = (val, math.copysign(1.0, val))
+        elif op == "net":
+            network, val = val
+            op, kids = "row", (intern(("net", network, None, kids)),)
+        slot_of[id(node)] = intern((op, val, node.idx, kids))
     return Tape(nodes, slot_of[id(e)])
 
 
@@ -540,7 +394,12 @@ def _interval_eval_raw(tape, bx):
     for slot, i in tape.loads:
         vals[slot] = bx[i]
     for slot, fn, a, b in tape.code:
-        vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        if b is None:
+            vals[slot] = fn(vals[a])
+        elif a is None:     # a network pass over the slots b
+            vals[slot] = fn([vals[k] for k in b])
+        else:
+            vals[slot] = fn(vals[a], vals[b])
     return vals
 
 
@@ -562,11 +421,29 @@ _ARRAY_OPS = {
 }
 
 
+def _array_net(arrays, ins):
+    """A network over the input arrays ins (a sequence, or an array whose
+    rows they are), which broadcast to one shape s: its outputs as an
+    array of shape (outputs,) + s.  arrays(width) gives
+    network.batch_arrays for a batch of that many columns."""
+    try:
+        y = np.asarray(ins)
+    except ValueError:      # shapes differ: broadcast them
+        y = np.array(np.broadcast_arrays(*ins))
+    if y.ndim == 2:         # one batch of columns, as the simulator's
+        return nn.forward_fast(arrays(y.shape[1]), y)
+    cols = y.reshape(len(ins), -1)
+    out = nn.forward_fast(arrays(cols.shape[1]), cols)
+    return out.reshape(out.shape[:1] + y.shape[1:])
+
+
 def compile_expr(e):
     """e as a callable f(p) over numpy arrays, p[i] being var(i): the tape
     of e run with numpy's operators (which may round differently from
     eval_expr; no division or NaN check), constants as 0-d arrays, which
-    numpy combines with an array about twice as fast as a float."""
+    numpy combines with an array about twice as fast as a float.  A
+    network runs through network.forward_fast, one matrix product per
+    layer."""
     tape = lower(e)
     nodes = tape.nodes
     last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
@@ -586,6 +463,19 @@ def compile_expr(e):
         reg.append(free.pop())
         if op == "var":
             loads.append((reg[slot], idx))
+        elif op == "net":
+            fn = partial(_array_net, cache(partial(nn.batch_arrays, val)))
+            if all(nodes[k][0] == "var" and nodes[k][2] == i
+                   for i, k in enumerate(kids)):
+                # inputs var(0), ..., var(q-1): one load of p[:q], which
+                # is no copy when p is an array
+                loads.append((len(init), slice(0, len(kids))))
+                code.append((reg[slot], fn, len(init), None))
+                init.append(None)
+            else:
+                code.append((reg[slot], fn, None, tuple(args)))
+        elif op == "row":
+            code.append((reg[slot], operator.itemgetter(val), args[0], None))
         elif kids:
             code.append((reg[slot], _ARRAY_OPS[op], args[0],
                          args[1] if len(args) == 2 else None))
@@ -596,7 +486,12 @@ def compile_expr(e):
         for dst, i in loads:
             r[dst] = p[i]
         for dst, fn, a, b in code:
-            r[dst] = fn(r[a]) if b is None else fn(r[a], r[b])
+            if b is None:
+                r[dst] = fn(r[a])
+            elif a is None:     # a network pass over the registers b
+                r[dst] = fn([r[k] for k in b])
+            else:
+                r[dst] = fn(r[a], r[b])
         return r[root]
     return f
 
@@ -606,7 +501,8 @@ def compile_expr(e):
 # ---------------------------------------------------------------------------
 
 def to_sexpr(e):
-    """e as an s-expression, e.g. ``(add (const 2.0) (sin (var 1)))``."""
+    """e as an s-expression, e.g. ``(add (const 2.0) (sin (var 1)))``; a
+    net node is ``(net <network.controller_hash> k inputs...)``."""
     out = []
     stack = [e]     # nodes still to write, and the text that follows them
     while stack:
@@ -618,7 +514,11 @@ def to_sexpr(e):
         elif node.op == "var":
             out.append("(var %d)" % node.idx)
         else:
-            out.append("(" + node.op)
+            head = node.op
+            if head == "net":
+                head = "net %s %d" % (nn.controller_hash(node.val[0]),
+                                      node.val[1])
+            out.append("(" + head)
             stack.append(" %d)" % node.val if node.op == "pow" else ")")
             for a in reversed(node.args):
                 stack += (a, " ")

@@ -52,6 +52,12 @@ class TestSpec:
             certify.SafetySpec(sx.box((-0.1, 0.1), (-0.1, 0.1)),
                                sx.box((-math.inf, 1.0), (-1.5, 1.5)))
 
+    def test_arity_mismatch_rejected(self):
+        for x0, safe in (((( -0.1, 0.1),), ((-1.0, 1.0), (-1.0, 1.0))),
+                         (((-0.1, 0.1), (-0.1, 0.1)), ((-1.0, 1.0),))):
+            with pytest.raises(ValueError):
+                certify.SafetySpec(sx.box(*x0), sx.box(*safe))
+
     def test_x0_must_be_strictly_inside(self):
         with pytest.raises(ValueError):
             certify.SafetySpec(sx.box((-1.0, 1.0), (0.0, 0.1)),
@@ -325,9 +331,14 @@ class TestCertificateFile:
         _set(("generator", "expr"), "(var 0)"),
         lambda d: d["generator"]["grad"].reverse(),
         _set(("generator", "p_matrix"), [[1.0, 0.5], [0.0, 1.0]]),
+        _set(("level",), math.nan),
+        _set(("level",), math.inf),
+        _set(("gamma",), math.nan),
+        _set(("delta",), -math.inf),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
-            "expr_tampered", "grad_swapped", "p_asymmetric"])
+            "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
+            "level_inf", "gamma_nan", "delta_neg_inf"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)
@@ -335,3 +346,24 @@ class TestCertificateFile:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             certify.load_certificate(path)
+
+
+class TestGridOracle:
+    def test_rejects_arity_other_than_two(self):
+        cand3 = lpgen.candidate_from([1.0, 0.0, 0.0, 1.0, 0.0, 1.0,
+                                      0.0, 0.0, 0.0, 0.0],
+                                     lpgen.QuadraticTemplate(3))
+        spec3 = certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
+                                   sx.box(*[(-1.0, 1.0)] * 3))
+        field3 = plant.VectorField(3, tuple(sx.neg(sx.var(i))
+                                            for i in range(3)))
+        cert3 = certify.Certificate(cand3, 0.5, 1e-6, 1e-3, {}, spec3, "", 1)
+        cert2 = certify.Certificate(_identity_candidate(), 0.5, 1e-6, 1e-3,
+                                    {}, _square_spec(), "", 1)
+        for cert, field in ((cert3, field3), (cert2, field3),
+                            (cert3, _contraction_field())):
+            with pytest.raises(ValueError):
+                certify.certificate_grid_oracle(cert, field)
+        assert certify.certificate_grid_oracle(
+            cert2, _contraction_field()) == {"boundary": 0, "x0": 0,
+                                             "unsafe": 0}

@@ -71,7 +71,9 @@ class TestCloseLoop:
         net = nn.Network((nn.make_layer([[1.0]], [0.0], "tanh"),
                           nn.make_layer([[1.0]], [0.0], "tanh")))
         field = plant.close_loop([sx.var(1)], plant.identity_output(1), net)
-        assert sx.to_sexpr(field.components[0]) == "(tanh (tanh (var 0)))"
+        assert sx.to_sexpr(field.components[0]) == (
+            "(net %s 0 (var 0))" % nn.controller_hash(net))
+        assert field.eval_at([0.5]) == [math.tanh(math.tanh(0.5))]
 
     def test_extensional_equality(self):
         rng = np.random.default_rng(8)

@@ -120,20 +120,8 @@ def _bundled_field(size):
     return plant.dubins_closed_loop(plant.DubinsParams(), net)
 
 
-def _scalar_field(field):
-    """A closed loop with gain 1 at one state, through network.forward
-    and eval_expr on the plant components: the operations of eval_at,
-    with the network evaluated once."""
-    plant_f, output_g, net, _ = field.loop
-
-    def f(x):
-        u = nn.forward(net, [sx.eval_expr(g, x) for g in output_g])
-        return [sx.eval_expr(c, list(x) + u) for c in plant_f]
-    return f
-
-
 def _scalar_rk4_states(field, x0, n_steps, step):
-    f = _scalar_field(field)
+    f = field.eval_at
     x = [float(v) for v in x0]
     out = [x]
     for _ in range(n_steps):
@@ -150,11 +138,10 @@ class TestSimulateBatch:
         starts = rng.uniform([-1.0, -1.5], [1.0, 1.5], size=(count, 2))
         traces = sim.simulate_batch(field, starts, 10.0, 0.01)
         assert len(traces) == count
-        fn = _scalar_field(field)
         for x0, tr in zip(starts, traces):
             ref = _scalar_rk4_states(field, x0, 1000, 0.01)
             assert np.max(np.abs(tr.states - ref)) <= 1e-12
-            ref_d = np.array([fn(list(x)) for x in tr.states])
+            ref_d = np.array([field.eval_at(list(x)) for x in tr.states])
             assert np.max(np.abs(tr.derivs - ref_d)) <= 1e-12
 
     def test_one_diverging_member_raises(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from barricade import certify, cli, dsat, lpgen, plant, simulate, train
+from barricade import interval as iv
 from barricade import network as nn
 from barricade import symexpr as sx
 
@@ -288,3 +289,220 @@ class TestSubstitute:
         e = sx.add(sx.var(0), sx.var(1))
         out = sx.substitute(e, {1: sx.sin(sx.var(0))})
         assert sx.eval_expr(out, [0.5]) == 0.5 + math.sin(0.5)
+
+
+def _layered_net(rng, widths, activations):
+    return nn.Network(tuple(
+        nn.make_layer(rng.uniform(-1.5, 1.5, size=(d_out, d_in)),
+                      rng.uniform(-0.5, 0.5, size=d_out), act)
+        for d_in, d_out, act in zip(widths, widths[1:], activations)))
+
+
+def _mp_forward(net, y):
+    """network output at y in 300-bit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        v = [mpmath.mpf(x) for x in y]
+        for layer in net.layers:
+            pre = [mpmath.fsum(mpmath.mpf(w) * x for w, x in zip(row, v))
+                   + mpmath.mpf(b) for row, b in zip(layer.weights,
+                                                     layer.bias)]
+            v = [_mp_act(layer.activation, z) for z in pre]
+    return v
+
+
+def _mp_act(name, z):
+    import mpmath
+    if name == "tanh":
+        return mpmath.tanh(z)
+    if name == "sigmoid":
+        return 1 / (1 + mpmath.exp(-z))
+    return z
+
+
+class TestNetNode:
+    def test_smart_constructor(self):
+        net = _layered_net(np.random.default_rng(1), (2, 3, 2),
+                           ("tanh", "identity"))
+        x, y = sx.var(0), sx.var(1)
+        e = sx.net(net, 1, (x, y))
+        assert e.op == "net" and sx.arity(e) == 2
+        assert e == sx.net(net, 1, [x, y]) and e != sx.net(net, 0, (x, y))
+        folded = sx.net(net, 0, (sx.const(0.5), sx.const(-1.0)))
+        assert folded.op == "const"
+        assert folded.val == nn.forward(net, [0.5, -1.0])[0]
+        moved = sx.substitute(e, {1: sx.sin(x)})
+        assert sx.eval_expr(moved, [0.3]) == nn.forward(
+            net, [0.3, math.sin(0.3)])[1]
+        for bad in ((2, (x, y)), (0, (x,))):
+            with pytest.raises(ValueError):
+                sx.net(net, *bad)
+        with pytest.raises(ValueError):
+            sx.diff(sx.mul(x, e), 0)
+
+    def test_text_names_the_controller(self):
+        net = _layered_net(np.random.default_rng(2), (2, 1), ("tanh",))
+        e = sx.net(net, 0, (sx.var(1), sx.const(2.0)))
+        assert sx.to_sexpr(e) == ("(net %s 0 (var 1) (const 2.0))"
+                                  % nn.controller_hash(net))
+
+    def test_one_pass_serves_every_output(self):
+        net = _layered_net(np.random.default_rng(3), (2, 4, 2),
+                           ("tanh", "tanh"))
+        x = (sx.var(0), sx.var(1))
+        lhs = sx.add(sx.net(net, 0, x), sx.mul(sx.net(net, 1, x), x[0]))
+        tape = sx.lower(lhs)
+        assert [node[0] for node in tape.nodes].count("net") == 1
+        assert [node[0] for node in tape.nodes].count("row") == 2
+        p = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 6))
+        got = sx.compile_expr(lhs)(p)
+        for b in range(6):
+            _assert_within_ulps(got[b], sx.eval_expr(lhs, p[:, b]))
+
+    def test_network_runs_once_per_box(self, monkeypatch):
+        net = _layered_net(np.random.default_rng(5), (2, 6, 2),
+                           ("tanh", "tanh"))
+        x = (sx.var(0), sx.var(1))
+        lhs = sx.sub(sx.net(net, 0, x), sx.net(net, 1, x))
+        counts = {"net": 0, "pass": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+        # lower() binds the kernel it finds in symexpr
+        monkeypatch.setattr(sx, "_inet", counted("net", sx._inet))
+        monkeypatch.setattr(dsat, "_interval_eval_raw",
+                            counted("pass", dsat._interval_eval_raw))
+        # just above the largest value on a grid, so the search branches
+        grid = np.meshgrid(np.linspace(-1, 1, 41), np.linspace(-1, 1, 41))
+        top = float(sx.compile_expr(lhs)([g.ravel() for g in grid]).max())
+        phi = dsat.Formula(2, dsat.Constraint(lhs, ">=", top + 0.01))
+        out = dsat.check(phi, sx.box((-1.0, 1.0), (-1.0, 1.0)), 1e-3)
+        assert out.boxes_explored > 20
+        assert counts["net"] == counts["pass"] >= out.boxes_explored
+
+    @pytest.mark.parametrize("widths,acts", [
+        ((2, 1), ("tanh",)),
+        ((3, 2), ("sigmoid",)),
+        ((2, 4), ("identity",)),
+        ((2, 8, 1), ("tanh", "tanh")),
+        ((2, 5, 3), ("sigmoid", "identity")),
+        ((3, 6, 4, 2), ("tanh", "sigmoid", "identity")),
+        ((2, 7, 5, 1), ("identity", "tanh", "sigmoid")),
+    ])
+    def test_kernel_against_unrolled_tape(self, widths, acts):
+        rng = np.random.default_rng(sum(widths))
+        net = _layered_net(rng, widths, acts)
+        x = [sx.var(i) for i in range(widths[0])]
+        unrolled = nn.to_expr(net)
+        for _ in range(20):
+            lo = rng.uniform(-2.0, 2.0, size=widths[0])
+            hi = lo + rng.uniform(1e-3, 1.0, size=widths[0])
+            bx = sx.box(*zip(lo, hi))
+            point = rng.uniform(lo, hi)
+            exact = _mp_forward(net, point)
+            for k in range(widths[-1]):
+                got = sx.interval_eval(sx.net(net, k, x), bx)
+                ref = sx.interval_eval(unrolled[k], bx)
+                assert got.lo <= exact[k] <= got.hi
+                assert got.width <= 1.01 * ref.width + 1e-9
+                assert ref.width <= 1.01 * got.width + 1e-9
+
+    def test_thousand_neuron_eval_at_and_text(self):
+        net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
+                                     1000, seed=0)
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        d_dot = plant.dubins_error_field(plant.DubinsParams())[0]
+        for x in ([0.1, 0.05], [-0.7, 1.2]):
+            u = nn.forward(net, x)[0]
+            assert field.eval_at(x) == [sx.eval_expr(d_dot, x + [u]), -u]
+        cand = lpgen.candidate_from([1.0, 0.1, 1.0, 0.0, 0.0, 0.0],
+                                    lpgen.QuadraticTemplate(2))
+        text = sx.to_sexpr(certify.lie_derivative(cand, field))
+        assert text.count("(net ") == 1 and len(text) < 2000
+
+
+def _exact_value(v):
+    """The finite float v times 2**1074, an exact int."""
+    num, den = float(v).as_integer_ratio()
+    return num * ((1 << 1074) // den)
+
+
+def _fuzz_values(rng, kind, size):
+    """Endpoints of `size` input intervals of one kind, as (lo, hi) arrays."""
+    if kind == "moderate":
+        a, b = rng.uniform(-3.0, 3.0, size=(2, size))
+    elif kind == "huge":
+        a, b = rng.uniform(-1.0, 1.0, size=(2, size)) * 1e307
+    elif kind == "tiny":
+        a, b = rng.uniform(-1.0, 1.0, size=(2, size)) * 1e-300
+    elif kind == "subnormal":
+        a, b = rng.integers(-2**40, 2**40, size=(2, size)) * 5e-324
+    else:   # mixed: a different scale for every input
+        scale = 10.0 ** rng.integers(-320, 300, size=size)
+        a, b = rng.uniform(-1.0, 1.0, size=(2, size)) * scale
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def test_layer_kernel_mpmath_fuzz():
+    """One interval layer (interval._inet on a one-layer network) contains
+    the exact image of sampled points of its input box: the
+    pre-activations summed exactly in integers, the activation in mpmath.
+    Widths up to 1,000, all three activations; huge, tiny, subnormal,
+    mixed-scale, half-infinite and whole-line inputs; zero violations."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1810)
+    kinds = ("moderate", "huge", "tiny", "subnormal", "mixed",
+             "half_infinite", "whole_line")
+    shapes = ((1, 1), (2, 1), (2, 100), (3, 7), (100, 1), (30, 30),
+              (1000, 1), (2, 1000), (1000, 3), (7, 1000))
+    violations = checked = 0
+    for trial in range(420):
+        d_in, d_out = shapes[trial % len(shapes)]
+        act = nn.ACTIVATIONS[trial % 3]
+        kind = kinds[(trial // 3) % len(kinds)]
+        scale = 10.0 ** float(rng.choice([0, 0, 0, -300, -150, 150, 300]))
+        w = rng.uniform(-1.0, 1.0, size=(d_out, d_in)) * scale
+        w[rng.random(w.shape) < 0.1] = 0.0
+        b = rng.uniform(-1.0, 1.0, size=d_out) * scale
+        net = nn.Network((nn.make_layer(w, b, act),))
+        lo, hi = _fuzz_values(rng, "mixed" if kind in (
+            "half_infinite", "whole_line") else kind, d_in)
+        if kind == "half_infinite":
+            j = rng.integers(d_in)
+            lo[j], hi[j] = (-math.inf, hi[j]) if rng.random() < 0.5 else (
+                lo[j], math.inf)
+        elif kind == "whole_line":
+            j = rng.integers(d_in)
+            lo[j], hi[j] = -math.inf, math.inf
+        out = iv._inet(iv._net_layers(net), list(zip(lo.tolist(),
+                                                     hi.tolist())))
+        assert len(out) == d_out
+        assert all(o_lo <= o_hi for o_lo, o_hi in out)   # no NaN, not empty
+        rows = rng.choice(d_out, size=min(d_out, 6), replace=False)
+        wx = {int(i): [_exact_value(v) for v in w[i]] for i in rows}
+        finite_lo = np.where(np.isfinite(lo), lo, -1e300)
+        finite_hi = np.where(np.isfinite(hi), hi, 1e300)
+        for _ in range(3):
+            u = rng.random(d_in)
+            inside = np.clip(finite_lo * (1 - u) + finite_hi * u, finite_lo,
+                             finite_hi)
+            corner = np.where(rng.random(d_in) < 0.5, finite_lo, finite_hi)
+            point = np.where(rng.random(d_in) < 0.3, corner, inside)
+            px = [_exact_value(v) for v in point]
+            for i in rows:
+                acc = sum(a * c for a, c in zip(wx[int(i)], px))
+                # each factor is scaled by 2**1074, so the bias needs one
+                # more such factor
+                total = acc + _exact_value(b[i]) * (1 << 1074)
+                with mpmath.workprec(200):
+                    z = mpmath.ldexp(mpmath.mpf(total), -2 * 1074)
+                    value = _mp_act(act, z)
+                o_lo, o_hi = out[i]
+                checked += 1
+                if not (o_lo <= value <= o_hi):
+                    violations += 1
+    assert checked > 4000
+    assert violations == 0
