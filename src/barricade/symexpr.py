@@ -422,19 +422,14 @@ _ARRAY_OPS = {
 
 
 def _array_net(arrays, ins):
-    """A network over the input arrays ins (a sequence, or an array whose
-    rows they are), which broadcast to one shape s: its outputs as an
-    array of shape (outputs,) + s.  arrays(width) gives
-    network.batch_arrays for a batch of that many columns."""
+    """A network over the input arrays ins, which broadcast to one batch
+    of columns: its outputs as an array of shape (outputs, columns).
+    arrays(width) gives network.batch_arrays for that many columns."""
     try:
         y = np.asarray(ins)
     except ValueError:      # shapes differ: broadcast them
         y = np.array(np.broadcast_arrays(*ins))
-    if y.ndim == 2:         # one batch of columns, as the simulator's
-        return nn.forward_fast(arrays(y.shape[1]), y)
-    cols = y.reshape(len(ins), -1)
-    out = nn.forward_fast(arrays(cols.shape[1]), cols)
-    return out.reshape(out.shape[:1] + y.shape[1:])
+    return nn.forward_fast(arrays(y.shape[1]), y)
 
 
 def compile_expr(e):
@@ -443,7 +438,7 @@ def compile_expr(e):
     eval_expr; no division or NaN check), constants as 0-d arrays, which
     numpy combines with an array about twice as fast as a float.  A
     network runs through network.forward_fast, one matrix product per
-    layer."""
+    layer, over inputs that broadcast to one 1-D batch."""
     tape = lower(e)
     nodes = tape.nodes
     last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
@@ -465,15 +460,7 @@ def compile_expr(e):
             loads.append((reg[slot], idx))
         elif op == "net":
             fn = partial(_array_net, cache(partial(nn.batch_arrays, val)))
-            if all(nodes[k][0] == "var" and nodes[k][2] == i
-                   for i, k in enumerate(kids)):
-                # inputs var(0), ..., var(q-1): one load of p[:q], which
-                # is no copy when p is an array
-                loads.append((len(init), slice(0, len(kids))))
-                code.append((reg[slot], fn, len(init), None))
-                init.append(None)
-            else:
-                code.append((reg[slot], fn, None, tuple(args)))
+            code.append((reg[slot], fn, None, tuple(args)))
         elif op == "row":
             code.append((reg[slot], operator.itemgetter(val), args[0], None))
         elif kids:

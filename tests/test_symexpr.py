@@ -446,6 +446,77 @@ def _fuzz_values(rng, kind, size):
     return np.minimum(a, b), np.maximum(a, b)
 
 
+def _fuzz_layer(rng, d_in, d_out, act):
+    """A random layer with weights and bias at one scale from 1e-300 to
+    1e300, a tenth of the weights zero: (w, b, layer)."""
+    scale = 10.0 ** float(rng.choice([0, 0, 0, -300, -150, 150, 300]))
+    w = rng.uniform(-1.0, 1.0, size=(d_out, d_in)) * scale
+    w[rng.random(w.shape) < 0.1] = 0.0
+    b = rng.uniform(-1.0, 1.0, size=d_out) * scale
+    return w, b, nn.make_layer(w, b, act)
+
+
+_FUZZ_KINDS = ("moderate", "huge", "tiny", "subnormal", "mixed",
+               "half_infinite", "whole_line")
+
+
+def _fuzz_box(rng, kind, size):
+    """Endpoints of `size` input intervals of one of _FUZZ_KINDS."""
+    lo, hi = _fuzz_values(rng, "mixed" if kind in (
+        "half_infinite", "whole_line") else kind, size)
+    if kind == "half_infinite":
+        j = rng.integers(size)
+        lo[j], hi[j] = (-math.inf, hi[j]) if rng.random() < 0.5 else (
+            lo[j], math.inf)
+    elif kind == "whole_line":
+        j = rng.integers(size)
+        lo[j], hi[j] = -math.inf, math.inf
+    return lo, hi
+
+
+def _fuzz_points(rng, lo, hi, count=3):
+    """count points of the box, finite endpoints standing in for infinite
+    ones, each coordinate inside or at a corner."""
+    finite_lo = np.where(np.isfinite(lo), lo, -1e300)
+    finite_hi = np.where(np.isfinite(hi), hi, 1e300)
+    for _ in range(count):
+        u = rng.random(lo.size)
+        inside = np.clip(finite_lo * (1 - u) + finite_hi * u, finite_lo,
+                         finite_hi)
+        corner = np.where(rng.random(lo.size) < 0.5, finite_lo, finite_hi)
+        yield np.where(rng.random(lo.size) < 0.3, corner, inside)
+
+
+def _exact_rows(w, b, rows):
+    """Rows of a layer as exact ints, 2**1074 times each weight and
+    2**2148 times the bias."""
+    return {i: ([_exact_value(v) for v in w[i]],
+                _exact_value(b[i]) * (1 << 1074)) for i in rows}
+
+
+def _exact_layer(mpmath, rows, act, point):
+    """The layer's outputs at the float point, for rows from _exact_rows:
+    pre-activations summed exactly in integers, the activation in 200-bit
+    mpmath."""
+    px = [_exact_value(v) for v in point]
+    out = {}
+    for i, (wx, bx) in rows.items():
+        total = sum(a * c for a, c in zip(wx, px)) + bx
+        # strip the trailing zeros first, which mpmath does slowly
+        shift = max((total & -total).bit_length() - 1, 0)
+        with mpmath.workprec(200):
+            z = mpmath.mpf((total >> shift, shift - 2 * 1074))
+            out[i] = _mp_act(act, z)
+    return out
+
+
+def _kernel_out(net, lo, hi):
+    out = iv._inet(iv._net_layers(net), list(zip(lo.tolist(), hi.tolist())))
+    assert len(out) == len(net.layers[-1].bias)
+    assert all(o_lo <= o_hi for o_lo, o_hi in out)   # no NaN, not empty
+    return out
+
+
 def test_layer_kernel_mpmath_fuzz():
     """One interval layer (interval._inet on a one-layer network) contains
     the exact image of sampled points of its input box: the
@@ -454,55 +525,67 @@ def test_layer_kernel_mpmath_fuzz():
     mixed-scale, half-infinite and whole-line inputs; zero violations."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1810)
-    kinds = ("moderate", "huge", "tiny", "subnormal", "mixed",
-             "half_infinite", "whole_line")
     shapes = ((1, 1), (2, 1), (2, 100), (3, 7), (100, 1), (30, 30),
               (1000, 1), (2, 1000), (1000, 3), (7, 1000))
     violations = checked = 0
     for trial in range(420):
         d_in, d_out = shapes[trial % len(shapes)]
         act = nn.ACTIVATIONS[trial % 3]
-        kind = kinds[(trial // 3) % len(kinds)]
-        scale = 10.0 ** float(rng.choice([0, 0, 0, -300, -150, 150, 300]))
-        w = rng.uniform(-1.0, 1.0, size=(d_out, d_in)) * scale
-        w[rng.random(w.shape) < 0.1] = 0.0
-        b = rng.uniform(-1.0, 1.0, size=d_out) * scale
-        net = nn.Network((nn.make_layer(w, b, act),))
-        lo, hi = _fuzz_values(rng, "mixed" if kind in (
-            "half_infinite", "whole_line") else kind, d_in)
-        if kind == "half_infinite":
-            j = rng.integers(d_in)
-            lo[j], hi[j] = (-math.inf, hi[j]) if rng.random() < 0.5 else (
-                lo[j], math.inf)
-        elif kind == "whole_line":
-            j = rng.integers(d_in)
-            lo[j], hi[j] = -math.inf, math.inf
-        out = iv._inet(iv._net_layers(net), list(zip(lo.tolist(),
-                                                     hi.tolist())))
-        assert len(out) == d_out
-        assert all(o_lo <= o_hi for o_lo, o_hi in out)   # no NaN, not empty
-        rows = rng.choice(d_out, size=min(d_out, 6), replace=False)
-        wx = {int(i): [_exact_value(v) for v in w[i]] for i in rows}
-        finite_lo = np.where(np.isfinite(lo), lo, -1e300)
-        finite_hi = np.where(np.isfinite(hi), hi, 1e300)
-        for _ in range(3):
-            u = rng.random(d_in)
-            inside = np.clip(finite_lo * (1 - u) + finite_hi * u, finite_lo,
-                             finite_hi)
-            corner = np.where(rng.random(d_in) < 0.5, finite_lo, finite_hi)
-            point = np.where(rng.random(d_in) < 0.3, corner, inside)
-            px = [_exact_value(v) for v in point]
+        kind = _FUZZ_KINDS[(trial // 3) % len(_FUZZ_KINDS)]
+        w, b, layer = _fuzz_layer(rng, d_in, d_out, act)
+        lo, hi = _fuzz_box(rng, kind, d_in)
+        out = _kernel_out(nn.Network((layer,)), lo, hi)
+        rows = rng.choice(d_out, size=min(d_out, 6), replace=False).tolist()
+        exact_rows = _exact_rows(w, b, rows)
+        for point in _fuzz_points(rng, lo, hi):
+            exact = _exact_layer(mpmath, exact_rows, act, point)
             for i in rows:
-                acc = sum(a * c for a, c in zip(wx[int(i)], px))
-                # each factor is scaled by 2**1074, so the bias needs one
-                # more such factor
-                total = acc + _exact_value(b[i]) * (1 << 1074)
-                with mpmath.workprec(200):
-                    z = mpmath.ldexp(mpmath.mpf(total), -2 * 1074)
-                    value = _mp_act(act, z)
-                o_lo, o_hi = out[i]
                 checked += 1
-                if not (o_lo <= value <= o_hi):
+                if not (out[i][0] <= exact[i] <= out[i][1]):
                     violations += 1
     assert checked > 4000
+    assert violations == 0
+
+
+def test_two_layer_kernel_mpmath_fuzz():
+    """The layer after a tanh or sigmoid, whose error term _net_layers
+    fixes in advance from inputs in [-1, 1], contains the exact image of
+    sampled points: the first layer as in test_layer_kernel_mpmath_fuzz,
+    the second's sums in 400-bit mpmath (off by far less than the
+    kernel's error term 8mu times the sum of |terms|), all three second
+    activations, both layers' weights and biases at scales 1e-300 to
+    1e300 with zeros, the same input kinds; zero violations."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1999)
+    shapes = ((1, 1, 1), (2, 3, 1), (2, 10, 2), (3, 100, 1), (30, 30, 30),
+              (1, 1000, 3), (7, 50, 1000))
+    violations = checked = bounded = 0
+    # every shape with every pair of activations and every input kind
+    for trial in range(len(shapes) * 6 * len(_FUZZ_KINDS)):
+        d_in, d_mid, d_out = shapes[trial % len(shapes)]
+        combo = trial // len(shapes)
+        act1 = ("tanh", "sigmoid")[combo % 2]
+        act2 = nn.ACTIVATIONS[(combo // 2) % 3]
+        kind = _FUZZ_KINDS[combo // 6]
+        w1, b1, layer1 = _fuzz_layer(rng, d_in, d_mid, act1)
+        w2, b2, layer2 = _fuzz_layer(rng, d_mid, d_out, act2)
+        net = nn.Network((layer1, layer2))
+        bounded += iv._net_layers(net)[1][5] is not None
+        lo, hi = _fuzz_box(rng, kind, d_in)
+        out = _kernel_out(net, lo, hi)
+        rows = rng.choice(d_out, size=min(d_out, 6), replace=False).tolist()
+        exact_rows = _exact_rows(w1, b1, range(d_mid))
+        w2_rows = {i: [mpmath.mpf(float(a)) for a in w2[i]] for i in rows}
+        for point in _fuzz_points(rng, lo, hi):
+            mid = _exact_layer(mpmath, exact_rows, act1, point)
+            with mpmath.workprec(400):
+                for i in rows:
+                    z = mpmath.fsum(a * mid[j]
+                                    for j, a in enumerate(w2_rows[i]))
+                    value = _mp_act(act2, z + mpmath.mpf(float(b2[i])))
+                    checked += 1
+                    if not (out[i][0] <= value <= out[i][1]):
+                        violations += 1
+    assert bounded > 150    # most second layers use the fixed error term
+    assert checked > 2000
     assert violations == 0
