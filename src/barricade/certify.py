@@ -382,7 +382,7 @@ def find_generator(spec, f, config):
     """Iterate LP candidates against the decrease query, folding each
     counterexample back in as a fresh simulation.
 
-    Returns (candidate, decrease_transcript, iterations, traces) or raises
+    Returns (candidate, decrease_transcript, iterations) or raises
     NoCandidateError.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
@@ -404,7 +404,7 @@ def find_generator(spec, f, config):
         transcript = query_decrease(cand, f, spec, config.gamma, config.delta,
                                     config.box_budget)
         if transcript.verdict == "UNSAT":
-            return cand, transcript, iteration, traces
+            return cand, transcript, iteration
         cex = transcript.witness.midpoint()
         traces.extend(sim.simulate_batch(
             f, _cex_cluster(cex, spec, config.cex_spread),
@@ -443,7 +443,7 @@ def verify(spec, f, config=None, controller_hash=""):
     config = config or CertifyConfig()
     transcripts, iterations = {}, 0
     try:
-        cand, t1, iterations, _traces = find_generator(spec, f, config)
+        cand, t1, iterations = find_generator(spec, f, config)
         transcripts["decrease"] = t1
         level, level_transcripts = select_level(
             cand, spec, config.delta, config.bisection_budget,

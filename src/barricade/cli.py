@@ -95,6 +95,8 @@ def cmd_plot(args):
     net, field, spec = _load_system(args)
     if args.traces:
         traces = [sim.read_trace_csv(args.traces)]
+        if traces[0].states.shape[1] != spec.arity:
+            raise SystemExit("error: trace arity does not match system")
     else:
         traces = sim.seed_traces(field, spec.safe_rect, args.count,
                                  10.0, 0.01, args.seed, exclude=spec.x0)

@@ -2,10 +2,12 @@
 
 A quadratic template v(x) = x'Px + q'x + c is linear in its coefficients,
 so "v positive at sampled states" and "v decreasing along sampled
-trajectories" are linear rows.  A shared margin variable is maximized so
-the LP returns a candidate that satisfies the constraints strictly, which
-survives the a-posteriori interval check far more often than a bare
-feasible point.
+trajectories" are linear rows.  The LP is one matrix: `rows @ x <= rhs`,
+every trace point's rows built at once from the stacked states and
+derivatives, and the simplex reads that matrix as it is.  A shared margin
+variable is maximized so the LP returns a candidate that satisfies the
+constraints strictly, which survives the a-posteriori interval check far
+more often than a bare feasible point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ PIVOT_TOL = 1e-10
 ENTER_TOL = 1e-9    # reduced-cost threshold; looser than the pivot tolerance
 COEFF_BOUND = 1.0
 MARGIN_BOUND = 10.0
+MAX_POINTS = 4000   # trace points past the heads are strided down to this
+MAX_PIVOTS = 200000
 
 
 @dataclass(frozen=True)
@@ -36,28 +40,19 @@ class QuadraticTemplate:
         n = self.arity
         return n * (n + 1) // 2 + n + 1
 
-    def value_row(self, x):
-        """Coefficient row such that row . coeffs = v(x)."""
-        n = self.arity
-        row = []
-        for i, j in self.pairs:
-            row.append(x[i] * x[i] if i == j else 2.0 * x[i] * x[j])
-        row.extend(x[i] for i in range(n))
-        row.append(1.0)
-        return np.array(row)
-
-    def decrease_row(self, x, dx):
-        """Coefficient row such that row . coeffs = grad v(x) . dx."""
-        n = self.arity
-        row = []
-        for i, j in self.pairs:
-            if i == j:
-                row.append(2.0 * x[i] * dx[i])
-            else:
-                row.append(2.0 * (x[i] * dx[j] + x[j] * dx[i]))
-        row.extend(dx[i] for i in range(n))
-        row.append(0.0)
-        return np.array(row)
+    def monomials(self, x, dx):
+        """Coefficient rows for the (m, n) states x and derivatives dx:
+        value[k] . coeffs = v(x[k]) and decrease[k] . coeffs =
+        grad v(x[k]) . dx[k]."""
+        i, j = np.array(self.pairs).T
+        diag = i == j
+        xi, xj, dxi, dxj = x[:, i], x[:, j], dx[:, i], dx[:, j]
+        ones = np.ones((len(x), 1))
+        value = np.hstack([np.where(diag, xi * xj, 2.0 * xi * xj), x, ones])
+        decrease = np.hstack([
+            np.where(diag, 2.0 * xi * dxj, 2.0 * (xi * dxj + xj * dxi)),
+            dx, np.zeros_like(ones)])
+        return value, decrease
 
 
 @dataclass(frozen=True)
@@ -76,85 +71,76 @@ class GeneratorCandidate:
 
 @dataclass
 class LPProblem:
-    n_unknowns: int          # template coefficients plus trailing margin
-    rows: list               # (coeffs: ndarray, rel: "<=" | ">=", rhs: float)
-    objective: np.ndarray    # maximized
+    rows: np.ndarray         # (m, n): rows @ x <= rhs; x ends with the margin
+    rhs: np.ndarray          # (m,)
+    objective: np.ndarray    # (n,), maximized
 
-    def check_solution(self, x, slack_tol=1e-9):
-        """Worst signed slack over all rows (>= -slack_tol means satisfied)."""
-        worst = np.inf
-        for a, rel, b in self.rows:
-            v = float(np.dot(a, x))
-            worst = min(worst, b - v if rel == "<=" else v - b)
-        return worst
+    def check_solution(self, x):
+        """Worst slack over all rows; negative where a row is violated."""
+        return float(np.min(self.rhs - self.rows @ x))
 
 
 def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
-                      region=None, max_points=4000):
-    """Rows from trace data.
+                      region=None):
+    """Rows from trace data, in `rows @ x <= rhs` form.
 
-    For each retained point x_k with stored derivative dx_k:
-        v(x_k) - s >= eps_pos
+    Every subsample-th state x_k of each trace, with stored derivative
+    dx_k, gives two rows, in this order:
+        -v(x_k) + s <= -eps_pos
         grad v(x_k) . dx_k + s <= -eps_dec
-    plus the normalization box |coeff| <= 1 and s in [-10, 10]; the
-    objective maximizes the shared margin s.  `region`, when given,
-    filters points to the domain the SMT check will cover (points inside
-    `region.exclude` are also dropped).
+    The trace heads come first, then the other points, strided down to at
+    most MAX_POINTS; then the normalization box |coeff| <= 1 and
+    |s| <= 10, two rows per unknown.  The objective maximizes the shared
+    margin s, the last unknown.  `region`, when given, is a pair of boxes
+    (outer, inner): heads and points outside outer or inside inner are
+    dropped, so the rows cover the domain the SMT check will.  The
+    simplex pivots by index, so this order fixes the certificate.
     """
     if not traces:
         raise ValueError("need at least one trace")
     if not (eps_pos > 0 and eps_dec > 0):
         raise ValueError("eps_pos and eps_dec must be positive")
-    points = []
-    heads = []
-    for tr in traces:
-        idx = range(0, len(tr), subsample)
-        for k in idx:
-            x = tr.states[k]
-            if region is not None and not _in_region(x, region):
-                continue
-            dx = tr.derivs[k]
-            # Trace heads are kept unconditionally: counterexample traces
-            # start exactly at the state the last candidate failed on.
-            (heads if k == 0 else points).append((x, dx))
-    if len(points) > max_points:
-        stride = int(np.ceil(len(points) / max_points))
-        points = points[::stride]
-    points = heads + points
+    if not subsample >= 1:
+        raise ValueError("subsample must be >= 1")
+    x = np.concatenate([tr.states[::subsample] for tr in traces])
+    dx = np.concatenate([tr.derivs[::subsample] for tr in traces])
+    head = np.concatenate([np.arange(0, len(tr), subsample) == 0
+                           for tr in traces])
+    keep = np.ones(len(x), bool) if region is None else _in_region(x, region)
+    # Trace heads escape the stride: counterexample traces start exactly
+    # at the state the last candidate failed on.
+    points = np.flatnonzero(keep & ~head)
+    if len(points) > MAX_POINTS:
+        points = points[::int(np.ceil(len(points) / MAX_POINTS))]
+    order = np.concatenate([np.flatnonzero(keep & head), points])
+    value, decrease = tmpl.monomials(x[order], dx[order])
+    margin = np.ones((len(order), 1))
+    box = np.eye(tmpl.n_unknowns + 1)     # margin s is the last unknown
+    rows = np.vstack([_interleave(np.hstack([-value, margin]),
+                                  np.hstack([decrease, margin])),
+                      _interleave(box, -box)])
+    rhs = np.concatenate([
+        np.tile([-eps_pos, -eps_dec], len(order)),
+        np.repeat([COEFF_BOUND] * tmpl.n_unknowns + [MARGIN_BOUND], 2)])
+    return LPProblem(rows, rhs, box[-1])
 
-    n_coeff = tmpl.n_unknowns
-    n_unknowns = n_coeff + 1          # margin s is the last unknown
-    rows = []
-    for x, dx in points:
-        pos = np.zeros(n_unknowns)
-        pos[:n_coeff] = tmpl.value_row(x)
-        pos[n_coeff] = -1.0
-        rows.append((pos, ">=", eps_pos))
-        dec = np.zeros(n_unknowns)
-        dec[:n_coeff] = tmpl.decrease_row(x, dx)
-        dec[n_coeff] = 1.0
-        rows.append((dec, "<=", -eps_dec))
-    for i in range(n_coeff):
-        e = np.zeros(n_unknowns)
-        e[i] = 1.0
-        rows.append((e, "<=", COEFF_BOUND))
-        rows.append((e, ">=", -COEFF_BOUND))
-    e = np.zeros(n_unknowns)
-    e[n_coeff] = 1.0
-    rows.append((e, "<=", MARGIN_BOUND))
-    rows.append((e, ">=", -MARGIN_BOUND))
-    objective = np.zeros(n_unknowns)
-    objective[n_coeff] = 1.0
-    return LPProblem(n_unknowns, rows, objective)
+
+def _interleave(a, b):
+    """Rows a[0], b[0], a[1], b[1], ..."""
+    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
 
 
 def _in_region(x, region):
+    """Mask of the rows of x inside `outer` and not inside `inner`."""
     outer, inner = region
-    if not all(iv.lo <= v <= iv.hi for iv, v in zip(outer, x)):
-        return False
-    if inner is not None and inner.contains(x):
-        return False
-    return True
+    keep = _inside(x, outer)
+    return keep if inner is None else keep & ~_inside(x, inner)
+
+
+def _inside(x, box):
+    lo = np.array([iv.lo for iv in box])
+    hi = np.array([iv.hi for iv in box])
+    return ((lo <= x) & (x <= hi)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +155,8 @@ class LPUnboundedError(RuntimeError):
 
 
 def solve_lp(lp):
-    """Maximize lp.objective subject to lp.rows; unknowns are free.
+    """Maximize lp.objective subject to lp.rows @ x <= lp.rhs; the
+    unknowns x are free.
 
     Returns the optimal unknown vector, or INFEASIBLE (None).
 
@@ -180,19 +167,8 @@ def solve_lp(lp):
     leaving variables follow Bland's rule, so pivoting cannot cycle and
     the result is deterministic.
     """
-    n = lp.n_unknowns
-    m = len(lp.rows)
-    a_ub = np.empty((m, n))
-    b_ub = np.empty(m)
-    for i, (a, rel, b) in enumerate(lp.rows):
-        if rel == "<=":
-            a_ub[i] = a
-            b_ub[i] = b
-        elif rel == ">=":
-            a_ub[i] = -np.asarray(a)
-            b_ub[i] = -b
-        else:
-            raise ValueError("unknown relation %r" % rel)
+    a_ub, b_ub = lp.rows, lp.rhs
+    m, n = a_ub.shape
 
     # Dual equalities: a_ub' y = objective, y >= 0; dual cost is b_ub.
     mat = a_ub.T.copy()                       # n x m
@@ -224,7 +200,7 @@ def solve_lp(lp):
     basis = basis[keep]
 
     # Phase 2: minimize b_ub . y.
-    obj = np.append(b_ub.astype(float), 0.0)
+    obj = np.append(b_ub, 0.0)
     for i in range(len(basis)):
         if obj[basis[i]] != 0.0:
             obj -= obj[basis[i]] * tab[i]
@@ -232,17 +208,13 @@ def solve_lp(lp):
         return INFEASIBLE                      # dual unbounded
 
     # Primal solution from the active rows of the optimal dual basis.
-    active = np.asarray(basis, dtype=int)
-    a_act = a_ub[active]
-    b_act = b_ub[active]
-    if len(active) == n:
+    a_act, b_act = a_ub[basis], b_ub[basis]
+    if len(basis) == n:
         try:
-            x = np.linalg.solve(a_act, b_act)
+            return np.linalg.solve(a_act, b_act)
         except np.linalg.LinAlgError:
-            x = np.linalg.lstsq(a_act, b_act, rcond=None)[0]
-    else:
-        x = np.linalg.lstsq(a_act, b_act, rcond=None)[0]
-    return x
+            pass
+    return np.linalg.lstsq(a_act, b_act, rcond=None)[0]
 
 
 def _pivot(tab, basis, row, col):
@@ -255,8 +227,8 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _pivot_until_optimal(tab, obj, basis, n_cols, max_iter=200000):
-    for _ in range(max_iter):
+def _pivot_until_optimal(tab, obj, basis, n_cols):
+    for _ in range(MAX_PIVOTS):
         neg = np.nonzero(obj[:n_cols] < -ENTER_TOL)[0]
         if neg.size == 0:
             return True

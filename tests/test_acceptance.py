@@ -252,23 +252,22 @@ def test_criterion_08_cmaes_benchmark():
 def test_criterion_09_lp_correctness():
     """Non-INFEASIBLE solutions re-satisfy every row with slack >= -1e-9;
     a contradictory instance returns INFEASIBLE."""
-    contradictory = lpgen.LPProblem(
-        1, [(np.array([1.0]), ">=", 1.0), (np.array([1.0]), "<=", 0.0)],
-        np.array([1.0]))
+    contradictory = lpgen.LPProblem(                # x >= 1 and x <= 0
+        np.array([[-1.0], [1.0]]), np.array([-1.0, 0.0]), np.array([1.0]))
     assert lpgen.solve_lp(contradictory) is lpgen.INFEASIBLE
     rng = np.random.default_rng(77)
     solved = 0
     for _ in range(100):
         n = int(rng.integers(2, 6))
-        rows = [(rng.uniform(-1, 1, size=n), "<=",
-                 float(rng.uniform(0.2, 2.0)))
-                for _ in range(int(rng.integers(3, 40)))]
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append((e, "<=", 2.0))
-            rows.append((e, ">=", -2.0))
-        lp = lpgen.LPProblem(n, rows, rng.uniform(-1, 1, size=n))
+        rows, rhs = [], []
+        for _ in range(int(rng.integers(3, 40))):
+            rows.append(rng.uniform(-1, 1, size=n))
+            rhs.append(float(rng.uniform(0.2, 2.0)))
+        for e in np.eye(n):
+            rows += [e, -e]
+            rhs += [2.0, 2.0]
+        lp = lpgen.LPProblem(np.array(rows), np.array(rhs),
+                             rng.uniform(-1, 1, size=n))
         sol = lpgen.solve_lp(lp)
         if sol is lpgen.INFEASIBLE:
             continue

@@ -202,17 +202,17 @@ class TestCegis:
 
     def test_toy_field_converges_quickly(self):
         cfg = certify.CertifyConfig()
-        cand, transcript, iters, traces = certify.find_generator(
+        cand, transcript, iters = certify.find_generator(
             _square_spec(), _contraction_field(), cfg)
         assert iters <= 3
         assert transcript.verdict == "UNSAT"
 
     def test_determinism(self):
         cfg = certify.CertifyConfig(seed=5)
-        a, _, _, _ = certify.find_generator(_square_spec(),
-                                            _contraction_field(), cfg)
-        b, _, _, _ = certify.find_generator(_square_spec(),
-                                            _contraction_field(), cfg)
+        a, _, _ = certify.find_generator(_square_spec(),
+                                         _contraction_field(), cfg)
+        b, _, _ = certify.find_generator(_square_spec(),
+                                         _contraction_field(), cfg)
         assert np.array_equal(a.p_matrix, b.p_matrix)
         assert np.array_equal(a.q_vector, b.q_vector)
         assert a.c_scalar == b.c_scalar

@@ -162,6 +162,39 @@ class TestPlotCmd:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_traces_file_drawn(self, tmp_path, hand_nn):
+        field = plant.dubins_closed_loop(plant.DubinsParams(),
+                                         nn.load(hand_nn))
+        trace_path = tmp_path / "trace.csv"
+        sim.write_trace_csv(sim.simulate(field, [0.5, 0.3], 1.0, 0.01),
+                            trace_path)
+        out = tmp_path / "plot.svg"
+        rc = cli.main(["plot", "--nn", hand_nn, "--traces", str(trace_path),
+                       "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().count('class="trace"') == 1
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "t,x0,x1,dx0,dx1\r\n",
+        "t,x0,x1,dx0\r\n0,1,2,3\r\n",
+        "time,x0,x1,dx0,dx1\r\n0,1,2,3,4\r\n",
+        "t,x0,x1,dx0,dx1\r\n0,1,2\r\n",
+        "t,x0,x1,dx0,dx1\r\n0,0.5,0.5,0,0\r\n0.1,0.5,0.5,0,0,0\r\n",
+        "t,x0,dx0\r\n0,0.5,-0.5\r\n",
+    ], ids=["empty", "header_only", "odd_header", "bad_header", "short_row",
+            "long_row", "arity_1d"])
+    def test_malformed_traces_one_error_line(self, tmp_path, hand_nn,
+                                             capsys, text):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(text)
+        rc = cli.main(["plot", "--nn", hand_nn, "--traces", str(trace_path),
+                       "--out", str(tmp_path / "p.svg")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "p.svg").exists()
+
 
 class TestBenchCmd:
     def test_csv_structure_single_size(self, tmp_path, hand_nn):

@@ -9,24 +9,62 @@ from barricade import simulate as sim
 from barricade import symexpr as sx
 
 
-def _lp(rows, objective):
-    n = len(objective)
-    return lpgen.LPProblem(n, [(np.asarray(a, float), rel, float(b))
-                               for a, rel, b in rows],
+def _lp(rows, rhs, objective):
+    """rows @ x <= rhs, maximizing objective . x."""
+    return lpgen.LPProblem(np.asarray(rows, float), np.asarray(rhs, float),
                            np.asarray(objective, float))
+
+
+def _trace(states, derivs):
+    states = np.asarray(states, float)
+    return sim.Trace(0.01 * np.arange(len(states)), states,
+                     np.asarray(derivs, float))
+
+
+def _reference_lp(traces, tmpl, eps_pos, eps_dec, subsample, region=None):
+    """build_constraints expanded by hand, one point at a time."""
+    heads, points = [], []
+    for tr in traces:
+        for k in range(0, len(tr), subsample):
+            x, dx = tr.states[k], tr.derivs[k]
+            if region is not None and (not region[0].contains(x)
+                                       or region[1].contains(x)):
+                continue
+            (heads if k == 0 else points).append((x, dx))
+    if len(points) > 4000:
+        points = points[::int(np.ceil(len(points) / 4000))]
+    rows, rhs = [], []
+    for x, dx in heads + points:
+        value = [x[i] * x[j] if i == j else 2.0 * x[i] * x[j]
+                 for i, j in tmpl.pairs] + list(x) + [1.0]
+        decrease = [2.0 * x[i] * dx[j] if i == j
+                    else 2.0 * (x[i] * dx[j] + x[j] * dx[i])
+                    for i, j in tmpl.pairs] + list(dx) + [0.0]
+        rows.append([-v for v in value] + [1.0])     # v(x) - s >= eps_pos
+        rhs.append(-eps_pos)
+        rows.append(decrease + [1.0])                # L(x) + s <= -eps_dec
+        rhs.append(-eps_dec)
+    n = tmpl.n_unknowns + 1
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows += [e, -e]
+        rhs += [1.0 if i < n - 1 else 10.0] * 2
+    return np.array(rows), np.array(rhs), len(heads), len(points)
 
 
 class TestTemplateRows:
     def test_positivity_row_at_unit_point(self):
         tmpl = lpgen.QuadraticTemplate(2)
-        row = tmpl.value_row([1.0, 0.0])
+        value, _ = tmpl.monomials(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
         # slots: P00, P01, P11, q0, q1, c
-        assert list(row) == [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+        assert list(value[0]) == [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_decrease_row_hand_expansion(self):
         tmpl = lpgen.QuadraticTemplate(2)
-        row = tmpl.decrease_row([1.0, 0.0], [-1.0, 0.0])
-        assert list(row) == [-2.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+        _, decrease = tmpl.monomials(np.array([[1.0, 0.0]]),
+                                     np.array([[-1.0, 0.0]]))
+        assert list(decrease[0]) == [-2.0, 0.0, 0.0, -1.0, 0.0, 0.0]
 
     def test_constraint_count(self):
         field = plant.VectorField(
@@ -46,33 +84,129 @@ class TestTemplateRows:
             cand = lpgen.candidate_from(coeffs, tmpl)
             x = rng.uniform(-2, 2, size=2)
             dx = rng.uniform(-2, 2, size=2)
-            assert abs(tmpl.value_row(x) @ coeffs - cand.value(x)) < 1e-12
+            value, decrease = tmpl.monomials(x[None], dx[None])
+            assert abs(value[0] @ coeffs - cand.value(x)) < 1e-12
             grad = [sx.eval_expr(g, x) for g in cand.grad]
-            assert abs(tmpl.decrease_row(x, dx) @ coeffs
-                       - np.dot(grad, dx)) < 1e-12
+            assert abs(decrease[0] @ coeffs - np.dot(grad, dx)) < 1e-12
+
+
+class TestBuildConstraints:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("subsample", [1, 3, 10])
+    def test_equals_hand_expansion(self, arity, subsample):
+        rng = np.random.default_rng(arity * 100 + subsample)
+        traces = [_trace(rng.uniform(-1.5, 1.5, size=(k, arity)),
+                         rng.uniform(-2, 2, size=(k, arity)))
+                  for k in (0, 1, 37, 120, 9)]
+        region = (sx.box(*[(-1.0, 1.0)] * arity),
+                  sx.box(*[(-0.5, 0.5)] * arity))
+        tmpl = lpgen.QuadraticTemplate(arity)
+        for reg in (None, region):
+            lp = lpgen.build_constraints(traces, tmpl, 1e-3, 2e-3,
+                                         subsample=subsample, region=reg)
+            rows, rhs, _, _ = _reference_lp(traces, tmpl, 1e-3, 2e-3,
+                                            subsample, reg)
+            assert lp.rows.tobytes() == rows.tobytes()
+            assert lp.rhs.tobytes() == rhs.tobytes()
+            assert list(lp.objective) == [0.0] * tmpl.n_unknowns + [1.0]
+
+    def test_region_filter(self):
+        # heads and points inside X0 or outside the safe rectangle are
+        # dropped; both boxes are closed
+        region = (sx.box((-1.0, 1.0), (-1.0, 1.0)),
+                  sx.box((-0.1, 0.1), (-0.1, 0.1)))
+        states = [[[0.05, 0.0], [0.5, 0.5], [0.1, 0.1], [1.0, -1.0]],
+                  [[2.0, 0.0], [0.0, 1.5], [-0.3, 0.2]],
+                  [[-1.0, 0.7], [0.0, -0.1], [np.nan, 0.0]]]
+        traces = [_trace(s, np.ones((len(s), 2))) for s in states]
+        tmpl = lpgen.QuadraticTemplate(2)
+        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=1,
+                                     region=region)
+        kept = [[-1.0, 0.7], [0.5, 0.5], [1.0, -1.0], [-0.3, 0.2]]
+        assert len(lp.rows) == 2 * len(kept) + 2 * 7
+        value, _ = tmpl.monomials(np.array(kept), np.ones((4, 2)))
+        assert np.array_equal(lp.rows[0:8:2, :-1], -value)
+        rows, rhs, n_heads, n_points = _reference_lp(
+            traces, tmpl, 1e-3, 1e-3, 1, region)
+        assert (n_heads, n_points) == (1, 3)
+        assert lp.rows.tobytes() == rows.tobytes()
+        assert lp.rhs.tobytes() == rhs.tobytes()
+
+    @pytest.mark.parametrize("lengths, n_points", [
+        ((2001, 2001), 4000),      # at the cap: every point kept
+        ((2001, 2002), 2001),      # 4,001 points: every second one
+        ((1, 4500, 4502), 3000),   # 9,000 points: every third one
+    ])
+    def test_stride_cap(self, lengths, n_points):
+        rng = np.random.default_rng(sum(lengths))
+        traces = [_trace(rng.uniform(-1, 1, size=(k, 2)),
+                         rng.uniform(-1, 1, size=(k, 2))) for k in lengths]
+        tmpl = lpgen.QuadraticTemplate(2)
+        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=1)
+        rows, rhs, n_heads, n_ref = _reference_lp(traces, tmpl, 1e-3, 1e-3,
+                                                  1)
+        assert (n_heads, n_ref) == (len(lengths), n_points)
+        assert len(lp.rows) == 2 * (n_heads + n_points) + 2 * 7
+        # the heads lead, ahead of the strided points
+        heads = np.array([tr.states[0] for tr in traces])
+        value, _ = tmpl.monomials(heads, np.zeros_like(heads))
+        assert np.array_equal(lp.rows[0:2 * n_heads:2, :-1], -value)
+        assert lp.rows.tobytes() == rows.tobytes()
+        assert lp.rhs.tobytes() == rhs.tobytes()
+
+    def test_row_order(self):
+        # per point: value row, then decrease row; heads first, then the
+        # other points in trace order; then the box and the margin rows
+        traces = [_trace([[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]),
+                  _trace([[0.25, 0.0], [0.0, 0.25]],
+                         [[2.0, 0.0], [0.0, 2.0]])]
+        tmpl = lpgen.QuadraticTemplate(2)
+        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 2e-3, subsample=1)
+        order = [([0.5, 0.0], [1.0, 0.0]), ([0.25, 0.0], [2.0, 0.0]),
+                 ([0.0, 0.5], [0.0, 1.0]), ([0.0, 0.25], [0.0, 2.0])]
+        for k, (x, dx) in enumerate(order):
+            value, decrease = tmpl.monomials(np.array([x]), np.array([dx]))
+            assert list(lp.rows[2 * k]) == list(-value[0]) + [1.0]
+            assert list(lp.rows[2 * k + 1]) == list(decrease[0]) + [1.0]
+        assert list(lp.rhs[:8]) == [-1e-3, -2e-3] * 4
+        box = lp.rows[8:]
+        for i in range(7):
+            assert list(box[2 * i]) == list(np.eye(7)[i])
+            assert list(box[2 * i + 1]) == list(-np.eye(7)[i])
+        assert list(lp.rhs[8:]) == [1.0] * 12 + [10.0] * 2
+
+    @pytest.mark.parametrize("subsample", [0, -1])
+    def test_subsample_below_one_rejected(self, subsample):
+        traces = [_trace([[0.5, 0.5], [0.4, 0.4]], [[-1.0, -1.0]] * 2)]
+        with pytest.raises(ValueError, match="subsample"):
+            lpgen.build_constraints(traces, lpgen.QuadraticTemplate(2),
+                                    1e-3, 1e-3, subsample=subsample)
 
 
 class TestSolve:
     def test_single_bound(self):
-        lp = _lp([([1.0], "<=", 1.0)], [1.0])
+        lp = _lp([[1.0]], [1.0], [1.0])
         sol = lpgen.solve_lp(lp)
         assert abs(sol[0] - 1.0) < 1e-9
 
     def test_infeasible(self):
-        lp = _lp([([1.0], ">=", 1.0), ([1.0], "<=", 0.0)], [1.0])
+        # x >= 1 and x <= 0
+        lp = _lp([[-1.0], [1.0]], [-1.0, 0.0], [1.0])
         assert lpgen.solve_lp(lp) is lpgen.INFEASIBLE
 
     def test_unbounded(self):
-        lp = _lp([([1.0], ">=", 0.0)], [1.0])
+        # x >= 0 only
+        lp = _lp([[-1.0]], [0.0], [1.0])
         with pytest.raises(lpgen.LPUnboundedError):
             lpgen.solve_lp(lp)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
-        rows = [(rng.uniform(-1, 1, size=3), "<=", float(rng.uniform(1, 2)))
-                for _ in range(40)]
-        lp = _lp(rows + [([1.0, 0, 0], ">=", -5.0), ([0, 1.0, 0], ">=", -5.0),
-                         ([0, 0, 1.0], ">=", -5.0)], [1.0, 1.0, 1.0])
+        rows, rhs = [], []
+        for _ in range(40):
+            rows.append(rng.uniform(-1, 1, size=3))
+            rhs.append(float(rng.uniform(1, 2)))
+        lp = _lp(rows + list(-np.eye(3)), rhs + [5.0] * 3, [1.0, 1.0, 1.0])
         a = lpgen.solve_lp(lp)
         b = lpgen.solve_lp(lp)
         assert np.array_equal(a, b)
@@ -96,15 +230,14 @@ class TestSolve:
         solved = 0
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            rows = [(rng.uniform(-1, 1, size=n), "<=",
-                     float(rng.uniform(0.5, 2)))
-                    for _ in range(int(rng.integers(4, 30)))]
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append((e, "<=", 3.0))
-                rows.append((e, ">=", -3.0))
-            lp = _lp(rows, rng.uniform(-1, 1, size=n))
+            rows, rhs = [], []
+            for _ in range(int(rng.integers(4, 30))):
+                rows.append(rng.uniform(-1, 1, size=n))
+                rhs.append(float(rng.uniform(0.5, 2)))
+            for e in np.eye(n):
+                rows += [e, -e]
+                rhs += [3.0, 3.0]
+            lp = _lp(rows, rhs, rng.uniform(-1, 1, size=n))
             sol = lpgen.solve_lp(lp)
             if sol is lpgen.INFEASIBLE:
                 continue
