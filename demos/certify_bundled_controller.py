@@ -35,8 +35,8 @@ violations = certify.certificate_grid_oracle(result, field)
 print("sampling oracle violations:", violations)
 
 # phase portrait with a few trajectories and the certified level set
-traces = sim.seed_traces(field, spec.safe_rect, 12, 10.0, 0.01, 0,
-                         exclude=spec.x0)
+traces = sim.seed_traces(field, spec.safe_rect, 12, certify.SIM_DURATION,
+                         certify.SIM_STEP, 0, exclude=spec.x0)
 with open("phase_portrait.svg", "w") as fh:
     fh.write(svgplot.render(spec, traces, result.candidate, result.level))
 print("wrote phase_portrait.svg")

@@ -24,6 +24,15 @@ from ._version import __version__
 GAMMA_DEFAULT = 1e-6
 DELTA_DEFAULT = 1e-3
 
+# The pipeline's fixed algorithm settings.
+BISECTION_STEPS = 30       # level probes before select_level gives up
+SIM_DURATION = 10.0        # length of every simulated trace
+SIM_STEP = 0.01            # RK4 step
+SUBSAMPLE = 10             # every SUBSAMPLE-th trace state gives LP rows
+EPS_POS = EPS_DEC = 1e-3   # LP margins of the value and decrease rows
+CEX_SPREAD = 0.05          # counterexample jitter, fraction of width
+ENCLOSING_INFLATION = 3.0  # enclosing box over the safe rectangle's radius
+
 
 class NotEllipsoidError(ValueError):
     """Quadratic part of the candidate is not positive definite."""
@@ -66,29 +75,20 @@ class SafetySpec:
     def domain_minus_x0(self):
         """Slab decomposition of safe_rect \\ X0 into at most 2n boxes."""
         slabs = []
-        n = self.arity
-        for dim in range(n):
-            lo_ivs = []
-            hi_ivs = []
-            for j in range(n):
-                if j < dim:
-                    lo_ivs.append(self.x0[j])
-                    hi_ivs.append(self.x0[j])
-                elif j == dim:
-                    lo_ivs.append(sx.Interval(self.safe_rect[j].lo, self.x0[j].lo))
-                    hi_ivs.append(sx.Interval(self.x0[j].hi, self.safe_rect[j].hi))
-                else:
-                    lo_ivs.append(self.safe_rect[j])
-                    hi_ivs.append(self.safe_rect[j])
-            slabs.append(sx.Box(tuple(lo_ivs)))
-            slabs.append(sx.Box(tuple(hi_ivs)))
+        for dim, (inner, outer) in enumerate(zip(self.x0, self.safe_rect)):
+            # X0's extent below dim, the safe rectangle's above it.
+            base = sx.Box(self.x0.intervals[:dim]
+                          + self.safe_rect.intervals[dim:])
+            slabs.append(base.replace(dim, sx.Interval(outer.lo, inner.lo)))
+            slabs.append(base.replace(dim, sx.Interval(inner.hi, outer.hi)))
         return slabs
 
-    def enclosing_box(self, inflation=3.0):
+    def enclosing_box(self):
         ivs = []
         for iv in self.safe_rect:
             c, r = iv.mid, 0.5 * iv.width
-            ivs.append(sx.Interval(c - inflation * r, c + inflation * r))
+            ivs.append(sx.Interval(c - ENCLOSING_INFLATION * r,
+                                   c + ENCLOSING_INFLATION * r))
         return sx.Box(tuple(ivs))
 
     def to_dict(self):
@@ -103,33 +103,43 @@ def default_spec():
                       sx.box((-1.0, 1.0), (-math.pi / 2, math.pi / 2)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifyConfig:
+    """The settings a caller chooses, checked when it is built; the rest
+    are module constants."""
     gamma: float = GAMMA_DEFAULT
     delta: float = DELTA_DEFAULT
     seed: int = 0
     max_iterations: int = 20
-    bisection_budget: int = 30
     n_seed_traces: int = 20
-    sim_duration: float = 10.0
-    sim_step: float = 0.01
-    subsample: int = 10
-    eps_pos: float = 1e-3
-    eps_dec: float = 1e-3
-    box_budget: int = 10_000_000
-    cex_spread: float = 0.05       # counterexample jitter, fraction of width
+
+    def __post_init__(self):
+        for name, ok in (("gamma", 0 < self.gamma < math.inf),
+                         ("delta", 0 < self.delta < math.inf),
+                         ("max_iterations", self.max_iterations >= 0),
+                         ("n_seed_traces", self.n_seed_traces >= 1)):
+            if not ok:
+                raise ValueError(
+                    "%s=%r: gamma and delta must be finite and > 0, "
+                    "max_iterations >= 0 and n_seed_traces >= 1"
+                    % (name, getattr(self, name)))
 
 
 @dataclass
 class QueryTranscript:
     name: str
-    formula: str
+    phi: dsat.Formula
     domains: list
     delta: float
     verdict: str
     witness: object
     boxes_explored: int
     wall_time: float
+
+    @property
+    def formula(self):
+        """The formula's text, rendered when read."""
+        return self.phi.to_text()
 
     def to_dict(self):
         return {
@@ -247,60 +257,48 @@ def lie_derivative(cand, f):
     return acc
 
 
-def _check_boxes(name, formula, boxes, delta, box_budget):
-    """UNSAT iff every sub-box is UNSAT; first DELTA_SAT (by box index) wins."""
+def _query(name, lhs, rel, rhs, boxes, delta):
+    """Exists x in one of boxes with lhs(x) rel rhs?  UNSAT iff every box is
+    UNSAT; the first DELTA_SAT box (by index) gives the witness."""
+    phi = dsat.Formula(boxes[0].arity, dsat.Constraint(lhs, rel, rhs))
     total = 0
     wall = 0.0
     for bx in boxes:
-        r = dsat.check(formula, bx, delta, max_boxes=box_budget)
+        r = dsat.check(phi, bx, delta)
         total += r.boxes_explored
         wall += r.wall_time
         if r.verdict == "DELTA_SAT":
-            return QueryTranscript(name, formula.to_text(), list(boxes), delta,
+            return QueryTranscript(name, phi, list(boxes), delta,
                                    "DELTA_SAT", r.witness, total, wall)
-    return QueryTranscript(name, formula.to_text(), list(boxes), delta,
+    return QueryTranscript(name, phi, list(boxes), delta,
                            "UNSAT", None, total, wall)
 
 
-def query_decrease(cand, f, spec, gamma=GAMMA_DEFAULT, delta=DELTA_DEFAULT,
-                   box_budget=10_000_000):
+def query_decrease(cand, f, spec, gamma=GAMMA_DEFAULT, delta=DELTA_DEFAULT):
     """Exists x in D\\X0 with grad v . f(x) >= -gamma?  UNSAT certifies the
     decrease condition on the search domain."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    lie = lie_derivative(cand, f)
-    formula = dsat.Formula(spec.arity,
-                           dsat.Constraint(lie, ">=", -gamma))
-    return _check_boxes("decrease", formula, spec.domain_minus_x0(),
-                        delta, box_budget)
+    return _query("decrease", lie_derivative(cand, f), ">=", -gamma,
+                  spec.domain_minus_x0(), delta)
 
 
-def query_init_containment(cand, level, x0, delta=DELTA_DEFAULT,
-                           box_budget=10_000_000):
+def query_init_containment(cand, level, x0, delta=DELTA_DEFAULT):
     """Exists x in X0 with v(x) - level > 0?  UNSAT certifies X0 within L.
     The strict relation is checked through its closed relaxation."""
-    formula = dsat.Formula(x0.arity,
-                           dsat.Constraint(cand.expr, ">=", level))
-    return _check_boxes("init_containment", formula, [x0], delta, box_budget)
+    return _query("init_containment", cand.expr, ">=", level, [x0], delta)
 
 
-def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT,
-                          box_budget=10_000_000):
+def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT):
     """Exists x in U (within the enclosing search box) with v(x) <= level?
-    UNSAT on all four halfspace slabs certifies L and U disjoint."""
+    UNSAT on the 2n slabs beyond the safe rectangle's faces certifies L and
+    U disjoint."""
     enclosing = spec.enclosing_box()
     boxes = []
-    for a, b in spec.unsafe_halfspaces():
-        dim = int(np.argmax(np.abs(a)))
-        iv = enclosing[dim]
-        if a[dim] > 0:
-            slab_iv = sx.Interval(b, max(iv.hi, b))
-        else:
-            slab_iv = sx.Interval(min(iv.lo, -b), -b)
-        boxes.append(enclosing.replace(dim, slab_iv))
-    formula = dsat.Formula(spec.arity,
-                           dsat.Constraint(cand.expr, "<=", level))
-    return _check_boxes("unsafe_disjoint", formula, boxes, delta, box_budget)
+    for dim, (safe, env) in enumerate(zip(spec.safe_rect, enclosing)):
+        boxes.append(enclosing.replace(dim, sx.Interval(safe.hi, env.hi)))
+        boxes.append(enclosing.replace(dim, sx.Interval(env.lo, safe.lo)))
+    return _query("unsafe_disjoint", cand.expr, "<=", level, boxes, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +341,13 @@ def vertex_max(cand, x0):
 NO_LEVEL = None
 
 
-def select_level(cand, spec, delta=DELTA_DEFAULT, budget=30,
-                 box_budget=10_000_000):
+def select_level(cand, spec, delta=DELTA_DEFAULT):
     """Binary search for a level with X0 inside L and L disjoint from U.
 
-    Returns (level, transcripts) or (NO_LEVEL, transcripts).  The feasible
-    range is (vertex_max, min halfspace minimum); the vertex condition is
-    necessary but not sufficient, so each probe is confirmed by both set
-    queries.
+    Returns (level, transcripts), or (NO_LEVEL, transcripts) after
+    BISECTION_STEPS rejected probes.  The feasible range is (vertex_max,
+    min halfspace minimum); the vertex condition is necessary but not
+    sufficient, so each probe is confirmed by both set queries.
     """
     vmax = vertex_max(cand, spec.x0)
     hmin = min(halfspace_min(cand, a, b) for a, b in spec.unsafe_halfspaces())
@@ -358,13 +355,13 @@ def select_level(cand, spec, delta=DELTA_DEFAULT, budget=30,
     if not hmin > vmax:
         return NO_LEVEL, transcripts
     lo, hi = vmax, hmin
-    for _ in range(budget):
+    for _ in range(BISECTION_STEPS):
         level = 0.5 * (lo + hi)
-        t2 = query_init_containment(cand, level, spec.x0, delta, box_budget)
+        t2 = query_init_containment(cand, level, spec.x0, delta)
         if t2.verdict != "UNSAT":
             lo = level          # L too small: grow it
             continue
-        t3 = query_unsafe_disjoint(cand, level, spec, delta, box_budget)
+        t3 = query_unsafe_disjoint(cand, level, spec, delta)
         if t3.verdict != "UNSAT":
             hi = level          # L touches U: shrink it
             continue
@@ -387,33 +384,29 @@ def find_generator(spec, f, config):
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     traces = sim.seed_traces(f, spec.safe_rect, config.n_seed_traces,
-                             config.sim_duration, config.sim_step,
-                             config.seed, exclude=spec.x0)
+                             SIM_DURATION, SIM_STEP, config.seed,
+                             exclude=spec.x0)
     lp_region = (spec.safe_rect, spec.x0)
     for iteration in range(1, config.max_iterations + 1):
-        lp = lpgen.build_constraints(traces, tmpl, config.eps_pos,
-                                     config.eps_dec,
-                                     subsample=config.subsample,
-                                     region=lp_region)
+        lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
+                                     subsample=SUBSAMPLE, region=lp_region)
         sol = lpgen.solve_lp(lp)
         if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
             raise NoCandidateError("LP %s at iteration %d" % (
                 "infeasible" if sol is lpgen.INFEASIBLE else
                 "margin nonpositive", iteration))
         cand = lpgen.candidate_from(sol[:-1], tmpl)
-        transcript = query_decrease(cand, f, spec, config.gamma, config.delta,
-                                    config.box_budget)
+        transcript = query_decrease(cand, f, spec, config.gamma, config.delta)
         if transcript.verdict == "UNSAT":
             return cand, transcript, iteration
         cex = transcript.witness.midpoint()
-        traces.extend(sim.simulate_batch(
-            f, _cex_cluster(cex, spec, config.cex_spread),
-            config.sim_duration, config.sim_step))
+        traces.extend(sim.simulate_batch(f, _cex_cluster(cex, spec),
+                                         SIM_DURATION, SIM_STEP))
     raise NoCandidateError("no candidate within %d iterations"
                            % config.max_iterations)
 
 
-def _cex_cluster(cex, spec, spread):
+def _cex_cluster(cex, spec):
     """The counterexample plus axis-aligned neighbors.
 
     A lone trace head only refutes a tiny neighborhood, which lets the
@@ -421,14 +414,12 @@ def _cex_cluster(cex, spec, spread):
     time; jittered restarts knock out the whole stretch at once.
     """
     pts = [np.asarray(cex, dtype=float)]
-    if spread <= 0:
-        return pts
     for dim, iv in enumerate(spec.safe_rect):
         for sign in (-1.0, 1.0):
+            # cex lies in the safe rectangle, so only dim can leave it.
             p = np.array(cex, dtype=float)
-            p[dim] += sign * spread * iv.width
-            p = np.array([min(max(v, b.lo), b.hi)
-                          for v, b in zip(p, spec.safe_rect)])
+            p[dim] = min(max(p[dim] + sign * CEX_SPREAD * iv.width, iv.lo),
+                         iv.hi)
             if not spec.x0.contains(p):
                 pts.append(p)
     return pts
@@ -445,9 +436,7 @@ def verify(spec, f, config=None, controller_hash=""):
     try:
         cand, t1, iterations = find_generator(spec, f, config)
         transcripts["decrease"] = t1
-        level, level_transcripts = select_level(
-            cand, spec, config.delta, config.bisection_budget,
-            config.box_budget)
+        level, level_transcripts = select_level(cand, spec, config.delta)
     except NoCandidateError as exc:
         return Inconclusive("no_candidate", str(exc))
     except dsat.BudgetExhausted as exc:

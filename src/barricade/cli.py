@@ -99,7 +99,8 @@ def cmd_plot(args):
             raise SystemExit("error: trace arity does not match system")
     else:
         traces = sim.seed_traces(field, spec.safe_rect, args.count,
-                                 10.0, 0.01, args.seed, exclude=spec.x0)
+                                 certify.SIM_DURATION, certify.SIM_STEP,
+                                 args.seed, exclude=spec.x0)
     candidate = level = None
     if args.certificate:
         cert = certify.load_certificate(args.certificate)

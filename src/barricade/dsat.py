@@ -24,6 +24,8 @@ TRUE, FALSE, UNKNOWN = 1, 0, -1
 
 EMPTY = None
 
+PRUNE_ROUNDS = 3   # contraction rounds per box in prune
+
 
 class BudgetExhausted(RuntimeError):
     """Box budget ran out before a verdict was reached."""
@@ -254,18 +256,19 @@ class _Query:
         self.conj = _conjuncts(self.root)
 
 
-def prune(query, box, rounds=3):
+def prune(query, box):
     """Contract box (a list of (lo, hi) pairs) in place against a _Query.
 
     Returns EMPTY (None) when the box is refuted, else the box and its
-    status, None when the last round still contracted it.  Each round runs
-    forward interval evaluation plus the HC4 backward pass for every
-    conjunct; a formula with a disjunction only gets forward refutation.
+    status, None when the last round still contracted it.  Each of up to
+    PRUNE_ROUNDS rounds runs forward interval evaluation plus the HC4
+    backward pass for every conjunct; a formula with a disjunction only
+    gets forward refutation.
     """
     if query.conj is None:
         status = _status(query.root, box)
         return EMPTY if status == FALSE else (box, status)
-    for _ in range(rounds):
+    for _ in range(PRUNE_ROUNDS):
         prev = list(box)
         status = TRUE
         for atom in query.conj:

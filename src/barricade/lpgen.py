@@ -133,8 +133,7 @@ def _interleave(a, b):
 def _in_region(x, region):
     """Mask of the rows of x inside `outer` and not inside `inner`."""
     outer, inner = region
-    keep = _inside(x, outer)
-    return keep if inner is None else keep & ~_inside(x, inner)
+    return _inside(x, outer) & ~_inside(x, inner)
 
 
 def _inside(x, box):

@@ -112,8 +112,8 @@ def _trace_header(n):
             + ["dx%d" % i for i in range(n)])
 
 
-def write_trace_csv(trace, path, mode="w"):
-    with open(path, mode, newline="") as fh:
+def write_trace_csv(trace, path):
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_trace_header(trace.states.shape[1]))
         for t, x, dx in zip(trace.times, trace.states, trace.derivs):

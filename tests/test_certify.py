@@ -1,5 +1,6 @@
 """Certification pipeline: queries, level selection, CEGIS, certificates."""
 
+import dataclasses
 import json
 import math
 
@@ -191,6 +192,65 @@ class TestLevelAnalytics:
                                   sx.box((-1.0, 1.0), (-1.0, 1.0)))
         level, _ = certify.select_level(cand, spec)
         assert level is certify.NO_LEVEL
+
+
+class TestBisection:
+    """select_level's branches, counted through the level probes."""
+
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        log = []
+        for name in ("query_init_containment", "query_unsafe_disjoint"):
+            def probe(*args, _query=getattr(certify, name)):
+                t = _query(*args)
+                log.append((t.name, t.verdict))
+                return t
+            monkeypatch.setattr(certify, name, probe)
+        return log
+
+    # v = x^2 + 1.8xy + y^2, whose minimum on a face of the safe rectangle
+    # barely clears its maximum over X0 at r = 0.2295.
+    @pytest.mark.parametrize("r, delta, found, n_init, n_unsafe", [
+        (0.2295, 1e-3, False, 30, 30),   # every unsafe probe fails: hi moves
+        (0.24, 1e-3, True, 1, 1),        # the first probe holds
+        (0.3, 1e-2, True, 6, 6),         # hi moves, then a probe holds
+        (0.25, 5e-2, False, 30, 15),     # coarse delta: lo moves 15 times
+    ])
+    def test_probes(self, probes, r, delta, found, n_init, n_unsafe):
+        cand = lpgen.candidate_from([1.0, 0.9, 1.0, 0.0, 0.0, 0.0],
+                                    lpgen.QuadraticTemplate(2))
+        spec = certify.SafetySpec(sx.box((0.0, 0.1), (-0.1, 0.0)),
+                                  sx.box((-r, r), (-r, r)))
+        level, transcripts = certify.select_level(cand, spec, delta)
+        inits = [v for name, v in probes if name == "init_containment"]
+        unsafes = [v for name, v in probes if name == "unsafe_disjoint"]
+        assert (len(inits), len(unsafes)) == (n_init, n_unsafe)
+        if not found:
+            assert level is certify.NO_LEVEL and transcripts == {}
+            assert len(inits) == certify.BISECTION_STEPS
+            assert "UNSAT" not in unsafes
+            return
+        assert probes[-2:] == [("init_containment", "UNSAT"),
+                               ("unsafe_disjoint", "UNSAT")]
+        assert certify.vertex_max(cand, spec.x0) < level < min(
+            certify.halfspace_min(cand, a, b)
+            for a, b in spec.unsafe_halfspaces())
+        assert {n: t.verdict for n, t in transcripts.items()} == {
+            "init_containment": "UNSAT", "unsafe_disjoint": "UNSAT"}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": 0.0}, {"gamma": -1e-6}, {"gamma": math.inf},
+        {"delta": 0.0}, {"delta": math.nan}, {"max_iterations": -1},
+        {"n_seed_traces": 0}])
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="^%s=" % next(iter(kwargs))):
+            certify.CertifyConfig(**kwargs)
+
+    def test_not_changed_after_the_check(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            certify.CertifyConfig().gamma = 0.0
 
 
 class TestCegis:

@@ -67,6 +67,17 @@ class TestVerifyCmd:
                        "--out", str(tmp_path / "c.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [
+        "--max-iters=-1", "--gamma=0", "--gamma=-1e-6", "--gamma=inf",
+        "--delta=0", "--delta=nan"])
+    def test_invalid_setting_errors(self, tmp_path, hand_nn, capsys, flag):
+        out = tmp_path / "c.json"
+        rc = cli.main(["verify", "--nn", hand_nn, flag, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_corrupt_network_errors(self, tmp_path):
         bad = tmp_path / "nn.json"
         bad.write_text("{broken")
