@@ -1,9 +1,16 @@
 """End-to-end certification: CEGIS loop for the generator function, level
 selection by binary search, final set queries and certificate emission.
 
-The pipeline mirrors the simulate -> solve LP -> interval-check cycle:
-a counterexample box from the decrease query is turned into a fresh
-simulation whose points tighten the next LP.
+The pipeline mirrors the simulate -> solve LP -> interval-check cycle.
+Each LP candidate is first falsified by sampling: its Lie derivative is
+evaluated on a fixed sample of D \\ X0 (FALSIFY_POINTS points, seeded by
+the config seed) and on the trace states between the LP's rows.  Up to
+MAX_CEX points where it is >= -gamma, worst first and CEX_SPREAD apart,
+become the starts of fresh simulations, all in one batch, whose points
+tighten the next LP.  Only a candidate that sampling cannot refute goes
+to the decrease query, whose witness box is fed back the same way.
+Sampling never certifies: a candidate leaves the loop only on the
+query's UNSAT.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ SIM_STEP = 0.01            # RK4 step
 SUBSAMPLE = 10             # every SUBSAMPLE-th trace state gives LP rows
 EPS_POS = EPS_DEC = 1e-3   # LP margins of the value and decrease rows
 CEX_SPREAD = 0.05          # counterexample jitter, fraction of width
+FALSIFY_POINTS = 2000      # fixed sample of D \ X0 tried on every candidate
+MAX_CEX = 8                # counterexample clusters simulated per round
 ENCLOSING_INFLATION = 3.0  # enclosing box over the safe rectangle's radius
 
 
@@ -165,6 +174,7 @@ class Certificate:
     spec: SafetySpec
     controller_hash: str
     iterations: int
+    refuted: dict = None   # {"sampling": s, "dsat": d}: who refuted a round
     version: str = __version__
 
     def barrier_value(self, x):
@@ -185,6 +195,7 @@ class Certificate:
             "gamma": self.gamma,
             "delta": self.delta,
             "iterations": self.iterations,
+            "refuted": self.refuted,
             "spec": self.spec.to_dict(),
             "controller_hash": self.controller_hash,
             "queries": {k: t.to_dict() for k, t in self.transcripts.items()},
@@ -201,7 +212,7 @@ def load_certificate(path):
     grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
     when a field is missing, ill-typed, non-finite or inconsistent; queries
     are not re-run, and neither their formula text nor the version is
-    read."""
+    read; the refuted counts are read when present."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -228,9 +239,12 @@ def load_certificate(path):
                                for k in ("level", "gamma", "delta"))
         if not all(map(math.isfinite, (level, gamma, delta))):
             raise ValueError("level, gamma and delta must be finite")
+        refuted = data.get("refuted")    # absent from 0.2.0 files
+        if refuted is not None:
+            refuted = {k: int(refuted[k]) for k in ("sampling", "dsat")}
         return Certificate(cand, level, gamma, delta, {}, spec,
                            str(data["controller_hash"]),
-                           int(data["iterations"]),
+                           int(data["iterations"]), refuted,
                            str(data.get("version", "?")))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed certificate %s: %s %s"
@@ -377,16 +391,25 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
 
 def find_generator(spec, f, config):
     """Iterate LP candidates against the decrease query, folding each
-    counterexample back in as a fresh simulation.
+    round's counterexamples back in as fresh simulations.
 
-    Returns (candidate, decrease_transcript, iterations) or raises
-    NoCandidateError.
+    Each candidate is first falsified by sampling its Lie derivative; dsat
+    runs only when sampling finds nothing, so a candidate is returned only
+    on an exact UNSAT.  Returns (candidate, decrease_transcript,
+    iterations, refuted), where refuted counts the rounds refuted by
+    "sampling" and by "dsat", or raises NoCandidateError.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     traces = sim.seed_traces(f, spec.safe_rect, config.n_seed_traces,
                              SIM_DURATION, SIM_STEP, config.seed,
                              exclude=spec.x0)
+    # Its own stream of config.seed, so the seed traces do not move.
+    sample = sim.sample_box(
+        np.random.default_rng(np.random.SeedSequence(config.seed,
+                                                     spawn_key=(1,))),
+        spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
     lp_region = (spec.safe_rect, spec.x0)
+    refuted = {"sampling": 0, "dsat": 0}
     for iteration in range(1, config.max_iterations + 1):
         lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
                                      subsample=SUBSAMPLE, region=lp_region)
@@ -396,14 +419,43 @@ def find_generator(spec, f, config):
                 "infeasible" if sol is lpgen.INFEASIBLE else
                 "margin nonpositive", iteration))
         cand = lpgen.candidate_from(sol[:-1], tmpl)
-        transcript = query_decrease(cand, f, spec, config.gamma, config.delta)
-        if transcript.verdict == "UNSAT":
-            return cand, transcript, iteration
-        cex = transcript.witness.midpoint()
-        traces.extend(sim.simulate_batch(f, _cex_cluster(cex, spec),
-                                         SIM_DURATION, SIM_STEP))
+        # Trace states midway between the LP's rows, in the LP's region.
+        mid = np.concatenate([tr.states[SUBSAMPLE // 2::SUBSAMPLE]
+                              for tr in traces])
+        cex = falsify(lie_derivative(cand, f), np.concatenate(
+            [mid[lpgen.in_region(mid, lp_region)], sample]),
+            spec, config.gamma)
+        if cex:
+            refuted["sampling"] += 1
+        else:
+            transcript = query_decrease(cand, f, spec, config.gamma,
+                                        config.delta)
+            if transcript.verdict == "UNSAT":
+                return cand, transcript, iteration, refuted
+            refuted["dsat"] += 1
+            cex = [transcript.witness.midpoint()]
+        traces.extend(sim.simulate_batch(
+            f, [p for x in cex for p in _cex_cluster(x, spec)],
+            SIM_DURATION, SIM_STEP))
     raise NoCandidateError("no candidate within %d iterations"
                            % config.max_iterations)
+
+
+def falsify(lie, points, spec, gamma):
+    """Counterexamples to the decrease condition among `points`, an (m, n)
+    array: those where `lie` is >= -gamma, worst first, at most MAX_CEX of
+    them.  A point within CEX_SPREAD of one already taken, in every
+    dimension as a fraction of the safe rectangle's width, is skipped:
+    that one's cluster covers it."""
+    values = sx.compile_expr(lie)(points.T)
+    bad = np.flatnonzero(values >= -gamma)
+    left = points[bad[np.argsort(-values[bad], kind="stable")]]
+    reach = CEX_SPREAD * np.array([iv.width for iv in spec.safe_rect])
+    taken = []
+    while len(left) and len(taken) < MAX_CEX:
+        taken.append(left[0])
+        left = left[(np.abs(left - left[0]) >= reach).any(axis=1)]
+    return taken
 
 
 def _cex_cluster(cex, spec):
@@ -434,7 +486,7 @@ def verify(spec, f, config=None, controller_hash=""):
     config = config or CertifyConfig()
     transcripts, iterations = {}, 0
     try:
-        cand, t1, iterations = find_generator(spec, f, config)
+        cand, t1, iterations, refuted = find_generator(spec, f, config)
         transcripts["decrease"] = t1
         level, level_transcripts = select_level(cand, spec, config.delta)
     except NoCandidateError as exc:
@@ -453,7 +505,7 @@ def verify(spec, f, config=None, controller_hash=""):
                             transcripts, iterations)
     transcripts.update(level_transcripts)
     return Certificate(cand, level, config.gamma, config.delta, transcripts,
-                       spec, controller_hash, iterations)
+                       spec, controller_hash, iterations, refuted)
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,10 @@ def cmd_verify(args):
     result = _run_verify(field, spec, net, args)
     if isinstance(result, certify.Certificate):
         result.save(args.out)
-        print("certified: level=%g iterations=%d -> %s"
-              % (result.level, result.iterations, args.out))
+        print("certified: level=%g iterations=%d (refuted by sampling %d, "
+              "by dsat %d) -> %s"
+              % (result.level, result.iterations, result.refuted["sampling"],
+                 result.refuted["dsat"], args.out))
         return 0
     print("inconclusive at stage %r: %s" % (result.stage, result.detail))
     return 2

@@ -106,7 +106,7 @@ def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
     dx = np.concatenate([tr.derivs[::subsample] for tr in traces])
     head = np.concatenate([np.arange(0, len(tr), subsample) == 0
                            for tr in traces])
-    keep = np.ones(len(x), bool) if region is None else _in_region(x, region)
+    keep = np.ones(len(x), bool) if region is None else in_region(x, region)
     # Trace heads escape the stride: counterexample traces start exactly
     # at the state the last candidate failed on.
     points = np.flatnonzero(keep & ~head)
@@ -130,7 +130,7 @@ def _interleave(a, b):
     return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
 
 
-def _in_region(x, region):
+def in_region(x, region):
     """Mask of the rows of x inside `outer` and not inside `inner`."""
     outer, inner = region
     return _inside(x, outer) & ~_inside(x, inner)

@@ -95,16 +95,31 @@ def seed_traces(field, region, count, duration, step, rng_seed, exclude=None):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
+    starts = sample_box(np.random.default_rng(rng_seed), region, count,
+                        exclude)
+    return simulate_batch(field, starts, duration, step)
+
+
+def sample_box(rng, region, count, exclude=None):
+    """(count, n) points drawn uniformly from the box `region`, those in
+    the box `exclude` rejected.  They are the points that drawing one at a
+    time from rng and skipping the excluded ones would keep, in that order.
+    Raises ValueError when `region` lies inside `exclude`, where no draw
+    could be kept."""
     lows = np.array([iv.lo for iv in region])
     highs = np.array([iv.hi for iv in region])
-    starts = []
-    while len(starts) < count:
-        x0 = rng.uniform(lows, highs)
-        if exclude is not None and exclude.contains(x0):
-            continue
-        starts.append(x0)
-    return simulate_batch(field, starts, duration, step)
+    if exclude is None:
+        return rng.uniform(lows, highs, size=(count, len(lows)))
+    ex_lo = np.array([iv.lo for iv in exclude])
+    ex_hi = np.array([iv.hi for iv in exclude])
+    if ((ex_lo <= lows) & (highs <= ex_hi)).all():
+        raise ValueError("the sampled region lies inside the excluded box")
+    points = np.empty((0, len(lows)))
+    while len(points) < count:
+        x = rng.uniform(lows, highs, size=(count, len(lows)))
+        points = np.concatenate(
+            [points, x[~((ex_lo <= x) & (x <= ex_hi)).all(axis=1)]])
+    return points[:count]
 
 
 def _trace_header(n):

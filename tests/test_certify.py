@@ -1,6 +1,7 @@
 """Certification pipeline: queries, level selection, CEGIS, certificates."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -262,20 +263,118 @@ class TestCegis:
 
     def test_toy_field_converges_quickly(self):
         cfg = certify.CertifyConfig()
-        cand, transcript, iters = certify.find_generator(
+        cand, transcript, iters, _ = certify.find_generator(
             _square_spec(), _contraction_field(), cfg)
         assert iters <= 3
         assert transcript.verdict == "UNSAT"
 
     def test_determinism(self):
         cfg = certify.CertifyConfig(seed=5)
-        a, _, _ = certify.find_generator(_square_spec(),
-                                         _contraction_field(), cfg)
-        b, _, _ = certify.find_generator(_square_spec(),
-                                         _contraction_field(), cfg)
+        a, _, _, _ = certify.find_generator(_square_spec(),
+                                            _contraction_field(), cfg)
+        b, _, _, _ = certify.find_generator(_square_spec(),
+                                            _contraction_field(), cfg)
         assert np.array_equal(a.p_matrix, b.p_matrix)
         assert np.array_equal(a.q_vector, b.q_vector)
         assert a.c_scalar == b.c_scalar
+
+
+class TestFalsify:
+    def test_worst_first_spread_and_cap(self):
+        # L(x) = x0 on the default spec: every point with x0 >= -gamma is
+        # a counterexample, the largest x0 first.
+        spec = certify.default_spec()
+        reach = certify.CEX_SPREAD * spec.safe_rect[0].width
+        pts = np.array([[0.5, 0.0], [0.9, 0.0], [0.9 - 0.5 * reach, 0.01],
+                        [0.9 - 0.5 * reach, 1.0], [-0.5, 0.0]])
+        cex = certify.falsify(sx.var(0), pts, spec, 1e-6)
+        assert [p.tolist() for p in cex] == [pts[1].tolist(),
+                                             pts[3].tolist(),
+                                             pts[0].tolist()]
+        many = np.column_stack([np.linspace(0.0, 1.0, 200), np.zeros(200)])
+        cex = certify.falsify(sx.var(0), many, spec, 1e-6)
+        assert len(cex) == certify.MAX_CEX
+        assert cex[0].tolist() == [1.0, 0.0]
+
+    def test_nothing_below_minus_gamma(self):
+        spec = certify.default_spec()
+        pts = np.array([[-0.5, 0.0], [-1e-5, 0.3]])
+        assert certify.falsify(sx.var(0), pts, spec, 1e-6) == []
+
+
+@functools.lru_cache(maxsize=None)
+def _nn10_field():
+    net = nn.load(cli.bundled_controller_path(10))
+    return plant.dubins_closed_loop(plant.DubinsParams(), net)
+
+
+@functools.lru_cache(maxsize=None)
+def _cegis_nn10(seed):
+    """nn10 from two seed traces, where CEGIS needs several rounds."""
+    return certify.verify(certify.default_spec(), _nn10_field(),
+                          certify.CertifyConfig(seed=seed, n_seed_traces=2))
+
+
+def _without_wall_times(cert):
+    d = cert.to_dict()
+    for q in d["queries"].values():
+        del q["wall_time"]
+    return json.dumps(d)
+
+
+class TestCounterexampleSources:
+    @pytest.mark.parametrize("seed, most", [(0, 11), (2, 9), (3, 6)])
+    def test_iteration_gate(self, seed, most):
+        # `most`: the iterations these configs took with dsat alone
+        out = _cegis_nn10(seed)
+        assert isinstance(out, certify.Certificate)
+        assert out.iterations <= most
+        assert all(t.verdict == "UNSAT" for t in out.transcripts.values())
+        assert certify.certificate_grid_oracle(out, _nn10_field()) == {
+            "boundary": 0, "x0": 0, "unsafe": 0}
+
+    def test_refuted_counts(self):
+        out = _cegis_nn10(0)
+        assert out.refuted["sampling"] > 0
+        assert (out.refuted["sampling"] + out.refuted["dsat"]
+                == out.iterations - 1)
+        assert out.to_dict()["refuted"] == out.refuted
+        # one round, so nothing refuted
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=1))
+        assert out.iterations == 1
+        assert out.refuted == {"sampling": 0, "dsat": 0}
+
+    def test_sampling_never_certifies(self, monkeypatch):
+        # dsat refutes every candidate: sampling alone must not certify,
+        # and every round that sampling lets through must reach dsat.
+        rounds, dsat_calls = [], []
+        falsify = certify.falsify
+
+        def recorded(*args):
+            rounds.append(falsify(*args))
+            return rounds[-1]
+
+        def always_sat(phi, domain, delta, max_boxes=None):
+            dsat_calls.append(domain)
+            return dsat.DsatResult("DELTA_SAT", domain, 1, 0.0)
+        monkeypatch.setattr(certify, "falsify", recorded)
+        monkeypatch.setattr(dsat, "check", always_sat)
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=0, n_seed_traces=2,
+                                                   max_iterations=6))
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "no_candidate"
+        assert len(rounds) == 6
+        # the first slab's DELTA_SAT ends each query
+        assert len(dsat_calls) == sum(not cex for cex in rounds) > 0
+        assert any(rounds)
+
+    def test_one_seed_one_certificate(self):
+        again = certify.verify(certify.default_spec(), _nn10_field(),
+                               certify.CertifyConfig(seed=3, n_seed_traces=2))
+        assert _without_wall_times(again) == _without_wall_times(
+            _cegis_nn10(3))
 
 
 class TestVerify:
@@ -359,7 +458,8 @@ class TestVerify:
 
 def _certificate_dict():
     cert = certify.Certificate(_identity_candidate(), 0.5, 1e-3, 1e-3, {},
-                               certify.default_spec(), "abc", 1)
+                               certify.default_spec(), "abc", 3,
+                               {"sampling": 2, "dsat": 0})
     return cert.to_dict()
 
 
@@ -378,6 +478,17 @@ class TestCertificateFile:
         back = certify.load_certificate(path)
         assert back.to_dict() == _certificate_dict()
 
+    def test_file_without_refuted_counts_loads(self, tmp_path):
+        # 0.2.0 files predate the counts
+        data = _certificate_dict()
+        del data["refuted"]
+        data["version"] = "0.2.0"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        back = certify.load_certificate(path)
+        assert back.refuted is None
+        assert back.iterations == 3
+
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("generator"),
         _set(("generator", "grad"), 5),
@@ -395,10 +506,13 @@ class TestCertificateFile:
         _set(("level",), math.inf),
         _set(("gamma",), math.nan),
         _set(("delta",), -math.inf),
+        _set(("refuted",), {"sampling": 1}),
+        _set(("refuted",), 2),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
-            "level_inf", "gamma_nan", "delta_neg_inf"])
+            "level_inf", "gamma_nan", "delta_neg_inf", "refuted_partial",
+            "refuted_int"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)

@@ -55,12 +55,15 @@ class TestTrainCmd:
 
 
 class TestVerifyCmd:
-    def test_certifies_hand_controller(self, tmp_path, hand_nn):
+    def test_certifies_hand_controller(self, tmp_path, hand_nn, capsys):
         out = tmp_path / "certificate.json"
         rc = cli.main(["verify", "--nn", hand_nn, "--out", str(out)])
         assert rc == 0
         cert = certify.load_certificate(out)
         assert cert.level > 0
+        assert ("(refuted by sampling %d, by dsat %d)"
+                % (cert.refuted["sampling"], cert.refuted["dsat"])
+                in capsys.readouterr().out)
 
     def test_zero_iteration_budget_inconclusive(self, tmp_path, hand_nn):
         rc = cli.main(["verify", "--nn", hand_nn, "--max-iters", "0",

@@ -1,6 +1,7 @@
 """RK4 integration, trace generation, CSV round-trip."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ class TestSeedTraces:
             x0 = tr.states[0]
             assert region.contains(x0)
             assert not inner.contains(x0)
+
+
+    def test_region_inside_exclude_raises(self):
+        # No draw could be kept: this looped forever before the check.
+        field = _dubins_zero_controller()
+        region = sx.box((-1.0, 1.0), (-0.5, 0.5))
+
+        def hung(signum, frame):
+            raise TimeoutError("seed_traces did not return within 10 s")
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            for exclude in (region, sx.box((-2.0, 1.0), (-0.5, 3.0))):
+                with pytest.raises(ValueError):
+                    sim.seed_traces(field, region, 2, 0.1, 0.01, 0,
+                                    exclude=exclude)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestCsv:
