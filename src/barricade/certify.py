@@ -253,7 +253,8 @@ def load_certificate(path):
 
 @dataclass
 class Inconclusive:
-    stage: str   # "no_candidate" | "no_level" | "budget" | "simulation" | "lp_unbounded"
+    stage: str   # "no_candidate" | "no_level" | "budget" | "simulation" |
+                 # "lp" | "lp_unbounded"
     detail: str
     transcripts: dict = field(default_factory=dict)
     iterations: int = 0
@@ -497,6 +498,8 @@ def verify(spec, f, config=None, controller_hash=""):
         return Inconclusive("simulation", str(exc))
     except lpgen.LPUnboundedError as exc:
         return Inconclusive("lp_unbounded", str(exc))
+    except lpgen.PivotLimitError as exc:
+        return Inconclusive("lp", str(exc))
     except NotEllipsoidError as exc:
         return Inconclusive("no_level", str(exc), transcripts, iterations)
     if level is NO_LEVEL:

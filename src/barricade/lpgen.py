@@ -24,6 +24,7 @@ COEFF_BOUND = 1.0
 MARGIN_BOUND = 10.0
 MAX_POINTS = 4000   # trace points past the heads are strided down to this
 MAX_PIVOTS = 200000
+DEGENERATE_RUN = 50  # zero-step pivots in a row before Bland's rule takes over
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
     margin s, the last unknown.  `region`, when given, is a pair of boxes
     (outer, inner): heads and points outside outer or inside inner are
     dropped, so the rows cover the domain the SMT check will.  The
-    simplex pivots by index, so this order fixes the certificate.
+    simplex breaks its ties by index, so this order fixes the certificate.
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -143,7 +144,8 @@ def _inside(x, box):
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex, Bland's rule (deterministic, cycle-free)
+# Dense two-phase simplex: Dantzig pricing, Bland's rule after a degenerate
+# run (deterministic, cycle-free)
 # ---------------------------------------------------------------------------
 
 INFEASIBLE = None
@@ -151,6 +153,10 @@ INFEASIBLE = None
 
 class LPUnboundedError(RuntimeError):
     pass
+
+
+class PivotLimitError(RuntimeError):
+    """The simplex made MAX_PIVOTS pivots in one phase."""
 
 
 def solve_lp(lp):
@@ -162,10 +168,19 @@ def solve_lp(lp):
     The primal has few unknowns and many rows, so the simplex runs on the
     dual (min b'y s.t. A'y = c, y >= 0), whose basis has only n columns;
     the primal vertex solution is recovered from the optimal dual basis by
-    solving the corresponding n active constraint rows.  Entering and
-    leaving variables follow Bland's rule, so pivoting cannot cycle and
-    the result is deterministic.
+    solving the corresponding n active constraint rows.  The entering
+    column has the most negative reduced cost (Dantzig); after
+    DEGENERATE_RUN zero-step pivots in a row, Bland's smallest-index rule
+    takes over for the rest of the phase, so pivoting cannot cycle.  Ties
+    in the ratio test go to the smallest basis index, so the result is
+    deterministic.  Raises PivotLimitError after MAX_PIVOTS pivots.
     """
+    return _solve(lp)[0]
+
+
+def _solve(lp):
+    """solve_lp's answer and its final dual basis: the rows of lp whose
+    equalities define the solution."""
     a_ub, b_ub = lp.rows, lp.rhs
     m, n = a_ub.shape
 
@@ -204,16 +219,16 @@ def solve_lp(lp):
         if obj[basis[i]] != 0.0:
             obj -= obj[basis[i]] * tab[i]
     if not _pivot_until_optimal(tab, obj, basis, m):
-        return INFEASIBLE                      # dual unbounded
+        return INFEASIBLE, basis               # dual unbounded
 
     # Primal solution from the active rows of the optimal dual basis.
     a_act, b_act = a_ub[basis], b_ub[basis]
     if len(basis) == n:
         try:
-            return np.linalg.solve(a_act, b_act)
+            return np.linalg.solve(a_act, b_act), basis
         except np.linalg.LinAlgError:
             pass
-    return np.linalg.lstsq(a_act, b_act, rcond=None)[0]
+    return np.linalg.lstsq(a_act, b_act, rcond=None)[0], basis
 
 
 def _pivot(tab, basis, row, col):
@@ -227,11 +242,15 @@ def _pivot(tab, basis, row, col):
 
 
 def _pivot_until_optimal(tab, obj, basis, n_cols):
+    degenerate = 0                  # zero-step pivots in a row
     for _ in range(MAX_PIVOTS):
         neg = np.nonzero(obj[:n_cols] < -ENTER_TOL)[0]
         if neg.size == 0:
             return True
-        enter = int(neg[0])                       # Bland: smallest index
+        if degenerate < DEGENERATE_RUN:
+            enter = int(neg[np.argmin(obj[neg])])  # Dantzig: most negative
+        else:
+            enter = int(neg[0])                    # Bland: smallest index
         col = tab[:, enter]
         pos = col > PIVOT_TOL
         if not pos.any():
@@ -241,9 +260,11 @@ def _pivot_until_optimal(tab, obj, basis, n_cols):
         best = ratios.min()
         ties = np.nonzero(ratios <= best + 1e-12)[0]
         leave = int(ties[np.argmin(basis[ties])])  # Bland: smallest basis var
+        if degenerate < DEGENERATE_RUN:
+            degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
         _pivot(tab, basis, leave, enter)
         obj -= obj[enter] * tab[leave]
-    raise RuntimeError("simplex iteration limit reached")
+    raise PivotLimitError("simplex iteration limit reached")
 
 
 def candidate_from(coeffs, tmpl):

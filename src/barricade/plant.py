@@ -41,11 +41,12 @@ class VectorField:
     def batched(self):
         """f over the columns of X, as a callable X (n, B) -> F (n, B),
         built on first use: the components as compile_expr array programs.
+        X may be any sequence of n length-B arrays.
         It may round differently from eval_at in the last bits (numpy's
         elementary functions, the order of the sums in a controller's
         matrix products)."""
         fns = [sx.compile_expr(c) for c in self.components]
-        return lambda x: _rows(fns, x)
+        return lambda x: _rows(fns, np.asarray(x, dtype=float))
 
 
 def _rows(fns, p):

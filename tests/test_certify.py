@@ -261,6 +261,12 @@ class TestCegis:
         assert isinstance(out, certify.Inconclusive)
         assert out.stage == "no_candidate"
 
+    def test_pivot_limit_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(lpgen, "MAX_PIVOTS", 3)
+        out = certify.verify(_square_spec(), _contraction_field())
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "lp"
+
     def test_toy_field_converges_quickly(self):
         cfg = certify.CertifyConfig()
         cand, transcript, iters, _ = certify.find_generator(

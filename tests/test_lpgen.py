@@ -1,9 +1,15 @@
 """LP constraint generation and the simplex solver."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from barricade import certify
+from barricade import cli
 from barricade import lpgen
+from barricade import network as nn
 from barricade import plant
 from barricade import simulate as sim
 from barricade import symexpr as sx
@@ -244,6 +250,107 @@ class TestSolve:
             solved += 1
             assert lp.check_solution(sol) >= -1e-9
         assert solved > 10
+
+
+def _criterion_09_lps():
+    """The random LPs of criterion 09 (test_acceptance), same generator."""
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        rows, rhs = [], []
+        for _ in range(int(rng.integers(3, 40))):
+            rows.append(rng.uniform(-1, 1, size=n))
+            rhs.append(float(rng.uniform(0.2, 2.0)))
+        for e in np.eye(n):
+            rows += [e, -e]
+            rhs += [2.0, 2.0]
+        yield _lp(rows, rhs, rng.uniform(-1, 1, size=n))
+
+
+def _assert_optimal(lp, x, basis, tol=1e-9):
+    """Optimality of solve_lp's answer x from its final basis B, with no
+    other solver: x is primal feasible, y_B = A_B^-T c is dual feasible,
+    and c.x equals b_B.y_B."""
+    assert lp.check_solution(x) >= -1e-9
+    y = np.linalg.solve(lp.rows[basis].T, lp.objective)
+    assert y.min() >= -tol
+    assert lp.objective @ x == pytest.approx(lp.rhs[basis] @ y, abs=tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _three_state_lp():
+    """The seed LP of the Dubins loop with a first-order steering lag,
+    w' = 5 (u - w), the bundled nn10 fed (d, theta): 3,198 x 11."""
+    d_dot, _ = plant.dubins_error_field(plant.DubinsParams())
+    lagged = [d_dot, sx.neg(sx.var(2)),
+              sx.mul(sx.const(5.0), sx.sub(sx.var(3), sx.var(2)))]
+    f = plant.close_loop(lagged, [sx.var(0), sx.var(1)],
+                         nn.load(cli.bundled_controller_path(10)))
+    x0 = sx.box(*[(-0.1, 0.1)] * 3)
+    safe_rect = sx.box((-1.0, 1.0), (-math.pi / 2, math.pi / 2), (-3.0, 3.0))
+    traces = sim.seed_traces(f, safe_rect, 20, certify.SIM_DURATION,
+                             certify.SIM_STEP, 1, exclude=x0)
+    return lpgen.build_constraints(
+        traces, lpgen.QuadraticTemplate(3), certify.EPS_POS, certify.EPS_DEC,
+        subsample=certify.SUBSAMPLE, region=(safe_rect, x0))
+
+
+def _chvatal_cycling_tableau():
+    """Chvatal's cycling example (Linear Programming, 1983, ch. 3) as a
+    phase-2 tableau: max 10x1 - 57x2 - 9x3 - 24x4 subject to
+    0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0, 0.5x1 - 1.5x2 - 0.5x3 + x4 <= 0,
+    x1 <= 1, x >= 0, from the slack basis.  The optimum is 1, at
+    x1 = x3 = 1."""
+    tab = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0, 0.0],
+                    [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
+    obj = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0, 0.0])
+    return tab, obj, np.array([4, 5, 6])
+
+
+class TestPricing:
+    @pytest.mark.parametrize("run", [lpgen.DEGENERATE_RUN, 0],
+                             ids=["dantzig", "bland-only"])
+    def test_criterion_09_lps_optimal(self, run, monkeypatch):
+        monkeypatch.setattr(lpgen, "DEGENERATE_RUN", run)
+        solved = 0
+        for lp in _criterion_09_lps():
+            x, basis = lpgen._solve(lp)
+            if x is not lpgen.INFEASIBLE:
+                _assert_optimal(lp, x, basis)
+                solved += 1
+        assert solved >= 20
+
+    def test_three_state_lp(self, monkeypatch):
+        lp = _three_state_lp()
+        assert lp.rows.shape == (3198, 11)
+        pivots = []
+        pivot = lpgen._pivot
+        monkeypatch.setattr(lpgen, "_pivot",
+                            lambda *a: (pivots.append(1), pivot(*a)))
+        x, basis = lpgen._solve(lp)
+        _assert_optimal(lp, x, basis)
+        assert len(pivots) < 1000
+        assert x[-1] > 0
+
+    def test_dantzig_alone_cycles(self, monkeypatch):
+        # without the fallback the most-negative rule cycles through six
+        # degenerate pivots forever
+        monkeypatch.setattr(lpgen, "DEGENERATE_RUN", lpgen.MAX_PIVOTS)
+        monkeypatch.setattr(lpgen, "MAX_PIVOTS", 100)
+        with pytest.raises(lpgen.PivotLimitError):
+            lpgen._pivot_until_optimal(*_chvatal_cycling_tableau(), 7)
+        assert issubclass(lpgen.PivotLimitError, RuntimeError)
+
+    @pytest.mark.parametrize("run", [lpgen.DEGENERATE_RUN, 0],
+                             ids=["fallback", "bland-only"])
+    def test_bland_fallback_ends_the_cycle(self, run, monkeypatch):
+        monkeypatch.setattr(lpgen, "DEGENERATE_RUN", run)
+        tab, obj, basis = _chvatal_cycling_tableau()
+        assert lpgen._pivot_until_optimal(tab, obj, basis, 7)
+        assert obj[-1] == 1.0
+        assert sorted(zip(basis, tab[:, -1])) == [(0, 1.0), (2, 1.0),
+                                                  (4, 2.0)]
 
 
 class TestCandidate:

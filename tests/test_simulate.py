@@ -234,6 +234,16 @@ class TestBatchedField:
         for b in range(xs.shape[1]):
             _assert_within_ulps(got[:, b], field.eval_at(list(xs[:, b])))
 
+    def test_sequence_input_equals_array(self):
+        field = plant.VectorField(2, (sx.const(0.5),
+                                      sx.mul(sx.var(0), sx.sin(sx.var(1)))))
+        xs = np.random.default_rng(6).uniform(-2.0, 2.0, size=(2, 5))
+        want = field.batched(xs)
+        assert np.array_equal(field.batched(list(xs)), want)
+        assert np.array_equal(field.batched(xs.tolist()), want)
+        assert np.array_equal(field.batched([[0.0], [0.0]]),
+                              field.batched(np.zeros((2, 1))))
+
     def test_plain_field_with_constant_component(self):
         field = plant.VectorField(2, (sx.const(0.5),
                                       sx.mul(sx.var(0), sx.sin(sx.var(1)))))
