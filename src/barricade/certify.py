@@ -253,8 +253,8 @@ def load_certificate(path):
 
 @dataclass
 class Inconclusive:
-    stage: str   # "no_candidate" | "no_level" | "budget" | "simulation" |
-                 # "lp" | "lp_unbounded"
+    stage: str   # "arity" | "no_candidate" | "no_level" | "budget" |
+                 # "simulation" | "lp" | "lp_unbounded"
     detail: str
     transcripts: dict = field(default_factory=dict)
     iterations: int = 0
@@ -485,6 +485,9 @@ class NoCandidateError(RuntimeError):
 def verify(spec, f, config=None, controller_hash=""):
     """Full procedure; returns a Certificate or an Inconclusive record."""
     config = config or CertifyConfig()
+    if spec.arity != f.arity:
+        return Inconclusive("arity", "spec has arity %d, the field %d"
+                            % (spec.arity, f.arity))
     transcripts, iterations = {}, 0
     try:
         cand, t1, iterations, refuted = find_generator(spec, f, config)

@@ -1,6 +1,6 @@
 """Command-line surface: train / verify / plot / bench subcommands.
 
-Exit codes for `verify`: 0 certified, 2 inconclusive, 1 error.
+Exit codes: 1 error; verify 0 certified, 2 inconclusive; bench 2 if no row.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def cmd_bench(args):
             w.writerow([row[0]] + ["%.6g" % v for v in row[1:]])
     print("wrote %s (%d rows, %d failed trials)"
           % (args.out, len(rows), failures))
-    return 0
+    return 0 if rows else 2
 
 
 def build_parser():

@@ -2,8 +2,8 @@
 forward passes that the expression node `symexpr.net` runs.
 
 `forward` is the scalar reference, which matches the unrolled `to_expr`
-sums bit for bit; `forward_fast` runs the layers over the columns of an
-array, for the simulator and the oracle.  The checker's interval pass is
+sums bit for bit; `symexpr.array_program` runs the layers over the
+columns of an array with `batch_arrays`.  The checker's interval pass is
 `interval._inet`.  `to_expr` lowers a network neuron by neuron: the
 independent form that tests check the layer-wise passes against.
 """
@@ -166,21 +166,6 @@ def batch_arrays(net, batch):
     return [(w, np.repeat(b[:, None], batch, axis=1) if batch <= REPEAT_MAX
              else b[:, None], act)
             for w, b, act in numpy_arrays(net)]
-
-
-def forward_fast(arrays, y):
-    """Forward pass over the columns of y, (d_in, B) -> (d_out, B), with
-    arrays = batch_arrays(net, B).  The matrix products may round
-    differently from forward in the last bits."""
-    v = y
-    for w, b, act in arrays:
-        v = w @ v
-        v += b
-        if act == "tanh":
-            np.tanh(v, out=v)
-        elif act == "sigmoid":
-            v = 1.0 / (1.0 + np.exp(-v))
-    return v
 
 
 # --- JSON persistence ------------------------------------------------------

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import symexpr as sx
 
 
@@ -39,23 +37,12 @@ class VectorField:
 
     @cached_property
     def batched(self):
-        """f over the columns of X, as a callable X (n, B) -> F (n, B),
-        built on first use: the components as compile_expr array programs.
-        X may be any sequence of n length-B arrays.
-        It may round differently from eval_at in the last bits (numpy's
-        elementary functions, the order of the sums in a controller's
-        matrix products)."""
-        fns = [sx.compile_expr(c) for c in self.components]
-        return lambda x: _rows(fns, np.asarray(x, dtype=float))
-
-
-def _rows(fns, p):
-    """fn(p) for each fn, as the rows of a (len(fns), B) array, where p is
-    (k, B); constant components broadcast."""
-    out = np.empty((len(fns), p.shape[1]))
-    for i, fn in enumerate(fns):
-        out[i] = fn(p)
-    return out
+        """f as a callable (X, out=None) -> out: f at the columns of the
+        (n, B) array X (or n length-B arrays) written into out (made when
+        None) by one symexpr.array_program, built on first use.  It may
+        round differently from eval_at in the last bits (numpy's functions,
+        the order of the sums in a controller's matrix products)."""
+        return sx.array_program(self.components, rows=True)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Fixed-step RK4 integration of a closed-loop vector field.
 
 Traces feed the LP constraint generator.  A batch of starts is integrated
-in lockstep, as one (n, B) array, through the field's batched evaluator.
+in lockstep through the field's batched evaluator, into preallocated stage
+buffers and one (steps + 1, n, B) array of which each Trace is a view.
 It matches the checker's expression for f to within a few ulps, not bit
 for bit; that is enough for the LP, and soundness rests with the checker.
 """
@@ -50,39 +51,47 @@ def simulate(field, x0, duration, step):
 def simulate_batch(field, starts, duration, step):
     """simulate() for every start, in lockstep; one Trace per start.
 
-    Raises SimulationDivergence when a state component of any member
-    leaves the guard or turns NaN.
+    starts is (B, n), n the field's arity.  Raises SimulationDivergence
+    when a state component of any member leaves the guard or turns NaN.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     if duration < step:
         raise ValueError("duration shorter than one step")
+    x0 = np.array(starts, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != field.arity or not len(x0):
+        raise ValueError("starts must be (B, %d), B >= 1" % field.arity)
     f = field.batched
     n_steps = int(np.floor(duration / step + 1e-12))
-    x = np.array(starts, dtype=float).T            # (n, B)
-    states = np.empty((x.shape[1], n_steps + 1, x.shape[0]))
-    derivs = np.empty_like(states)
+    states, derivs = np.empty((2, n_steps + 1) + x0.T.shape)
+    states[0] = x0.T
+    k2, k3, k4, xs, acc = np.empty((5,) + x0.T.shape)
     # As 0-d arrays, numpy scales a small array by these about twice as
     # fast as by Python floats; the products are the same.
     half, h, sixth, two = (np.array(v)
                            for v in (0.5 * step, step, step / 6.0, 2.0))
-    # Overflow and invalid operations give inf or NaN, which the guard
-    # turns into SimulationDivergence.
+    # Overflow and invalid operations give inf or NaN, which fail the guard.
     with np.errstate(all="ignore"):
-        k1 = f(x)
-        states[:, 0], derivs[:, 0] = x.T, k1.T
-        for k in range(1, n_steps + 1):
-            k2 = f(x + half * k1)
-            k3 = f(x + half * k2)
-            k4 = f(x + h * k3)
-            x = x + sixth * (k1 + two * k2 + two * k3 + k4)
-            if not np.abs(x).max() <= DIVERGENCE_LIMIT:
-                raise SimulationDivergence(
-                    "state exceeded %g at t=%g" % (DIVERGENCE_LIMIT, k * step))
-            k1 = f(x)
-            states[:, k], derivs[:, k] = x.T, k1.T
+        f(states[0], derivs[0])
+        for x, k1, x_next, k1_next in zip(states, derivs, states[1:],
+                                          derivs[1:]):
+            f(np.add(x, np.multiply(half, k1, out=xs), out=xs), k2)
+            f(np.add(x, np.multiply(half, k2, out=xs), out=xs), k3)
+            f(np.add(x, np.multiply(h, k3, out=xs), out=xs), k4)
+            # x + sixth * (k1 + two * k2 + two * k3 + k4), in that order
+            np.add(k1, np.multiply(two, k2, out=acc), out=acc)
+            np.add(acc, np.multiply(two, k3, out=xs), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(x, np.multiply(sixth, acc, out=acc), out=x_next)
+            f(x_next, k1_next)
+    ok = ((states[1:].max(axis=(1, 2)) <= DIVERGENCE_LIMIT)
+          & (states[1:].min(axis=(1, 2)) >= -DIVERGENCE_LIMIT))
+    if not ok.all():    # max and min keep NaN, which fails both tests
+        raise SimulationDivergence("state exceeded %g at t=%g" % (
+            DIVERGENCE_LIMIT, (ok.argmin() + 1) * step))
     times = np.arange(n_steps + 1) * step
-    return [Trace(times, s, d) for s, d in zip(states, derivs)]
+    return [Trace(times, states[:, :, b], derivs[:, :, b])
+            for b in range(len(x0))]
 
 
 def seed_traces(field, region, count, duration, step, rng_seed, exclude=None):

@@ -9,7 +9,7 @@ interval checker meaningful for the system that was simulated.
 A controller is one node, `net`: output k of a network applied to input
 expressions.  Each evaluator runs it a layer at a time: the interval
 checker with one interval matrix product per layer (`interval._inet`),
-the array evaluator with `network.forward_fast`, the scalar reference
+the array evaluator with one matrix product per layer, the scalar reference
 with `network.forward`.  So a tree's size does not grow with the
 network's.  The interval types and kernels live in `interval` and are
 re-exported here.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -168,10 +168,10 @@ def net(network, k, inputs):
     return Expr("net", inputs, val=(network, k))
 
 
-def _postorder(e):
-    """The distinct nodes of e (by identity), each after its arguments."""
+def _postorder(*roots):
+    """Distinct nodes of the roots (by identity), each after its arguments."""
     done = set()
-    stack = [e]
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
         if id(node) in done:
@@ -360,6 +360,11 @@ class Tape:
 
 def lower(e):
     """Lower e to a Tape."""
+    return Tape(*_lowered(e))
+
+
+def _lowered(*exprs):
+    """The joint Tape nodes of the expressions, then the slot of each."""
     slot_of = {}    # id(node) -> slot
     key_slot = {}   # (op, val, idx, child slots) -> slot
     nodes = []
@@ -371,7 +376,7 @@ def lower(e):
             nodes.append(key)
         return slot
 
-    for node in _postorder(e):
+    for node in _postorder(*exprs):
         op, val = node.op, node.val
         kids = tuple(slot_of[id(a)] for a in node.args)
         if op == "const":
@@ -381,7 +386,7 @@ def lower(e):
             network, val = val
             op, kids = "row", (intern(("net", network, None, kids)),)
         slot_of[id(node)] = intern((op, val, node.idx, kids))
-    return Tape(nodes, slot_of[id(e)])
+    return (nodes, *(slot_of[id(e)] for e in exprs))
 
 
 def _interval_eval_raw(tape, bx):
@@ -414,73 +419,84 @@ def interval_eval(e, bx):
     return Interval(*vals[tape.root])
 
 
-_ARRAY_OPS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "div": operator.truediv, "neg": operator.neg, "pow": operator.pow,
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
-}
+# The ufunc that each op's numpy operator calls on arrays, so a program
+# rounds as the operators do; `a ** 2` calls square.
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide, "neg": np.negative, "pow": np.power,
+           "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
+_GLOBALS = {f.__name__: f for f in (
+    *_UFUNCS.values(), np.square, np.array, np.asarray, np.ascontiguousarray,
+    np.broadcast_arrays, np.empty)} | {"one": 1.0}
+# Each distinct source is compiled once: compiling anew fragments the heap.
+_compiled = lru_cache(32)(partial(compile, filename="<program>", mode="exec"))
 
 
-def _array_net(arrays, ins):
-    """A network over the input arrays ins, which broadcast to one batch
-    of columns: its outputs as an array of shape (outputs, columns).
-    arrays(width) gives network.batch_arrays for that many columns."""
-    try:
-        y = np.asarray(ins)
-    except ValueError:      # shapes differ: broadcast them
-        y = np.array(np.broadcast_arrays(*ins))
-    return nn.forward_fast(arrays(y.shape[1]), y)
+def array_program(exprs, rows=False):
+    """The expressions as one straight-line numpy function of p, p[i]
+    being var(i): run(p) returns exprs[0]; with rows, run(p, out=None)
+    writes exprs[i] at the columns of the (n, B) array p into row i of out
+    (made when None).  Constants (0-d arrays, which numpy combines with an
+    array about twice as fast as a float), exponents and networks are
+    names in its namespace, never source text.  A network is one matrix
+    product per layer, with batch_arrays, over its inputs stacked, or p's
+    own rows when they are var(0..q-1) in order.  It may round differently
+    from eval_expr in the last bits and makes no division or NaN check."""
+    nodes, *roots = _lowered(*exprs)
+    last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
+    ns = dict(_GLOBALS)
+    lines = ["def run(p, out=None):"]
+    if rows:
+        lines += ["p = asarray(p, dtype=float)", "if out is None: out = "
+                  "empty((%d, p.shape[1]))" % len(exprs)]
+    names, free = [], []
+    for slot, (op, val, idx, kids) in enumerate(nodes):
+        args = [names[k] for k in kids]
+        # A slot's register is reused after its last read, so no more
+        # arrays stay referenced than are ever live at once.
+        free.extend(names[k] for k in dict.fromkeys(kids)
+                    if last_read[k] == slot and nodes[k][3])
+        name = free.pop() if kids and free else "r%d" % slot
+        copies = [i for i, root in enumerate(roots) if rows and root == slot]
+        if op == "const":
+            ns[name] = np.array(val[0])
+        elif op == "var":
+            lines.append("%s = p[%d]" % (name, idx))
+        elif op == "net":
+            ns["a%d" % slot] = cache(partial(nn.batch_arrays, val))
+            direct = [nodes[k][::2] for k in kids] == [
+                ("var", i) for i in range(len(kids))]
+            lines += ["y = " + ("ascontiguousarray(p[:%d])" % len(kids)
+                                if direct else "array(broadcast_arrays(%s))"
+                                % ", ".join(args)),
+                      "a = a%d(y.shape[1])" % slot]
+            for j, layer in enumerate(val.layers):
+                lines += ["%s = a[%d][0] @ %s" % (name, j, name if j else "y"),
+                          "%s += a[%d][1]" % (name, j)]
+                if layer.activation == "tanh":
+                    lines.append("tanh(%s, out=%s)" % (name, name))
+                elif layer.activation == "sigmoid":
+                    lines.append("{0} = divide(one, add(one, exp(negative("
+                                 "{0}))))".format(name))
+        elif op == "row":
+            lines.append("%s = %s[%d]" % (name, args[0], val))
+        else:
+            fn = np.square if (op, val) == ("pow", 2) else _UFUNCS[op]
+            if fn is np.power:
+                args.append("n%d" % slot)
+                ns[args[-1]] = val
+            if copies:
+                args.append("out=out[%d]" % copies.pop(0))
+            lines.append("%s = %s(%s)" % (name, fn.__name__, ", ".join(args)))
+        lines += ["out[%d] = %s" % (i, name) for i in copies]
+        names.append(name)
+    lines.append("return " + ("out" if rows else names[roots[0]]))
+    exec(_compiled("\n    ".join(lines)), ns)
+    return ns.pop("run")      # no cycle through the namespace
 
 
 def compile_expr(e):
-    """e as a callable f(p) over numpy arrays, p[i] being var(i): the tape
-    of e run with numpy's operators (which may round differently from
-    eval_expr; no division or NaN check), constants as 0-d arrays, which
-    numpy combines with an array about twice as fast as a float.  A
-    network runs through network.forward_fast, one matrix product per
-    layer, over inputs that broadcast to one 1-D batch."""
-    tape = lower(e)
-    nodes = tape.nodes
-    last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
-    init, loads, code, free, reg = [], [], [], [], []
-    for slot, (op, val, idx, kids) in enumerate(nodes):
-        args = [reg[k] for k in kids]
-        if op == "pow":     # the integer exponent gets a register
-            args.append(len(init))
-            init.append(val)
-        # Computed registers are reused after their slot's last read, so
-        # no more arrays stay referenced than are ever live at once.
-        free.extend(reg[k] for k in dict.fromkeys(kids)
-                    if last_read[k] == slot and nodes[k][3])
-        if not (kids and free):
-            free.append(len(init))
-            init.append(np.array(val[0]) if op == "const" else None)
-        reg.append(free.pop())
-        if op == "var":
-            loads.append((reg[slot], idx))
-        elif op == "net":
-            fn = partial(_array_net, cache(partial(nn.batch_arrays, val)))
-            code.append((reg[slot], fn, None, tuple(args)))
-        elif op == "row":
-            code.append((reg[slot], operator.itemgetter(val), args[0], None))
-        elif kids:
-            code.append((reg[slot], _ARRAY_OPS[op], args[0],
-                         args[1] if len(args) == 2 else None))
-    root = reg[tape.root]
-
-    def f(p):
-        r = init[:]
-        for dst, i in loads:
-            r[dst] = p[i]
-        for dst, fn, a, b in code:
-            if b is None:
-                r[dst] = fn(r[a])
-            elif a is None:     # a network pass over the registers b
-                r[dst] = fn([r[k] for k in b])
-            else:
-                r[dst] = fn(r[a], r[b])
-        return r[root]
-    return f
+    """e as f(p) over numpy arrays, p[i] being var(i): array_program([e])."""
+    return array_program([e])
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,20 @@ class TestVerify:
         assert isinstance(out, certify.Inconclusive)
         assert out.stage == "simulation"
 
+    @pytest.mark.parametrize("spec,field", [
+        (certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
+                            sx.box(*[(-1.0, 1.0)] * 3)),
+         _contraction_field()),
+        (_square_spec(), plant.VectorField(3, tuple(
+            sx.neg(sx.var(i)) for i in range(3)))),
+    ], ids=["spec-3-field-2", "spec-2-field-3"])
+    def test_arity_mismatch_is_inconclusive(self, spec, field):
+        out = certify.verify(spec, field)
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "arity"
+        assert out.detail == "spec has arity %d, the field %d" % (
+            spec.arity, field.arity)
+
     def test_level_budget_is_inconclusive(self, monkeypatch):
         def exhausted(*args):
             raise dsat.BudgetExhausted("explored more than 1 boxes")

@@ -232,9 +232,17 @@ class TestBenchCmd:
 
     def test_missing_size_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "bench.csv"
-        rc = cli.main(["bench", "--neurons", "99999", "--trials", "1",
+        rc = cli.main(["bench", "--neurons", "10,99999", "--trials", "1",
                        "--controller-dir", str(tmp_path), "--out", str(out)])
         assert rc == 0
+        rows = list(csv.reader(open(out)))
+        assert len(rows) == 2 and rows[1][0] == "10"
+
+    def test_no_row_exits_2(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        rc = cli.main(["bench", "--neurons", "99999", "--trials", "1",
+                       "--controller-dir", str(tmp_path), "--out", str(out)])
+        assert rc == 2
         rows = list(csv.reader(open(out)))
         assert len(rows) == 1  # header only
 

@@ -193,6 +193,54 @@ class TestSimulateBatch:
             assert np.array_equal(tr.states[0], x0)
 
 
+def _rk4_in_operator_order(field, starts, n_steps, step):
+    """The lockstep RK4 loop with numpy's operators, a fresh array per
+    operation: the reference that simulate_batch must equal bit for bit.
+    Returns the states and derivatives as (steps + 1, n, B) arrays."""
+    f = field.batched
+    half, h, sixth, two = (np.array(v)
+                           for v in (0.5 * step, step, step / 6.0, 2.0))
+    x = np.array(starts, dtype=float).T
+    k1 = f(x)
+    states, derivs = [x], [k1]
+    for _ in range(n_steps):
+        k2 = f(x + half * k1)
+        k3 = f(x + half * k2)
+        k4 = f(x + h * k3)
+        x = x + sixth * (k1 + two * k2 + two * k3 + k4)
+        k1 = f(x)
+        states.append(x)
+        derivs.append(k1)
+    return np.array(states), np.array(derivs)
+
+
+class TestSimulateBatchBits:
+    @pytest.mark.parametrize("width", [1, 2, 40])
+    def test_equals_operator_order_rk4(self, width):
+        field = _bundled_field(10)
+        starts = np.random.default_rng(width).uniform(
+            [-1.0, -1.5], [1.0, 1.5], size=(width, 2))
+        traces = sim.simulate_batch(field, starts, 10.0, 0.01)
+        states, derivs = _rk4_in_operator_order(field, starts, 1000, 0.01)
+        assert len(traces) == width
+        for b, tr in enumerate(traces):
+            assert tr.states.shape == tr.derivs.shape == (1001, 2)
+            assert tr.states.tobytes() == states[:, :, b].tobytes()
+            assert tr.derivs.tobytes() == derivs[:, :, b].tobytes()
+
+    def test_divergence_names_the_first_step_past_the_guard(self):
+        field = plant.VectorField(1, (sx.mul(sx.var(0), sx.var(0)),))
+        with pytest.raises(sim.SimulationDivergence,
+                           match=r"^state exceeded 1e\+06 at t=0\.21$"):
+            sim.simulate_batch(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
+
+    @pytest.mark.parametrize("starts", [
+        [[0.1, 0.2, 0.3]], [0.1, 0.2], [[0.1]], np.empty((0, 2))],
+        ids=["three-states", "one-dimensional", "one-state", "no-starts"])
+    def test_starts_must_be_batch_by_arity(self, starts):
+        with pytest.raises(ValueError, match="must be \\(B, 2\\), B >= 1"):
+            sim.simulate_batch(_dubins_zero_controller(), starts, 1.0, 0.1)
+
 def _net(rng, widths, activations):
     return nn.Network(tuple(
         nn.make_layer(rng.uniform(-1.5, 1.5, size=(d_out, d_in)),

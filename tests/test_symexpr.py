@@ -1,6 +1,7 @@
 """Expression trees: evaluation, differentiation, intervals, serialization."""
 
 import math
+import re
 import sys
 from functools import partial
 
@@ -589,3 +590,139 @@ def test_two_layer_kernel_mpmath_fuzz():
     assert bounded > 150    # most second layers use the fixed error term
     assert checked > 2000
     assert violations == 0
+
+
+_REF_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+            "div": np.divide, "neg": np.negative, "sin": np.sin,
+            "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
+
+
+def _ref_array_eval(e, p):
+    """e at the columns of p node by node, each node with the numpy
+    operation of a tape interpreter (operands in the same order, a ** n,
+    a network's inputs stacked and its layers run in turn): the reference
+    that the generated programs must equal bit for bit."""
+    vals = {}
+    for node in sx._postorder(e):
+        args = [vals[id(a)] for a in node.args]
+        if node.op == "const":
+            v = np.array(node.val)
+        elif node.op == "var":
+            v = p[node.idx]
+        elif node.op == "pow":
+            v = args[0] ** node.val
+        elif node.op == "net":
+            network, k = node.val
+            try:
+                y = np.asarray(args)
+            except ValueError:
+                y = np.array(np.broadcast_arrays(*args))
+            for w, b, act in nn.batch_arrays(network, y.shape[1]):
+                y = w @ y
+                y += b
+                if act == "tanh":
+                    np.tanh(y, out=y)
+                elif act == "sigmoid":
+                    y = 1.0 / (1.0 + np.exp(-y))
+            v = y[k]
+        else:
+            v = _REF_OPS[node.op](*args)
+        vals[id(node)] = v
+    return vals[id(e)]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def _program_inputs(rng, n, width):
+    """One set of points as a C-ordered array, a list of its rows and a
+    non-contiguous view."""
+    view = rng.uniform(-2.0, 2.0, size=(n, 2 * width))[:, ::2]
+    assert not view.flags.c_contiguous
+    return [np.ascontiguousarray(view), list(np.ascontiguousarray(view)),
+            view]
+
+
+# 257 is above network.REPEAT_MAX, where a bias is broadcast, not repeated
+_PROGRAM_WIDTHS = (1, 2, 40, nn.REPEAT_MAX + 1)
+
+
+def _assert_field_matches_reference(field, rng):
+    for width in _PROGRAM_WIDTHS:
+        for x in _program_inputs(rng, field.arity, width):
+            p = np.asarray(x, dtype=float)
+            want = np.empty((len(field.components), width))
+            for i, c in enumerate(field.components):
+                want[i] = _ref_array_eval(c, p)
+                assert _same_bits(sx.compile_expr(c)(x),
+                                  _ref_array_eval(c, x))
+            assert _same_bits(field.batched(x), want)
+            out = np.full_like(want, np.nan)
+            assert field.batched(x, out) is out and _same_bits(out, want)
+
+
+class TestArrayProgram:
+    def test_random_trees_match_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            e = _rand_expr(rng, 5)
+            f = sx.compile_expr(e)
+            for width in _PROGRAM_WIDTHS:
+                for p in _program_inputs(rng, 2, width):
+                    assert _same_bits(f(p), _ref_array_eval(e, p)), e
+
+    def test_random_fields_match_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            _assert_field_matches_reference(plant.VectorField(
+                2, (_rand_expr(rng, 4), _rand_expr(rng, 4))), rng)
+
+    @pytest.mark.parametrize("widths,acts,gain", [
+        ((2, 1), ("tanh",), 1.0),
+        ((2, 6, 1), ("sigmoid", "sigmoid"), 1.0),
+        ((2, 6, 1), ("identity", "identity"), 1.0),
+        ((2, 5, 4, 1), ("tanh", "sigmoid", "identity"), 1.0),
+        ((2, 6, 1), ("tanh", "tanh"), 2.0),
+    ], ids=["tanh", "sigmoid", "identity", "three-layer", "gain-2"])
+    def test_closed_loops_match_reference(self, widths, acts, gain):
+        rng = np.random.default_rng(len(widths))
+        field = plant.dubins_closed_loop(
+            plant.DubinsParams(), _layered_net(rng, widths, acts), gain=gain)
+        _assert_field_matches_reference(field, rng)
+
+    @pytest.mark.parametrize("output", [
+        lambda: [sx.sub(sx.var(0), sx.var(1)), sx.const(0.25)],
+        lambda: [sx.var(1), sx.var(0)],
+    ], ids=["expressions", "swapped"])
+    def test_output_maps_match_reference(self, output):
+        rng = np.random.default_rng(14)
+        field = plant.close_loop(
+            plant.dubins_error_field(plant.DubinsParams()), output(),
+            _layered_net(rng, (2, 3, 1), ("tanh", "tanh")))
+        _assert_field_matches_reference(field, rng)
+
+    def test_constant_var_and_net_row_components(self):
+        rng = np.random.default_rng(15)
+        net = _layered_net(rng, (2, 4, 2), ("tanh", "sigmoid"))
+        x = (sx.var(0), sx.var(1))
+        field = plant.VectorField(3, (
+            sx.const(-0.5), sx.var(2), sx.net(net, 1, x),
+            sx.mul(sx.net(net, 0, x), sx.var(2)), sx.var(2)))
+        _assert_field_matches_reference(field, rng)
+
+    def test_no_value_in_the_source(self, monkeypatch):
+        sources = []
+
+        def compiled(source):
+            sources.append(source)
+            return compile(source, "<program>", "exec")
+        monkeypatch.setattr(sx, "_compiled", compiled)
+        e = sx.add(sx.mul(sx.const(-2.5), sx.pow_(sx.var(0), 3)),
+                   sx.const(0.1))
+        assert sx.compile_expr(e)([np.array([2.0])]).tolist() == [0.1 - 20.0]
+        # no number is an operand in the text: p[0] is the only literal
+        assert len(sources) == 1 and "p[0]" in sources[0]
+        assert not re.search(r"[(,]\s*[-+.\d]", sources[0])
