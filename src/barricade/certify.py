@@ -488,23 +488,20 @@ def verify(spec, f, config=None, controller_hash=""):
     if spec.arity != f.arity:
         return Inconclusive("arity", "spec has arity %d, the field %d"
                             % (spec.arity, f.arity))
+    stages = {NoCandidateError: "no_candidate",
+              dsat.BudgetExhausted: "budget",
+              sim.SimulationDivergence: "simulation",
+              lpgen.LPUnboundedError: "lp_unbounded",
+              lpgen.PivotLimitError: "lp",
+              NotEllipsoidError: "no_level"}
     transcripts, iterations = {}, 0
     try:
         cand, t1, iterations, refuted = find_generator(spec, f, config)
         transcripts["decrease"] = t1
         level, level_transcripts = select_level(cand, spec, config.delta)
-    except NoCandidateError as exc:
-        return Inconclusive("no_candidate", str(exc))
-    except dsat.BudgetExhausted as exc:
-        return Inconclusive("budget", str(exc), transcripts, iterations)
-    except sim.SimulationDivergence as exc:
-        return Inconclusive("simulation", str(exc))
-    except lpgen.LPUnboundedError as exc:
-        return Inconclusive("lp_unbounded", str(exc))
-    except lpgen.PivotLimitError as exc:
-        return Inconclusive("lp", str(exc))
-    except NotEllipsoidError as exc:
-        return Inconclusive("no_level", str(exc), transcripts, iterations)
+    except tuple(stages) as exc:
+        stage = next(s for t, s in stages.items() if isinstance(exc, t))
+        return Inconclusive(stage, str(exc), transcripts, iterations)
     if level is NO_LEVEL:
         return Inconclusive("no_level",
                             "no admissible level within bisection budget",

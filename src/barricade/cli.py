@@ -134,7 +134,7 @@ def cmd_bench(args):
         params = plant.DubinsParams()
         field = plant.dubins_closed_loop(params, net)
         spec = certify.default_spec()
-        iters, lp_times, q_times, totals = [], [], [], []
+        iters, q_times, totals = [], [], []
         for trial in range(args.trials):
             config = certify.CertifyConfig(seed=args.seed + trial)
             t0 = time.perf_counter()
@@ -152,23 +152,17 @@ def cmd_bench(args):
                       % (size, result.stage), file=sys.stderr)
                 failures += 1
                 continue
-            q_time = sum(t.wall_time for t in result.transcripts.values())
             iters.append(result.iterations)
-            q_times.append(q_time)
-            lp_times.append(max(total - q_time, 0.0))
+            q_times.append(sum(t.wall_time
+                               for t in result.transcripts.values()))
             totals.append(total)
         if iters:
-            rows.append([size, sum(iters) / len(iters),
-                         sum(lp_times) / len(lp_times),
-                         sum(q_times) / len(q_times),
-                         max(sum(totals) / len(totals)
-                             - sum(lp_times) / len(lp_times)
-                             - sum(q_times) / len(q_times), 0.0),
-                         sum(totals) / len(totals)])
+            rows.append([size] + [sum(v) / len(v)
+                                  for v in (iters, q_times, totals)])
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["neurons", "avg_iterations", "avg_lp_time_s",
-                    "avg_query_time_s", "avg_other_time_s", "avg_total_time_s"])
+        w.writerow(["neurons", "avg_iterations", "avg_query_time_s",
+                    "avg_total_time_s"])
         for row in rows:
             w.writerow([row[0]] + ["%.6g" % v for v in row[1:]])
     print("wrote %s (%d rows, %d failed trials)"

@@ -1,11 +1,10 @@
 """Interval branch-and-prune delta-satisfiability checker.
 
-Decides conjunctions/disjunctions of nonlinear inequalities over a box.
-UNSAT is exact (no real point in the domain satisfies the formula); a
-DELTA_SAT verdict returns a box of per-dimension width <= delta on which
-interval evaluation cannot refute the formula, which matches the usual
-delta-decision semantics.  Strict relations are refuted through their
-closed relaxations.
+Decides a conjunction of closed nonlinear inequalities (`lhs <= rhs` or
+`lhs >= rhs`) over a box.  UNSAT is exact (no real point in the domain
+satisfies the formula); a DELTA_SAT verdict returns a box of per-dimension
+width <= delta on which interval evaluation cannot refute the formula,
+which matches the usual delta-decision semantics.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from . import symexpr as sx
 from .interval import Box, Interval, _iadd, _isub, _ineg, _idiv, _mid
 from .symexpr import _interval_eval_raw
 
-RELATIONS = ("<=", "<", ">=", ">", "=")
+RELATIONS = ("<=", ">=")
 
 TRUE, FALSE, UNKNOWN = 1, 0, -1
 
@@ -56,19 +55,9 @@ class And:
 
 
 @dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("empty disjunction")
-
-
-@dataclass(frozen=True)
 class Formula:
     arity: int
-    root: object   # Constraint | And | Or
+    root: object   # Constraint | And
 
     def to_text(self):
         return _node_text(self.root)
@@ -77,8 +66,7 @@ class Formula:
 def _node_text(node):
     if isinstance(node, Constraint):
         return node.to_text()
-    tag = "and" if isinstance(node, And) else "or"
-    return "(%s %s)" % (tag, " ".join(_node_text(p) for p in node.parts))
+    return "(and %s)" % " ".join(_node_text(p) for p in node.parts)
 
 
 @dataclass(frozen=True)
@@ -94,11 +82,7 @@ class DsatResult:
 # ---------------------------------------------------------------------------
 
 def _target_interval(rel, rhs):
-    if rel in ("<=", "<"):
-        return (-math.inf, rhs)
-    if rel in (">=", ">"):
-        return (rhs, math.inf)
-    return (rhs, rhs)
+    return (-math.inf, rhs) if rel == "<=" else (rhs, math.inf)
 
 
 # How an occurrence's target follows from its parent's: the parent's op
@@ -199,79 +183,50 @@ class _Atom:
     def status(self, vals):
         """TRUE/FALSE/UNKNOWN given the forward enclosures of the tape."""
         lo, hi = vals[self.tape.root]
-        rel, r = self.rel, self.rhs
-        if rel == "<=":
+        r = self.rhs
+        if self.rel == "<=":
             true, false = hi <= r, lo > r
-        elif rel == "<":
-            true, false = hi < r, lo >= r
-        elif rel == ">=":
-            true, false = lo >= r, hi < r
-        elif rel == ">":
-            true, false = lo > r, hi <= r
         else:
-            true, false = lo == hi == r, r < lo or r > hi
+            true, false = lo >= r, hi < r
         return TRUE if true else FALSE if false else UNKNOWN
 
 
-def _lower_node(node):
+def _atoms(node):
+    """The constraints of a formula node (a Constraint or an And of them),
+    lowered, in order."""
     if isinstance(node, Constraint):
-        return _Atom(node)
-    return type(node)(tuple(_lower_node(p) for p in node.parts))
+        return [_Atom(node)]
+    return [a for p in node.parts for a in _atoms(p)]
 
 
-def _status(node, box):
-    """TRUE/FALSE/UNKNOWN status of a lowered formula node on box."""
-    if isinstance(node, _Atom):
+def _status(atoms, box):
+    """TRUE/FALSE/UNKNOWN status of the conjunction of atoms on box."""
+    out = TRUE
+    for atom in atoms:
         try:
-            return node.status(_interval_eval_raw(node.tape, box))
+            s = atom.status(_interval_eval_raw(atom.tape, box))
         except sx.EvalError:
-            return UNKNOWN
-    # FALSE decides a conjunction, TRUE a disjunction.
-    decisive = FALSE if isinstance(node, And) else TRUE
-    out = TRUE if decisive == FALSE else FALSE
-    for p in node.parts:
-        s = _status(p, box)
-        if s == decisive:
-            return s
+            s = UNKNOWN
+        if s == FALSE:
+            return FALSE
         if s == UNKNOWN:
             out = UNKNOWN
     return out
 
 
-def _conjuncts(node):
-    """The atoms of a formula that is a pure conjunction, else None."""
-    if isinstance(node, _Atom):
-        return [node]
-    if isinstance(node, Or):
-        return None
-    parts = [_conjuncts(p) for p in node.parts]
-    return None if None in parts else [a for p in parts for a in p]
-
-
-class _Query:
-    """A formula lowered to tapes; lives for one check call."""
-
-    def __init__(self, phi):
-        self.root = _lower_node(phi.root)
-        self.conj = _conjuncts(self.root)
-
-
-def prune(query, box):
-    """Contract box (a list of (lo, hi) pairs) in place against a _Query.
+def prune(atoms, box):
+    """Contract box (a list of (lo, hi) pairs) in place against the
+    conjunction of atoms (see _atoms).
 
     Returns EMPTY (None) when the box is refuted, else the box and its
     status, None when the last round still contracted it.  Each of up to
     PRUNE_ROUNDS rounds runs forward interval evaluation plus the HC4
-    backward pass for every conjunct; a formula with a disjunction only
-    gets forward refutation.
+    backward pass for every conjunct.
     """
-    if query.conj is None:
-        status = _status(query.root, box)
-        return EMPTY if status == FALSE else (box, status)
     for _ in range(PRUNE_ROUNDS):
         prev = list(box)
         status = TRUE
-        for atom in query.conj:
+        for atom in atoms:
             try:
                 vals = _interval_eval_raw(atom.tape, box)
             except sx.EvalError:
@@ -324,7 +279,7 @@ def check(phi, domain, delta, max_boxes=10_000_000):
     if not all(math.isfinite(iv.lo) and math.isfinite(iv.hi) for iv in domain):
         raise ValueError("unbounded domain %s" % (domain,))
     t0 = time.perf_counter()
-    query = _Query(phi)
+    atoms = _atoms(phi.root)
     stack = [[(iv.lo, iv.hi) for iv in domain]]
     explored = 0
     while stack:
@@ -332,12 +287,12 @@ def check(phi, domain, delta, max_boxes=10_000_000):
         explored += 1
         if explored > max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-        pruned = prune(query, box)
+        pruned = prune(atoms, box)
         if pruned is EMPTY:
             continue
         box, status = pruned
         if status is None:
-            status = _status(query.root, box)
+            status = _status(atoms, box)
         if status == FALSE:
             continue
         if max(hi - lo for lo, hi in box) <= delta:

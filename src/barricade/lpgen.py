@@ -291,5 +291,20 @@ def candidate_from(coeffs, tmpl):
         e = sx.add(e, term)
     for i in range(n):
         e = sx.add(e, sx.mul(sx.const(q[i]), sx.var(i)))
-    grad = tuple(sx.diff(e, i) for i in range(n))
+    grad = tuple(_partial(p, q, k) for k in range(n))
     return GeneratorCandidate(n, p, q, c, e, grad)
+
+
+def _partial(p, q, k):
+    """dv/dx_k = 2 (P x)_k + q_k: the terms of v that hold x_k, in v's
+    order, then q_k, folded by the same constructors.  Certificate files
+    store this text and load_certificate compares it, so the order and
+    the folding are part of the file format."""
+    g = sx.const(0.0)
+    for i in range(len(q)):
+        if i == k:
+            term = sx.mul(sx.const(p[k, k]), sx.mul(sx.const(2.0), sx.var(k)))
+        else:
+            term = sx.mul(sx.const(2.0 * p[i, k]), sx.var(i))
+        g = sx.add(g, term)
+    return sx.add(g, sx.const(q[k]))

@@ -1,10 +1,10 @@
 """Expression trees shared by the simulator, the LP generator and the checker.
 
-A single Expr semantics is used everywhere: symbolic differentiation, the
-s-expression serialization of certificate files, and one flat tape per
-expression (`lower`), which the interval checker and the array evaluator
-both run.  Keeping one semantics is what makes an UNSAT verdict from the
-interval checker meaningful for the system that was simulated.
+A single Expr semantics is used everywhere: the s-expression serialization
+of certificate files, and one flat tape per expression (`lower`), which
+the interval checker and the array evaluator both run.  Keeping one
+semantics is what makes an UNSAT verdict from the interval checker
+meaningful for the system that was simulated.
 
 A controller is one node, `net`: output k of a network applied to input
 expressions.  Each evaluator runs it a layer at a time: the interval
@@ -14,8 +14,8 @@ with `network.forward`.  So a tree's size does not grow with the
 network's.  The interval types and kernels live in `interval` and are
 re-exported here.
 
-Trees are walked without recursion: `lower`, `arity`, `substitute`, `diff`
-and `==` loop over one iterative post-order (`_postorder`), and the
+Trees are walked without recursion: `lower`, `arity`, `substitute` and
+`==` loop over one iterative post-order (`_postorder`), and the
 s-expression writer runs on an explicit stack.  Only the scalar reference
 `eval_expr` recurses.
 """
@@ -263,51 +263,6 @@ def eval_expr(e, point):
     if r != r:
         raise EvalError("NaN produced at %s node" % op)
     return r
-
-
-# ---------------------------------------------------------------------------
-# Symbolic differentiation
-# ---------------------------------------------------------------------------
-
-def diff(e, i):
-    """Symbolic partial derivative of e with respect to var(i)."""
-    d = {}      # id(node) -> its derivative
-    for node in _postorder(e):
-        op = node.op
-        if op == "net":
-            # Only the quadratic candidate is ever differentiated.
-            raise ValueError("diff of a net node is not supported")
-        if not node.args:
-            out = const(1.0 if op == "var" and node.idx == i else 0.0)
-        else:
-            a, da = node.args[0], d[id(node.args[0])]
-            if len(node.args) == 2:
-                b, db = node.args[1], d[id(node.args[1])]
-            if op == "add":
-                out = add(da, db)
-            elif op == "sub":
-                out = sub(da, db)
-            elif op == "mul":
-                out = add(mul(da, b), mul(a, db))
-            elif op == "div":
-                out = div(sub(mul(da, b), mul(a, db)), pow_(b, 2))
-            elif op == "neg":
-                out = neg(da)
-            elif op == "pow":
-                out = mul(mul(const(node.val), pow_(a, node.val - 1)), da)
-            elif op == "sin":
-                out = mul(cos(a), da)
-            elif op == "cos":
-                out = neg(mul(sin(a), da))
-            elif op == "exp":
-                out = mul(exp(a), da)
-            elif op == "tanh":
-                # d/dv tanh(v) = 1 - tanh(v)^2
-                out = mul(sub(const(1.0), pow_(tanh(a), 2)), da)
-            else:
-                raise ValueError("unknown op %r" % op)
-        d[id(node)] = out
-    return d[id(e)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from barricade import dsat
 from barricade import lpgen
 from barricade import network as nn
 from barricade import plant
+from barricade import simulate as sim
 from barricade import symexpr as sx
 
 
@@ -425,6 +427,23 @@ class TestVerify:
         assert out.stage == "budget"
         assert out.transcripts["decrease"].verdict == "UNSAT"
 
+    @pytest.mark.parametrize("exc,stage", [
+        (certify.NoCandidateError, "no_candidate"),
+        (dsat.BudgetExhausted, "budget"),
+        (sim.SimulationDivergence, "simulation"),
+        (lpgen.LPUnboundedError, "lp_unbounded"),
+        (lpgen.PivotLimitError, "lp"),
+        (certify.NotEllipsoidError, "no_level"),
+    ])
+    def test_failure_stage(self, monkeypatch, exc, stage):
+        def fail(*args):
+            raise exc("raised in find_generator")
+        monkeypatch.setattr(certify, "find_generator", fail)
+        out = certify.verify(_square_spec(), _contraction_field())
+        assert isinstance(out, certify.Inconclusive)
+        assert (out.stage, out.detail) == (stage, "raised in find_generator")
+        assert (out.transcripts, out.iterations) == ({}, 0)
+
     def test_unbounded_lp_is_inconclusive(self, monkeypatch):
         def unbounded(lp):
             raise lpgen.LPUnboundedError("LP unbounded; add box constraints")
@@ -497,6 +516,15 @@ class TestCertificateFile:
         path.write_text(json.dumps(_certificate_dict()))
         back = certify.load_certificate(path)
         assert back.to_dict() == _certificate_dict()
+
+    def test_recorded_file_loads(self):
+        # written by `barricade verify --nn nn10 --seed 1` before the
+        # gradient was built in closed form
+        path = Path(__file__).parent / "data" / "nn10_seed1_certificate.json"
+        back = certify.load_certificate(path)
+        saved = json.loads(path.read_text())
+        saved["queries"] = {}   # transcripts are not loaded
+        assert back.to_dict() == saved
 
     def test_file_without_refuted_counts_loads(self, tmp_path):
         # 0.2.0 files predate the counts

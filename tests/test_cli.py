@@ -223,10 +223,9 @@ class TestBenchCmd:
                        "--controller-dir", str(ctrl_dir), "--out", str(out)])
         assert rc == 0
         rows = list(csv.reader(open(out)))
-        assert rows[0] == ["neurons", "avg_iterations", "avg_lp_time_s",
-                           "avg_query_time_s", "avg_other_time_s",
+        assert rows[0] == ["neurons", "avg_iterations", "avg_query_time_s",
                            "avg_total_time_s"]
-        assert len(rows[0]) == 6
+        assert len(rows[0]) == 4
         assert len(rows) == 2
         assert rows[1][0] == "1"
 

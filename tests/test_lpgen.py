@@ -1,7 +1,9 @@
 """LP constraint generation and the simplex solver."""
 
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from barricade import network as nn
 from barricade import plant
 from barricade import simulate as sim
 from barricade import symexpr as sx
+
+# (coeffs, expr, grad) text written by the term-by-term symbolic
+# differentiator that closed-form gradients replaced: arity 1-4, with
+# coefficients 0, -0.0, 1 and 0.5 among random ones.
+CANDIDATE_TEXT = json.loads(
+    (Path(__file__).parent / "data" / "candidate_text.json").read_text())
 
 
 def _lp(rows, rhs, objective):
@@ -384,3 +392,12 @@ class TestCandidate:
         for _ in range(50):
             x = rng.uniform(-3, 3, size=2)
             assert abs(sx.eval_expr(cand.expr, x) - cand.value(x)) < 1e-10
+
+    def test_text_matches_recorded(self):
+        assert len(CANDIDATE_TEXT) == 40
+        for case in CANDIDATE_TEXT:
+            arity = len(case["grad"])
+            cand = lpgen.candidate_from(case["coeffs"],
+                                        lpgen.QuadraticTemplate(arity))
+            assert sx.to_sexpr(cand.expr) == case["expr"], case
+            assert [sx.to_sexpr(g) for g in cand.grad] == case["grad"], case
