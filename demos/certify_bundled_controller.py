@@ -33,6 +33,7 @@ for name, t in result.transcripts.items():
 # independent numeric spot check of the three barrier conditions
 violations = certify.certificate_grid_oracle(result, field)
 print("sampling oracle violations:", violations)
+assert not any(violations.values()), violations
 
 # phase portrait with a few trajectories and the certified level set
 traces = sim.seed_traces(field, spec.safe_rect, 12, certify.SIM_DURATION,

@@ -15,6 +15,7 @@ query's UNSAT.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -92,13 +93,18 @@ class SafetySpec:
             slabs.append(base.replace(dim, sx.Interval(inner.hi, outer.hi)))
         return slabs
 
-    def enclosing_box(self):
-        ivs = []
-        for iv in self.safe_rect:
-            c, r = iv.mid, 0.5 * iv.width
-            ivs.append(sx.Interval(c - ENCLOSING_INFLATION * r,
-                                   c + ENCLOSING_INFLATION * r))
-        return sx.Box(tuple(ivs))
+    def unsafe_slabs(self):
+        """U within the enclosing box (ENCLOSING_INFLATION times the safe
+        rectangle about its centre) as 2n slabs: slabs 2i and 2i+1 lie
+        beyond the safe rectangle's upper and lower face in dimension i."""
+        reach = [ENCLOSING_INFLATION * (0.5 * iv.width)
+                 for iv in self.safe_rect]
+        env = sx.Box(tuple(sx.Interval(iv.mid - r, iv.mid + r)
+                           for iv, r in zip(self.safe_rect, reach)))
+        return [env.replace(dim, iv)
+                for dim, (safe, outer) in enumerate(zip(self.safe_rect, env))
+                for iv in (sx.Interval(safe.hi, outer.hi),
+                           sx.Interval(outer.lo, safe.lo))]
 
     def to_dict(self):
         return {"x0": [[iv.lo, iv.hi] for iv in self.x0],
@@ -306,14 +312,9 @@ def query_init_containment(cand, level, x0, delta=DELTA_DEFAULT):
 
 def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT):
     """Exists x in U (within the enclosing search box) with v(x) <= level?
-    UNSAT on the 2n slabs beyond the safe rectangle's faces certifies L and
-    U disjoint."""
-    enclosing = spec.enclosing_box()
-    boxes = []
-    for dim, (safe, env) in enumerate(zip(spec.safe_rect, enclosing)):
-        boxes.append(enclosing.replace(dim, sx.Interval(safe.hi, env.hi)))
-        boxes.append(enclosing.replace(dim, sx.Interval(env.lo, safe.lo)))
-    return _query("unsafe_disjoint", cand.expr, "<=", level, boxes, delta)
+    UNSAT on spec.unsafe_slabs() certifies L and U disjoint."""
+    return _query("unsafe_disjoint", cand.expr, "<=", level,
+                  spec.unsafe_slabs(), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,6 @@ def halfspace_min(cand, a, b):
 
 def vertex_max(cand, x0):
     """Max of v over the 2^n vertices of the box."""
-    import itertools
     best = -np.inf
     for corner in itertools.product(*[(iv.lo, iv.hi) for iv in x0]):
         best = max(best, cand.value(corner))
@@ -515,45 +515,42 @@ def verify(spec, f, config=None, controller_hash=""):
 # Independent numeric soundness oracle used by the test suite
 # ---------------------------------------------------------------------------
 
-def certificate_grid_oracle(cert, f, n_boundary=10_000, n_grid=101):
-    """Sample-based cross-check of an emitted certificate.
+ORACLE_BOUNDARY = 10_000   # points on the boundary of L
+ORACLE_X0 = 10_201         # uniform points in X0, besides its 2^n vertices
+ORACLE_UNSAFE = 163_216    # points in U, half on the safe rectangle's faces
 
-    Returns a dict of violation counts: boundary points of {v = level}
-    must have grad v . f < 0, an X0 grid must satisfy v <= level, and a
-    grid over U (within the enclosing box) must satisfy v > level.  The
-    boundary and the grids are planar, so it raises ValueError unless the
-    spec and the field have arity 2.
-    """
-    if not cert.spec.arity == f.arity == 2:
-        raise ValueError("the grid oracle is 2-D; spec arity %d, field "
-                         "arity %d" % (cert.spec.arity, f.arity))
-    cand = cert.candidate
-    spec = cert.spec
-    level = cert.level
-    lie = sx.compile_expr(lie_derivative(cand, f))
+
+def certificate_grid_oracle(cert, f):
+    """Sampling cross-check of a certificate at any arity, by compile_expr
+    programs at the points of one generator of seed 0.  Returns counts of
+    "boundary" points of L (normal vectors scaled to the unit sphere, Muller
+    1959, mapped through P's eigendecomposition) with grad v . f >= 0, of
+    "x0" points with v > level, and of "unsafe" points with v <= level: an
+    equal share in each slab of spec.unsafe_slabs(), one slab at a time,
+    half of it on the slab's inner face, where a convex v is least.
+    Raises ValueError when spec and field differ in arity."""
+    spec, cand, level = cert.spec, cert.candidate, cert.level
+    if spec.arity != f.arity:
+        raise ValueError("spec arity %d, field arity %d"
+                         % (spec.arity, f.arity))
+    rng = np.random.default_rng(0)
     vfun = sx.compile_expr(cand.expr)
-
-    # Ellipse boundary: x = x* + r(phi) direction, solving v(x) = level.
-    p = cand.p_matrix
-    x_star = np.linalg.solve(p, -0.5 * cand.q_vector)
-    v_min = cand.value(x_star)
-    rho = level - v_min
-    evals, evecs = np.linalg.eigh(p)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
-    circ = np.vstack([np.cos(phis), np.sin(phis)])
-    pts = (evecs @ (circ * np.sqrt(rho / evals)[:, None])) + x_star[:, None]
-    boundary_bad = int(np.sum(lie([pts[0], pts[1]]) >= 0.0))
-
-    g0 = np.linspace(spec.x0[0].lo, spec.x0[0].hi, n_grid)
-    g1 = np.linspace(spec.x0[1].lo, spec.x0[1].hi, n_grid)
-    xx, yy = np.meshgrid(g0, g1)
-    x0_bad = int(np.sum(vfun([xx, yy]) > level))
-
-    env = cert.spec.enclosing_box()
-    e0 = np.linspace(env[0].lo, env[0].hi, 4 * n_grid)
-    e1 = np.linspace(env[1].lo, env[1].hi, 4 * n_grid)
-    xx, yy = np.meshgrid(e0, e1)
-    in_u = ((xx < spec.safe_rect[0].lo) | (xx > spec.safe_rect[0].hi)
-            | (yy < spec.safe_rect[1].lo) | (yy > spec.safe_rect[1].hi))
-    u_bad = int(np.sum(vfun([xx[in_u], yy[in_u]]) <= level))
+    lie = sx.compile_expr(lie_derivative(cand, f))
+    x_star = np.linalg.solve(cand.p_matrix, -0.5 * cand.q_vector)
+    evals, evecs = np.linalg.eigh(cand.p_matrix)
+    dirs = rng.standard_normal((f.arity, ORACLE_BOUNDARY))
+    radii = np.sqrt((level - cand.value(x_star)) / evals)
+    boundary = evecs @ (dirs * radii[:, None] / np.linalg.norm(dirs, axis=0))
+    boundary_bad = int(np.sum(lie(boundary + x_star[:, None]) >= 0.0))
+    x0 = np.concatenate([
+        list(itertools.product(*[(iv.lo, iv.hi) for iv in spec.x0])),
+        sim.sample_box(rng, spec.x0, ORACLE_X0)])
+    x0_bad = int(np.sum(vfun(x0.T) > level))
+    slabs = spec.unsafe_slabs()
+    u_bad = 0
+    for k, slab in enumerate(slabs):
+        dim, below = divmod(k, 2)
+        pts = sim.sample_box(rng, slab, ORACLE_UNSAFE // len(slabs))
+        pts[::2, dim] = slab[dim].hi if below else slab[dim].lo
+        u_bad += int(np.sum(vfun(pts.T) <= level))
     return {"boundary": boundary_bad, "x0": x0_bad, "unsafe": u_bad}

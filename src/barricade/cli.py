@@ -19,29 +19,31 @@ from . import symexpr as sx
 
 
 def _load_system(args):
-    """System config + controller from --system JSON and/or flags."""
+    """System config + controller from --system JSON and/or flags; a
+    malformed --system file raises ValueError."""
     cfg = {"speed": 1.0, "path_angle": math.pi / 4, "gain": 1.0}
-    if getattr(args, "system", None):
-        with open(args.system) as fh:
-            cfg.update(json.load(fh))
-    if getattr(args, "nn", None):
-        cfg["controller"] = args.nn
-    if "controller" not in cfg:
-        raise SystemExit("error: no controller given (--nn or system.json)")
-    base = os.path.dirname(os.path.abspath(args.system)) if getattr(
-        args, "system", None) else os.getcwd()
-    path = cfg["controller"]
-    if not os.path.isabs(path):
-        path = os.path.join(base, path)
-    net = nn.load(path)
-    params = plant.DubinsParams(cfg["speed"], cfg["path_angle"])
-    field = plant.dubins_closed_loop(params, net, gain=cfg.get("gain", 1.0))
-    spec_cfg = cfg.get("spec", {})
-    if spec_cfg:
-        spec = certify.SafetySpec(sx.box(*spec_cfg["x0"]),
-                                  sx.box(*spec_cfg["safe_rect"]))
-    else:
-        spec = certify.default_spec()
+    try:
+        if args.system:
+            with open(args.system) as fh:
+                cfg.update(json.load(fh).items())
+        if args.nn:
+            cfg["controller"] = args.nn
+        if "controller" not in cfg:
+            raise SystemExit("error: no controller given (--nn or system.json)")
+        base = (os.path.dirname(os.path.abspath(args.system)) if args.system
+                else os.getcwd())
+        net = nn.load(os.path.join(base, cfg["controller"]))
+        params = plant.DubinsParams(cfg["speed"], cfg["path_angle"])
+        field = plant.dubins_closed_loop(params, net, gain=cfg["gain"])
+        spec_cfg = cfg.get("spec", {})
+        if spec_cfg:
+            spec = certify.SafetySpec(sx.box(*spec_cfg["x0"]),
+                                      sx.box(*spec_cfg["safe_rect"]))
+        else:
+            spec = certify.default_spec()
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed system file %s: %s %s"
+                         % (args.system, type(exc).__name__, exc)) from None
     return net, field, spec
 
 

@@ -2,9 +2,11 @@
 
 Decides a conjunction of closed nonlinear inequalities (`lhs <= rhs` or
 `lhs >= rhs`) over a box.  UNSAT is exact (no real point in the domain
-satisfies the formula); a DELTA_SAT verdict returns a box of per-dimension
-width <= delta on which interval evaluation cannot refute the formula,
-which matches the usual delta-decision semantics.
+satisfies the formula); a DELTA_SAT verdict returns a box on which
+interval evaluation cannot refute the formula, which matches the usual
+delta-decision semantics.  The box is at most delta wide in each
+dimension that floats can split; a box they cannot split is never
+discarded, so UNSAT stays exact.
 """
 
 from __future__ import annotations
@@ -250,18 +252,21 @@ def _box(pairs):
     return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
-def branch(box):
+def branch(box, delta):
     """Halves of box (a list of (lo, hi) pairs) split at the midpoint of
-    its widest dimension."""
+    its widest dimension that is wider than delta and that floats can
+    split; None when it has no such dimension."""
     widths = [hi - lo for lo, hi in box]
-    dim = max(range(len(widths)), key=widths.__getitem__)
-    lo, hi = box[dim]
-    mid = _mid(lo, hi)
-    left = list(box)
-    right = list(box)
-    left[dim] = (lo, mid)
-    right[dim] = (mid, hi)
-    return left, right
+    for dim in sorted(range(len(box)), key=widths.__getitem__, reverse=True):
+        lo, hi = box[dim]
+        mid = _mid(lo, hi)
+        if widths[dim] > delta and lo < mid < hi:
+            left = list(box)
+            right = list(box)
+            left[dim] = (lo, mid)
+            right[dim] = (mid, hi)
+            return left, right
+    return None
 
 
 def check(phi, domain, delta, max_boxes=10_000_000):
@@ -295,7 +300,8 @@ def check(phi, domain, delta, max_boxes=10_000_000):
             status = _status(atoms, box)
         if status == FALSE:
             continue
-        if max(hi - lo for lo, hi in box) <= delta:
+        halves = branch(box, delta)
+        if halves is None:
             return DsatResult("DELTA_SAT", _box(box), explored,
                               time.perf_counter() - t0)
         if status == TRUE:
@@ -305,7 +311,5 @@ def check(phi, domain, delta, max_boxes=10_000_000):
             wit = _box(zip(mid, mid))
             return DsatResult("DELTA_SAT", wit, explored,
                               time.perf_counter() - t0)
-        left, right = branch(box)
-        stack.append(right)
-        stack.append(left)
+        stack += reversed(halves)
     return DsatResult("UNSAT", None, explored, time.perf_counter() - t0)

@@ -397,7 +397,12 @@ def array_program(exprs, rows=False):
     own rows when they are var(0..q-1) in order.  It may round differently
     from eval_expr in the last bits and makes no division or NaN check."""
     nodes, *roots = _lowered(*exprs)
-    last_read = {k: s for s, node in enumerate(nodes) for k in node[3]}
+    direct = {s for s, (op, _, _, kids) in enumerate(nodes) if op == "net"
+              and [nodes[k][::2] for k in kids]
+              == [("var", i) for i in range(len(kids))]}
+    # A direct network reads p's rows, not its inputs' registers.
+    last_read = {k: s for s, node in enumerate(nodes) if s not in direct
+                 for k in node[3]}
     ns = dict(_GLOBALS)
     lines = ["def run(p, out=None):"]
     if rows:
@@ -409,19 +414,19 @@ def array_program(exprs, rows=False):
         # A slot's register is reused after its last read, so no more
         # arrays stay referenced than are ever live at once.
         free.extend(names[k] for k in dict.fromkeys(kids)
-                    if last_read[k] == slot and nodes[k][3])
+                    if nodes[k][3] and last_read[k] == slot)
         name = free.pop() if kids and free else "r%d" % slot
         copies = [i for i, root in enumerate(roots) if rows and root == slot]
         if op == "const":
             ns[name] = np.array(val[0])
         elif op == "var":
-            lines.append("%s = p[%d]" % (name, idx))
+            if slot in last_read or slot in roots:
+                lines.append("%s = p[%d]" % (name, idx))
         elif op == "net":
             ns["a%d" % slot] = cache(partial(nn.batch_arrays, val))
-            direct = [nodes[k][::2] for k in kids] == [
-                ("var", i) for i in range(len(kids))]
             lines += ["y = " + ("ascontiguousarray(p[:%d])" % len(kids)
-                                if direct else "array(broadcast_arrays(%s))"
+                                if slot in direct else
+                                "array(broadcast_arrays(%s))"
                                 % ", ".join(args)),
                       "a = a%d(y.shape[1])" % slot]
             for j, layer in enumerate(val.layers):

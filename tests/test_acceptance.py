@@ -78,7 +78,7 @@ def test_criterion_02_certificate_soundness_oracle(certificate_10,
         assert isinstance(result, certify.Certificate), size
         checked.append((result, field))
     for c, f in checked:
-        violations = certify.certificate_grid_oracle(c, f, n_boundary=10_000)
+        violations = certify.certificate_grid_oracle(c, f)
         assert violations == {"boundary": 0, "x0": 0, "unsafe": 0}
 
 

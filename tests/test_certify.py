@@ -79,6 +79,27 @@ class TestSpec:
                 # boundary points may fall either way
                 any(abs(abs(v) - 0.1) < 1e-12 for v in p))
 
+    def test_unsafe_slabs_cover_u(self):
+        spec = _square_spec()
+        slabs = spec.unsafe_slabs()
+        assert len(slabs) == 4
+        # slabs 2i and 2i+1 lie beyond the upper and lower face of dim i
+        for k, slab in enumerate(slabs):
+            dim, below = divmod(k, 2)
+            face = spec.safe_rect[dim]
+            assert (slab[dim].hi == face.lo if below
+                    else slab[dim].lo == face.hi)
+        # the enclosing box is three times the safe rectangle
+        env = sx.box((-3.0, 3.0), (-3.0, 3.0))
+        assert all(s[dim] == env[dim] for k, s in enumerate(slabs)
+                   for dim in range(2) if dim != k // 2)
+        rng = np.random.default_rng(3)
+        for p in sim.sample_box(rng, env, 2000):
+            assert (any(s.contains(p) for s in slabs)
+                    == (not spec.safe_rect.contains(p)))
+        t = certify.query_unsafe_disjoint(_identity_candidate(), 0.51, spec)
+        assert t.domains == slabs
+
 
 class TestQueries:
     def test_decrease_unsat_for_contraction(self):
@@ -570,22 +591,75 @@ class TestCertificateFile:
             certify.load_certificate(path)
 
 
+def _linear3_field():
+    """A stable linear field at arity 3."""
+    x0, x1, x2 = (sx.var(i) for i in range(3))
+    half = sx.const(0.5)
+    return plant.VectorField(3, (
+        sx.add(sx.neg(x0), sx.mul(half, x1)),
+        sx.add(sx.neg(x1), sx.mul(half, x2)),
+        sx.sub(sx.mul(sx.const(-0.3), x0), x2)))
+
+
+def _cube_spec():
+    return certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
+                              sx.box(*[(-1.0, 1.0)] * 3))
+
+
+def _hmin(cert):
+    return min(certify.halfspace_min(cert.candidate, a, b)
+               for a, b in cert.spec.unsafe_halfspaces())
+
+
+def _violated(cert, field):
+    counts = certify.certificate_grid_oracle(cert, field)
+    return {k for k, v in counts.items() if v}
+
+
 class TestGridOracle:
-    def test_rejects_arity_other_than_two(self):
+    def test_any_arity_and_mismatch_rejected(self):
         cand3 = lpgen.candidate_from([1.0, 0.0, 0.0, 1.0, 0.0, 1.0,
                                       0.0, 0.0, 0.0, 0.0],
                                      lpgen.QuadraticTemplate(3))
-        spec3 = certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
-                                   sx.box(*[(-1.0, 1.0)] * 3))
         field3 = plant.VectorField(3, tuple(sx.neg(sx.var(i))
                                             for i in range(3)))
-        cert3 = certify.Certificate(cand3, 0.5, 1e-6, 1e-3, {}, spec3, "", 1)
+        cert3 = certify.Certificate(cand3, 0.5, 1e-6, 1e-3, {},
+                                    _cube_spec(), "", 1)
         cert2 = certify.Certificate(_identity_candidate(), 0.5, 1e-6, 1e-3,
                                     {}, _square_spec(), "", 1)
-        for cert, field in ((cert3, field3), (cert2, field3),
-                            (cert3, _contraction_field())):
+        for cert, field in ((cert2, field3), (cert3, _contraction_field())):
             with pytest.raises(ValueError):
                 certify.certificate_grid_oracle(cert, field)
-        assert certify.certificate_grid_oracle(
-            cert2, _contraction_field()) == {"boundary": 0, "x0": 0,
-                                             "unsafe": 0}
+        zero = {"boundary": 0, "x0": 0, "unsafe": 0}
+        assert certify.certificate_grid_oracle(cert2,
+                                               _contraction_field()) == zero
+        assert certify.certificate_grid_oracle(cert3, field3) == zero
+
+    @pytest.mark.parametrize("planted", ["unsafe", "x0", "boundary"])
+    def test_planted_violation_found(self, planted):
+        cert = certify.load_certificate(
+            Path(__file__).parent / "data" / "nn10_seed1_certificate.json")
+        field = _nn10_field()
+        assert _violated(cert, field) == set()
+        if planted == "unsafe":
+            # just above v's exact minimum over U, reached on a face of
+            # the safe rectangle, where a grid over U need not land
+            cert = dataclasses.replace(cert, level=1.002 * _hmin(cert))
+        elif planted == "x0":
+            cert = dataclasses.replace(
+                cert, level=0.998 * certify.vertex_max(cert.candidate,
+                                                       cert.spec.x0))
+        else:
+            field = plant.VectorField(2, tuple(sx.neg(c)
+                                               for c in field.components))
+        assert _violated(cert, field) == {planted}
+
+    def test_arity_three_certificate(self):
+        field = _linear3_field()
+        cert = certify.verify(_cube_spec(), field,
+                              certify.CertifyConfig(seed=0))
+        assert isinstance(cert, certify.Certificate)
+        assert cert.iterations == 1
+        assert _violated(cert, field) == set()
+        cert = dataclasses.replace(cert, level=1.02 * _hmin(cert))
+        assert _violated(cert, field) == {"unsafe"}

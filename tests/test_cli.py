@@ -97,6 +97,25 @@ class TestVerifyCmd:
         rc = cli.main(["verify", "--system", str(system), "--out", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("system", [
+        {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]]}},
+        {"speed": "fast"},
+        [{"speed": 1.0}],
+    ], ids=["spec_without_safe_rect", "speed_string", "top_level_list"])
+    def test_malformed_system_file_one_error_line(self, tmp_path, hand_nn,
+                                                  capsys, system):
+        if isinstance(system, dict):
+            system = {**system, "controller": os.path.basename(hand_nn)}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        out = tmp_path / "c.json"
+        rc = cli.main(["verify", "--system", str(path), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed system file ")
+        assert err.count("\n") == 1
+
 
 class TestPlotCmd:
     def test_svg_structure(self, tmp_path, hand_nn):

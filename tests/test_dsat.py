@@ -129,6 +129,20 @@ class TestCheck:
         assert out.witness[0].lo == out.witness[0].hi
         assert dom.contains([out.witness[0].lo])
 
+    @pytest.mark.parametrize("lhs, rhs, domain", [
+        (sx.add(sx.var(0), sx.sin(sx.var(0))), 1.6e308, [(1.1e308, 1.7e308)]),
+        (sx.sub(sx.var(0), sx.var(1)), 0.3e308, [(1.1e308, 1.7e308)] * 2),
+    ], ids=["x+sin(x)", "x-y"])
+    def test_box_one_float_wide_is_witness(self, lhs, rhs, domain):
+        # delta is below the float spacing here, so the search ends on a
+        # box that floats cannot split further, wider than delta
+        phi = dsat.Formula(len(domain), _c(lhs, ">=", rhs))
+        out = dsat.check(phi, sx.box(*domain), 1e-3, max_boxes=20_000)
+        assert out.verdict == "DELTA_SAT"
+        assert out.witness.max_width() > 1e-3
+        assert dsat.branch([(iv.lo, iv.hi) for iv in out.witness],
+                           1e-3) is None
+
     def test_unbounded_domain_rejected(self):
         # bisection of [1, inf] splits at inf and never shrinks the box
         phi = dsat.Formula(1, _c(sx.sub(sx.var(0), sx.var(0)), ">=", 1.0))
@@ -195,13 +209,23 @@ class TestPrune:
 
 class TestBranch:
     def test_splits_widest(self):
-        left, right = dsat.branch([(0.0, 4.0), (0.0, 1.0)])
+        left, right = dsat.branch([(0.0, 4.0), (0.0, 1.0)], 1e-3)
         assert left[0] == (0.0, 2.0)
         assert right[0] == (2.0, 4.0)
         assert left[1] == right[1]
 
     def test_children_cover_parent(self):
         bx = [(-1.0, 3.0), (2.0, 2.5)]
-        left, right = dsat.branch(bx)
+        left, right = dsat.branch(bx, 1e-3)
         assert left[0][1] == right[0][0]
         assert left[0][0] == bx[0][0] and right[0][1] == bx[0][1]
+
+    def test_skips_what_floats_or_delta_cannot_split(self):
+        lo = 1.6e308
+        one_float = (lo, math.nextafter(lo, math.inf))
+        # the midpoint rounds to an endpoint: no half is smaller
+        assert dsat.branch([one_float], 1e-3) is None
+        assert dsat.branch([(0.0, 1e-3)], 1e-3) is None
+        left, right = dsat.branch([one_float, (0.0, 1.0)], 1e-3)
+        assert left == [one_float, (0.0, 0.5)]
+        assert right == [one_float, (0.5, 1.0)]

@@ -1,5 +1,6 @@
 """Expression trees: evaluation, differentiation, intervals, serialization."""
 
+import dis
 import math
 import re
 import sys
@@ -677,6 +678,30 @@ class TestArrayProgram:
             sx.const(-0.5), sx.var(2), sx.net(net, 1, x),
             sx.mul(sx.net(net, 0, x), sx.var(2)), sx.var(2)))
         _assert_field_matches_reference(field, rng)
+
+    def test_every_stored_register_is_loaded(self):
+        # A network whose inputs are var(0..q-1) in order reads p's rows,
+        # so a var that only it reads needs no register.
+        def fast_names(code, kind):
+            out = set()
+            for ins in dis.get_instructions(code):
+                names = (ins.argval if isinstance(ins.argval, tuple)
+                         else (ins.argval,))
+                out.update(n for k, n in zip(re.findall(
+                    r"(LOAD|STORE)_FAST", ins.opname), names) if k == kind)
+            return out
+
+        net = nn.load(cli.bundled_controller_path(10))
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        swapped = plant.close_loop(
+            plant.dubins_error_field(plant.DubinsParams()),
+            [sx.var(1), sx.var(0)], net)
+        cand = lpgen.candidate_from([1.0, 0.5, 2.0, 0.1, -0.1, 0.0],
+                                    lpgen.QuadraticTemplate(2))
+        for run in (field.batched, swapped.batched, sx.compile_expr(
+                certify.lie_derivative(cand, field))):
+            code = run.__code__
+            assert fast_names(code, "STORE") <= fast_names(code, "LOAD")
 
     def test_no_value_in_the_source(self, monkeypatch):
         sources = []
