@@ -2,6 +2,10 @@
 selection by binary search, final set queries and certificate emission.
 
 The pipeline mirrors the simulate -> solve LP -> interval-check cycle.
+Traces are integrated at SIM_STEP, the grid of the states the pipeline
+reads: every SUBSAMPLE-th state (one each 0.1 s) gives LP rows, and the
+states midway between them are falsified.  Each stored derivative is f
+at its stored state, so the step moves only where the rows lie.
 Each LP candidate is first falsified by sampling: its Lie derivative is
 evaluated on a fixed sample of D \\ X0 (FALSIFY_POINTS points, seeded by
 the config seed) and on the trace states between the LP's rows.  Up to
@@ -35,8 +39,8 @@ DELTA_DEFAULT = 1e-3
 # The pipeline's fixed algorithm settings.
 BISECTION_STEPS = 30       # level probes before select_level gives up
 SIM_DURATION = 10.0        # length of every simulated trace
-SIM_STEP = 0.01            # RK4 step
-SUBSAMPLE = 10             # every SUBSAMPLE-th trace state gives LP rows
+SIM_STEP = 0.05            # RK4 step: every state the pipeline reads
+SUBSAMPLE = 2              # every SUBSAMPLE-th trace state gives LP rows
 EPS_POS = EPS_DEC = 1e-3   # LP margins of the value and decrease rows
 CEX_SPREAD = 0.05          # counterexample jitter, fraction of width
 FALSIFY_POINTS = 2000      # fixed sample of D \ X0 tried on every candidate
@@ -518,6 +522,7 @@ def verify(spec, f, config=None, controller_hash=""):
 ORACLE_BOUNDARY = 10_000   # points on the boundary of L
 ORACLE_X0 = 10_201         # uniform points in X0, besides its 2^n vertices
 ORACLE_UNSAFE = 163_216    # points in U, half on the safe rectangle's faces
+ORACLE_CHUNK = 2_000       # boundary points per evaluation of grad v . f
 
 
 def certificate_grid_oracle(cert, f):
@@ -540,8 +545,11 @@ def certificate_grid_oracle(cert, f):
     evals, evecs = np.linalg.eigh(cand.p_matrix)
     dirs = rng.standard_normal((f.arity, ORACLE_BOUNDARY))
     radii = np.sqrt((level - cand.value(x_star)) / evals)
-    boundary = evecs @ (dirs * radii[:, None] / np.linalg.norm(dirs, axis=0))
-    boundary_bad = int(np.sum(lie(boundary + x_star[:, None]) >= 0.0))
+    boundary = (evecs @ (dirs * radii[:, None] / np.linalg.norm(dirs, axis=0))
+                + x_star[:, None])
+    # In chunks, so a wide controller's hidden layers stay small.
+    boundary_bad = sum(int(np.sum(lie(boundary[:, i:i + ORACLE_CHUNK]) >= 0.0))
+                       for i in range(0, ORACLE_BOUNDARY, ORACLE_CHUNK))
     x0 = np.concatenate([
         list(itertools.product(*[(iv.lo, iv.hi) for iv in spec.x0])),
         sim.sample_box(rng, spec.x0, ORACLE_X0)])

@@ -399,6 +399,14 @@ class TestCounterexampleSources:
         assert len(dsat_calls) == sum(not cex for cex in rounds) > 0
         assert any(rounds)
 
+    @pytest.mark.parametrize("seed, iterations", [(0, 3), (2, 3), (3, 4)])
+    def test_pool_rounds_refuted_by_sampling(self, seed, iterations):
+        # the cegis-nn10 benchmark pool
+        out = _cegis_nn10(seed)
+        assert isinstance(out, certify.Certificate)
+        assert out.iterations == iterations
+        assert out.refuted == {"sampling": iterations - 1, "dsat": 0}
+
     def test_one_seed_one_certificate(self):
         again = certify.verify(certify.default_spec(), _nn10_field(),
                                certify.CertifyConfig(seed=3, n_seed_traces=2))
@@ -424,6 +432,17 @@ class TestVerify:
         out = certify.verify(certify.default_spec(), f)
         assert isinstance(out, certify.Inconclusive)
         assert out.stage == "simulation"
+
+    def test_field_too_stiff_for_the_step_is_inconclusive(self):
+        # xdot = -100 x: h lambda = -5 lies outside RK4's stability
+        # interval, so the seed traces blow up though the field contracts
+        f = plant.VectorField(2, tuple(sx.mul(sx.const(-100.0), sx.var(i))
+                                       for i in range(2)))
+        assert 100.0 * certify.SIM_STEP > 2.79
+        out = certify.verify(_square_spec(), f)
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "simulation"
+        assert (out.transcripts, out.iterations) == ({}, 0)
 
     @pytest.mark.parametrize("spec,field", [
         (certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
@@ -653,6 +672,26 @@ class TestGridOracle:
             field = plant.VectorField(2, tuple(sx.neg(c)
                                                for c in field.components))
         assert _violated(cert, field) == {planted}
+
+    def test_chunked_boundary_counts_equal_one_shot(self, monkeypatch):
+        recorded = certify.load_certificate(
+            Path(__file__).parent / "data" / "nn10_seed1_certificate.json")
+        field3 = _linear3_field()
+        cert3 = certify.verify(_cube_spec(), field3,
+                               certify.CertifyConfig(seed=0))
+        cases = [(recorded, _nn10_field()),
+                 (dataclasses.replace(recorded, level=1.002 * recorded.level),
+                  _nn10_field()),
+                 (dataclasses.replace(recorded, level=3.0 * recorded.level),
+                  _nn10_field()),
+                 (cert3, field3)]
+        chunked = [certify.certificate_grid_oracle(c, f) for c, f in cases]
+        assert certify.ORACLE_CHUNK < certify.ORACLE_BOUNDARY
+        for size in (certify.ORACLE_BOUNDARY, 3001):
+            monkeypatch.setattr(certify, "ORACLE_CHUNK", size)
+            assert [certify.certificate_grid_oracle(c, f)
+                    for c, f in cases] == chunked
+        assert 0 < chunked[2]["boundary"] < certify.ORACLE_BOUNDARY
 
     def test_arity_three_certificate(self):
         field = _linear3_field()

@@ -6,6 +6,7 @@ import signal
 import numpy as np
 import pytest
 
+from barricade import certify
 from barricade import cli
 from barricade import network as nn
 from barricade import plant
@@ -191,6 +192,39 @@ class TestSimulateBatch:
                 expected.append(x0)
         for tr, x0 in zip(traces, expected):
             assert np.array_equal(tr.states[0], x0)
+
+
+class TestPipelineGrid:
+    """The states certify reads: LP rows at every SUBSAMPLE-th state and
+    the falsifier's midpoints halfway between them."""
+
+    def test_read_times(self):
+        tr = sim.simulate(_dubins_zero_controller(), [0.5, 0.3],
+                          certify.SIM_DURATION, certify.SIM_STEP)
+        rows = tr.times[::certify.SUBSAMPLE]
+        mids = tr.times[certify.SUBSAMPLE // 2::certify.SUBSAMPLE]
+        assert np.allclose(rows, 0.1 * np.arange(101), rtol=0, atol=1e-12)
+        assert np.allclose(mids, 0.05 + 0.1 * np.arange(100), rtol=0,
+                           atol=1e-12)
+
+    def test_states_read_match_a_fine_reference(self):
+        # nn10 on 20 seeded starts, against RK4 at h = 0.001: guards
+        # against a step too coarse for the field
+        field = _bundled_field(10)
+        spec = certify.default_spec()
+        coarse, fine = (sim.seed_traces(field, spec.safe_rect, 20,
+                                        certify.SIM_DURATION, h, 0,
+                                        exclude=spec.x0)
+                        for h in (certify.SIM_STEP, 0.001))
+        stride = round(certify.SIM_STEP / 0.001)
+        read = np.union1d(np.arange(0, len(coarse[0]), certify.SUBSAMPLE),
+                          np.arange(certify.SUBSAMPLE // 2, len(coarse[0]),
+                                    certify.SUBSAMPLE))
+        for c, r in zip(coarse, fine):
+            assert np.allclose(c.times[read], r.times[read * stride],
+                               rtol=0, atol=1e-12)
+            assert np.max(np.abs(c.states[read]
+                                 - r.states[read * stride])) <= 1e-4
 
 
 def _rk4_in_operator_order(field, starts, n_steps, step):

@@ -1,6 +1,9 @@
 """Policy search: rollout cost, CMA-ES, controller training."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,3 +163,15 @@ class TestWidenController:
         small = train.params_to_network(rng.standard_normal(13), 3)
         with pytest.raises(ValueError):
             train.widen_controller(small, 2)
+
+
+def test_package_import_leaves_train_unloaded():
+    code = ("import sys, barricade\n"
+            "assert 'barricade.train' not in sys.modules\n"
+            "assert 'train' in barricade.__all__\n"
+            "from barricade import train\n"
+            "assert train is barricade.train\n")
+    src = os.path.dirname(os.path.dirname(train.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=60)
