@@ -4,8 +4,10 @@ selection by binary search, final set queries and certificate emission.
 The pipeline mirrors the simulate -> solve LP -> interval-check cycle.
 Traces are integrated at SIM_STEP, the grid of the states the pipeline
 reads: every SUBSAMPLE-th state (one each 0.1 s) gives LP rows, and the
-states midway between them are falsified.  Each stored derivative is f
-at its stored state, so the step moves only where the rows lie.
+states midway between them are falsified.  A batch too stiff for that
+step is integrated again REFINE times finer, on the same read times.
+Each stored derivative is f at its stored state, so the step moves only
+where the rows lie.
 Each LP candidate is first falsified by sampling: its Lie derivative is
 evaluated on a fixed sample of D \\ X0 (FALSIFY_POINTS points, seeded by
 the config seed) and on the trace states between the LP's rows.  Up to
@@ -41,6 +43,10 @@ BISECTION_STEPS = 30       # level probes before select_level gives up
 SIM_DURATION = 10.0        # length of every simulated trace
 SIM_STEP = 0.05            # RK4 step: every state the pipeline reads
 SUBSAMPLE = 2              # every SUBSAMPLE-th trace state gives LP rows
+# Past SIM_STEP * stiffness = STIFF_LIMIT, just above the bundled loop's
+# 0.47 at default speed and gain, a batch is integrated at 0.01 s instead.
+STIFF_LIMIT = 0.5
+REFINE = 5                 # SIM_STEP / REFINE: the finer step
 EPS_POS = EPS_DEC = 1e-3   # LP margins of the value and decrease rows
 CEX_SPREAD = 0.05          # counterexample jitter, fraction of width
 FALSIFY_POINTS = 2000      # fixed sample of D \ X0 tried on every candidate
@@ -405,9 +411,9 @@ def find_generator(spec, f, config):
     "sampling" and by "dsat", or raises NoCandidateError.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
-    traces = sim.seed_traces(f, spec.safe_rect, config.n_seed_traces,
-                             SIM_DURATION, SIM_STEP, config.seed,
-                             exclude=spec.x0)
+    traces = _on_read_grid(lambda step: sim.seed_traces(
+        f, spec.safe_rect, config.n_seed_traces, SIM_DURATION, step,
+        config.seed, exclude=spec.x0))
     # Its own stream of config.seed, so the seed traces do not move.
     sample = sim.sample_box(
         np.random.default_rng(np.random.SeedSequence(config.seed,
@@ -439,11 +445,30 @@ def find_generator(spec, f, config):
                 return cand, transcript, iteration, refuted
             refuted["dsat"] += 1
             cex = [transcript.witness.midpoint()]
-        traces.extend(sim.simulate_batch(
-            f, [p for x in cex for p in _cex_cluster(x, spec)],
-            SIM_DURATION, SIM_STEP))
+        starts = [p for x in cex for p in _cex_cluster(x, spec)]
+        traces.extend(_on_read_grid(lambda step: sim.simulate_batch(
+            f, starts, SIM_DURATION, step)))
     raise NoCandidateError("no candidate within %d iterations"
                            % config.max_iterations)
+
+
+def _on_read_grid(integrate):
+    """integrate(step), a batch of traces, on the SIM_STEP grid.
+
+    When the batch diverges at SIM_STEP, or SIM_STEP times its stiffness
+    exceeds STIFF_LIMIT, it is integrated again at SIM_STEP / REFINE and
+    every REFINE-th state kept.  Raises SimulationDivergence when that
+    diverges too.
+    """
+    try:
+        traces = integrate(SIM_STEP)
+        if SIM_STEP * sim.stiffness(traces) <= STIFF_LIMIT:
+            return traces
+    except sim.SimulationDivergence:
+        pass
+    return [sim.Trace(tr.times[::REFINE], tr.states[::REFINE],
+                      tr.derivs[::REFINE])
+            for tr in integrate(SIM_STEP / REFINE)]
 
 
 def falsify(lie, points, spec, gamma):

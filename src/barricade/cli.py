@@ -14,8 +14,10 @@ import sys
 import time
 from importlib import resources
 
-from . import certify, network as nn, plant, simulate as sim, svgplot, train
+from . import certify, network as nn, plant, simulate as sim, svgplot
 from . import symexpr as sx
+
+PLOT_STEP = 0.01   # RK4 step of the plotted traces, finer than the pipeline's
 
 
 def _load_system(args):
@@ -57,6 +59,7 @@ def bundled_controller_path(n_hidden):
 
 
 def cmd_train(args):
+    from . import train    # CMA-ES: loaded only by the train subcommand
     cmaes_cfg = train.CmaesConfig(population=args.popsize,
                                   iterations=args.iters, seed=args.seed)
     net, history = train.train_controller(args.neurons,
@@ -103,7 +106,7 @@ def cmd_plot(args):
             raise SystemExit("error: trace arity does not match system")
     else:
         traces = sim.seed_traces(field, spec.safe_rect, args.count,
-                                 certify.SIM_DURATION, certify.SIM_STEP,
+                                 certify.SIM_DURATION, PLOT_STEP,
                                  args.seed, exclude=spec.x0)
     candidate = level = None
     if args.certificate:
@@ -231,7 +234,7 @@ def main(argv=None):
         print(str(exc), file=sys.stderr)
         return 1
     except (OSError, ValueError, nn.NetworkFormatError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, sim.SimulationDivergence) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIVERGENCE_LIMIT = 1.0e6
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class SimulationDivergence(RuntimeError):
@@ -92,6 +93,20 @@ def simulate_batch(field, starts, duration, step):
     times = np.arange(n_steps + 1) * step
     return [Trace(times, states[:, :, b], derivs[:, :, b])
             for b in range(len(x0))]
+
+
+def stiffness(traces):
+    """The largest |f(x') - f(x)| / |x' - x| over the steps x -> x' of
+    `traces`, all of one length: |lambda| for a linear field, and a
+    lower bound on f's Lipschitz constant along the traces for any
+    field.  Steps shorter than sqrt(eps) * (1 + |x|), where rounding in
+    f would swamp the difference, are skipped; 0.0 when none is left."""
+    states = np.stack([tr.states for tr in traces], axis=2)
+    derivs = np.stack([tr.derivs for tr in traces], axis=2)
+    dx = np.linalg.norm(np.diff(states, axis=0), axis=1)
+    df = np.linalg.norm(np.diff(derivs, axis=0), axis=1)
+    long = dx > _SQRT_EPS * (1.0 + np.linalg.norm(states[:-1], axis=1))
+    return float(np.max(df[long] / dx[long])) if long.any() else 0.0
 
 
 def seed_traces(field, region, count, duration, step, rng_seed, exclude=None):

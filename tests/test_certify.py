@@ -354,10 +354,14 @@ def _without_wall_times(cert):
 class TestCounterexampleSources:
     @pytest.mark.parametrize("seed, most", [(0, 11), (2, 9), (3, 6)])
     def test_iteration_gate(self, seed, most):
-        # `most`: the iterations these configs took with dsat alone
+        # `most`: the iterations these configs took with dsat alone.  They
+        # are the cegis-nn10 benchmark pool, where sampling refutes every
+        # candidate but the last.
         out = _cegis_nn10(seed)
         assert isinstance(out, certify.Certificate)
-        assert out.iterations <= most
+        iterations = {0: 3, 2: 3, 3: 4}[seed]
+        assert out.iterations == iterations <= most
+        assert out.refuted == {"sampling": iterations - 1, "dsat": 0}
         assert all(t.verdict == "UNSAT" for t in out.transcripts.values())
         assert certify.certificate_grid_oracle(out, _nn10_field()) == {
             "boundary": 0, "x0": 0, "unsafe": 0}
@@ -399,14 +403,6 @@ class TestCounterexampleSources:
         assert len(dsat_calls) == sum(not cex for cex in rounds) > 0
         assert any(rounds)
 
-    @pytest.mark.parametrize("seed, iterations", [(0, 3), (2, 3), (3, 4)])
-    def test_pool_rounds_refuted_by_sampling(self, seed, iterations):
-        # the cegis-nn10 benchmark pool
-        out = _cegis_nn10(seed)
-        assert isinstance(out, certify.Certificate)
-        assert out.iterations == iterations
-        assert out.refuted == {"sampling": iterations - 1, "dsat": 0}
-
     def test_one_seed_one_certificate(self):
         again = certify.verify(certify.default_spec(), _nn10_field(),
                                certify.CertifyConfig(seed=3, n_seed_traces=2))
@@ -433,16 +429,26 @@ class TestVerify:
         assert isinstance(out, certify.Inconclusive)
         assert out.stage == "simulation"
 
-    def test_field_too_stiff_for_the_step_is_inconclusive(self):
-        # xdot = -100 x: h lambda = -5 lies outside RK4's stability
-        # interval, so the seed traces blow up though the field contracts
+    def test_field_too_stiff_for_the_step_certifies(self, monkeypatch):
+        # xdot = -100 x: at SIM_STEP, h lambda = -5 lies outside RK4's
+        # stability interval and the traces blow up though the field
+        # contracts; each batch is integrated again at the finer step.
         f = plant.VectorField(2, tuple(sx.mul(sx.const(-100.0), sx.var(i))
                                        for i in range(2)))
-        assert 100.0 * certify.SIM_STEP > 2.79
+        steps = []
+        simulate_batch = sim.simulate_batch
+
+        def recorded(field, starts, duration, step):
+            steps.append(step)
+            return simulate_batch(field, starts, duration, step)
+
+        monkeypatch.setattr(sim, "simulate_batch", recorded)
         out = certify.verify(_square_spec(), f)
-        assert isinstance(out, certify.Inconclusive)
-        assert out.stage == "simulation"
-        assert (out.transcripts, out.iterations) == ({}, 0)
+        assert isinstance(out, certify.Certificate)
+        assert certify.certificate_grid_oracle(out, f) == {
+            "boundary": 0, "x0": 0, "unsafe": 0}
+        fine = certify.SIM_STEP / certify.REFINE
+        assert steps == [certify.SIM_STEP, fine] * out.iterations
 
     @pytest.mark.parametrize("spec,field", [
         (certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),

@@ -195,6 +195,32 @@ class TestPlotCmd:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_diverging_traces_one_error_line(self, tmp_path, hand_nn,
+                                             capsys, monkeypatch):
+        def diverged(*args):
+            raise sim.SimulationDivergence("state exceeded 1e+06 at t=0.3")
+
+        monkeypatch.setattr(sim, "simulate_batch", diverged)
+        rc = cli.main(["plot", "--nn", hand_nn, "--count", "2",
+                       "--out", str(tmp_path / "p.svg")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_traces_drawn_at_plot_step(self, tmp_path, hand_nn, monkeypatch):
+        steps = []
+        simulate_batch = sim.simulate_batch
+
+        def recorded(field, starts, duration, step):
+            steps.append(step)
+            return simulate_batch(field, starts, duration, step)
+
+        monkeypatch.setattr(sim, "simulate_batch", recorded)
+        assert cli.main(["plot", "--nn", hand_nn, "--count", "2",
+                         "--out", str(tmp_path / "p.svg")]) == 0
+        assert steps == [cli.PLOT_STEP]
+
     def test_traces_file_drawn(self, tmp_path, hand_nn):
         field = plant.dubins_closed_loop(plant.DubinsParams(),
                                          nn.load(hand_nn))

@@ -136,9 +136,9 @@ class TestCsv:
         assert np.array_equal(back.derivs, tr.derivs)
 
 
-def _bundled_field(size):
+def _bundled_field(size, gain=1.0):
     net = nn.load(cli.bundled_controller_path(size))
-    return plant.dubins_closed_loop(plant.DubinsParams(), net)
+    return plant.dubins_closed_loop(plant.DubinsParams(), net, gain=gain)
 
 
 def _scalar_rk4_states(field, x0, n_steps, step):
@@ -207,15 +207,20 @@ class TestPipelineGrid:
         assert np.allclose(mids, 0.05 + 0.1 * np.arange(100), rtol=0,
                            atol=1e-12)
 
-    def test_states_read_match_a_fine_reference(self):
+    @pytest.mark.parametrize("gain", [1.0, 3.0])
+    def test_states_read_match_a_fine_reference(self, gain):
         # nn10 on 20 seeded starts, against RK4 at h = 0.001: guards
-        # against a step too coarse for the field
-        field = _bundled_field(10)
+        # against a step too coarse for the field.  At gain 3, SIM_STEP
+        # alone is 2e-3 off, and the batch must be integrated finer.
+        field = _bundled_field(10, gain)
         spec = certify.default_spec()
-        coarse, fine = (sim.seed_traces(field, spec.safe_rect, 20,
-                                        certify.SIM_DURATION, h, 0,
-                                        exclude=spec.x0)
-                        for h in (certify.SIM_STEP, 0.001))
+
+        def seed(step):
+            return sim.seed_traces(field, spec.safe_rect, 20,
+                                   certify.SIM_DURATION, step, 0,
+                                   exclude=spec.x0)
+
+        coarse, fine = certify._on_read_grid(seed), seed(0.001)
         stride = round(certify.SIM_STEP / 0.001)
         read = np.union1d(np.arange(0, len(coarse[0]), certify.SUBSAMPLE),
                           np.arange(certify.SUBSAMPLE // 2, len(coarse[0]),
@@ -225,6 +230,44 @@ class TestPipelineGrid:
                                rtol=0, atol=1e-12)
             assert np.max(np.abs(c.states[read]
                                  - r.states[read * stride])) <= 1e-4
+
+    @pytest.mark.parametrize("gain, refined", [(1.0, False), (10.0, True)])
+    def test_stiff_batch_integrated_finer(self, gain, refined):
+        # gain 10 does not diverge at SIM_STEP, but SIM_STEP * stiffness
+        # is 4.6; the read states are then those of the finer step
+        field = _bundled_field(10, gain)
+        starts = [[0.5, 0.3], [-0.8, 0.6]]
+
+        def batch(step):
+            return sim.simulate_batch(field, starts, certify.SIM_DURATION,
+                                      step)
+
+        got = certify._on_read_grid(batch)
+        fine = certify.SIM_STEP / certify.REFINE
+        want = ([tr.states[::certify.REFINE] for tr in batch(fine)]
+                if refined else [tr.states for tr in batch(certify.SIM_STEP)])
+        assert [np.array_equal(g.states, w) for g, w in zip(got, want)] == [
+            True, True]
+        assert (certify.SIM_STEP * sim.stiffness(batch(certify.SIM_STEP))
+                > certify.STIFF_LIMIT) == refined
+
+
+class TestStiffness:
+    def test_linear_field_gives_its_rate(self):
+        f = plant.VectorField(2, tuple(sx.mul(sx.const(-3.0), sx.var(i))
+                                       for i in range(2)))
+        tr = sim.simulate(f, [0.5, -0.2], 1.0, 0.05)
+        assert sim.stiffness([tr]) == pytest.approx(3.0, rel=1e-9)
+
+    def test_rotation_gives_its_frequency(self):
+        f = plant.VectorField(2, (sx.mul(sx.const(7.0), sx.var(1)),
+                                  sx.mul(sx.const(-7.0), sx.var(0))))
+        tr = sim.simulate(f, [1.0, 0.0], 1.0, 0.01)
+        assert sim.stiffness([tr]) == pytest.approx(7.0, rel=1e-9)
+
+    def test_no_motion_is_zero(self):
+        tr = sim.simulate(_const_zero_field(), [2.5], 1.0, 0.1)
+        assert sim.stiffness([tr]) == 0.0
 
 
 def _rk4_in_operator_order(field, starts, n_steps, step):

@@ -165,8 +165,8 @@ class TestWidenController:
             train.widen_controller(small, 2)
 
 
-def test_package_import_leaves_train_unloaded():
-    code = ("import sys, barricade\n"
+def test_package_and_cli_imports_leave_train_unloaded():
+    code = ("import sys, barricade, barricade.cli\n"
             "assert 'barricade.train' not in sys.modules\n"
             "assert 'train' in barricade.__all__\n"
             "from barricade import train\n"
