@@ -292,17 +292,9 @@ def _query(name, lhs, rel, rhs, boxes, delta):
     """Exists x in one of boxes with lhs(x) rel rhs?  UNSAT iff every box is
     UNSAT; the first DELTA_SAT box (by index) gives the witness."""
     phi = dsat.Formula(boxes[0].arity, dsat.Constraint(lhs, rel, rhs))
-    total = 0
-    wall = 0.0
-    for bx in boxes:
-        r = dsat.check(phi, bx, delta)
-        total += r.boxes_explored
-        wall += r.wall_time
-        if r.verdict == "DELTA_SAT":
-            return QueryTranscript(name, phi, list(boxes), delta,
-                                   "DELTA_SAT", r.witness, total, wall)
-    return QueryTranscript(name, phi, list(boxes), delta,
-                           "UNSAT", None, total, wall)
+    r = dsat.check(phi, list(boxes), delta)
+    return QueryTranscript(name, phi, list(boxes), delta, r.verdict,
+                           r.witness, r.boxes_explored, r.wall_time)
 
 
 def query_decrease(cand, f, spec, gamma=GAMMA_DEFAULT, delta=DELTA_DEFAULT):
@@ -408,7 +400,9 @@ def find_generator(spec, f, config):
     runs only when sampling finds nothing, so a candidate is returned only
     on an exact UNSAT.  Returns (candidate, decrease_transcript,
     iterations, refuted), where refuted counts the rounds refuted by
-    "sampling" and by "dsat", or raises NoCandidateError.
+    "sampling" and by "dsat", or raises NoCandidateError.  An exception
+    that ends a round (one of _STAGES) carries the round's number as its
+    `iteration`.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     traces = _on_read_grid(lambda step: sim.seed_traces(
@@ -421,35 +415,41 @@ def find_generator(spec, f, config):
         spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
     lp_region = (spec.safe_rect, spec.x0)
     refuted = {"sampling": 0, "dsat": 0}
-    for iteration in range(1, config.max_iterations + 1):
-        lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
-                                     subsample=SUBSAMPLE, region=lp_region)
-        sol = lpgen.solve_lp(lp)
-        if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
-            raise NoCandidateError("LP %s at iteration %d" % (
-                "infeasible" if sol is lpgen.INFEASIBLE else
-                "margin nonpositive", iteration))
-        cand = lpgen.candidate_from(sol[:-1], tmpl)
-        # Trace states midway between the LP's rows, in the LP's region.
-        mid = np.concatenate([tr.states[SUBSAMPLE // 2::SUBSAMPLE]
-                              for tr in traces])
-        cex = falsify(lie_derivative(cand, f), np.concatenate(
-            [mid[lpgen.in_region(mid, lp_region)], sample]),
-            spec, config.gamma)
-        if cex:
-            refuted["sampling"] += 1
-        else:
-            transcript = query_decrease(cand, f, spec, config.gamma,
-                                        config.delta)
-            if transcript.verdict == "UNSAT":
-                return cand, transcript, iteration, refuted
-            refuted["dsat"] += 1
-            cex = [transcript.witness.midpoint()]
-        starts = [p for x in cex for p in _cex_cluster(x, spec)]
-        traces.extend(_on_read_grid(lambda step: sim.simulate_batch(
-            f, starts, SIM_DURATION, step)))
-    raise NoCandidateError("no candidate within %d iterations"
-                           % config.max_iterations)
+    iteration = 0
+    try:
+        for iteration in range(1, config.max_iterations + 1):
+            lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
+                                         subsample=SUBSAMPLE,
+                                         region=lp_region)
+            sol = lpgen.solve_lp(lp)
+            if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
+                raise NoCandidateError("LP %s at iteration %d" % (
+                    "infeasible" if sol is lpgen.INFEASIBLE else
+                    "margin nonpositive", iteration))
+            cand = lpgen.candidate_from(sol[:-1], tmpl)
+            # Trace states midway between the LP's rows, in its region.
+            mid = np.concatenate([tr.states[SUBSAMPLE // 2::SUBSAMPLE]
+                                  for tr in traces])
+            cex = falsify(lie_derivative(cand, f), np.concatenate(
+                [mid[lpgen.in_region(mid, lp_region)], sample]),
+                spec, config.gamma)
+            if cex:
+                refuted["sampling"] += 1
+            else:
+                transcript = query_decrease(cand, f, spec, config.gamma,
+                                            config.delta)
+                if transcript.verdict == "UNSAT":
+                    return cand, transcript, iteration, refuted
+                refuted["dsat"] += 1
+                cex = [transcript.witness.midpoint()]
+            starts = [p for x in cex for p in _cex_cluster(x, spec)]
+            traces.extend(_on_read_grid(lambda step: sim.simulate_batch(
+                f, starts, SIM_DURATION, step)))
+        raise NoCandidateError("no candidate within %d iterations"
+                               % config.max_iterations)
+    except tuple(_STAGES) as exc:
+        exc.iteration = iteration   # the round that raised it
+        raise
 
 
 def _on_read_grid(integrate):
@@ -511,26 +511,31 @@ class NoCandidateError(RuntimeError):
     """CEGIS loop exhausted without a checked generator function."""
 
 
+# The failures that verify reports as Inconclusive, by stage.
+_STAGES = {NoCandidateError: "no_candidate",
+           dsat.BudgetExhausted: "budget",
+           sim.SimulationDivergence: "simulation",
+           lpgen.LPUnboundedError: "lp_unbounded",
+           lpgen.PivotLimitError: "lp",
+           NotEllipsoidError: "no_level"}
+
+
 def verify(spec, f, config=None, controller_hash=""):
     """Full procedure; returns a Certificate or an Inconclusive record."""
     config = config or CertifyConfig()
     if spec.arity != f.arity:
         return Inconclusive("arity", "spec has arity %d, the field %d"
                             % (spec.arity, f.arity))
-    stages = {NoCandidateError: "no_candidate",
-              dsat.BudgetExhausted: "budget",
-              sim.SimulationDivergence: "simulation",
-              lpgen.LPUnboundedError: "lp_unbounded",
-              lpgen.PivotLimitError: "lp",
-              NotEllipsoidError: "no_level"}
     transcripts, iterations = {}, 0
     try:
         cand, t1, iterations, refuted = find_generator(spec, f, config)
         transcripts["decrease"] = t1
         level, level_transcripts = select_level(cand, spec, config.delta)
-    except tuple(stages) as exc:
-        stage = next(s for t, s in stages.items() if isinstance(exc, t))
-        return Inconclusive(stage, str(exc), transcripts, iterations)
+    except tuple(_STAGES) as exc:
+        stage = next(s for t, s in _STAGES.items() if isinstance(exc, t))
+        # A failure in find_generator knows its round.
+        return Inconclusive(stage, str(exc), transcripts,
+                            getattr(exc, "iteration", iterations))
     if level is NO_LEVEL:
         return Inconclusive("no_level",
                             "no admissible level within bisection budget",

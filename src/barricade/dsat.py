@@ -1,12 +1,32 @@
 """Interval branch-and-prune delta-satisfiability checker.
 
 Decides a conjunction of closed nonlinear inequalities (`lhs <= rhs` or
-`lhs >= rhs`) over a box.  UNSAT is exact (no real point in the domain
-satisfies the formula); a DELTA_SAT verdict returns a box on which
-interval evaluation cannot refute the formula, which matches the usual
-delta-decision semantics.  The box is at most delta wide in each
-dimension that floats can split; a box they cannot split is never
-discarded, so UNSAT stays exact.
+`lhs >= rhs`) over the domains of one query, a list of boxes.  UNSAT is
+exact: no real point of any domain satisfies the formula.  A DELTA_SAT
+verdict returns a box on which interval evaluation cannot refute the
+formula, which matches the usual delta-decision semantics.  The box is
+at most delta wide in each dimension that floats can split; a box they
+cannot split is never discarded, so UNSAT stays exact.
+
+The search keeps one work-set of boxes for all the domains: an (n, 2, P)
+array of lower and upper endpoints in path order, which is domain index,
+then the split bits from the domain down, left half first.  Each pass
+takes up to BATCH boxes from its front and runs the forward tape and the
+HC4 sweep over all of them at once (`prune`), whether a box is in one of
+its PRUNE_ROUNDS contraction rounds or waits for its status pass.  A box
+that a round left unchanged, or whose status pass is done, is finished:
+dropped when refuted, else split at the midpoint of its widest dimension
+that floats can split (`branch`), and its halves take its place.  Each box
+is thus treated as a depth-first search of one box at a time treats it,
+and an UNSAT query explores the same boxes whatever the order.
+
+A box that cannot be split, or on which the formula certainly holds, is a
+witness.  Depth-first search returns the first one in path order, so once
+one is found the boxes after it are dropped and those before it are
+finished; a witness found among them replaces it.  boxes_explored counts
+the boxes at or before the witness in path order, as depth-first search
+does.  The budget max_boxes counts every box that the work-set takes,
+including boxes that are dropped later.
 """
 
 from __future__ import annotations
@@ -15,8 +35,11 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import symexpr as sx
-from .interval import Box, Interval, _iadd, _isub, _ineg, _idiv, _mid
+from .interval import (Box, Interval, _OUT, _mid, _vadd, _vdiv, _vneg,
+                       _vsub)
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -25,7 +48,8 @@ TRUE, FALSE, UNKNOWN = 1, 0, -1
 
 EMPTY = None
 
-PRUNE_ROUNDS = 3   # contraction rounds per box in prune
+PRUNE_ROUNDS = 3   # contraction rounds per box
+BATCH = 128        # most boxes per pass of the work-set
 
 
 class BudgetExhausted(RuntimeError):
@@ -84,7 +108,8 @@ class DsatResult:
 # ---------------------------------------------------------------------------
 
 def _target_interval(rel, rhs):
-    return (-math.inf, rhs) if rel == "<=" else (rhs, math.inf)
+    return np.array([[-math.inf], [rhs]] if rel == "<=" else
+                    [[rhs], [math.inf]])
 
 
 # How an occurrence's target follows from its parent's: the parent's op
@@ -120,50 +145,68 @@ def _hc4_plan(tape):
     return plan
 
 
-def _contract(plan, vals, box, target):
-    """HC4 backward pass: contract box (in place) assuming the root lies
-    in target, given the forward enclosures vals of every tape slot.
+def _meet(t, f):
+    """(max(f[0], t[0]), min(f[1], t[1])) by Python's rule for ties."""
+    take = np.greater(t, f)
+    take[1] = t[1] < f[1]
+    return np.where(take, t, f)
 
-    Returns False when the box is refuted.  Each occurrence's target
-    depends only on its parent's and on forward values, and variables are
-    narrowed by exact min/max, so one preorder sweep gives the contraction
-    of the recursive walk.
+
+def _contract(plan, vals, boxes, target, live):
+    """HC4 backward pass: contract the columns live of boxes, an (n, 2, B)
+    array, in place, assuming the root lies in target, given the forward
+    enclosures vals of every tape slot (from _interval_eval_raw).
+
+    Returns the live boxes that are refuted, a (B,) bool array.  Each
+    occurrence's target depends only on its parent's and on forward
+    values, and variables are narrowed by exact min/max, so one preorder
+    sweep gives the contraction of the recursive walk.  Below a mul factor
+    whose enclosure contains zero, which the walk skips, a box's targets
+    are the whole line, which contracts nothing and refutes nothing.
     """
     ts = [None] * len(plan)
+    skips = [None] * len(plan)      # the boxes whose target is skipped
+    refuted = np.zeros(boxes.shape[2], bool)
     for i, (slot, how, parent, sib, idx) in enumerate(plan):
+        skip = None
         if how == _ROOT:
             t = target
         else:
             t = ts[parent]
-            if t is None:       # below a mul factor that was skipped
-                continue
+            skip = skips[parent]
             if how == _ADD:
-                t = _isub(t, vals[sib])
+                t = _vsub(t, vals[sib])
             elif how == _MUL:
                 f = vals[sib]
-                if f[0] <= 0.0 <= f[1]:
-                    continue
-                t = _idiv(t, f)
+                # one column (a constant, or a batch of one) is decided
+                # at once
+                if f.shape[1] > 1 or f[0, 0] <= 0.0 <= f[1, 0]:
+                    zero = (f[0] <= 0.0) & (0.0 <= f[1])
+                    skip = zero if skip is None else skip | zero
+                t = _vdiv(t, f)
             elif how == _SUB_L:
-                t = _iadd(t, vals[sib])
+                t = _vadd(t, vals[sib])
             elif how == _SUB_R:
-                t = _isub(vals[sib], t)
+                t = _vsub(vals[sib], t)
             else:
-                t = _ineg(t)
-        f = vals[slot]
-        lo = max(f[0], t[0])
-        hi = min(f[1], t[1])
-        if lo > hi:
-            return False
-        ts[i] = (lo, hi)
+                t = _vneg(t)
         if idx >= 0:
-            cur = box[idx]
-            lo = max(cur[0], lo)
-            hi = min(cur[1], hi)
-            if lo > hi:
-                return False
-            box[idx] = (lo, hi)
-    return True
+            # The box lies within its forward enclosure vals[slot], so
+            # meeting it with t narrows it as meeting both does.
+            cur = boxes[idx]
+            t = _meet(t, cur)
+            if skip is not None:
+                t = np.where(skip, cur, t)
+            refuted |= t[0] > t[1]
+            np.copyto(cur, t, where=live)
+            continue
+        t = _meet(t, vals[slot])
+        if skip is not None:
+            t = np.where(skip, _OUT, t)
+        refuted |= t[0] > t[1]
+        ts[i] = t
+        skips[i] = skip
+    return refuted & live
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +226,13 @@ class _Atom:
         self.target = _target_interval(c.rel, c.rhs)
 
     def status(self, vals):
-        """TRUE/FALSE/UNKNOWN given the forward enclosures of the tape."""
+        """(certainly true, certainly false) per box, (B,) bool arrays,
+        given the forward enclosures of the tape."""
         lo, hi = vals[self.tape.root]
         r = self.rhs
         if self.rel == "<=":
-            true, false = hi <= r, lo > r
-        else:
-            true, false = lo >= r, hi < r
-        return TRUE if true else FALSE if false else UNKNOWN
+            return hi <= r, lo > r
+        return lo >= r, hi < r
 
 
 def _atoms(node):
@@ -201,115 +243,156 @@ def _atoms(node):
     return [a for p in node.parts for a in _atoms(p)]
 
 
-def _status(atoms, box):
-    """TRUE/FALSE/UNKNOWN status of the conjunction of atoms on box."""
-    out = TRUE
-    for atom in atoms:
-        try:
-            s = atom.status(_interval_eval_raw(atom.tape, box))
-        except sx.EvalError:
-            s = UNKNOWN
-        if s == FALSE:
-            return FALSE
-        if s == UNKNOWN:
-            out = UNKNOWN
-    return out
+@np.errstate(all="ignore")
+def prune(atoms, boxes, contract):
+    """One forward pass and HC4 sweep of the conjunction of atoms (see
+    _atoms) over boxes, an (n, 2, B) array.
 
-
-def prune(atoms, box):
-    """Contract box (a list of (lo, hi) pairs) in place against the
-    conjunction of atoms (see _atoms).
-
-    Returns EMPTY (None) when the box is refuted, else the box and its
-    status, None when the last round still contracted it.  Each of up to
-    PRUNE_ROUNDS rounds runs forward interval evaluation plus the HC4
-    backward pass for every conjunct.
+    The boxes where contract, a (B,) bool array, is True are contracted in
+    place; the others only get their status.  Returns each box's status, a
+    (B,) array of TRUE, FALSE (refuted) and UNKNOWN, or EMPTY (None) when
+    every box is refuted.  Conjuncts run in turn, each on the boxes as the
+    ones before it contracted them.  A box whose evaluation fails is
+    UNKNOWN for that conjunct and is not contracted by it.  A box's status
+    is that of its enclosures before this pass contracted it.
     """
-    for _ in range(PRUNE_ROUNDS):
-        prev = list(box)
-        status = TRUE
-        for atom in atoms:
-            try:
-                vals = _interval_eval_raw(atom.tape, box)
-            except sx.EvalError:
-                status = UNKNOWN
-                continue
-            s = atom.status(vals)
-            if s == FALSE:
-                return EMPTY
-            if s == UNKNOWN:
-                status = UNKNOWN
-            if not _contract(atom.plan, vals, box, atom.target):
-                return EMPTY
-        if box == prev:
-            # Contraction only narrows, so every conjunct of this round
-            # was evaluated on a box equal to the returned one.
-            return box, status
-    return box, None
+    false = np.zeros(boxes.shape[2], bool)
+    unknown = np.zeros_like(false)
+    for atom in atoms:
+        vals, bad = _interval_eval_raw(atom.tape, boxes)
+        true, out = atom.status(vals)
+        live = contract
+        if bad is not None:
+            true, out, live = true & ~bad, out & ~bad, live & ~bad
+        false |= out
+        unknown |= ~true
+        live = live & ~false
+        if live.any():
+            false |= _contract(atom.plan, vals, boxes, atom.target, live)
+    if false.all():
+        return EMPTY
+    return np.where(false, FALSE, np.where(unknown, UNKNOWN, TRUE))
 
 
 def _box(pairs):
     return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
-def branch(box, delta):
-    """Halves of box (a list of (lo, hi) pairs) split at the midpoint of
-    its widest dimension that is wider than delta and that floats can
-    split; None when it has no such dimension."""
-    widths = [hi - lo for lo, hi in box]
-    for dim in sorted(range(len(box)), key=widths.__getitem__, reverse=True):
-        lo, hi = box[dim]
-        mid = _mid(lo, hi)
-        if widths[dim] > delta and lo < mid < hi:
-            left = list(box)
-            right = list(box)
-            left[dim] = (lo, mid)
-            right[dim] = (mid, hi)
-            return left, right
-    return None
+@np.errstate(all="ignore")
+def branch(boxes, delta):
+    """Where to split each box of boxes, an (n, 2, B) array: at the
+    midpoint of its widest dimension that is wider than delta and that
+    floats can split, the lowest such dimension among equally wide ones.
+    Returns (dims, mids), (B,) arrays; dims is -1 for a box with no such
+    dimension."""
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    mid = 0.5 * (lo + hi)
+    # _mid, also where lo + hi overflows
+    mid = np.where((lo <= mid) & (mid <= hi), mid, 0.5 * lo + 0.5 * hi)
+    width = hi - lo
+    ok = (width > delta) & (lo < mid) & (mid < hi)
+    dims = np.where(ok, width, -1.0).argmax(axis=0)
+    cols = np.arange(boxes.shape[2])
+    return np.where(ok.any(axis=0), dims, -1), mid[dims, cols]
 
 
-def check(phi, domain, delta, max_boxes=10_000_000):
-    """Branch-and-prune decision over a bounded box.
+def check(phi, domains, delta, max_boxes=10_000_000):
+    """Branch-and-prune decision over domains, a Box or a list of Boxes:
+    UNSAT when no domain has a point that satisfies phi, else DELTA_SAT
+    with the witness that depth-first search over the domains in order
+    returns (see the module docstring).
 
-    Depth-first worklist, widest-dimension bisection.  Raises ValueError
-    for a domain with an infinite endpoint, which bisection cannot split,
-    and BudgetExhausted when more than max_boxes boxes are processed.
+    Raises ValueError for a domain with an infinite endpoint, which
+    bisection cannot split, and BudgetExhausted when the work-set takes
+    more than max_boxes boxes.
     """
+    if isinstance(domains, Box):
+        domains = [domains]
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if domain.arity != phi.arity:
-        raise ValueError("domain arity %d != formula arity %d"
-                         % (domain.arity, phi.arity))
-    if not all(math.isfinite(iv.lo) and math.isfinite(iv.hi) for iv in domain):
-        raise ValueError("unbounded domain %s" % (domain,))
+    if not domains:
+        raise ValueError("no domain")
+    for domain in domains:
+        if domain.arity != phi.arity:
+            raise ValueError("domain arity %d != formula arity %d"
+                             % (domain.arity, phi.arity))
+        if not all(math.isfinite(iv.lo) and math.isfinite(iv.hi)
+                   for iv in domain):
+            raise ValueError("unbounded domain %s" % (domain,))
     t0 = time.perf_counter()
-    atoms = _atoms(phi.root)
-    stack = [[(iv.lo, iv.hi) for iv in domain]]
-    explored = 0
-    while stack:
-        box = stack.pop()
-        explored += 1
-        if explored > max_boxes:
+    witness, explored = _search(_atoms(phi.root), domains, delta, max_boxes)
+    return DsatResult("UNSAT" if witness is None else "DELTA_SAT", witness,
+                      explored, time.perf_counter() - t0)
+
+
+@np.errstate(all="ignore")
+def _search(atoms, domains, delta, max_boxes):
+    """The work-set search of check: (witness or None, boxes explored)."""
+    boxes = np.array([[(iv.lo, iv.hi) for iv in d] for d in domains],
+                     dtype=float).transpose(1, 2, 0).copy()
+    # A box's next pass: contraction round 0..PRUNE_ROUNDS - 1, or the
+    # status pass (PRUNE_ROUNDS).
+    rounds = np.zeros(len(domains), int)
+    # Explored boxes lying just before each box in path order, and after
+    # the last one.
+    gaps = np.zeros(len(domains), int)
+    tail = taken = 0
+    witness = None
+    while boxes.shape[2]:
+        m = min(boxes.shape[2], BATCH)
+        head = boxes[:, :, :m]
+        taken += int(np.count_nonzero(rounds[:m] == 0))
+        if taken > max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-        pruned = prune(atoms, box)
-        if pruned is EMPTY:
+        contract = rounds[:m] < PRUNE_ROUNDS
+        prev = head.copy()
+        status = prune(atoms, head, contract)
+        if status is EMPTY:
+            status = np.full(m, FALSE)
+        alive = status != FALSE
+        done = alive & (~contract | (head == prev).all(axis=(0, 1)))
+        dims = np.full(m, -1)
+        mids = np.zeros(m)
+        if done.any():
+            dims[done], mids[done] = branch(head[:, :, done], delta)
+        sat = done & ((dims < 0) | (status == TRUE))
+        keep = alive & ~done
+        cut = m
+        if sat.any():
+            cut = int(sat.argmax())
+            pairs = head[:, :, cut].tolist()
+            if dims[cut] >= 0:
+                # Certainly satisfied somewhere in here: the midpoint is
+                # a genuine witness, reported as a degenerate box.
+                pairs = [(_mid(lo, hi),) * 2 for lo, hi in pairs]
+            witness = _box(pairs)
+        # The boxes before cut, each in place of its box: the box itself
+        # while in process, its halves once split.
+        count = keep[:cut] + 2 * (done & ~sat)[:cut]
+        src = np.repeat(np.arange(cut), count)
+        new = head[:, :, src]
+        first = np.cumsum(count) - count
+        split = np.flatnonzero(count == 2)
+        new[dims[split], 1, first[split]] = mids[split]
+        new[dims[split], 0, first[split] + 1] = mids[split]
+        new_rounds = np.where(count == 1, rounds[:cut] + 1, 0)[src]
+        # A finished box is explored: it and its gap join the gap of the
+        # next box in path order.
+        reach = np.concatenate(([0], np.cumsum(gaps[:cut] + ~keep[:cut])))
+        made = np.flatnonzero(count)
+        new_gaps = np.zeros(len(src), int)
+        new_gaps[first[made]] = np.diff(reach[made + 1], prepend=0)
+        carry = int(reach[-1] - (reach[made[-1] + 1] if len(made) else 0))
+        if cut < m:
+            tail = carry + int(gaps[cut]) + 1
+            boxes, rounds, gaps = new, new_rounds, new_gaps
             continue
-        box, status = pruned
-        if status is None:
-            status = _status(atoms, box)
-        if status == FALSE:
-            continue
-        halves = branch(box, delta)
-        if halves is None:
-            return DsatResult("DELTA_SAT", _box(box), explored,
-                              time.perf_counter() - t0)
-        if status == TRUE:
-            # Certainly satisfied somewhere in here: the midpoint is a
-            # genuine witness, reported as a degenerate box.
-            mid = [_mid(lo, hi) for lo, hi in box]
-            wit = _box(zip(mid, mid))
-            return DsatResult("DELTA_SAT", wit, explored,
-                              time.perf_counter() - t0)
-        stack += reversed(halves)
-    return DsatResult("UNSAT", None, explored, time.perf_counter() - t0)
+        rest = gaps[m:].copy()
+        if len(rest):
+            rest[0] += carry
+        else:
+            tail += carry
+        boxes = np.concatenate((new, boxes[:, :, m:]), axis=2)
+        rounds = np.concatenate((new_rounds, rounds[m:]))
+        gaps = np.concatenate((new_gaps, rest))
+    return witness, tail

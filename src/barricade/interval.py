@@ -1,6 +1,8 @@
 """Interval arithmetic for the checker: the Interval and Box types of the
-API, kernels over (lo, hi) float pairs, and a network's layer-wise
-interval pass (`_inet`), which the tape of symexpr runs for a net node.
+API, scalar kernels over (lo, hi) float pairs, their batched forms over B
+boxes at once, which the tape of symexpr runs, and a network's layer-wise
+interval pass over B boxes (`_inet`), which it runs for a net node.  The
+scalar kernels are the reference that the batched ones equal bit for bit.
 """
 
 from __future__ import annotations
@@ -160,16 +162,16 @@ def _ipow(a, n):
     return out
 
 
+def _exp(x):
+    """math.exp(x), infinite where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
+
+
 def _iexp(a):
-    try:
-        lo = math.exp(a[0])
-    except OverflowError:
-        lo = _INF
-    try:
-        hi = math.exp(a[1])
-    except OverflowError:
-        hi = _INF
-    lo, hi = _widen(lo, hi, 2)
+    lo, hi = _widen(_exp(a[0]), _exp(a[1]), 2)
     return (max(lo, 0.0), hi)
 
 
@@ -218,6 +220,143 @@ def _isigmoid(a):
     return _idiv(_ONE, _iadd(_ONE, _iexp(_ineg(a))))
 
 
+_KERNELS = {
+    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
+    "sin": _isin, "cos": _icos, "exp": _iexp, "tanh": _itanh,
+}
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels: the checker evaluates B boxes at once
+# ---------------------------------------------------------------------------
+#
+# An interval slot of B boxes is a (2, B) array, row 0 the lower and row 1
+# the upper endpoints; a constant is (2, 1) and broadcasts.  Each kernel
+# applies the IEEE operations of the scalar kernel above to every column,
+# and np.nextafter where that calls math.nextafter, so every box gets the
+# scalar enclosure bit for bit whatever its batch.  A min or max that no
+# nextafter follows keeps Python's rule for ties and NaN (max(a, b) is b
+# only when b > a), so signed zeros come out as the scalar kernels give
+# them.  exp, tanh, sin, cos and pow go through math.* (or **) per
+# element, trusted to 2 ulps as in the scalar kernels; numpy's SIMD
+# versions have no documented error bound.  The kernels expect
+# floating-point warnings to be off (np.errstate), which the callers set
+# once per pass.
+
+_OUT = np.array([[-_INF], [_INF]])      # outward, per row; the whole line
+_UNIT = np.array([[-1.0], [1.0]])
+_ONES = np.array([[1.0], [1.0]])
+
+
+def _emap(fn, a):
+    """fn of every element of the array a, as Python floats, in a new
+    array."""
+    a = np.ascontiguousarray(a)
+    return np.fromiter(map(fn, memoryview(a.reshape(-1))), float,
+                       a.size).reshape(a.shape)
+
+
+def _vwiden(v, n=1):
+    """v, a new array, moved outward in place by n ulps per endpoint, as
+    _widen."""
+    for _ in range(n):
+        np.nextafter(v, _OUT, out=v)
+    return v
+
+
+def _vclip(v, lo, hi):
+    """v, a new array, set in place to (max(v[0], lo), min(v[1], hi)) by
+    Python's rule."""
+    np.copyto(v[0], lo, where=lo > v[0])
+    np.copyto(v[1], hi, where=hi < v[1])
+    return v
+
+
+def _vhull(p):
+    """The least and greatest of the rows of p, a new (2, B) array.  Ties
+    between signed zeros may go either way: callers widen the result."""
+    v = np.empty((2, p.shape[1]))
+    np.minimum.reduce(p, axis=0, out=v[0])
+    np.maximum.reduce(p, axis=0, out=v[1])
+    return v
+
+
+def _vadd(a, b):
+    return np.nextafter(a + b, _OUT)
+
+
+def _vsub(a, b):
+    return np.nextafter(a - b[::-1], _OUT)
+
+
+def _vneg(a):
+    return -a[::-1]
+
+
+def _vmul(a, b):
+    p = (a[:, None] * b[None]).reshape(4, -1)
+    # _imul zeroes the NaN products (0 * inf) when their sum is NaN,
+    # which it is whenever one of them is.
+    np.copyto(p, 0.0, where=p != p)
+    return _vwiden(_vhull(p))
+
+
+def _vdiv(a, b):
+    p = (a[:, None] / b[None]).reshape(4, -1)
+    s = p[0] + p[1] + p[2] + p[3]
+    whole = (b[0] <= 0.0) & (0.0 <= b[1]) | (s != s)
+    return np.where(whole, _OUT, _vwiden(_vhull(p)))
+
+
+def _vpow(a, n):
+    v = _vhull(_emap(partial(_pow, n=n), a))
+    if n % 2:
+        return _vwiden(v, 3)
+    np.copyto(v[0], 0.0, where=(a[0] < 0.0) & (0.0 < a[1]))
+    return _vclip(_vwiden(v, 3), 0.0, _INF)
+
+
+def _vexp(a):
+    return _vclip(_vwiden(_emap(_exp, a), 2), 0.0, _INF)
+
+
+def _vtanh(a):
+    return _vclip(_vwiden(_emap(math.tanh, a), 2), -1.0, 1.0)
+
+
+def _trig_bad(a):
+    """The columns of a that _itrig refuses: beyond TRIG_ARG_LIMIT."""
+    return np.maximum.reduce(np.abs(a), axis=0) > TRIG_ARG_LIMIT
+
+
+def _vtrig(a, fn, crit):
+    """_itrig per column, crit being [[bottom], [top]]; the whole line
+    where _trig_bad."""
+    bad = _trig_bad(a)
+    v = _vhull(_emap(fn, np.where(bad, 0.0, a)))
+    # _trig_has_crit for bottom (row 0) and top (row 1) at once
+    ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
+    k = (ends[:, None] - crit) / _TWO_PI
+    v = np.where(np.ceil(k[0]) <= np.floor(k[1]), _UNIT, v)
+    v = _vclip(_vwiden(v, 2), -1.0, 1.0)
+    return np.where(bad, _OUT, np.where(a[1] - a[0] >= _TWO_PI, _UNIT, v))
+
+
+_vsin = partial(_vtrig, fn=math.sin,
+                crit=np.array([[-math.pi / 2], [math.pi / 2]]))
+_vcos = partial(_vtrig, fn=math.cos, crit=np.array([[math.pi], [0.0]]))
+
+
+def _vsigmoid(a):
+    return _vdiv(_ONES, _vadd(_ONES, _vexp(_vneg(a))))
+
+
+_VKERNELS = {
+    "add": _vadd, "sub": _vsub, "mul": _vmul, "div": _vdiv, "neg": _vneg,
+    "sin": _vsin, "cos": _vcos, "exp": _vexp, "tanh": _vtanh,
+}
+
+
 # ---------------------------------------------------------------------------
 # Network layers over intervals
 # ---------------------------------------------------------------------------
@@ -225,7 +364,6 @@ def _isigmoid(a):
 _U = 2.0 ** -53         # unit roundoff of binary64
 _ETA = 2.0 ** -1074     # smallest subnormal
 _HUGE = 2.0 ** 1000     # bound on a layer's sums below which none overflows
-_WHOLE = np.array([[-_INF], [_INF]])
 _TANH_SLACK = np.array([[-2.0 ** -51], [2.0 ** -51]])
 
 
@@ -259,12 +397,15 @@ def _net_layers(network):
     return out
 
 
-def _inet(layers, ins):
-    """Interval forward pass of a network (layers from _net_layers) over
-    the input pairs ins; returns one (lo, hi) pair per output.
+@np.errstate(all="ignore")
+def _inet(layers, v):
+    """Interval forward pass of a network (layers from _net_layers) over B
+    boxes: v is (B, 2, n), box b's input intervals having the lower
+    endpoints v[b, 0] and the upper ones v[b, 1].  Returns the (B, 2, m)
+    enclosures of the m outputs in the same layout.
 
-    Each layer is one matrix product [lo hi 1 -E; hi lo 1 E]
-    [W+ | W- | b | 1]^T of its input rows v = (lo, hi): row 0 sums
+    For each box, each layer is one matrix product [lo hi 1 -E; hi lo 1 E]
+    [W+ | W- | b | 1]^T of its input rows (lo, hi): row 0 sums
     W+ lo + W- hi + b - E, the exact lower bound of W x + b over the box
     less E, and row 1 the upper bound plus E.  Each entry is a
     floating-point sum of m = 2n + 2 products t_k.  In whatever order the
@@ -273,51 +414,57 @@ def _inet(layers, ins):
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1,
     eq. (3.4); gamma_m = mu / (1 - mu) <= 2mu, and each product adds at
     most eta/2 by underflow).  Let S = R*M + B, where R is the largest row
-    sum of |W|, M the largest |endpoint| and B the largest |b|; then
+    sum of |W|, M the box's largest |endpoint| and B the largest |b|; then
     sum|t_k| <= S + E, and the rows are bounds as long as
     E >= gamma_m * (S + E) + m*eta, which holds for E >= 4mu*S + 2m*eta
-    when 2mu <= 1/2.  E is computed as fl(fl(8mu * fl(fl(R' * M) + B)) +
-    8m*eta), R' being the floating-point row sum: each of the at most
+    when 2mu <= 1/2.  E is computed per box as fl(fl(8mu * fl(fl(R' * M) +
+    B)) + 8m*eta), R' being the floating-point row sum: each of the at most
     n + 3 roundings of nonnegative numbers on the way loses a factor of at
     most 1 - u, or eta/2 to underflow, so E >= 4mu*S + 6m*eta.  A layer
     after a tanh or sigmoid takes M = 1, since those outputs are clipped
     to [-1, 1], so its E is fixed.  S <= 2^1000 keeps every partial sum
     finite; otherwise, and for a NaN or infinite endpoint (whose S is then
-    not <= 2^1000), the layer's outputs are the whole line, so no endpoint
-    is NaN.
+    not <= 2^1000), the box's outputs of the layer are the whole line, so
+    no endpoint is NaN.
+
+    The product is stacked, (B, 2, k) @ at: one product per box, of the
+    shape it has when the box is evaluated alone.  A flat (2B, k) product
+    may add in another order, which would make a box's enclosure depend
+    on its batch.
 
     The activation is monotone, so it maps the rows endpoint by endpoint.
     tanh goes through math.tanh, trusted to 2 ulps as in _itanh (numpy's
     SIMD tanh has no such bound).  2 ulps of a value in (-1, 1) are at
     most 2^-52, so the rows move out by 2^-51, which survives the rounding
     of the move, and are clipped to [-1, 1].  sigmoid goes through
-    _isigmoid, the kernels of its unrolled form, clipped to [0, 1].
+    _vsigmoid, the kernels of its unrolled form on each endpoint, clipped
+    to [0, 1].
     """
-    v = np.array(ins).T
     for at, rmax, bmax, c, c_eta, tail, act in layers:
+        k = v.shape[2]
+        x = np.empty((v.shape[0], 2, 2 * k + 2))
+        x[:, :, :k] = v
+        x[:, :, k:2 * k] = v[:, ::-1]
         if tail is None:    # the inputs are not known to lie in [-1, 1]
-            tail = _error_tail(rmax * float(np.abs(v).max()) + bmax, c,
-                               c_eta)
-        if tail is None:
-            z = _WHOLE.repeat(at.shape[1], axis=1)
+            s = rmax * np.abs(v).max(axis=(1, 2)) + bmax
+            e = c * s + c_eta
+            x[:, :, 2 * k] = 1.0
+            x[:, 0, -1] = -e
+            x[:, 1, -1] = e
+            z = x @ at
+            z[~(s <= _HUGE)] = _OUT
         else:
-            z = np.concatenate((v, v[::-1], tail), axis=1) @ at
+            x[:, :, 2 * k:] = tail
+            z = x @ at
         if act == "tanh":
-            v = np.fromiter(map(math.tanh, z.ravel().tolist()), float,
-                            z.size).reshape(z.shape)
-            v += _TANH_SLACK
+            v = _emap(math.tanh, z) + _TANH_SLACK
             np.minimum(np.maximum(v, -1.0, out=v), 1.0, out=v)
         elif act == "sigmoid":
-            lo, hi = z.tolist()
-            v = np.array(([_isigmoid((a, a))[0] for a in lo],
-                          [_isigmoid((a, a))[1] for a in hi]))
+            flat = z.reshape(1, -1)
+            y = _vsigmoid(np.concatenate((flat, flat)))
+            v = y[1].reshape(z.shape)
+            v[:, 0] = y[0].reshape(z.shape)[:, 0]
             np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
         else:
             v = z
-    return list(zip(*v.tolist()))
-
-
-_KERNELS = {
-    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
-    "sin": _isin, "cos": _icos, "exp": _iexp, "tanh": _itanh,
-}
+    return v

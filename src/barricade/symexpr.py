@@ -8,11 +8,11 @@ meaningful for the system that was simulated.
 
 A controller is one node, `net`: output k of a network applied to input
 expressions.  Each evaluator runs it a layer at a time: the interval
-checker with one interval matrix product per layer (`interval._inet`),
-the array evaluator with one matrix product per layer, the scalar reference
-with `network.forward`.  So a tree's size does not grow with the
-network's.  The interval types and kernels live in `interval` and are
-re-exported here.
+checker with one interval matrix product per box and layer
+(`interval._inet`), the array evaluator with one matrix product per
+layer, the scalar reference with `network.forward`.  So a tree's size
+does not grow with the network's.  The interval types and kernels live in
+`interval`; the types are re-exported here.
 
 Trees are walked without recursion: `lower`, `arity`, `substitute` and
 `==` loop over one iterative post-order (`_postorder`), and the
@@ -29,8 +29,8 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from . import network as nn
-from .interval import (EvalError, Interval, Box, box, _KERNELS, _ipow,
-                       _inet, _net_layers)
+from .interval import (EvalError, Interval, Box, box, TRIG_ARG_LIMIT,
+                       _VKERNELS, _vpow, _inet, _net_layers, _trig_bad)
 
 
 class Expr:
@@ -270,7 +270,7 @@ def eval_expr(e, point):
 # ---------------------------------------------------------------------------
 
 class Tape:
-    """An expression lowered to a flat program over (lo, hi) pairs.
+    """An expression lowered to a flat program over B boxes at once.
 
     ``nodes[s]`` is the subterm in slot s as ``(op, val, idx, child
     slots)``.  Slots are in topological order (children first) and
@@ -280,12 +280,15 @@ class Tape:
     runs the network, and ``("row", k, None, (net slot,))`` picks output
     k, so the outputs of one network call share one pass.
 
+    A slot's value is a (2, B) array of lower and upper endpoints, see
+    interval._VKERNELS; ``init`` holds the constants as (2, 1) arrays.
     ``code`` holds ``(slot, kernel, arg, arg)`` for a unary (second arg
     None) or binary op, and ``(slot, kernel, None, input slots)`` for a
-    network pass.
+    network pass.  ``trig`` lists the argument slots of sin and cos, whose
+    boxes fail beyond interval.TRIG_ARG_LIMIT.
     """
 
-    __slots__ = ("nodes", "root", "init", "loads", "code")
+    __slots__ = ("nodes", "root", "init", "loads", "code", "trig")
 
     def __init__(self, nodes, root):
         self.nodes = nodes
@@ -293,22 +296,25 @@ class Tape:
         self.init = [None] * len(nodes)   # constants, pre-placed
         self.loads = []                   # (slot, variable index)
         self.code = []                    # (slot, kernel, arg, arg or None)
+        self.trig = []
         for slot, (op, val, idx, kids) in enumerate(nodes):
             if op == "const":
-                self.init[slot] = (val[0], val[0])
+                self.init[slot] = np.array(((val[0],), (val[0],)))
             elif op == "var":
                 self.loads.append((slot, idx))
             elif op == "pow":
-                self.code.append((slot, partial(_ipow, n=val), kids[0], None))
+                self.code.append((slot, partial(_vpow, n=val), kids[0], None))
             elif op == "net":
                 self.code.append((slot, partial(_inet, _net_layers(val)),
                                   None, kids))
             elif op == "row":
                 self.code.append((slot, operator.itemgetter(val), kids[0],
                                   None))
-            elif op in _KERNELS:
-                self.code.append((slot, _KERNELS[op], kids[0],
+            elif op in _VKERNELS:
+                self.code.append((slot, _VKERNELS[op], kids[0],
                                   kids[1] if len(kids) == 2 else None))
+                if op in ("sin", "cos"):
+                    self.trig.append(kids[0])
             else:
                 raise EvalError("unknown op %r" % op)
 
@@ -344,34 +350,53 @@ def _lowered(*exprs):
     return (nodes, *(slot_of[id(e)] for e in exprs))
 
 
-def _interval_eval_raw(tape, bx):
-    """Forward interval evaluation of a tape over a box of (lo, hi) pairs.
+@np.errstate(all="ignore")
+def _interval_eval_raw(tape, boxes):
+    """Forward interval evaluation of a tape over B boxes: boxes is an
+    (n, 2, B) array, box b's dimension i being [boxes[i, 0, b],
+    boxes[i, 1, b]].
 
-    Returns the enclosure of every slot, which the checker's HC4 backward
-    pass reads.
+    Returns the enclosure of every slot, a (2, B) array ((2, 1) for a
+    constant), which the checker's HC4 pass reads, and the boxes on which
+    evaluation fails, a sin or cos argument exceeding TRIG_ARG_LIMIT in
+    magnitude: a (B,) bool array, or None when the tape has no sin or cos.
+    A network's outputs are stored (m, 2, B), so row k is a slot value.
     """
     vals = tape.init[:]
     for slot, i in tape.loads:
-        vals[slot] = bx[i]
+        # a copy: the HC4 pass narrows boxes in place
+        vals[slot] = boxes[i].copy()
     for slot, fn, a, b in tape.code:
         if b is None:
             vals[slot] = fn(vals[a])
         elif a is None:     # a network pass over the slots b
-            vals[slot] = fn([vals[k] for k in b])
+            ins = np.stack(np.broadcast_arrays(*[vals[k] for k in b]), 2)
+            vals[slot] = fn(ins.transpose(1, 0, 2)).transpose(2, 1, 0)
         else:
             vals[slot] = fn(vals[a], vals[b])
-    return vals
+    bad = None
+    for slot in tape.trig:
+        out = _trig_bad(vals[slot])
+        bad = out if bad is None else bad | out
+    return vals, bad
 
 
 def interval_eval(e, bx):
-    """Sound interval enclosure of e over box bx.
+    """Sound interval enclosure of e over box bx: the checker's forward
+    pass on one box.
 
     Division by an interval containing zero, or with a quotient inf/inf,
     yields the whole line, which callers must treat as "no information".
+    Raises EvalError for a sin or cos argument beyond TRIG_ARG_LIMIT.
     """
     tape = lower(e)
-    vals = _interval_eval_raw(tape, [(iv.lo, iv.hi) for iv in bx])
-    return Interval(*vals[tape.root])
+    boxes = np.array([(iv.lo, iv.hi) for iv in bx], dtype=float)
+    vals, bad = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
+    if bad is not None and bad.any():
+        raise EvalError("sin/cos argument magnitude exceeds %g"
+                        % TRIG_ARG_LIMIT)
+    (lo,), (hi,) = vals[tape.root].tolist()
+    return Interval(lo, hi)
 
 
 # The ufunc that each op's numpy operator calls on arrays, so a program

@@ -118,13 +118,16 @@ def test_criterion_05_parameter_law():
         assert nn.parameter_count(net) == 4 * n_hidden + 1
 
 
+_OPS = ("add", "sub", "mul", "neg", "sin", "cos", "tanh", "pow", "exp")
+
+
 def _random_expr(rng, depth, arity):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.6:
             return sx.var(int(rng.integers(arity)))
         return sx.const(float(rng.uniform(-3.0, 3.0)))
-    op = rng.choice(["add", "sub", "mul", "neg", "sin", "cos", "tanh",
-                     "pow", "exp"])
+    # the draw rng.choice(_OPS) makes, without its list conversion
+    op = _OPS[rng.integers(len(_OPS))]
     a = _random_expr(rng, depth - 1, arity)
     if op == "pow":
         return sx.pow_(a, int(rng.integers(0, 4)))

@@ -388,9 +388,9 @@ class TestCounterexampleSources:
             rounds.append(falsify(*args))
             return rounds[-1]
 
-        def always_sat(phi, domain, delta, max_boxes=None):
-            dsat_calls.append(domain)
-            return dsat.DsatResult("DELTA_SAT", domain, 1, 0.0)
+        def always_sat(phi, domains, delta, max_boxes=None):
+            dsat_calls.append(domains)
+            return dsat.DsatResult("DELTA_SAT", domains[0], 1, 0.0)
         monkeypatch.setattr(certify, "falsify", recorded)
         monkeypatch.setattr(dsat, "check", always_sat)
         out = certify.verify(certify.default_spec(), _nn10_field(),
@@ -399,8 +399,9 @@ class TestCounterexampleSources:
         assert isinstance(out, certify.Inconclusive)
         assert out.stage == "no_candidate"
         assert len(rounds) == 6
-        # the first slab's DELTA_SAT ends each query
+        # one dsat call per query, over all its slabs
         assert len(dsat_calls) == sum(not cex for cex in rounds) > 0
+        assert all(len(domains) == 4 for domains in dsat_calls)
         assert any(rounds)
 
     def test_one_seed_one_certificate(self):
@@ -489,6 +490,33 @@ class TestVerify:
         assert isinstance(out, certify.Inconclusive)
         assert (out.stage, out.detail) == (stage, "raised in find_generator")
         assert (out.transcripts, out.iterations) == ({}, 0)
+
+    @pytest.mark.parametrize("exc,stage", [
+        (None, "no_candidate"),
+        (dsat.BudgetExhausted, "budget"),
+        (sim.SimulationDivergence, "simulation"),
+        (lpgen.LPUnboundedError, "lp_unbounded"),
+        (lpgen.PivotLimitError, "lp"),
+    ])
+    def test_failure_reports_its_round(self, monkeypatch, exc, stage):
+        # the second LP fails; nn10 n_seed_traces=2 seed 0 takes 3 rounds,
+        # so round 2 is reached.  None: the LP margin is nonpositive.
+        solve_lp, calls = lpgen.solve_lp, []
+
+        def second_fails(lp):
+            calls.append(lp)
+            if len(calls) < 2:
+                return solve_lp(lp)
+            if exc is None:
+                return np.zeros(lp.rows.shape[1])
+            raise exc("round two")
+        monkeypatch.setattr(lpgen, "solve_lp", second_fails)
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=0, n_seed_traces=2))
+        assert isinstance(out, certify.Inconclusive)
+        assert (out.stage, out.iterations) == (stage, 2)
+        if exc is None:
+            assert out.detail == "LP margin nonpositive at iteration 2"
 
     def test_unbounded_lp_is_inconclusive(self, monkeypatch):
         def unbounded(lp):

@@ -1,6 +1,9 @@
 """Branch-and-prune delta-SAT checker."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,42 @@ from barricade import dsat
 from barricade import symexpr as sx
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def _c(lhs, rel, rhs):
     return dsat.Constraint(lhs, rel, rhs)
+
+
+def _pack(*boxes):
+    """Boxes given as lists of (lo, hi) pairs, as the (n, 2, B) array of
+    the work-set."""
+    return np.array(boxes, dtype=float).transpose(1, 2, 0).copy()
+
+
+def _prune_rounds(atoms, boxes):
+    """prune's passes over boxes (an (n, 2, B) array, contracted in place)
+    as the search runs them on a box: until a round leaves the box
+    unchanged, at most PRUNE_ROUNDS rounds.  Returns the last status."""
+    for _ in range(dsat.PRUNE_ROUNDS):
+        prev = boxes.copy()
+        status = dsat.prune(atoms, boxes,
+                            np.ones(boxes.shape[2], dtype=bool))
+        if status is dsat.EMPTY or np.array_equal(boxes, prev):
+            break
+    return status
+
+
+def _halves(pairs, delta):
+    """branch on one box given as (lo, hi) pairs: its two halves as lists
+    of pairs, or None when it has no dimension to split."""
+    (dim,), (mid,) = dsat.branch(_pack(pairs), delta)
+    if dim < 0:
+        return None
+    left, right = list(pairs), list(pairs)
+    left[dim] = (pairs[dim][0], float(mid))
+    right[dim] = (float(mid), pairs[dim][1])
+    return left, right
 
 
 def _grid_refute(phi, domain, n=1000):
@@ -140,8 +177,8 @@ class TestCheck:
         out = dsat.check(phi, sx.box(*domain), 1e-3, max_boxes=20_000)
         assert out.verdict == "DELTA_SAT"
         assert out.witness.max_width() > 1e-3
-        assert dsat.branch([(iv.lo, iv.hi) for iv in out.witness],
-                           1e-3) is None
+        assert _halves([(iv.lo, iv.hi) for iv in out.witness],
+                       1e-3) is None
 
     def test_unbounded_domain_rejected(self):
         # bisection of [1, inf] splits at inf and never shrinks the box
@@ -177,16 +214,24 @@ def test_only_closed_relations(rel):
 class TestPrune:
     def test_sum_refuted(self):
         phi = dsat.Formula(2, _c(sx.add(sx.var(0), sx.var(1)), "<=", 0.0))
-        bx = [(1.0, 2.0), (5.0, 6.0)]
-        assert dsat.prune(dsat._atoms(phi.root), bx) is dsat.EMPTY
+        bx = _pack([(1.0, 2.0), (5.0, 6.0)])
+        assert dsat.prune(dsat._atoms(phi.root), bx,
+                          np.ones(1, dtype=bool)) is dsat.EMPTY
 
     def test_contracts_upper_bound(self):
         phi = dsat.Formula(1, _c(sx.var(0), "<=", 0.5))
-        out = dsat.prune(dsat._atoms(phi.root), [(0.0, 1.0)])
-        assert out is not dsat.EMPTY
-        box, _ = out
-        assert box[0][1] <= 0.5 + 1e-12
-        assert box[0][0] == 0.0
+        bx = _pack([(0.0, 1.0)])
+        out = dsat.prune(dsat._atoms(phi.root), bx, np.ones(1, dtype=bool))
+        assert out is not dsat.EMPTY and out[0] != dsat.FALSE
+        assert bx[0, 1, 0] <= 0.5 + 1e-12
+        assert bx[0, 0, 0] == 0.0
+
+    def test_status_pass_does_not_contract(self):
+        phi = dsat.Formula(1, _c(sx.var(0), "<=", 0.5))
+        bx = _pack([(0.0, 1.0)], [(0.0, 0.25)])
+        out = dsat.prune(dsat._atoms(phi.root), bx, np.zeros(2, dtype=bool))
+        assert out.tolist() == [dsat.UNKNOWN, dsat.TRUE]
+        assert bx.tolist() == _pack([(0.0, 1.0)], [(0.0, 0.25)]).tolist()
 
     def test_planted_solution_survives(self):
         rng = np.random.default_rng(31)
@@ -201,22 +246,22 @@ class TestPrune:
             rel = "<=" if rng.random() < 0.5 else ">="
             rhs = val + (0.1 if rel == "<=" else -0.1)
             phi = dsat.Formula(2, _c(lhs, rel, float(rhs)))
-            out = dsat.prune(dsat._atoms(phi.root),
-                             [(-1.0, 1.0), (-1.0, 1.0)])
-            assert out is not dsat.EMPTY
-            assert all(lo <= v <= hi for (lo, hi), v in zip(out[0], p))
+            bx = _pack([(-1.0, 1.0), (-1.0, 1.0)])
+            out = _prune_rounds(dsat._atoms(phi.root), bx)
+            assert out is not dsat.EMPTY and out[0] != dsat.FALSE
+            assert all(lo <= v <= hi for (lo, hi), v in zip(bx[:, :, 0], p))
 
 
 class TestBranch:
     def test_splits_widest(self):
-        left, right = dsat.branch([(0.0, 4.0), (0.0, 1.0)], 1e-3)
+        left, right = _halves([(0.0, 4.0), (0.0, 1.0)], 1e-3)
         assert left[0] == (0.0, 2.0)
         assert right[0] == (2.0, 4.0)
         assert left[1] == right[1]
 
     def test_children_cover_parent(self):
         bx = [(-1.0, 3.0), (2.0, 2.5)]
-        left, right = dsat.branch(bx, 1e-3)
+        left, right = _halves(bx, 1e-3)
         assert left[0][1] == right[0][0]
         assert left[0][0] == bx[0][0] and right[0][1] == bx[0][1]
 
@@ -224,8 +269,55 @@ class TestBranch:
         lo = 1.6e308
         one_float = (lo, math.nextafter(lo, math.inf))
         # the midpoint rounds to an endpoint: no half is smaller
-        assert dsat.branch([one_float], 1e-3) is None
-        assert dsat.branch([(0.0, 1e-3)], 1e-3) is None
-        left, right = dsat.branch([one_float, (0.0, 1.0)], 1e-3)
+        assert _halves([one_float], 1e-3) is None
+        assert _halves([(0.0, 1e-3)], 1e-3) is None
+        left, right = _halves([one_float, (0.0, 1.0)], 1e-3)
         assert left == [one_float, (0.0, 0.5)]
         assert right == [one_float, (0.5, 1.0)]
+
+    def test_each_box_of_a_batch_alone(self):
+        # ties go to the lowest dimension, as a stable sort by width did
+        boxes = [[(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)],
+                 [(0.0, 1e-4), (0.0, 1e-4)], [(0.0, 3.0), (1.0, 1.5)]]
+        dims, mids = dsat.branch(_pack(*boxes), 1e-3)
+        assert dims.tolist() == [0, 1, -1, 0]
+        assert mids[[0, 1, 3]].tolist() == [0.5, 1.0, 1.5]
+
+
+def _golden():
+    """tests/data/make_dsat_golden.py, which holds the golden cases."""
+    spec = importlib.util.spec_from_file_location(
+        "make_dsat_golden", DATA / "make_dsat_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_matches_the_recorded_results():
+    """Verdicts, witnesses (float reprs) and box counts of the criterion 07
+    battery, TestCheck's cases and nn10's CEGIS decrease queries and level
+    probes equal those recorded from depth-first search of one box at a
+    time (tests/data/dsat_golden.json)."""
+    want = json.loads((DATA / "dsat_golden.json").read_text())
+    got = _golden().cases()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+    assert {w["verdict"] for w in want.values()} == {"UNSAT", "DELTA_SAT"}
+
+
+def test_one_work_set_for_all_domains():
+    # the first domain in order whose search finds a point gives the
+    # witness, and the boxes of the domains before it are all counted
+    phi = dsat.Formula(1, _c(sx.pow_(sx.var(0), 2), "<=", 1.0))
+    doms = [sx.box((2.0, 3.0)), sx.box((-3.0, -2.0)), sx.box((0.5, 4.0)),
+            sx.box((-4.0, -0.5))]
+    out = dsat.check(phi, doms, 1e-3)
+    assert out.verdict == "DELTA_SAT"
+    assert doms[2].contains(out.witness.midpoint())
+    alone = [dsat.check(phi, d, 1e-3) for d in doms[:3]]
+    assert [r.verdict for r in alone] == ["UNSAT", "UNSAT", "DELTA_SAT"]
+    assert out.witness == alone[2].witness
+    assert out.boxes_explored == sum(r.boxes_explored for r in alone)
+    out = dsat.check(phi, doms[:2], 1e-3)
+    assert (out.verdict, out.boxes_explored) == ("UNSAT", 2)

@@ -3,7 +3,9 @@
 import dis
 import math
 import re
+import struct
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -15,14 +17,17 @@ from barricade import network as nn
 from barricade import symexpr as sx
 
 
+_OPS = ("add", "sub", "mul", "neg", "sin", "cos", "tanh", "pow", "exp")
+
+
 def _rand_expr(rng, depth, arity=2):
     """Random expression avoiding div (singularities) for fuzz tests."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return sx.var(int(rng.integers(arity)))
         return sx.const(float(rng.uniform(-2.0, 2.0)))
-    op = rng.choice(["add", "sub", "mul", "neg", "sin", "cos", "tanh",
-                     "pow", "exp"])
+    # the draw rng.choice(_OPS) makes, without its list conversion
+    op = _OPS[rng.integers(len(_OPS))]
     a = _rand_expr(rng, depth - 1, arity)
     if op == "pow":
         return sx.pow_(a, int(rng.integers(0, 4)))
@@ -148,13 +153,13 @@ class TestExtremeEndpoints:
     def test_kernels_on_extreme_endpoints(self):
         ivs = _extreme_intervals()
         cases = []
-        for name, fn in sx._KERNELS.items():
+        for name, fn in iv._KERNELS.items():
             if name in ("add", "sub", "mul", "div"):
                 cases += [(name, fn, (a, b)) for a in ivs for b in ivs]
             else:
                 cases += [(name, fn, (a,)) for a in ivs]
         for n in (2, 3):
-            cases += [("pow", partial(sx._ipow, n=n), (a,)) for a in ivs]
+            cases += [("pow", partial(iv._ipow, n=n), (a,)) for a in ivs]
         for name, fn, args in cases:
             try:
                 lo, hi = fn(*args)
@@ -175,14 +180,149 @@ class TestExtremeEndpoints:
                                           (sx.div(x, y), ">=", 1.0))]
         queries = [dsat._atoms(phi.root) for phi in formulas]
         ivs = _extreme_intervals()
-        for a in ivs:
-            for b in ivs:
-                bx = (a, b)
-                for query in queries:
-                    out = dsat.prune(query, list(bx))
-                    assert out is dsat.EMPTY or all(
-                        i[0] <= o[0] and o[1] <= i[1]
-                        for o, i in zip(out[0], bx)), (bx, out)
+        pairs = [(a, b) for a in ivs for b in ivs]
+        before = np.array(pairs).transpose(1, 2, 0)
+        for query in queries:
+            boxes = before.copy()
+            out = dsat.prune(query, boxes, np.ones(len(pairs), dtype=bool))
+            if out is dsat.EMPTY:
+                continue
+            kept = out != dsat.FALSE
+            inside = ((before[:, 0] <= boxes[:, 0])
+                      & (boxes[:, 1] <= before[:, 1])).all(axis=0)
+            assert inside[kept].all(), [pairs[i] for i in
+                                        np.flatnonzero(kept & ~inside)]
+
+
+def _scalar_net(layers, ins):
+    """One box's network pass in the scalar layout: its input rows
+    (lo, hi), one (2, k) product per layer, the activation per endpoint
+    with the scalar kernels; one (lo, hi) pair per output."""
+    v = np.array(ins).T
+    for at, rmax, bmax, c, c_eta, tail, act in layers:
+        if tail is None:
+            tail = iv._error_tail(rmax * float(np.abs(v).max()) + bmax, c,
+                                  c_eta)
+        if tail is None:
+            z = np.array([[-math.inf], [math.inf]]).repeat(at.shape[1], 1)
+        else:
+            z = np.concatenate((v, v[::-1], tail), axis=1) @ at
+        if act == "tanh":
+            v = np.vectorize(math.tanh)(z) + np.array([[-2.0 ** -51],
+                                                       [2.0 ** -51]])
+            v = np.minimum(np.maximum(v, -1.0), 1.0)
+        elif act == "sigmoid":
+            v = np.array(([iv._isigmoid((a, a))[0] for a in z[0]],
+                          [iv._isigmoid((a, a))[1] for a in z[1]]))
+            v = np.minimum(np.maximum(v, 0.0), 1.0)
+        else:
+            v = z
+    return list(zip(*v.tolist()))
+
+
+def _scalar_slots(tape, pairs):
+    """Every slot's enclosure on one box of (lo, hi) pairs, slot by slot
+    with the scalar kernels; up to the slot whose kernel raises EvalError,
+    and whether one did."""
+    vals = []
+    for op, val, idx, kids in tape.nodes:
+        args = [vals[k] for k in kids]
+        if op == "const":
+            vals.append((val[0], val[0]))
+        elif op == "var":
+            vals.append(pairs[idx])
+        elif op == "pow":
+            vals.append(iv._ipow(args[0], val))
+        elif op == "net":
+            vals.append(_scalar_net(iv._net_layers(val), args))
+        elif op == "row":
+            vals.append(args[0][val])
+        else:
+            try:
+                vals.append(iv._KERNELS[op](*args))
+            except sx.EvalError:
+                return vals, True
+    return vals, False
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _batched_slot(vals, slot, col):
+    v = vals[slot]
+    if v.ndim == 3:     # a network's outputs, (m, 2, B)
+        return [(o[0][col], o[1][col]) for o in v.tolist()]
+    return tuple(row[col if len(row) > 1 else 0] for row in v.tolist())
+
+
+def _same_slot_bits(got, want):
+    if isinstance(want, list):
+        return len(got) == len(want) and all(
+            _same_slot_bits(g, w) for g, w in zip(got, want))
+    return [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def _enclosure_cases():
+    """(expression, boxes): random trees (with div, sigmoid and exp
+    overflow besides), small networks and the bundled 100-neuron
+    controller, each on criterion 06's boxes and on boxes of extreme
+    endpoints, 64 boxes per expression."""
+    rng = np.random.default_rng(606)
+    x, y = sx.var(0), sx.var(1)
+    exprs = [_rand_expr(rng, 4) for _ in range(150)]
+    exprs += [sx.div(x, y), sx.div(sx.sin(x), sx.add(y, sx.const(0.5))),
+              sx.exp(sx.mul(sx.const(400.0), x)), sx.pow_(x, 3),
+              sx.sub(sx.pow_(x, 2), sx.pow_(y, 4)),
+              sx.cos(sx.mul(sx.const(1e6), y))]
+    for acts in (("tanh", "identity"), ("sigmoid", "tanh"),
+                 ("identity", "sigmoid")):
+        net = _layered_net(rng, (2, 5, 2), acts)
+        exprs.append(sx.add(sx.net(net, 0, (x, y)),
+                            sx.mul(sx.net(net, 1, (x, y)), y)))
+    # a product of 202 terms per row, where a flat GEMM may add in
+    # another order than one product per box
+    exprs.append(sx.net(nn.load(cli.bundled_controller_path(100)), 0, (x, y)))
+    extremes = _extreme_intervals()
+    for e in exprs:
+        boxes = []
+        for _ in range(32):
+            lo = rng.uniform(-2.0, 2.0, size=2)
+            hi = lo + rng.uniform(0.0, 2.0, size=2)
+            boxes.append(list(zip(lo.tolist(), hi.tolist())))
+        for _ in range(32):
+            i, j = rng.integers(len(extremes), size=2)
+            boxes.append([extremes[i], extremes[j]])
+        yield e, boxes
+
+
+def test_batched_pass_is_bit_identical_to_the_scalar_kernels():
+    """Every slot of the checker's forward pass, for each box alone and
+    inside a shuffled batch of 64, has the bits (signed zeros included)
+    of the scalar kernels applied slot by slot, and a box fails exactly
+    where a scalar kernel raises; no RuntimeWarning escapes the pass."""
+    rng = np.random.default_rng(7)
+    failed = compared = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for e, boxes in _enclosure_cases():
+            tape = sx.lower(e)
+            order = rng.permutation(len(boxes))
+            batch = np.array([boxes[i] for i in order]).transpose(1, 2, 0)
+            vals, bad = sx._interval_eval_raw(tape, batch)
+            for col, i in enumerate(order):
+                want, fails = _scalar_slots(tape, boxes[i])
+                alone, bad1 = sx._interval_eval_raw(
+                    tape, np.array(boxes[i]).reshape(-1, 2, 1))
+                for got, b, c in ((vals, bad, col), (alone, bad1, 0)):
+                    assert fails == (b is not None and bool(b[c])), (e, i)
+                    for slot, w in enumerate(want):
+                        assert _same_slot_bits(_batched_slot(got, slot, c),
+                                               w), (e, boxes[i], slot)
+                        compared += 1
+                failed += fails
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert compared > 50_000 and 100 < failed < 2000
 
 
 def _chain(depth=3000):
@@ -327,15 +467,19 @@ class TestNetNode:
             _assert_within_ulps(got[b], sx.eval_expr(lhs, p[:, b]))
 
     def test_network_runs_once_per_box(self, monkeypatch):
+        # once per box and pass: one _inet call per forward pass, over
+        # all the boxes of the pass
         net = _layered_net(np.random.default_rng(5), (2, 6, 2),
                            ("tanh", "tanh"))
         x = (sx.var(0), sx.var(1))
         lhs = sx.sub(sx.net(net, 0, x), sx.net(net, 1, x))
-        counts = {"net": 0, "pass": 0}
+        counts = {"net": 0, "pass": 0, "boxes": 0}
 
         def counted(key, fn):
             def wrapper(*args):
                 counts[key] += 1
+                if key == "pass":
+                    counts["boxes"] += args[1].shape[2]
                 return fn(*args)
             return wrapper
         # lower() binds the kernel it finds in symexpr
@@ -348,7 +492,8 @@ class TestNetNode:
         phi = dsat.Formula(2, dsat.Constraint(lhs, ">=", top + 0.01))
         out = dsat.check(phi, sx.box((-1.0, 1.0), (-1.0, 1.0)), 1e-3)
         assert out.boxes_explored > 20
-        assert counts["net"] == counts["pass"] >= out.boxes_explored
+        assert counts["net"] == counts["pass"] < out.boxes_explored
+        assert counts["boxes"] >= out.boxes_explored
 
     @pytest.mark.parametrize("widths,acts", [
         ((2, 1), ("tanh",)),
@@ -478,7 +623,8 @@ def _exact_layer(mpmath, rows, act, point):
 
 
 def _kernel_out(net, lo, hi):
-    out = iv._inet(iv._net_layers(net), list(zip(lo.tolist(), hi.tolist())))
+    (out,) = iv._inet(iv._net_layers(net), np.array([[lo, hi]]))
+    out = list(zip(*out.tolist()))
     assert len(out) == len(net.layers[-1].bias)
     assert all(o_lo <= o_hi for o_lo, o_hi in out)   # no NaN, not empty
     return out
