@@ -25,8 +25,12 @@ witness.  Depth-first search returns the first one in path order, so once
 one is found the boxes after it are dropped and those before it are
 finished; a witness found among them replaces it.  boxes_explored counts
 the boxes at or before the witness in path order, as depth-first search
-does.  The budget max_boxes counts every box that the work-set takes,
-including boxes that are dropped later.
+does, and the budget max_boxes bounds that count, shared by the domains:
+the boxes explored before the front of the work-set are a lower bound on
+it, so the search stops once they reach max_boxes, and checks the final
+count.  The boxes that a pass takes beyond the witness, dropped once it
+is found, are work that depth-first search does not do; they do not
+count.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ TRUE, FALSE, UNKNOWN = 1, 0, -1
 EMPTY = None
 
 PRUNE_ROUNDS = 3   # contraction rounds per box
-BATCH = 128        # most boxes per pass of the work-set
+BATCH = 128        # most boxes per pass; wider passes are fewer but take
+                   # more boxes past a DELTA_SAT witness
 
 
 class BudgetExhausted(RuntimeError):
@@ -303,8 +308,8 @@ def check(phi, domains, delta, max_boxes=10_000_000):
     returns (see the module docstring).
 
     Raises ValueError for a domain with an infinite endpoint, which
-    bisection cannot split, and BudgetExhausted when the work-set takes
-    more than max_boxes boxes.
+    bisection cannot split, and BudgetExhausted when depth-first search
+    over the domains would explore more than max_boxes boxes.
     """
     if isinstance(domains, Box):
         domains = [domains]
@@ -336,13 +341,14 @@ def _search(atoms, domains, delta, max_boxes):
     # Explored boxes lying just before each box in path order, and after
     # the last one.
     gaps = np.zeros(len(domains), int)
-    tail = taken = 0
+    tail = 0
     witness = None
     while boxes.shape[2]:
         m = min(boxes.shape[2], BATCH)
         head = boxes[:, :, :m]
-        taken += int(np.count_nonzero(rounds[:m] == 0))
-        if taken > max_boxes:
+        # Depth-first search explores the front box after the gaps[0]
+        # boxes before it, and any witness lies at or after it.
+        if gaps[0] >= max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
         contract = rounds[:m] < PRUNE_ROUNDS
         prev = head.copy()
@@ -395,4 +401,6 @@ def _search(atoms, domains, delta, max_boxes):
         boxes = np.concatenate((new, boxes[:, :, m:]), axis=2)
         rounds = np.concatenate((new_rounds, rounds[m:]))
         gaps = np.concatenate((new_gaps, rest))
+    if tail > max_boxes:
+        raise BudgetExhausted("explored more than %d boxes" % max_boxes)
     return witness, tail

@@ -367,13 +367,12 @@ _HUGE = 2.0 ** 1000     # bound on a layer's sums below which none overflows
 _TANH_SLACK = np.array([[-2.0 ** -51], [2.0 ** -51]])
 
 
-def _error_tail(s, c, c_eta):
-    """The last two columns [1 -E; 1 E] of a layer's product, given a bound
-    s on its sums of |terms|; None unless s <= 2^1000."""
-    if not s <= _HUGE:
-        return None
-    e = c * s + c_eta
-    return np.array(((1.0, -e), (1.0, e)))
+def _error_bound(s, c, c_eta):
+    """(E, ok) for a bound s, a float or an array, on a layer's sums of
+    |terms|: E = c*s + c_eta bounds the layer's rounding error (see
+    _inet) where ok, that is where s <= 2^1000; elsewhere the layer's
+    outputs are the whole line."""
+    return c * s + c_eta, s <= _HUGE
 
 
 def _net_layers(network):
@@ -391,7 +390,11 @@ def _net_layers(network):
         rmax = float(np.abs(w).sum(axis=1).max())
         bmax = float(np.abs(b).max())
         c, c_eta = 8 * m * _U, 8 * m * _ETA
-        tail = _error_tail(rmax + bmax, c, c_eta) if bounded else None
+        tail = None
+        if bounded:
+            e, ok = _error_bound(rmax + bmax, c, c_eta)
+            if ok:      # the last two columns [1 -E; 1 E] of the product
+                tail = np.array(((1.0, -e), (1.0, e)))
         out.append((at, rmax, bmax, c, c_eta, tail, act))
         bounded = act != "identity"
     return out
@@ -417,10 +420,11 @@ def _inet(layers, v):
     sum of |W|, M the box's largest |endpoint| and B the largest |b|; then
     sum|t_k| <= S + E, and the rows are bounds as long as
     E >= gamma_m * (S + E) + m*eta, which holds for E >= 4mu*S + 2m*eta
-    when 2mu <= 1/2.  E is computed per box as fl(fl(8mu * fl(fl(R' * M) +
-    B)) + 8m*eta), R' being the floating-point row sum: each of the at most
-    n + 3 roundings of nonnegative numbers on the way loses a factor of at
-    most 1 - u, or eta/2 to underflow, so E >= 4mu*S + 6m*eta.  A layer
+    when 2mu <= 1/2.  E is computed per box (_error_bound) as fl(fl(8mu *
+    fl(fl(R' * M) + B)) + 8m*eta), R' being the floating-point row sum:
+    each of the at most n + 3 roundings of nonnegative numbers on the way
+    loses a factor of at most 1 - u, or eta/2 to underflow, so
+    E >= 4mu*S + 6m*eta.  A layer
     after a tanh or sigmoid takes M = 1, since those outputs are clipped
     to [-1, 1], so its E is fixed.  S <= 2^1000 keeps every partial sum
     finite; otherwise, and for a NaN or infinite endpoint (whose S is then
@@ -446,13 +450,13 @@ def _inet(layers, v):
         x[:, :, :k] = v
         x[:, :, k:2 * k] = v[:, ::-1]
         if tail is None:    # the inputs are not known to lie in [-1, 1]
-            s = rmax * np.abs(v).max(axis=(1, 2)) + bmax
-            e = c * s + c_eta
+            e, ok = _error_bound(rmax * np.abs(v).max(axis=(1, 2)) + bmax,
+                                 c, c_eta)
             x[:, :, 2 * k] = 1.0
             x[:, 0, -1] = -e
             x[:, 1, -1] = e
             z = x @ at
-            z[~(s <= _HUGE)] = _OUT
+            z[~ok] = _OUT
         else:
             x[:, :, 2 * k:] = tail
             z = x @ at

@@ -8,9 +8,9 @@ SAT and UNSAT cases of test_dsat.TestCheck, every decrease query of every
 CEGIS round of nn10 with n_seed_traces=2 at config seeds 1, 4 and 6 (which
 have rounds that dsat refutes, so DELTA_SAT witnesses are included), and
 the decrease query and level probes of nn10 at config seed 1.
-test_dsat.py runs `cases()` and compares with the committed file.  Only
-public entry points are called, so the script runs on any version of the
-checker.
+test_dsat.py runs `cases()`, and `direct_cases()` at other pass widths,
+and compares with the committed file.  Only public entry points are
+called, so the script runs on any version of the checker.
 """
 
 import json
@@ -111,13 +111,19 @@ def _verify_queries(seed, n_seed_traces, names):
     return seen
 
 
-def cases():
-    """{case name: recorded result} for every case."""
+def direct_cases():
+    """{case name: recorded result} for the direct dsat cases."""
     out = {}
     for name, phi, dom, delta, max_boxes in _checks():
         kwargs = {} if max_boxes is None else {"max_boxes": max_boxes}
         r = dsat.check(phi, dom, delta, **kwargs)
         out[name] = _record(r.verdict, r.witness, r.boxes_explored)
+    return out
+
+
+def cases():
+    """{case name: recorded result} for every case."""
+    out = direct_cases()
     runs = [(seed, 2, ("decrease",)) for seed in (1, 4, 6)]
     runs.append((1, 20, ("decrease", "init_containment", "unsafe_disjoint")))
     for seed, n_seed, names in runs:

@@ -27,13 +27,24 @@ def _pack(*boxes):
 
 def _prune_rounds(atoms, boxes):
     """prune's passes over boxes (an (n, 2, B) array, contracted in place)
-    as the search runs them on a box: until a round leaves the box
-    unchanged, at most PRUNE_ROUNDS rounds.  Returns the last status."""
-    for _ in range(dsat.PRUNE_ROUNDS):
+    as the search runs them on each box: contraction rounds until one
+    leaves the box unchanged or refutes it, at most PRUNE_ROUNDS, then a
+    status pass if every round changed it.  Returns each box's status, a
+    (B,) array."""
+    n = boxes.shape[2]
+    status = np.full(n, dsat.UNKNOWN)
+    going = np.ones(n, dtype=bool)
+    for r in range(dsat.PRUNE_ROUNDS + 1):
+        contract = going & (r < dsat.PRUNE_ROUNDS)
         prev = boxes.copy()
-        status = dsat.prune(atoms, boxes,
-                            np.ones(boxes.shape[2], dtype=bool))
-        if status is dsat.EMPTY or np.array_equal(boxes, prev):
+        out = dsat.prune(atoms, boxes, contract)
+        if out is dsat.EMPTY:
+            out = np.full(n, dsat.FALSE)
+        same = (boxes == prev).all(axis=(0, 1))
+        done = going & ((out == dsat.FALSE) | ~contract | same)
+        status[done] = out[done]
+        going &= ~done
+        if not going.any():
             break
     return status
 
@@ -248,7 +259,7 @@ class TestPrune:
             phi = dsat.Formula(2, _c(lhs, rel, float(rhs)))
             bx = _pack([(-1.0, 1.0), (-1.0, 1.0)])
             out = _prune_rounds(dsat._atoms(phi.root), bx)
-            assert out is not dsat.EMPTY and out[0] != dsat.FALSE
+            assert out[0] != dsat.FALSE
             assert all(lo <= v <= hi for (lo, hi), v in zip(bx[:, :, 0], p))
 
 
@@ -321,3 +332,62 @@ def test_one_work_set_for_all_domains():
     assert out.boxes_explored == sum(r.boxes_explored for r in alone)
     out = dsat.check(phi, doms[:2], 1e-3)
     assert (out.verdict, out.boxes_explored) == ("UNSAT", 2)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_search_does_not_depend_on_the_batch(monkeypatch, batch):
+    # a box's fate, the witness and boxes_explored do not depend on how
+    # the boxes are grouped into passes
+    monkeypatch.setattr(dsat, "BATCH", batch)
+    want = json.loads((DATA / "dsat_golden.json").read_text())
+    got = _golden().direct_cases()
+    assert got == {name: want[name] for name in got}
+    test_one_work_set_for_all_domains()
+
+
+@pytest.mark.parametrize("name", [
+    "c07_poly", "c07_half_plane", "tc_sin_max", "tc_inf_over_inf",
+    "tc_one_float_wide_x+sin(x)", "tc_one_float_wide_x-y"])
+def test_budget_is_the_depth_first_count(name):
+    # max_boxes bounds the boxes that depth-first search explores, however
+    # many the work-set takes: a query passes with its own count and
+    # fails one below it
+    (phi, dom, delta), = [c[1:4] for c in _golden()._checks()
+                          if c[0] == name]
+    want = json.loads((DATA / "dsat_golden.json").read_text())[name]
+    n = want["boxes_explored"]
+    assert dsat.check(phi, dom, delta, max_boxes=n).boxes_explored == n
+    with pytest.raises(dsat.BudgetExhausted):
+        dsat.check(phi, dom, delta, max_boxes=n - 1)
+
+
+def test_budget_is_shared_by_the_domains():
+    phi = dsat.Formula(1, _c(sx.pow_(sx.var(0), 2), "<=", 1.0))
+    doms = [sx.box((2.0, 3.0)), sx.box((-3.0, -2.0)), sx.box((0.5, 4.0))]
+    n = dsat.check(phi, doms, 1e-3).boxes_explored
+    assert n > 2
+    assert dsat.check(phi, doms, 1e-3, max_boxes=n).boxes_explored == n
+    for budget in (n - 1, 1):
+        with pytest.raises(dsat.BudgetExhausted):
+            dsat.check(phi, doms, 1e-3, max_boxes=budget)
+
+
+def test_budget_bounds_the_work(monkeypatch):
+    # (x - y)^2 <= -1e-6 is UNSAT only after millions of boxes along the
+    # diagonal; the search stops once depth-first search's count reaches
+    # max_boxes, within PRUNE_ROUNDS + 1 passes per box of it
+    x, y = sx.var(0), sx.var(1)
+    lhs = sx.add(sx.sub(sx.mul(x, x), sx.mul(sx.const(2.0), sx.mul(x, y))),
+                 sx.mul(y, y))
+    phi = dsat.Formula(2, _c(lhs, "<=", -1e-6))
+    passes = []
+    prune = dsat.prune
+
+    def counted(*args):
+        passes.append(1)
+        return prune(*args)
+    monkeypatch.setattr(dsat, "prune", counted)
+    with pytest.raises(dsat.BudgetExhausted):
+        dsat.check(phi, sx.box((0.0, 1.0), (0.0, 1.0)), 1e-12,
+                   max_boxes=100)
+    assert len(passes) <= (dsat.PRUNE_ROUNDS + 1) * 101

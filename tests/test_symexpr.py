@@ -15,6 +15,7 @@ from barricade import certify, cli, dsat, lpgen, plant, simulate, train
 from barricade import interval as iv
 from barricade import network as nn
 from barricade import symexpr as sx
+from test_dsat import _prune_rounds
 
 
 _OPS = ("add", "sub", "mul", "neg", "sin", "cos", "tanh", "pow", "exp")
@@ -184,10 +185,7 @@ class TestExtremeEndpoints:
         before = np.array(pairs).transpose(1, 2, 0)
         for query in queries:
             boxes = before.copy()
-            out = dsat.prune(query, boxes, np.ones(len(pairs), dtype=bool))
-            if out is dsat.EMPTY:
-                continue
-            kept = out != dsat.FALSE
+            kept = _prune_rounds(query, boxes) != dsat.FALSE
             inside = ((before[:, 0] <= boxes[:, 0])
                       & (boxes[:, 1] <= before[:, 1])).all(axis=0)
             assert inside[kept].all(), [pairs[i] for i in
@@ -201,8 +199,9 @@ def _scalar_net(layers, ins):
     v = np.array(ins).T
     for at, rmax, bmax, c, c_eta, tail, act in layers:
         if tail is None:
-            tail = iv._error_tail(rmax * float(np.abs(v).max()) + bmax, c,
-                                  c_eta)
+            e, ok = iv._error_bound(rmax * float(np.abs(v).max()) + bmax, c,
+                                    c_eta)
+            tail = np.array(((1.0, -e), (1.0, e))) if ok else None
         if tail is None:
             z = np.array([[-math.inf], [math.inf]]).repeat(at.shape[1], 1)
         else:
