@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import (Box, Interval, _OUT, _mid, _vadd, _vdiv, _vneg,
-                       _vsub)
+from .interval import (Box, Interval, _OUT, _mid, _vadd, _vdiv, _vdivc,
+                       _vneg, _vsub)
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -118,10 +118,12 @@ def _target_interval(rel, rhs):
 
 
 # How an occurrence's target follows from its parent's: the parent's op
-# and, where it matters, which operand the occurrence is.
-_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL = range(6)
+# and, where it matters, which operand the occurrence is.  _MULC, the
+# operand of a constant factor c (symexpr._factor), carries c as sibling.
+_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL, _MULC = range(7)
 _HC4_ROLES = {"add": (_ADD, _ADD), "sub": (_SUB_L, _SUB_R),
               "mul": (_MUL, _MUL), "neg": (_NEG,)}
+_INNER, _LEAF = -1, -2
 
 
 def _hc4_plan(tape):
@@ -129,9 +131,9 @@ def _hc4_plan(tape):
 
     The walk descends from the root through add/sub/mul/neg only; other
     nodes end it (no contraction below them, which is sound).  Entries are
-    ``(slot, how, parent entry, sibling slot, var index or -1)`` in
-    preorder, the order in which a recursive walk intersects the
-    variables.
+    ``(slot, how, parent entry, sibling slot, var index)`` in preorder,
+    the order in which a recursive walk intersects the variables; an
+    occurrence other than a var has _INNER, or _LEAF where the walk ends.
     """
     nodes = tape.nodes
     plan = []
@@ -139,9 +141,12 @@ def _hc4_plan(tape):
     while stack:
         slot, how, parent, sib = stack.pop()
         op, _, idx, kids = nodes[slot]
-        me = len(plan)
-        plan.append((slot, how, parent, sib, idx if op == "var" else -1))
+        if how == _MUL and sx._factor(nodes[sib]):
+            how, sib = _MULC, nodes[sib][1][0]
         roles = _HC4_ROLES.get(op)
+        me = len(plan)
+        plan.append((slot, how, parent, sib, idx if op == "var" else
+                     _INNER if roles else _LEAF))
         if roles is not None:
             # A binary operand's sibling is the other operand.
             children = list(zip(kids, roles, reversed(kids)))
@@ -167,7 +172,10 @@ def _contract(plan, vals, boxes, target, live):
     values, and variables are narrowed by exact min/max, so one preorder
     sweep gives the contraction of the recursive walk.  Below a mul factor
     whose enclosure contains zero, which the walk skips, a box's targets
-    are the whole line, which contracts nothing and refutes nothing.
+    are the whole line, which contracts nothing and refutes nothing: an
+    inner occurrence stores it so, and each kernel maps it to rows of
+    infinities or NaN, which the meet at a var and the test at a leaf
+    ignore.
     """
     ts = [None] * len(plan)
     skips = [None] * len(plan)      # the boxes whose target is skipped
@@ -181,11 +189,11 @@ def _contract(plan, vals, boxes, target, live):
             skip = skips[parent]
             if how == _ADD:
                 t = _vsub(t, vals[sib])
+            elif how == _MULC:
+                t = _vdivc(t, sib)
             elif how == _MUL:
                 f = vals[sib]
-                # one column (a constant, or a batch of one) is decided
-                # at once
-                if f.shape[1] > 1 or f[0, 0] <= 0.0 <= f[1, 0]:
+                if idx == _INNER:
                     zero = (f[0] <= 0.0) & (0.0 <= f[1])
                     skip = zero if skip is None else skip | zero
                 t = _vdiv(t, f)
@@ -200,12 +208,15 @@ def _contract(plan, vals, boxes, target, live):
             # meeting it with t narrows it as meeting both does.
             cur = boxes[idx]
             t = _meet(t, cur)
-            if skip is not None:
-                t = np.where(skip, cur, t)
             refuted |= t[0] > t[1]
             np.copyto(cur, t, where=live)
             continue
-        t = _meet(t, vals[slot])
+        f = vals[slot]
+        if idx == _LEAF:    # _meet(t, f) empty, f having no NaN end (else
+            # _meet finds none); t[0] > t[1] only below a refuted entry
+            refuted |= ((t[0] > f[1]) | (t[1] < f[0])) & (f[0] <= f[1])
+            continue
+        t = _meet(t, f)
         if skip is not None:
             t = np.where(skip, _OUT, t)
         refuted |= t[0] > t[1]

@@ -308,6 +308,21 @@ def _vdiv(a, b):
     return np.where(whole, _OUT, _vwiden(_vhull(p)))
 
 
+def _vmulc(a, c):
+    """_vmul(a, [c, c]) for a finite, nonzero c and a[0] <= a[1]: its four
+    products are these two, twice, and nextafter maps -0.0 and 0.0 alike."""
+    p = a * c
+    return np.nextafter(p if c > 0.0 else p[::-1], _OUT)
+
+
+def _vdivc(t, c):
+    """_vdiv(t, [c, c]) for a finite, nonzero c and t[0] <= t[1]."""
+    q = t / c
+    s = q[0] + q[0] + q[1]      # NaN where _vdiv's sum of quotients is
+    return np.where(s != s, _OUT,
+                    np.nextafter(q if c > 0.0 else q[::-1], _OUT))
+
+
 def _vpow(a, n):
     v = _vhull(_emap(partial(_pow, n=n), a))
     if n % 2:

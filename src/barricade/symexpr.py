@@ -30,7 +30,8 @@ import numpy as np
 
 from . import network as nn
 from .interval import (EvalError, Interval, Box, box, TRIG_ARG_LIMIT,
-                       _VKERNELS, _vpow, _inet, _net_layers, _trig_bad)
+                       _VKERNELS, _vmulc, _vpow, _inet, _net_layers,
+                       _trig_bad)
 
 
 class Expr:
@@ -284,8 +285,10 @@ class Tape:
     interval._VKERNELS; ``init`` holds the constants as (2, 1) arrays.
     ``code`` holds ``(slot, kernel, arg, arg)`` for a unary (second arg
     None) or binary op, and ``(slot, kernel, None, input slots)`` for a
-    network pass.  ``trig`` lists the argument slots of sin and cos, whose
-    boxes fail beyond interval.TRIG_ARG_LIMIT.
+    network pass, and ``(slot, _vmulc with c bound, arg, None)`` for a
+    product by a constant factor c (`_factor`).  ``trig`` lists the
+    argument slots of sin and cos, once each, whose boxes fail beyond
+    interval.TRIG_ARG_LIMIT.
     """
 
     __slots__ = ("nodes", "root", "init", "loads", "code", "trig")
@@ -310,13 +313,23 @@ class Tape:
             elif op == "row":
                 self.code.append((slot, operator.itemgetter(val), kids[0],
                                   None))
+            elif op == "mul" and any(_factor(nodes[k]) for k in kids):
+                a, k = kids if _factor(nodes[kids[1]]) else kids[::-1]
+                self.code.append((slot, partial(_vmulc, c=nodes[k][1][0]),
+                                  a, None))
             elif op in _VKERNELS:
                 self.code.append((slot, _VKERNELS[op], kids[0],
                                   kids[1] if len(kids) == 2 else None))
-                if op in ("sin", "cos"):
+                if op in ("sin", "cos") and kids[0] not in self.trig:
                     self.trig.append(kids[0])
             else:
                 raise EvalError("unknown op %r" % op)
+
+
+def _factor(node):
+    """Is the tape node a finite, nonzero constant (see interval._vmulc)?"""
+    op, val = node[:2]
+    return op == "const" and val[0] != 0.0 and math.isfinite(val[0])
 
 
 def lower(e):

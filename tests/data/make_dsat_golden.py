@@ -6,8 +6,10 @@ Each case records the verdict, the witness (endpoints as float reprs, or
 null) and boxes_explored.  The cases are the criterion 07 battery, the
 SAT and UNSAT cases of test_dsat.TestCheck, every decrease query of every
 CEGIS round of nn10 with n_seed_traces=2 at config seeds 1, 4 and 6 (which
-have rounds that dsat refutes, so DELTA_SAT witnesses are included), and
-the decrease query and level probes of nn10 at config seed 1.
+have rounds that dsat refutes, so DELTA_SAT witnesses are included), the
+decrease query and level probes of nn10 and of nn100 at config seed 1,
+and the decrease query of a stable linear field at arity 3 (an HC4 plan
+over three variables) at config seed 0.
 test_dsat.py runs `cases()`, and `direct_cases()` at other pass widths,
 and compares with the committed file.  Only public entry points are
 called, so the script runs on any version of the checker.
@@ -85,11 +87,33 @@ def _record(verdict, witness, boxes):
             "boxes_explored": boxes}
 
 
-def _verify_queries(seed, n_seed_traces, names):
+def _dubins(n_hidden):
+    """The bundled controller of n_hidden neurons in the Dubins loop, and
+    the default spec."""
+    net = nn.load(cli.bundled_controller_path(n_hidden))
+    return (plant.dubins_closed_loop(plant.DubinsParams(), net),
+            certify.default_spec())
+
+
+def _linear3():
+    """A stable linear field at arity 3 (test_certify._linear3_field) and
+    its cube spec."""
+    x0, x1, x2 = (sx.var(i) for i in range(3))
+    half = sx.const(0.5)
+    field = plant.VectorField(3, (
+        sx.add(sx.neg(x0), sx.mul(half, x1)),
+        sx.add(sx.neg(x1), sx.mul(half, x2)),
+        sx.sub(sx.mul(sx.const(-0.3), x0), x2)))
+    spec = certify.SafetySpec(sx.box(*[(-0.1, 0.1)] * 3),
+                              sx.box(*[(-1.0, 1.0)] * 3))
+    return field, spec
+
+
+def _verify_queries(system, seed, n_seed_traces, names):
     """The transcripts of every query named in names that verify runs on
-    nn10 at the config, in call order, by name."""
-    field = plant.dubins_closed_loop(
-        plant.DubinsParams(), nn.load(cli.bundled_controller_path(10)))
+    system, a (field, spec) pair, at the config, in call order, by
+    name."""
+    field, spec = system
     seen = {name: [] for name in names}
     saved = {name: getattr(certify, "query_" + name) for name in names}
 
@@ -104,7 +128,7 @@ def _verify_queries(seed, n_seed_traces, names):
             setattr(certify, "query_" + name, recorder(name))
         config = certify.CertifyConfig(seed=seed,
                                        n_seed_traces=n_seed_traces)
-        certify.verify(certify.default_spec(), field, config)
+        certify.verify(spec, field, config)
     finally:
         for name, fn in saved.items():
             setattr(certify, "query_" + name, fn)
@@ -124,12 +148,17 @@ def direct_cases():
 def cases():
     """{case name: recorded result} for every case."""
     out = direct_cases()
-    runs = [(seed, 2, ("decrease",)) for seed in (1, 4, 6)]
-    runs.append((1, 20, ("decrease", "init_containment", "unsafe_disjoint")))
-    for seed, n_seed, names in runs:
-        for name, transcripts in _verify_queries(seed, n_seed, names).items():
+    levels = ("decrease", "init_containment", "unsafe_disjoint")
+    runs = [("nn10", _dubins(10), seed, 2, ("decrease",))
+            for seed in (1, 4, 6)]
+    runs += [("nn10", _dubins(10), 1, 20, levels),
+             ("nn100", _dubins(100), 1, 20, levels),
+             ("linear3", _linear3(), 0, 20, ("decrease",))]
+    for tag, system, seed, n_seed, names in runs:
+        seen = _verify_queries(system, seed, n_seed, names)
+        for name, transcripts in seen.items():
             for i, t in enumerate(transcripts, 1):
-                key = "nn10_seed%d_nst%d_%s_%d" % (seed, n_seed, name, i)
+                key = "%s_seed%d_nst%d_%s_%d" % (tag, seed, n_seed, name, i)
                 out[key] = _record(t.verdict, t.witness, t.boxes_explored)
     return out
 

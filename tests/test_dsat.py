@@ -306,9 +306,10 @@ def _golden():
 
 def test_search_matches_the_recorded_results():
     """Verdicts, witnesses (float reprs) and box counts of the criterion 07
-    battery, TestCheck's cases and nn10's CEGIS decrease queries and level
-    probes equal those recorded from depth-first search of one box at a
-    time (tests/data/dsat_golden.json)."""
+    battery, TestCheck's cases, nn10's CEGIS decrease queries, nn10's and
+    nn100's level probes and a 3-state field's decrease query equal those
+    recorded (tests/data/dsat_golden.json; the nn10 cases from depth-first
+    search of one box at a time)."""
     want = json.loads((DATA / "dsat_golden.json").read_text())
     got = _golden().cases()
     assert sorted(got) == sorted(want)

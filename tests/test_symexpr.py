@@ -7,6 +7,7 @@ import struct
 import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from barricade import certify, cli, dsat, lpgen, plant, simulate, train
 from barricade import interval as iv
 from barricade import network as nn
 from barricade import symexpr as sx
+from test_acceptance import _random_expr
 from test_dsat import _prune_rounds
 
 
@@ -322,6 +324,164 @@ def test_batched_pass_is_bit_identical_to_the_scalar_kernels():
                 failed += fails
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert compared > 50_000 and 100 < failed < 2000
+
+
+def _full_plan(tape):
+    """Every occurrence that dsat._hc4_plan's walk reaches, each operand of
+    a mul with the general role: the plan of the sweep before it was
+    specialised."""
+    nodes = tape.nodes
+    plan = []
+    stack = [(tape.root, dsat._ROOT, -1, -1)]
+    while stack:
+        slot, how, parent, sib = stack.pop()
+        op, _, idx, kids = nodes[slot]
+        me = len(plan)
+        plan.append((slot, how, parent, sib, idx if op == "var" else -1))
+        roles = dsat._HC4_ROLES.get(op)
+        if roles is not None:
+            children = list(zip(kids, roles, reversed(kids)))
+            stack.extend((kid, how, me, sib)
+                         for kid, how, sib in reversed(children))
+    return plan
+
+
+def _reference_contract(plan, vals, boxes, target, live):
+    """dsat._contract as it was before it was specialised: the full plan,
+    and the general interval division for every operand of a mul."""
+    ts = [None] * len(plan)
+    skips = [None] * len(plan)
+    refuted = np.zeros(boxes.shape[2], bool)
+    for i, (slot, how, parent, sib, idx) in enumerate(plan):
+        skip = None
+        if how == dsat._ROOT:
+            t = target
+        else:
+            t = ts[parent]
+            skip = skips[parent]
+            if how == dsat._ADD:
+                t = iv._vsub(t, vals[sib])
+            elif how == dsat._MUL:
+                f = vals[sib]
+                zero = (f[0] <= 0.0) & (0.0 <= f[1])
+                skip = zero if skip is None else skip | zero
+                t = iv._vdiv(t, f)
+            elif how == dsat._SUB_L:
+                t = iv._vadd(t, vals[sib])
+            elif how == dsat._SUB_R:
+                t = iv._vsub(vals[sib], t)
+            else:
+                t = iv._vneg(t)
+        if idx >= 0:
+            cur = boxes[idx]
+            t = dsat._meet(t, cur)
+            if skip is not None:
+                t = np.where(skip, cur, t)
+            refuted |= t[0] > t[1]
+            np.copyto(cur, t, where=live)
+            continue
+        t = dsat._meet(t, vals[slot])
+        if skip is not None:
+            t = np.where(skip, iv._OUT, t)
+        refuted |= t[0] > t[1]
+        ts[i] = t
+        skips[i] = skip
+    return refuted & live
+
+
+def _reference_lhs():
+    """Left-hand sides for the HC4 reference test: criterion 06's random
+    trees, and products by constants (±0, ±inf, negative, tiny and huge,
+    some of which the smart constructors would fold) under sums,
+    negations and other products."""
+    rng = np.random.default_rng(1999)
+    x, y = sx.var(0), sx.var(1)
+    lhs = [_random_expr(rng, 3, 2) for _ in range(80)]
+    for c in (2.0, -2.5, 0.5, -1.0, 1e-300, -1e300, sys.float_info.max,
+              5e-324, 0.0, -0.0, math.inf, -math.inf):
+        cx = sx.Expr("mul", (sx.const(c), x))
+        lhs += [sx.add(cx, y), sx.sub(y, sx.Expr("mul", (x, sx.const(c)))),
+                sx.neg(cx), sx.mul(cx, y), sx.add(sx.mul(cx, sx.const(-3.0)),
+                                                  sx.sin(y))]
+    # a leaf with the enclosure [0, NaN] (exp of [-inf, inf - inf]) under
+    # a product, whose NaN-zeroing makes its target finite
+    return lhs + [sx.mul(sx.exp(sx.sub(x, sx.const(math.inf))), y)]
+
+
+def _reference_boxes():
+    """Criterion 06's boxes and every pair of _extreme_intervals(), as one
+    (2, 2, B) array."""
+    rng = np.random.default_rng(2006)
+    boxes = []
+    for _ in range(64):
+        lo = rng.uniform(-2.0, 2.0, size=2)
+        hi = lo + rng.uniform(0.0, 2.0, size=2)
+        boxes.append(list(zip(lo.tolist(), hi.tolist())))
+    ivs = _extreme_intervals()
+    boxes += [[a, b] for a in ivs for b in ivs]
+    return np.array(boxes).transpose(1, 2, 0).copy()
+
+
+@np.errstate(all="ignore")
+def test_hc4_sweep_matches_the_reference_sweep():
+    """The lowered atom's sweep (an operand of a constant factor divided by
+    it in two quotients, a leaf only tested for an empty meet, no mask at
+    a var or a leaf) refutes the boxes that the general sweep refutes, on
+    criterion 06's trees and boxes and on extreme boxes, and contracts
+    every other box to the same bits.  A refuted box's endpoints are never
+    read (the search drops it), and may differ."""
+    before = _reference_boxes()
+    rng = np.random.default_rng(1999)
+    compared = refuted = 0
+    for lhs in _reference_lhs():
+        atom = dsat._Atom(dsat.Constraint(lhs, "<=", 0.0))
+        full = _full_plan(atom.tape)
+        vals, bad = sx._interval_eval_raw(atom.tape, before)
+        live = np.ones(before.shape[2], bool) if bad is None else ~bad
+        for rel in dsat.RELATIONS:
+            for rhs in (float(rng.uniform(-3.0, 3.0)), 0.0, -5e-324, -1.0,
+                        1e300, -sys.float_info.max, math.inf):
+                target = dsat._target_interval(rel, rhs)
+                got, want = before.copy(), before.copy()
+                mask = dsat._contract(atom.plan, vals, got, target, live)
+                ref = _reference_contract(full, vals, want, target, live)
+                where = (sx.to_sexpr(lhs), rel, rhs)
+                assert mask.tolist() == ref.tolist(), where
+                # the bytes of struct.pack("d") of each endpoint
+                assert (got[:, :, ~ref].tobytes()
+                        == want[:, :, ~ref].tobytes()), where
+                compared += 1
+                refuted += int(ref.sum())
+    assert compared > 1000 and refuted > 10_000
+
+
+def test_hc4_plan_of_the_nn10_decrease_atom():
+    """nn10's recorded decrease atom (config seed 1): the plan visits the 32
+    occurrences of the reference plan, the 7 operands of constant factors
+    divide by them, and the 12 occurrences where the walk ends (constants,
+    sin, cos and the network's row) are leaves; the tape runs its 7
+    constant products in two products each and tests the argument of sin
+    and cos once."""
+    cert = certify.load_certificate(
+        Path(__file__).parent / "data" / "nn10_seed1_certificate.json")
+    field = plant.dubins_closed_loop(
+        plant.DubinsParams(), nn.load(cli.bundled_controller_path(10)))
+    atom = dsat._Atom(dsat.Constraint(
+        certify.lie_derivative(cert.candidate, field), ">=", -1e-6))
+    full = _full_plan(atom.tape)
+    assert len(full) == len(atom.plan) == 32
+    assert ([(e[0], dsat._MUL if e[1] == dsat._MULC else e[1], e[2],
+              max(e[4], -1)) for e in atom.plan]
+            == [(e[0], e[1], e[2], e[4]) for e in full])
+    assert [type(e[3]) for e in atom.plan
+            if e[1] == dsat._MULC] == [float] * 7
+    leaves = [atom.tape.nodes[e[0]][0] for e in atom.plan
+              if e[4] == dsat._LEAF]
+    assert sorted(set(leaves)) == ["const", "cos", "row", "sin"]
+    assert len(leaves) == 12
+    assert [fn.func for _, fn, _, _ in atom.tape.code
+            if isinstance(fn, partial)].count(iv._vmulc) == 7
+    assert len(atom.tape.trig) == 1
 
 
 def _chain(depth=3000):
