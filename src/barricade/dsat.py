@@ -120,7 +120,9 @@ def _target_interval(rel, rhs):
 # How an occurrence's target follows from its parent's: the parent's op
 # and, where it matters, which operand the occurrence is.  _MULC, the
 # operand of a constant factor c (symexpr._factor), carries c as sibling.
-_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL, _MULC = range(7)
+# _MULK, a constant leaf c under a general product, carries (sibling slot,
+# the float below c, the float above c) as sibling.
+_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL, _MULC, _MULK = range(8)
 _HC4_ROLES = {"add": (_ADD, _ADD), "sub": (_SUB_L, _SUB_R),
               "mul": (_MUL, _MUL), "neg": (_NEG,)}
 _INNER, _LEAF = -1, -2
@@ -140,9 +142,13 @@ def _hc4_plan(tape):
     stack = [(tape.root, _ROOT, -1, -1)]
     while stack:
         slot, how, parent, sib = stack.pop()
-        op, _, idx, kids = nodes[slot]
+        op, val, idx, kids = nodes[slot]
         if how == _MUL and sx._factor(nodes[sib]):
             how, sib = _MULC, nodes[sib][1][0]
+        elif how == _MUL and op == "const":
+            c = val[0]
+            how, sib = _MULK, (sib, math.nextafter(c, -math.inf),
+                               math.nextafter(c, math.inf))
         roles = _HC4_ROLES.get(op)
         me = len(plan)
         plan.append((slot, how, parent, sib, idx if op == "var" else
@@ -176,6 +182,20 @@ def _contract(plan, vals, boxes, target, live):
     inner occurrence stores it so, and each kernel maps it to rows of
     infinities or NaN, which the meet at a var and the test at a leaf
     ignore.
+
+    A constant leaf c under a general product (_MULK) with sibling f is
+    refuted where _vdiv(t, f) misses [c, c], without the division's hull:
+    exactly where f is clear of zero and the four quotients t_i / f_j all
+    lie above c+, the float above c, or all below c-, the float below c.
+    For _vdiv gives the whole line where f holds zero or where a quotient
+    is NaN (which fails both comparisons) or the quotients hold both
+    infinities (which fail one each); else [m-, M+] for the least and
+    greatest quotients m and M.  For floats, m- > c exactly when m > c+,
+    the infinities included (inf- is the largest finite float, and c+ is
+    inf for that float and for inf), and -0.0 and 0.0 have the same
+    neighbours and compare equal, so which tied zero is m does not
+    matter; likewise M+ < c exactly when M < c-.  A NaN c has NaN
+    neighbours and is never refuted, as the leaf test's guard gives.
     """
     ts = [None] * len(plan)
     skips = [None] * len(plan)      # the boxes whose target is skipped
@@ -191,6 +211,13 @@ def _contract(plan, vals, boxes, target, live):
                 t = _vsub(t, vals[sib])
             elif how == _MULC:
                 t = _vdivc(t, sib)
+            elif how == _MULK:
+                f_slot, below, above = sib
+                f = vals[f_slot]
+                q = (t[:, None] / f[None]).reshape(4, -1)
+                refuted |= ((f[0] > 0.0) | (f[1] < 0.0)) & (
+                    (q > above).all(axis=0) | (q < below).all(axis=0))
+                continue
             elif how == _MUL:
                 f = vals[sib]
                 if idx == _INNER:

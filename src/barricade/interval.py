@@ -76,9 +76,6 @@ class Box:
     def midpoint(self):
         return [iv.mid for iv in self.intervals]
 
-    def max_width(self):
-        return max(iv.width for iv in self.intervals)
-
     def contains(self, point):
         return all(iv.contains(x) for iv, x in zip(self.intervals, point))
 
@@ -195,7 +192,7 @@ def _itrig(a, fn, top, bottom):
     """fn (sin or cos) over a, which peaks at top + 2*pi*k and bottoms out
     at bottom + 2*pi*k."""
     lo, hi = a
-    if max(abs(lo), abs(hi)) > TRIG_ARG_LIMIT:
+    if not (abs(lo) <= TRIG_ARG_LIMIT and abs(hi) <= TRIG_ARG_LIMIT):
         raise EvalError("sin/cos argument magnitude exceeds %g" % TRIG_ARG_LIMIT)
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
@@ -237,9 +234,11 @@ _KERNELS = {
 # scalar enclosure bit for bit whatever its batch.  A min or max that no
 # nextafter follows keeps Python's rule for ties and NaN (max(a, b) is b
 # only when b > a), so signed zeros come out as the scalar kernels give
-# them.  exp, tanh, sin, cos and pow go through math.* (or **) per
+# them.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
 # element, trusted to 2 ulps as in the scalar kernels; numpy's SIMD
-# versions have no documented error bound.  The kernels expect
+# versions have no documented error bound.  A network's tanh layers go
+# through _ntanh instead, a table and a series in numpy's correctly
+# rounded + - * /, whose bound _inet proves.  The kernels expect
 # floating-point warnings to be off (np.errstate), which the callers set
 # once per pass.
 
@@ -340,8 +339,9 @@ def _vtanh(a):
 
 
 def _trig_bad(a):
-    """The columns of a that _itrig refuses: beyond TRIG_ARG_LIMIT."""
-    return np.maximum.reduce(np.abs(a), axis=0) > TRIG_ARG_LIMIT
+    """The columns of a that _itrig refuses: an end not within
+    TRIG_ARG_LIMIT, NaN included."""
+    return ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)
 
 
 def _vtrig(a, fn, crit):
@@ -379,7 +379,37 @@ _VKERNELS = {
 _U = 2.0 ** -53         # unit roundoff of binary64
 _ETA = 2.0 ** -1074     # smallest subnormal
 _HUGE = 2.0 ** 1000     # bound on a layer's sums below which none overflows
-_TANH_SLACK = np.array([[-2.0 ** -51], [2.0 ** -51]])
+_TANH_SLACK = np.array([[-2.0 ** -50], [2.0 ** -50]])
+
+# _ntanh's table: tanh(k h) for h = 2^-7 and k h in [0, 20], by math.tanh
+_TANH_N = 128.0         # 1 / h
+_TANH_END = 20.0        # tanh x is within 2^-57 of tanh 20 beyond it
+_TANH_TABLE = np.array([math.tanh(k / _TANH_N)
+                        for k in range(int(_TANH_END * _TANH_N) + 1)])
+_TANH_C3, _TANH_C5, _TANH_C7 = -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0
+
+
+def _ntanh(z):
+    """tanh of every element of z, a new array, within 2^-50 (see _inet):
+    x = |z|, taken as 20 beyond 20, is g + r with g = k h the nearest
+    table point and r exact (Sterbenz, or g = 0); tanh r is its odd series
+    to r^7, the addition formula gives tanh x, and copysign the sign.  NaN
+    stays NaN, and neither it nor a huge x reaches the index cast.  Each
+    operation is elementwise and correctly rounded, so an element's
+    result does not depend on the array."""
+    x = np.abs(z)
+    k = np.rint(np.fmin(x, _TANH_END) * _TANH_N)
+    t = _TANH_TABLE.take(k.astype(np.intp))
+    r = np.minimum(x, _TANH_END)
+    r -= k / _TANH_N
+    r2 = r * r
+    tau = r * (r2 * (_TANH_C3 + r2 * (_TANH_C5 + r2 * _TANH_C7)))
+    tau += r
+    y = t + tau
+    tau *= t
+    tau += 1.0
+    y /= tau
+    return np.copysign(y, z, out=y)
 
 
 def _error_bound(s, c, c_eta):
@@ -452,12 +482,30 @@ def _inet(layers, v):
     on its batch.
 
     The activation is monotone, so it maps the rows endpoint by endpoint.
-    tanh goes through math.tanh, trusted to 2 ulps as in _itanh (numpy's
-    SIMD tanh has no such bound).  2 ulps of a value in (-1, 1) are at
-    most 2^-52, so the rows move out by 2^-51, which survives the rounding
-    of the move, and are clipped to [-1, 1].  sigmoid goes through
-    _vsigmoid, the kernels of its unrolled form on each endpoint, clipped
-    to [0, 1].
+    tanh goes through _ntanh, one elementwise kernel for every batch
+    (numpy's SIMD tanh has no documented error bound).  tanh is odd and
+    copysign exact, so take x = |z|.  For x >= 20 the kernel returns the
+    table's last entry T exactly (r = 0), within 2 ulps of tanh 20, at
+    most 2^-52, and tanh 20 is within 2e^-40 < 2^-57 of tanh x.  Below
+    20, x = g + r with g on the table's grid, r exact and |r| <= h/2 =
+    2^-8:
+    - the table entry T is within 2 ulps of tanh g, at most 2^-52, as
+      math.tanh is trusted in _itanh;
+    - tau, the series of tanh r to r^7, is within 2^-60 of tanh r: the
+      remainder is below 2^-77, the correction r*s (|s| < 2^-17) is below
+      2^-25 and rounds a few times, and r + r*s rounds by u|tau| <= 2^-61;
+    - R = (T + tau) / (1 + T tau) lies in [-1, 1], and its partial
+      derivatives (1 - tau^2) / (1 + T tau)^2 and (1 - T^2) / (1 + T
+      tau)^2 are at most 1 / (1 - 2^-8)^2 < 1.008, so R is within
+      1.008 (2^-52 + 2^-60) of tanh x;
+    - the four roundings of R (a sum, a product below 2^-8 added to 1, and
+      the quotient) lose a relative 3.01u at most, 1.505 * 2^-52 of |R|
+      <= 1.
+    The kernel is thus within 2.52 * 2^-52 < 0.63 * 2^-50 of tanh x.  The
+    rows move out by 2^-50, of which the rounding of the move (half an ulp
+    of a value below 2) keeps at least 0.875 * 2^-50, and are clipped to
+    [-1, 1].  sigmoid goes through _vsigmoid, the kernels of its unrolled
+    form on each endpoint, clipped to [0, 1].
     """
     for at, rmax, bmax, c, c_eta, tail, act in layers:
         k = v.shape[2]
@@ -476,7 +524,7 @@ def _inet(layers, v):
             x[:, :, 2 * k:] = tail
             z = x @ at
         if act == "tanh":
-            v = _emap(math.tanh, z) + _TANH_SLACK
+            v = _ntanh(z) + _TANH_SLACK
             np.minimum(np.maximum(v, -1.0, out=v), 1.0, out=v)
         elif act == "sigmoid":
             flat = z.reshape(1, -1)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestCheck:
         phi = dsat.Formula(2, _c(sx.add(sx.var(0), sx.var(1)), ">=", 0.5))
         out = dsat.check(phi, sx.box((-1.0, 1.0), (-1.0, 1.0)), 1e-3)
         assert out.verdict == "DELTA_SAT"
-        assert out.witness.max_width() <= 1e-3 + 1e-12
+        assert max(iv.width for iv in out.witness) <= 1e-3 + 1e-12
 
     def test_budget(self):
         # sum of two sines barely misses 2; forces deep branching
@@ -187,9 +188,24 @@ class TestCheck:
         phi = dsat.Formula(len(domain), _c(lhs, ">=", rhs))
         out = dsat.check(phi, sx.box(*domain), 1e-3, max_boxes=20_000)
         assert out.verdict == "DELTA_SAT"
-        assert out.witness.max_width() > 1e-3
+        assert max(iv.width for iv in out.witness) > 1e-3
         assert _halves([(iv.lo, iv.hi) for iv in out.witness],
                        1e-3) is None
+
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_nan_ended_trig_argument_is_refused(self, monkeypatch, batch):
+        # exp(0.05 x) - inf is [-inf, NaN] where exp overflows: the box
+        # fails as a sin argument beyond TRIG_ARG_LIMIT does, whatever
+        # the batch, and no math.sin(-inf) is reached
+        monkeypatch.setattr(dsat, "BATCH", batch)
+        x, big = sx.var(0), sys.float_info.max
+        inf = sx.mul(sx.const(1e200), sx.const(1e200))
+        arg = sx.sub(sx.exp(sx.mul(sx.const(0.05), x)), inf)
+        phi = dsat.Formula(1, _c(sx.sin(arg), ">=", -big))
+        out = dsat.check(phi, [sx.box((-big, 5e-324)), sx.box((-1.0, big))],
+                         1e-3)
+        assert (out.verdict, out.boxes_explored) == ("DELTA_SAT", 54)
+        assert out.witness == sx.box((-big, math.nextafter(-big, 0.0)))
 
     def test_unbounded_domain_rejected(self):
         # bisection of [1, inf] splits at inf and never shrinks the box

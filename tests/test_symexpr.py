@@ -194,10 +194,28 @@ class TestExtremeEndpoints:
                                         np.flatnonzero(kept & ~inside)]
 
 
+_TANH_GRID = [math.tanh(k / 128.0) for k in range(2561)]
+
+
+def _scalar_tanh(z):
+    """interval._ntanh on one Python float, in the same operations: the
+    nearest point g = k/128 of the grid on [0, 20], the series of
+    tanh(|z| - g) to the 7th power and the addition formula."""
+    x = abs(z)
+    k = round((x if x <= 20.0 else 20.0) * 128.0)   # ties to even, as rint
+    r = (20.0 if x > 20.0 else x) - k / 128.0
+    r2 = r * r
+    tau = r * (r2 * (-1.0 / 3.0 + r2 * (2.0 / 15.0 + r2 * (-17.0 / 315.0))))
+    tau += r
+    t = _TANH_GRID[k]
+    return math.copysign((t + tau) / (1.0 + t * tau), z)
+
+
 def _scalar_net(layers, ins):
     """One box's network pass in the scalar layout: its input rows
     (lo, hi), one (2, k) product per layer, the activation per endpoint
-    with the scalar kernels; one (lo, hi) pair per output."""
+    with the scalar kernels (tanh with _scalar_tanh, moved out by 2^-50);
+    one (lo, hi) pair per output."""
     v = np.array(ins).T
     for at, rmax, bmax, c, c_eta, tail, act in layers:
         if tail is None:
@@ -209,8 +227,9 @@ def _scalar_net(layers, ins):
         else:
             z = np.concatenate((v, v[::-1], tail), axis=1) @ at
         if act == "tanh":
-            v = np.vectorize(math.tanh)(z) + np.array([[-2.0 ** -51],
-                                                       [2.0 ** -51]])
+            v = np.array([[_scalar_tanh(a) for a in row]
+                          for row in z.tolist()])
+            v += np.array([[-2.0 ** -50], [2.0 ** -50]])
             v = np.minimum(np.maximum(v, -1.0), 1.0)
         elif act == "sigmoid":
             v = np.array(([iv._isigmoid((a, a))[0] for a in z[0]],
@@ -458,8 +477,9 @@ def test_hc4_sweep_matches_the_reference_sweep():
 def test_hc4_plan_of_the_nn10_decrease_atom():
     """nn10's recorded decrease atom (config seed 1): the plan visits the 32
     occurrences of the reference plan, the 7 operands of constant factors
-    divide by them, and the 12 occurrences where the walk ends (constants,
-    sin, cos and the network's row) are leaves; the tape runs its 7
+    divide by them, the 7 factors carry their neighbouring floats, and the
+    12 occurrences where the walk ends (constants, sin, cos and the
+    network's row) are leaves; the tape runs its 7
     constant products in two products each and tests the argument of sin
     and cos once."""
     cert = certify.load_certificate(
@@ -470,11 +490,16 @@ def test_hc4_plan_of_the_nn10_decrease_atom():
         certify.lie_derivative(cert.candidate, field), ">=", -1e-6))
     full = _full_plan(atom.tape)
     assert len(full) == len(atom.plan) == 32
-    assert ([(e[0], dsat._MUL if e[1] == dsat._MULC else e[1], e[2],
-              max(e[4], -1)) for e in atom.plan]
+    assert ([(e[0], dsat._MUL if e[1] in (dsat._MULC, dsat._MULK) else
+              e[1], e[2], max(e[4], -1)) for e in atom.plan]
             == [(e[0], e[1], e[2], e[4]) for e in full])
     assert [type(e[3]) for e in atom.plan
             if e[1] == dsat._MULC] == [float] * 7
+    factors = [(atom.tape.nodes[e[0]][1][0], e[3][1:]) for e in atom.plan
+               if e[1] == dsat._MULK]
+    assert len(factors) == 7
+    assert all(lo == math.nextafter(c, -math.inf) and
+               hi == math.nextafter(c, math.inf) for c, (lo, hi) in factors)
     leaves = [atom.tape.nodes[e[0]][0] for e in atom.plan
               if e[4] == dsat._LEAF]
     assert sorted(set(leaves)) == ["const", "cos", "row", "sin"]
@@ -861,6 +886,45 @@ def test_two_layer_kernel_mpmath_fuzz():
     assert bounded > 150    # most second layers use the fixed error term
     assert checked > 2000
     assert violations == 0
+
+
+def _tanh_points(rng):
+    """Inputs for the tanh kernel: every grid point and cell edge k/128 ±
+    1/256 on [0, 20] with the floats on either side, tiny and subnormal
+    values, ±0, the saturation edge, ±inf and 1e308, each with both signs;
+    and 10^5 uniform points of [-25, 25]."""
+    edges = np.arange(-1, 2561) / 128.0 + 1.0 / 256.0
+    grid = np.arange(2561) / 128.0
+    special = [0.0, 5e-324, 1e-310, 2.0 ** -1022, 1e-200, 2.0 ** -30, 1e-8,
+               19.1, 19.99, 20.0, math.nextafter(20.0, 0.0),
+               math.nextafter(20.0, 30.0), 20.0 + 1.0 / 256.0, 1e308,
+               sys.float_info.max, math.inf]
+    x = np.concatenate((edges, np.nextafter(edges, -1.0),
+                        np.nextafter(edges, 30.0), grid, special))
+    return np.concatenate((x, -x, rng.uniform(-25.0, 25.0, 100_000)))
+
+
+def test_tanh_kernel_mpmath():
+    """_inet's tanh rows, interval._ntanh moved out by _TANH_SLACK and
+    clipped, contain tanh in 200-bit mpmath at every point of
+    _tanh_points; the table entries lie within 2 ulps (and 2^-52) of
+    tanh; NaN stays NaN; no RuntimeWarning."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        for k, t in enumerate(iv._TANH_TABLE.tolist()):
+            err = abs(t - mpmath.tanh(mpmath.mpf(k) / 128))
+            assert err <= 2 * math.ulp(t) and err <= 2.0 ** -52, k
+    x = _tanh_points(np.random.default_rng(2107))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = iv._ntanh(np.array([x, x])) + iv._TANH_SLACK
+        assert np.isnan(iv._ntanh(np.array([math.nan, -math.nan]))).all()
+    rows = np.minimum(np.maximum(rows, -1.0), 1.0)
+    assert x.size > 100_000
+    with mpmath.workprec(200):
+        outside = [z for z, lo, hi in zip(x.tolist(), *rows.tolist())
+                   if not lo <= mpmath.tanh(z) <= hi]
+    assert outside == []
 
 
 _REF_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
