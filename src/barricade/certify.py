@@ -222,13 +222,29 @@ class Certificate:
             json.dump(self.to_dict(), fh, indent=1)
 
 
+def _number(v):
+    """v, a JSON number (not a bool or a string), as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError("%r is not a number" % (v,))
+    return float(v)
+
+
+def _count(v):
+    """v, a JSON integer >= 0."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise TypeError("%r is not a count" % (v,))
+    return v
+
+
 def load_certificate(path):
     """Read a file written by Certificate.save.  The candidate is rebuilt
     from p_matrix's upper triangle, q_vector and c, and the stored expr and
     grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
-    when a field is missing, ill-typed, non-finite or inconsistent; queries
-    are not re-run, and neither their formula text nor the version is
-    read; the refuted counts are read when present."""
+    when a field is missing, ill-typed (a number that is a bool or a
+    string, a count that is not an integer >= 0), out of range (gamma and
+    delta as CertifyConfig wants them) or inconsistent.  Queries are not
+    re-run, and neither their formula text nor the version is read; the
+    refuted counts are read when present."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -243,24 +259,27 @@ def load_certificate(path):
                              "describe one quadratic")
         tmpl = lpgen.QuadraticTemplate(n)
         cand = lpgen.candidate_from(
-            [p[i, j] for i, j in tmpl.pairs] + q.tolist() + [float(gen["c"])],
-            tmpl)
+            [p[i, j] for i, j in tmpl.pairs] + q.tolist()
+            + [_number(gen["c"])], tmpl)
         if (gen["expr"] != sx.to_sexpr(cand.expr)
                 or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
             raise ValueError("generator expr or grad differs from the one "
                              "rebuilt from p_matrix, q_vector and c")
         spec = SafetySpec(sx.box(*data["spec"]["x0"]),
                           sx.box(*data["spec"]["safe_rect"]))
-        level, gamma, delta = (float(data[k])
+        level, gamma, delta = (_number(data[k])
                                for k in ("level", "gamma", "delta"))
-        if not all(map(math.isfinite, (level, gamma, delta))):
-            raise ValueError("level, gamma and delta must be finite")
+        CertifyConfig(gamma, delta)     # raises unless finite and > 0
+        if not math.isfinite(level):
+            raise ValueError("level must be finite")
         refuted = data.get("refuted")    # absent from 0.2.0 files
         if refuted is not None:
-            refuted = {k: int(refuted[k]) for k in ("sampling", "dsat")}
+            refuted = {k: _count(refuted[k]) for k in ("sampling", "dsat")}
+        if not isinstance(data["controller_hash"], str):
+            raise TypeError("controller_hash is not a string")
         return Certificate(cand, level, gamma, delta, {}, spec,
-                           str(data["controller_hash"]),
-                           int(data["iterations"]), refuted,
+                           data["controller_hash"],
+                           _count(data["iterations"]), refuted,
                            str(data.get("version", "?")))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed certificate %s: %s %s"

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import (Box, Interval, _OUT, _mid, _vadd, _vdiv, _vdivc,
-                       _vneg, _vsub)
+from .interval import (Box, Interval, _mid, _vadd, _vdiv, _vdivc, _vneg,
+                       _vsub)
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -176,12 +176,14 @@ def _contract(plan, vals, boxes, target, live):
     Returns the live boxes that are refuted, a (B,) bool array.  Each
     occurrence's target depends only on its parent's and on forward
     values, and variables are narrowed by exact min/max, so one preorder
-    sweep gives the contraction of the recursive walk.  Below a mul factor
-    whose enclosure contains zero, which the walk skips, a box's targets
-    are the whole line, which contracts nothing and refutes nothing: an
-    inner occurrence stores it so, and each kernel maps it to rows of
-    infinities or NaN, which the meet at a var and the test at a leaf
-    ignore.
+    sweep gives the contraction of the recursive walk.  That walk skips an
+    operand of a product whose sibling's enclosure holds zero; the sweep
+    need not.  There _vdiv gives the whole line, met to the operand's
+    forward enclosure.  Below, every target holds the enclosure it is met
+    with: forward kernels enclose their operands' image, so an inverse
+    kernel, rounding outward, holds each operand's enclosure (or is NaN,
+    which no comparison takes).  So nothing narrows, and no leaf or _MULK
+    test fires.
 
     A constant leaf c under a general product (_MULK) with sibling f is
     refuted where _vdiv(t, f) misses [c, c], without the division's hull:
@@ -198,15 +200,12 @@ def _contract(plan, vals, boxes, target, live):
     neighbours and is never refuted, as the leaf test's guard gives.
     """
     ts = [None] * len(plan)
-    skips = [None] * len(plan)      # the boxes whose target is skipped
     refuted = np.zeros(boxes.shape[2], bool)
     for i, (slot, how, parent, sib, idx) in enumerate(plan):
-        skip = None
         if how == _ROOT:
             t = target
         else:
             t = ts[parent]
-            skip = skips[parent]
             if how == _ADD:
                 t = _vsub(t, vals[sib])
             elif how == _MULC:
@@ -219,11 +218,7 @@ def _contract(plan, vals, boxes, target, live):
                     (q > above).all(axis=0) | (q < below).all(axis=0))
                 continue
             elif how == _MUL:
-                f = vals[sib]
-                if idx == _INNER:
-                    zero = (f[0] <= 0.0) & (0.0 <= f[1])
-                    skip = zero if skip is None else skip | zero
-                t = _vdiv(t, f)
+                t = _vdiv(t, vals[sib])
             elif how == _SUB_L:
                 t = _vadd(t, vals[sib])
             elif how == _SUB_R:
@@ -244,11 +239,8 @@ def _contract(plan, vals, boxes, target, live):
             refuted |= ((t[0] > f[1]) | (t[1] < f[0])) & (f[0] <= f[1])
             continue
         t = _meet(t, f)
-        if skip is not None:
-            t = np.where(skip, _OUT, t)
         refuted |= t[0] > t[1]
         ts[i] = t
-        skips[i] = skip
     return refuted & live
 
 
@@ -295,21 +287,17 @@ def prune(atoms, boxes, contract):
     place; the others only get their status.  Returns each box's status, a
     (B,) array of TRUE, FALSE (refuted) and UNKNOWN, or EMPTY (None) when
     every box is refuted.  Conjuncts run in turn, each on the boxes as the
-    ones before it contracted them.  A box whose evaluation fails is
-    UNKNOWN for that conjunct and is not contracted by it.  A box's status
-    is that of its enclosures before this pass contracted it.
+    ones before it contracted them.  A box's status is that of its
+    enclosures before this pass contracted it.
     """
     false = np.zeros(boxes.shape[2], bool)
     unknown = np.zeros_like(false)
     for atom in atoms:
-        vals, bad = _interval_eval_raw(atom.tape, boxes)
+        vals = _interval_eval_raw(atom.tape, boxes)
         true, out = atom.status(vals)
-        live = contract
-        if bad is not None:
-            true, out, live = true & ~bad, out & ~bad, live & ~bad
         false |= out
         unknown |= ~true
-        live = live & ~false
+        live = contract & ~false
         if live.any():
             false |= _contract(atom.plan, vals, boxes, atom.target, live)
     if false.all():
@@ -376,17 +364,15 @@ def _search(atoms, domains, delta, max_boxes):
     # A box's next pass: contraction round 0..PRUNE_ROUNDS - 1, or the
     # status pass (PRUNE_ROUNDS).
     rounds = np.zeros(len(domains), int)
-    # Explored boxes lying just before each box in path order, and after
-    # the last one.
-    gaps = np.zeros(len(domains), int)
-    tail = 0
+    # Boxes explored before each box in path order; last, before the end.
+    before = np.zeros(len(domains) + 1, int)
     witness = None
     while boxes.shape[2]:
         m = min(boxes.shape[2], BATCH)
         head = boxes[:, :, :m]
-        # Depth-first search explores the front box after the gaps[0]
+        # Depth-first search explores the front box after the before[0]
         # boxes before it, and any witness lies at or after it.
-        if gaps[0] >= max_boxes:
+        if before[0] >= max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
         contract = rounds[:m] < PRUNE_ROUNDS
         prev = head.copy()
@@ -395,13 +381,10 @@ def _search(atoms, domains, delta, max_boxes):
             status = np.full(m, FALSE)
         alive = status != FALSE
         done = alive & (~contract | (head == prev).all(axis=(0, 1)))
-        dims = np.full(m, -1)
-        mids = np.zeros(m)
-        if done.any():
-            dims[done], mids[done] = branch(head[:, :, done], delta)
+        dims, mids = branch(head, delta)    # read for the done boxes
         sat = done & ((dims < 0) | (status == TRUE))
         keep = alive & ~done
-        cut = m
+        cut, rest = m, slice(m, None)
         if sat.any():
             cut = int(sat.argmax())
             pairs = head[:, :, cut].tolist()
@@ -410,6 +393,9 @@ def _search(atoms, domains, delta, max_boxes):
                 # a genuine witness, reported as a degenerate box.
                 pairs = [(_mid(lo, hi),) * 2 for lo, hi in pairs]
             witness = _box(pairs)
+            # The path ends with the witness: the boxes after it go.
+            rest = slice(boxes.shape[2], None)
+            before[-1] = before[cut] + 1
         # The boxes before cut, each in place of its box: the box itself
         # while in process, its halves once split.
         count = keep[:cut] + 2 * (done & ~sat)[:cut]
@@ -419,26 +405,14 @@ def _search(atoms, domains, delta, max_boxes):
         split = np.flatnonzero(count == 2)
         new[dims[split], 1, first[split]] = mids[split]
         new[dims[split], 0, first[split] + 1] = mids[split]
-        new_rounds = np.where(count == 1, rounds[:cut] + 1, 0)[src]
-        # A finished box is explored: it and its gap join the gap of the
-        # next box in path order.
-        reach = np.concatenate(([0], np.cumsum(gaps[:cut] + ~keep[:cut])))
-        made = np.flatnonzero(count)
-        new_gaps = np.zeros(len(src), int)
-        new_gaps[first[made]] = np.diff(reach[made + 1], prepend=0)
-        carry = int(reach[-1] - (reach[made[-1] + 1] if len(made) else 0))
-        if cut < m:
-            tail = carry + int(gaps[cut]) + 1
-            boxes, rounds, gaps = new, new_rounds, new_gaps
-            continue
-        rest = gaps[m:].copy()
-        if len(rest):
-            rest[0] += carry
-        else:
-            tail += carry
-        boxes = np.concatenate((new, boxes[:, :, m:]), axis=2)
-        rounds = np.concatenate((new_rounds, rounds[m:]))
-        gaps = np.concatenate((new_gaps, rest))
-    if tail > max_boxes:
+        # A finished box is explored, before the boxes after it (its
+        # halves included).
+        reach = np.cumsum(np.concatenate(([0], ~keep[:cut])))
+        boxes = np.concatenate((new, boxes[:, :, rest]), axis=2)
+        rounds = np.concatenate((np.where(count == 1, rounds[:cut] + 1,
+                                          0)[src], rounds[rest]))
+        before = np.concatenate(((before[:cut] + reach[1:])[src],
+                                 before[rest] + reach[-1]))
+    if before[0] > max_boxes:
         raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-    return witness, tail
+    return witness, int(before[0])

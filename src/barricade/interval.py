@@ -17,13 +17,9 @@ from . import network as nn
 
 _INF = math.inf
 
-# Argument bound beyond which sin/cos interval evaluation refuses to work
+# Beyond this argument bound the sin/cos kernels give the whole line
 # (argument reduction accuracy degrades; the case study stays in [-pi, pi]).
 TRIG_ARG_LIMIT = 1.0e6
-
-
-class EvalError(ArithmeticError):
-    """Division by zero, NaN propagation or domain violation during eval."""
 
 
 def _mid(lo, hi):
@@ -193,7 +189,7 @@ def _itrig(a, fn, top, bottom):
     at bottom + 2*pi*k."""
     lo, hi = a
     if not (abs(lo) <= TRIG_ARG_LIMIT and abs(hi) <= TRIG_ARG_LIMIT):
-        raise EvalError("sin/cos argument magnitude exceeds %g" % TRIG_ARG_LIMIT)
+        return (-_INF, _INF)    # NaN included
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
     vlo, vhi = sorted((fn(lo), fn(hi)))
@@ -234,7 +230,9 @@ _KERNELS = {
 # scalar enclosure bit for bit whatever its batch.  A min or max that no
 # nextafter follows keeps Python's rule for ties and NaN (max(a, b) is b
 # only when b > a), so signed zeros come out as the scalar kernels give
-# them.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
+# them.  Every kernel is total, as the scalar ones are: a divisor holding
+# zero, or a sin or cos argument beyond TRIG_ARG_LIMIT, gives the whole
+# line.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
 # element, trusted to 2 ulps as in the scalar kernels; numpy's SIMD
 # versions have no documented error bound.  A network's tanh layers go
 # through _ntanh instead, a table and a series in numpy's correctly
@@ -338,16 +336,9 @@ def _vtanh(a):
     return _vclip(_vwiden(_emap(math.tanh, a), 2), -1.0, 1.0)
 
 
-def _trig_bad(a):
-    """The columns of a that _itrig refuses: an end not within
-    TRIG_ARG_LIMIT, NaN included."""
-    return ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)
-
-
 def _vtrig(a, fn, crit):
-    """_itrig per column, crit being [[bottom], [top]]; the whole line
-    where _trig_bad."""
-    bad = _trig_bad(a)
+    """_itrig per column, crit being [[bottom], [top]]."""
+    bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
     v = _vhull(_emap(fn, np.where(bad, 0.0, a)))
     # _trig_has_crit for bottom (row 0) and top (row 1) at once
     ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))

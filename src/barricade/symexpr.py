@@ -29,9 +29,8 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from . import network as nn
-from .interval import (EvalError, Interval, Box, box, TRIG_ARG_LIMIT,
-                       _VKERNELS, _vmulc, _vpow, _inet, _net_layers,
-                       _trig_bad)
+from .interval import (Interval, Box, box, _VKERNELS, _vmulc, _vpow, _inet,
+                       _net_layers)
 
 
 class Expr:
@@ -220,6 +219,10 @@ _BUILDERS = {
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
+class EvalError(ArithmeticError):
+    """Division by zero, overflow or NaN in eval_expr."""
+
+
 def eval_expr(e, point):
     """Evaluate e at a real vector.  Raises EvalError on /0 or NaN."""
     op = e.op
@@ -286,12 +289,10 @@ class Tape:
     ``code`` holds ``(slot, kernel, arg, arg)`` for a unary (second arg
     None) or binary op, and ``(slot, kernel, None, input slots)`` for a
     network pass, and ``(slot, _vmulc with c bound, arg, None)`` for a
-    product by a constant factor c (`_factor`).  ``trig`` lists the
-    argument slots of sin and cos, once each, whose boxes fail beyond
-    interval.TRIG_ARG_LIMIT.
+    product by a constant factor c (`_factor`).
     """
 
-    __slots__ = ("nodes", "root", "init", "loads", "code", "trig")
+    __slots__ = ("nodes", "root", "init", "loads", "code")
 
     def __init__(self, nodes, root):
         self.nodes = nodes
@@ -299,7 +300,6 @@ class Tape:
         self.init = [None] * len(nodes)   # constants, pre-placed
         self.loads = []                   # (slot, variable index)
         self.code = []                    # (slot, kernel, arg, arg or None)
-        self.trig = []
         for slot, (op, val, idx, kids) in enumerate(nodes):
             if op == "const":
                 self.init[slot] = np.array(((val[0],), (val[0],)))
@@ -320,10 +320,8 @@ class Tape:
             elif op in _VKERNELS:
                 self.code.append((slot, _VKERNELS[op], kids[0],
                                   kids[1] if len(kids) == 2 else None))
-                if op in ("sin", "cos") and kids[0] not in self.trig:
-                    self.trig.append(kids[0])
             else:
-                raise EvalError("unknown op %r" % op)
+                raise ValueError("unknown op %r" % op)
 
 
 def _factor(node):
@@ -370,10 +368,8 @@ def _interval_eval_raw(tape, boxes):
     boxes[i, 1, b]].
 
     Returns the enclosure of every slot, a (2, B) array ((2, 1) for a
-    constant), which the checker's HC4 pass reads, and the boxes on which
-    evaluation fails, a sin or cos argument exceeding TRIG_ARG_LIMIT in
-    magnitude: a (B,) bool array, or None when the tape has no sin or cos.
-    A network's outputs are stored (m, 2, B), so row k is a slot value.
+    constant), which the checker's HC4 pass reads.  A network's outputs
+    are stored (m, 2, B), so row k is a slot value.
     """
     vals = tape.init[:]
     for slot, i in tape.loads:
@@ -387,11 +383,7 @@ def _interval_eval_raw(tape, boxes):
             vals[slot] = fn(ins.transpose(1, 0, 2)).transpose(2, 1, 0)
         else:
             vals[slot] = fn(vals[a], vals[b])
-    bad = None
-    for slot in tape.trig:
-        out = _trig_bad(vals[slot])
-        bad = out if bad is None else bad | out
-    return vals, bad
+    return vals
 
 
 def interval_eval(e, bx):
@@ -399,15 +391,12 @@ def interval_eval(e, bx):
     pass on one box.
 
     Division by an interval containing zero, or with a quotient inf/inf,
-    yields the whole line, which callers must treat as "no information".
-    Raises EvalError for a sin or cos argument beyond TRIG_ARG_LIMIT.
+    and sin or cos of an argument beyond interval.TRIG_ARG_LIMIT yield the
+    whole line, which callers must treat as "no information".
     """
     tape = lower(e)
     boxes = np.array([(iv.lo, iv.hi) for iv in bx], dtype=float)
-    vals, bad = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
-    if bad is not None and bad.any():
-        raise EvalError("sin/cos argument magnitude exceeds %g"
-                        % TRIG_ARG_LIMIT)
+    vals = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
     (lo,), (hi,) = vals[tape.root].tolist()
     return Interval(lo, hi)
 

@@ -145,7 +145,7 @@ def rollout_cost(params, n_hidden, cfg):
 # rank-one + rank-mu covariance updates (standard tutorial constants).
 # ---------------------------------------------------------------------------
 
-def cmaes_minimize(objective, dim, cfg, x0=None):
+def cmaes_minimize(objective, dim, cfg):
     """Minimize objective over R^dim.  Returns (best_x, history) where
     history is the best-so-far objective value per iteration
     (non-increasing).  NaN objective values count as +inf."""
@@ -166,7 +166,7 @@ def cmaes_minimize(objective, dim, cfg, x0=None):
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
 
-    mean = np.zeros(dim) if x0 is None else np.array(x0, dtype=float)
+    mean = np.zeros(dim)
     sigma = cfg.sigma0
     cov = np.eye(dim)
     p_sigma = np.zeros(dim)
@@ -254,14 +254,11 @@ def widen_controller(net, n_hidden, seed=0, scale=0.05, out_scale=1e-3):
     return trim_output_bias(wide)
 
 
-def train_controller(n_hidden, rollout_cfg=None, cmaes_cfg=None, x0=None):
+def train_controller(n_hidden, rollout_cfg=None, cmaes_cfg=None):
     """Policy search for the case-study controller shape (2 inputs, one
-    tanh hidden layer of n_hidden, tanh output; 4*n_hidden + 1 weights).
-
-    x0 optionally warm-starts the search mean (flat params_to_network
-    layout), e.g. from a smaller trained controller padded with inert
-    hidden units.  The returned network is origin-trimmed (see
-    trim_output_bias)."""
+    tanh hidden layer of n_hidden, tanh output; 4*n_hidden + 1 weights),
+    from the zero parameters.  The returned network is origin-trimmed
+    (see trim_output_bias)."""
     rollout_cfg = rollout_cfg or RolloutConfig()
     cmaes_cfg = cmaes_cfg or CmaesConfig()
     dim = 4 * n_hidden + 1
@@ -269,5 +266,5 @@ def train_controller(n_hidden, rollout_cfg=None, cmaes_cfg=None, x0=None):
     def objective(params):
         return rollout_cost(params, n_hidden, rollout_cfg)
 
-    best, history = cmaes_minimize(objective, dim, cmaes_cfg, x0=x0)
+    best, history = cmaes_minimize(objective, dim, cmaes_cfg)
     return trim_output_bias(params_to_network(best, n_hidden)), history

@@ -630,11 +630,22 @@ class TestCertificateFile:
         _set(("delta",), -math.inf),
         _set(("refuted",), {"sampling": 1}),
         _set(("refuted",), 2),
+        _set(("level",), "1.5"),
+        _set(("gamma",), True),
+        lambda d: d["generator"].update(c=str(d["generator"]["c"])),
+        _set(("gamma",), 0.0),
+        _set(("delta",), -1e-3),
+        _set(("iterations",), 2.7),
+        _set(("iterations",), -4),
+        _set(("refuted",), {"sampling": 0.9, "dsat": "0"}),
+        _set(("controller_hash",), 12),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
             "level_inf", "gamma_nan", "delta_neg_inf", "refuted_partial",
-            "refuted_int"])
+            "refuted_int", "level_str", "gamma_bool", "c_str", "gamma_zero",
+            "delta_neg", "iterations_float", "iterations_neg",
+            "refuted_not_counts", "hash_int"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)

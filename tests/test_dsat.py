@@ -194,9 +194,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("batch", [1, 128])
     def test_nan_ended_trig_argument_is_refused(self, monkeypatch, batch):
-        # exp(0.05 x) - inf is [-inf, NaN] where exp overflows: the box
-        # fails as a sin argument beyond TRIG_ARG_LIMIT does, whatever
-        # the batch, and no math.sin(-inf) is reached
+        # exp(0.05 x) - inf is [-inf, NaN] where exp overflows: sin of it
+        # is the whole line, as beyond TRIG_ARG_LIMIT, whatever the
+        # batch, and no math.sin(-inf) is reached
         monkeypatch.setattr(dsat, "BATCH", batch)
         x, big = sx.var(0), sys.float_info.max
         inf = sx.mul(sx.const(1e200), sx.const(1e200))
@@ -206,6 +206,13 @@ class TestCheck:
                          1e-3)
         assert (out.verdict, out.boxes_explored) == ("DELTA_SAT", 54)
         assert out.witness == sx.box((-big, math.nextafter(-big, 0.0)))
+
+    def test_refused_trig_argument_is_the_whole_line(self):
+        # sin beyond TRIG_ARG_LIMIT is the whole line, so its square is
+        # [0, inf], which refutes the domain at once
+        phi = dsat.Formula(1, _c(sx.pow_(sx.sin(sx.var(0)), 2), "<=", -1.0))
+        out = dsat.check(phi, sx.box((2e6, 3e6)), 1e-3, max_boxes=1000)
+        assert (out.verdict, out.boxes_explored) == ("UNSAT", 1)
 
     def test_unbounded_domain_rejected(self):
         # bisection of [1, inf] splits at inf and never shrinks the box
