@@ -421,7 +421,8 @@ def find_generator(spec, f, config):
     iterations, refuted), where refuted counts the rounds refuted by
     "sampling" and by "dsat", or raises NoCandidateError.  An exception
     that ends a round (one of _STAGES) carries the round's number as its
-    `iteration`.
+    `iteration`, and the decrease transcripts of the rounds that dsat
+    refuted as its `transcripts`, named decrease_<round>.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     traces = _on_read_grid(lambda step: sim.seed_traces(
@@ -434,7 +435,7 @@ def find_generator(spec, f, config):
         spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
     lp_region = (spec.safe_rect, spec.x0)
     refuted = {"sampling": 0, "dsat": 0}
-    iteration = 0
+    iteration, failed = 0, {}
     try:
         for iteration in range(1, config.max_iterations + 1):
             lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
@@ -460,6 +461,7 @@ def find_generator(spec, f, config):
                 if transcript.verdict == "UNSAT":
                     return cand, transcript, iteration, refuted
                 refuted["dsat"] += 1
+                failed["decrease_%d" % iteration] = transcript
                 cex = [transcript.witness.midpoint()]
             starts = [p for x in cex for p in _cex_cluster(x, spec)]
             traces.extend(_on_read_grid(lambda step: sim.simulate_batch(
@@ -468,6 +470,7 @@ def find_generator(spec, f, config):
                                % config.max_iterations)
     except tuple(_STAGES) as exc:
         exc.iteration = iteration   # the round that raised it
+        exc.transcripts = failed
         raise
 
 
@@ -552,8 +555,9 @@ def verify(spec, f, config=None, controller_hash=""):
         level, level_transcripts = select_level(cand, spec, config.delta)
     except tuple(_STAGES) as exc:
         stage = next(s for t, s in _STAGES.items() if isinstance(exc, t))
-        # A failure in find_generator knows its round.
-        return Inconclusive(stage, str(exc), transcripts,
+        # A failure in find_generator knows its round and transcripts.
+        return Inconclusive(stage, str(exc),
+                            getattr(exc, "transcripts", transcripts),
                             getattr(exc, "iteration", iterations))
     if level is NO_LEVEL:
         return Inconclusive("no_level",

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import (Box, Interval, _mid, _vadd, _vdiv, _vdivc, _vneg,
-                       _vsub)
+from .interval import Box, Interval, _OUT, _mid, _vadd, _vdiv, _vneg, _vsub
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -126,6 +125,14 @@ _ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL, _MULC, _MULK = range(8)
 _HC4_ROLES = {"add": (_ADD, _ADD), "sub": (_SUB_L, _SUB_R),
               "mul": (_MUL, _MUL), "neg": (_NEG,)}
 _INNER, _LEAF = -1, -2
+# The inverse kernel of each role with a sibling: target t, sibling f.
+_INVERSE = {_ADD: _vsub, _SUB_L: _vadd, _SUB_R: lambda t, f: _vsub(f, t),
+            _MUL: _vdiv}
+
+
+class _Plan(list):
+    """_hc4_plan's entries, with the program that _contract runs."""
+    __slots__ = ("steps", "vars")
 
 
 def _hc4_plan(tape):
@@ -136,9 +143,17 @@ def _hc4_plan(tape):
     ``(slot, how, parent entry, sibling slot, var index)`` in preorder,
     the order in which a recursive walk intersects the variables; an
     occurrence other than a var has _INNER, or _LEAF where the walk ends.
+
+    The entries of one depth and role make a step of _contract, ordered
+    by depth, then role: ``(how, a, b, parents' columns, siblings,
+    slots)``, a:b being the step's columns of the target array, one per
+    entry.  _MULC's siblings are c and c < 0, _MULK's the sibling slots,
+    c- and c+, each (k, 1).  ``vars`` holds the var entries' columns and
+    var indices in preorder.
     """
     nodes = tape.nodes
-    plan = []
+    plan = _Plan()
+    depth = []
     stack = [(tape.root, _ROOT, -1, -1)]
     while stack:
         slot, how, parent, sib = stack.pop()
@@ -153,11 +168,29 @@ def _hc4_plan(tape):
         me = len(plan)
         plan.append((slot, how, parent, sib, idx if op == "var" else
                      _INNER if roles else _LEAF))
+        depth.append(depth[parent] + 1 if parent >= 0 else 0)
         if roles is not None:
             # A binary operand's sibling is the other operand.
             children = list(zip(kids, roles, reversed(kids)))
             stack.extend((kid, how, me, sib)
                          for kid, how, sib in reversed(children))
+    groups = {}
+    for i, entry in enumerate(plan):
+        groups.setdefault((depth[i], entry[1]), []).append(i)
+    col, a = {-1: 0}, 0     # entry -> column; the root's parent is unread
+    plan.steps = []
+    for (_, how), group in sorted(groups.items()):
+        slots, _, parents, sibs, _ = zip(*[plan[i] for i in group])
+        sibs, k = np.array(sibs), len(group)
+        if how == _MULK:
+            sibs = sibs[:, 0].astype(np.intp), sibs[:, 1:2], sibs[:, 2:]
+        elif how == _MULC:
+            sibs = sibs[:, None], sibs[:, None] < 0.0
+        col.update(zip(group, range(a, a + k)))
+        plan.steps.append((how, a, a + k, np.array(
+            [col[p] for p in parents]), sibs, np.array(slots)))
+        a += k
+    plan.vars = [(col[i], e[4]) for i, e in enumerate(plan) if e[4] >= 0]
     return plan
 
 
@@ -171,19 +204,30 @@ def _meet(t, f):
 def _contract(plan, vals, boxes, target, live):
     """HC4 backward pass: contract the columns live of boxes, an (n, 2, B)
     array, in place, assuming the root lies in target, given the forward
-    enclosures vals of every tape slot (from _interval_eval_raw).
+    enclosures vals of the tape's slots (from _interval_eval_raw).
 
-    Returns the live boxes that are refuted, a (B,) bool array.  Each
-    occurrence's target depends only on its parent's and on forward
-    values, and variables are narrowed by exact min/max, so one preorder
-    sweep gives the contraction of the recursive walk.  That walk skips an
-    operand of a product whose sibling's enclosure holds zero; the sweep
-    need not.  There _vdiv gives the whole line, met to the operand's
-    forward enclosure.  Below, every target holds the enclosure it is met
-    with: forward kernels enclose their operands' image, so an inverse
-    kernel, rounding outward, holds each operand's enclosure (or is NaN,
-    which no comparison takes).  So nothing narrows, and no leaf or _MULK
-    test fires.
+    Returns the live boxes that are refuted, a (B,) bool array.  An
+    occurrence's target depends only on its parent's and forward values,
+    so the sweep runs the plan's steps (see _hc4_plan): each gathers its
+    parents' targets from a (2, N, B) array, runs one inverse kernel, and
+    meets the result with its entries' forward enclosures into its
+    columns.  Variables are narrowed by exact min/max after the sweep, in
+    preorder, as a recursive walk narrows them: a var's column is its
+    target met with the box before the sweep, which holds the box as it
+    narrows, so meeting the box with it gives the same bits.  A _MULK
+    column is the empty [inf, -inf] where its test refutes, else the
+    whole line.  The tests run once: empty columns (a leaf's meet with an
+    enclosure that has a NaN end is never empty, and t is empty only
+    below an empty meet) and empty boxes, a box being empty where a meet
+    was.
+
+    The recursive walk skips an operand of a product whose sibling's
+    enclosure holds zero; the sweep need not.  There _vdiv gives the whole
+    line, met to the operand's forward enclosure.  Below, every target
+    holds the enclosure it is met with: forward kernels enclose their
+    operands' image, so an inverse kernel, rounding outward, holds each
+    operand's enclosure (or is NaN, which no comparison takes).  So
+    nothing narrows, and no meet or _MULK test fires.
 
     A constant leaf c under a general product (_MULK) with sibling f is
     refuted where _vdiv(t, f) misses [c, c], without the division's hull:
@@ -197,51 +241,35 @@ def _contract(plan, vals, boxes, target, live):
     inf for that float and for inf), and -0.0 and 0.0 have the same
     neighbours and compare equal, so which tied zero is m does not
     matter; likewise M+ < c exactly when M < c-.  A NaN c has NaN
-    neighbours and is never refuted, as the leaf test's guard gives.
+    neighbours and is never refuted, as a leaf's meet gives.
     """
-    ts = [None] * len(plan)
-    refuted = np.zeros(boxes.shape[2], bool)
-    for i, (slot, how, parent, sib, idx) in enumerate(plan):
-        if how == _ROOT:
-            t = target
-        else:
-            t = ts[parent]
-            if how == _ADD:
-                t = _vsub(t, vals[sib])
-            elif how == _MULC:
-                t = _vdivc(t, sib)
-            elif how == _MULK:
-                f_slot, below, above = sib
-                f = vals[f_slot]
-                q = (t[:, None] / f[None]).reshape(4, -1)
-                refuted |= ((f[0] > 0.0) | (f[1] < 0.0)) & (
-                    (q > above).all(axis=0) | (q < below).all(axis=0))
-                continue
-            elif how == _MUL:
-                t = _vdiv(t, vals[sib])
-            elif how == _SUB_L:
-                t = _vadd(t, vals[sib])
-            elif how == _SUB_R:
-                t = _vsub(vals[sib], t)
-            else:
-                t = _vneg(t)
-        if idx >= 0:
-            # The box lies within its forward enclosure vals[slot], so
-            # meeting it with t narrows it as meeting both does.
-            cur = boxes[idx]
-            t = _meet(t, cur)
-            refuted |= t[0] > t[1]
-            np.copyto(cur, t, where=live)
+    ts = np.empty((2, len(plan), boxes.shape[2]))
+    for how, a, b, parents, sibs, slots in plan.steps:
+        t = target[:, :, None] if how == _ROOT else ts.take(parents, 1)
+        if how == _MULC:    # _vdiv(t, [c, c]) for t[0] <= t[1]
+            c, neg = sibs
+            q = t / c
+            s = q[0] + q[0] + q[1]      # NaN where _vdiv's sum of quotients is
+            t = np.nextafter(np.where(neg, q[::-1], q), _OUT[:, None])
+            np.copyto(t, _OUT[:, None], where=s != s)
+        elif how == _MULK:
+            f_slots, below, above = sibs
+            f = vals.take(f_slots, 1)
+            q = t[:, None] / f[None]
+            refuted = ((f[0] > 0.0) | (f[1] < 0.0)) & (
+                (q > above).all(axis=(0, 1)) | (q < below).all(axis=(0, 1)))
+            ts[:, a:b] = np.where(refuted, _OUT[::-1, None], _OUT[:, None])
             continue
-        f = vals[slot]
-        if idx == _LEAF:    # _meet(t, f) empty, f having no NaN end (else
-            # _meet finds none); t[0] > t[1] only below a refuted entry
-            refuted |= ((t[0] > f[1]) | (t[1] < f[0])) & (f[0] <= f[1])
-            continue
-        t = _meet(t, f)
-        refuted |= t[0] > t[1]
-        ts[i] = t
-    return refuted & live
+        elif how == _NEG:
+            t = _vneg(t)
+        elif how != _ROOT:
+            t = _INVERSE[how](t.reshape(2, -1), vals.take(sibs, 1).reshape(
+                2, -1)).reshape(t.shape)
+        ts[:, a:b] = _meet(t, vals.take(slots, 1))
+    for j, i in plan.vars:
+        np.copyto(boxes[i], _meet(ts[:, j], boxes[i]), where=live)
+    return live & ((ts[0] > ts[1]).any(axis=0)
+                   | (boxes[:, 0] > boxes[:, 1]).any(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +291,7 @@ class _Atom:
     def status(self, vals):
         """(certainly true, certainly false) per box, (B,) bool arrays,
         given the forward enclosures of the tape."""
-        lo, hi = vals[self.tape.root]
+        lo, hi = vals[:, self.tape.root]
         r = self.rhs
         if self.rel == "<=":
             return hi <= r, lo > r

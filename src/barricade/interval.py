@@ -232,7 +232,8 @@ _KERNELS = {
 # only when b > a), so signed zeros come out as the scalar kernels give
 # them.  Every kernel is total, as the scalar ones are: a divisor holding
 # zero, or a sin or cos argument beyond TRIG_ARG_LIMIT, gives the whole
-# line.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
+# line.  A tape op's kernel writes into out (a slot, see symexpr) when
+# given it.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
 # element, trusted to 2 ulps as in the scalar kernels; numpy's SIMD
 # versions have no documented error bound.  A network's tanh layers go
 # through _ntanh instead, a table and a series in numpy's correctly
@@ -245,12 +246,14 @@ _UNIT = np.array([[-1.0], [1.0]])
 _ONES = np.array([[1.0], [1.0]])
 
 
-def _emap(fn, a):
-    """fn of every element of the array a, as Python floats, in a new
-    array."""
+def _emap(fn, a, out=None):
+    """fn of every element of the array a, as Python floats, in out or a
+    new array."""
     a = np.ascontiguousarray(a)
-    return np.fromiter(map(fn, memoryview(a.reshape(-1))), float,
-                       a.size).reshape(a.shape)
+    out = np.empty(a.shape) if out is None else out
+    out[...] = np.fromiter(map(fn, memoryview(a.reshape(-1))), float,
+                           a.size).reshape(a.shape)
+    return out
 
 
 def _vwiden(v, n=1):
@@ -269,83 +272,79 @@ def _vclip(v, lo, hi):
     return v
 
 
-def _vhull(p):
-    """The least and greatest of the rows of p, a new (2, B) array.  Ties
-    between signed zeros may go either way: callers widen the result."""
-    v = np.empty((2, p.shape[1]))
+def _vhull(p, out=None):
+    """The least and greatest of the rows of p, in out or a new (2, B)
+    array.  Ties of signed zeros may go either way: callers widen it."""
+    v = np.empty((2, p.shape[1])) if out is None else out
     np.minimum.reduce(p, axis=0, out=v[0])
     np.maximum.reduce(p, axis=0, out=v[1])
     return v
 
 
-def _vadd(a, b):
-    return np.nextafter(a + b, _OUT)
+def _vadd(a, b, out=None):
+    return np.nextafter(np.add(a, b, out=out), _OUT, out=out)
 
 
-def _vsub(a, b):
-    return np.nextafter(a - b[::-1], _OUT)
+def _vsub(a, b, out=None):
+    return np.nextafter(np.subtract(a, b[::-1], out=out), _OUT, out=out)
 
 
-def _vneg(a):
-    return -a[::-1]
+def _vneg(a, out=None):
+    return np.negative(a[::-1], out=out)
 
 
-def _vmul(a, b):
+def _vmul(a, b, out=None):
     p = (a[:, None] * b[None]).reshape(4, -1)
     # _imul zeroes the NaN products (0 * inf) when their sum is NaN,
     # which it is whenever one of them is.
     np.copyto(p, 0.0, where=p != p)
-    return _vwiden(_vhull(p))
+    return _vwiden(_vhull(p, out))
 
 
-def _vdiv(a, b):
+def _vdiv(a, b, out=None):
     p = (a[:, None] / b[None]).reshape(4, -1)
     s = p[0] + p[1] + p[2] + p[3]
     whole = (b[0] <= 0.0) & (0.0 <= b[1]) | (s != s)
-    return np.where(whole, _OUT, _vwiden(_vhull(p)))
+    v = _vwiden(_vhull(p, out))
+    np.copyto(v, _OUT, where=whole)
+    return v
 
 
-def _vmulc(a, c):
+def _vmulc(a, c, out=None):
     """_vmul(a, [c, c]) for a finite, nonzero c and a[0] <= a[1]: its four
     products are these two, twice, and nextafter maps -0.0 and 0.0 alike."""
-    p = a * c
-    return np.nextafter(p if c > 0.0 else p[::-1], _OUT)
+    p = np.multiply(a if c > 0.0 else a[::-1], c, out=out)
+    return np.nextafter(p, _OUT, out=p)
 
 
-def _vdivc(t, c):
-    """_vdiv(t, [c, c]) for a finite, nonzero c and t[0] <= t[1]."""
-    q = t / c
-    s = q[0] + q[0] + q[1]      # NaN where _vdiv's sum of quotients is
-    return np.where(s != s, _OUT,
-                    np.nextafter(q if c > 0.0 else q[::-1], _OUT))
-
-
-def _vpow(a, n):
-    v = _vhull(_emap(partial(_pow, n=n), a))
+def _vpow(a, n, out=None):
+    v = _vhull(_emap(partial(_pow, n=n), a), out)
     if n % 2:
         return _vwiden(v, 3)
     np.copyto(v[0], 0.0, where=(a[0] < 0.0) & (0.0 < a[1]))
     return _vclip(_vwiden(v, 3), 0.0, _INF)
 
 
-def _vexp(a):
-    return _vclip(_vwiden(_emap(_exp, a), 2), 0.0, _INF)
+def _vexp(a, out=None):
+    return _vclip(_vwiden(_emap(_exp, a, out), 2), 0.0, _INF)
 
 
-def _vtanh(a):
-    return _vclip(_vwiden(_emap(math.tanh, a), 2), -1.0, 1.0)
+def _vtanh(a, out=None):
+    return _vclip(_vwiden(_emap(math.tanh, a, out), 2), -1.0, 1.0)
 
 
-def _vtrig(a, fn, crit):
+def _vtrig(a, fn, crit, out=None):
     """_itrig per column, crit being [[bottom], [top]]."""
     bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
-    v = _vhull(_emap(fn, np.where(bad, 0.0, a)))
+    v = _vhull(_emap(fn, np.where(bad, 0.0, a)), out)
     # _trig_has_crit for bottom (row 0) and top (row 1) at once
     ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
     k = (ends[:, None] - crit) / _TWO_PI
-    v = np.where(np.ceil(k[0]) <= np.floor(k[1]), _UNIT, v)
+    np.copyto(v, _UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
     v = _vclip(_vwiden(v, 2), -1.0, 1.0)
-    return np.where(bad, _OUT, np.where(a[1] - a[0] >= _TWO_PI, _UNIT, v))
+    np.copyto(v, _UNIT, where=a[1] - a[0] >= _TWO_PI)
+    np.copyto(v, _OUT, where=bad)
+    return v
 
 
 _vsin = partial(_vtrig, fn=math.sin,

@@ -284,35 +284,36 @@ class Tape:
     runs the network, and ``("row", k, None, (net slot,))`` picks output
     k, so the outputs of one network call share one pass.
 
-    A slot's value is a (2, B) array of lower and upper endpoints, see
-    interval._VKERNELS; ``init`` holds the constants as (2, 1) arrays.
-    ``code`` holds ``(slot, kernel, arg, arg)`` for a unary (second arg
-    None) or binary op, and ``(slot, kernel, None, input slots)`` for a
-    network pass, and ``(slot, _vmulc with c bound, arg, None)`` for a
-    product by a constant factor c (`_factor`).
+    A forward pass over B boxes writes slot s's enclosure to v[:, s] of
+    one (2, S, B) array v, see _interval_eval_raw.  ``consts`` holds the
+    constants' slots and (k, 2, 1) values, ``loads`` the variables' slots
+    and indices.  ``code`` holds ``(slot, kernel, arg, arg)`` for a unary
+    (second arg None) or binary op, ``(slot, _vmulc with c bound, arg,
+    None)`` for a product by a constant factor c (`_factor`), and ``(rows,
+    kernel, None, input slots)`` for a network pass, which writes output k
+    to slot rows[k]: its row's, or the network's own (read by nothing).
     """
 
-    __slots__ = ("nodes", "root", "init", "loads", "code")
+    __slots__ = ("nodes", "root", "consts", "loads", "code")
 
     def __init__(self, nodes, root):
         self.nodes = nodes
         self.root = root
-        self.init = [None] * len(nodes)   # constants, pre-placed
-        self.loads = []                   # (slot, variable index)
         self.code = []                    # (slot, kernel, arg, arg or None)
+        consts, loads, rows = {}, {}, {}
         for slot, (op, val, idx, kids) in enumerate(nodes):
             if op == "const":
-                self.init[slot] = np.array(((val[0],), (val[0],)))
+                consts[slot] = val[0]
             elif op == "var":
-                self.loads.append((slot, idx))
+                loads[slot] = idx
             elif op == "pow":
                 self.code.append((slot, partial(_vpow, n=val), kids[0], None))
             elif op == "net":
-                self.code.append((slot, partial(_inet, _net_layers(val)),
-                                  None, kids))
+                rows[slot] = [slot] * val.output_dim
+                self.code.append((rows[slot], partial(_inet, _net_layers(
+                    val)), None, list(kids)))
             elif op == "row":
-                self.code.append((slot, operator.itemgetter(val), kids[0],
-                                  None))
+                rows[kids[0]][val] = slot
             elif op == "mul" and any(_factor(nodes[k]) for k in kids):
                 a, k = kids if _factor(nodes[kids[1]]) else kids[::-1]
                 self.code.append((slot, partial(_vmulc, c=nodes[k][1][0]),
@@ -322,6 +323,9 @@ class Tape:
                                   kids[1] if len(kids) == 2 else None))
             else:
                 raise ValueError("unknown op %r" % op)
+        c = np.array(list(consts.values()), float).repeat(2)
+        self.consts = list(consts), c.reshape(-1, 2, 1)
+        self.loads = list(loads), list(loads.values())
 
 
 def _factor(node):
@@ -367,23 +371,25 @@ def _interval_eval_raw(tape, boxes):
     (n, 2, B) array, box b's dimension i being [boxes[i, 0, b],
     boxes[i, 1, b]].
 
-    Returns the enclosure of every slot, a (2, B) array ((2, 1) for a
-    constant), which the checker's HC4 pass reads.  A network's outputs
-    are stored (m, 2, B), so row k is a slot value.
+    Returns the enclosures of the S slots, which the checker's HC4 pass
+    reads, as one new (2, S, B) array v, slot s's being v[:, s].  Kernels
+    write to their slots through out=.  v is the transpose of an (S, 2,
+    B) array, so no slot's bounds overlap another's, else numpy would copy
+    a kernel's operands that might overlap its out.
     """
-    vals = tape.init[:]
-    for slot, i in tape.loads:
-        # a copy: the HC4 pass narrows boxes in place
-        vals[slot] = boxes[i].copy()
+    slots = np.empty((len(tape.nodes), 2, boxes.shape[2]))
+    vals = list(slots)      # the (2, B) block of each slot
+    slots[tape.consts[0]] = tape.consts[1]
+    # a copy: the HC4 pass narrows boxes in place
+    slots[tape.loads[0]] = boxes[tape.loads[1]]
     for slot, fn, a, b in tape.code:
         if b is None:
-            vals[slot] = fn(vals[a])
+            fn(vals[a], out=vals[slot])
         elif a is None:     # a network pass over the slots b
-            ins = np.stack(np.broadcast_arrays(*[vals[k] for k in b]), 2)
-            vals[slot] = fn(ins.transpose(1, 0, 2)).transpose(2, 1, 0)
+            slots[slot] = fn(slots[b].transpose(2, 1, 0)).transpose(2, 1, 0)
         else:
-            vals[slot] = fn(vals[a], vals[b])
-    return vals
+            fn(vals[a], vals[b], out=vals[slot])
+    return slots.transpose(1, 0, 2)
 
 
 def interval_eval(e, bx):
@@ -391,13 +397,16 @@ def interval_eval(e, bx):
     pass on one box.
 
     Division by an interval containing zero, or with a quotient inf/inf,
-    and sin or cos of an argument beyond interval.TRIG_ARG_LIMIT yield the
-    whole line, which callers must treat as "no information".
+    sin or cos of an argument beyond interval.TRIG_ARG_LIMIT, and an
+    enclosure with a NaN end yield the whole line, which callers must
+    treat as "no information".
     """
     tape = lower(e)
     boxes = np.array([(iv.lo, iv.hi) for iv in bx], dtype=float)
-    vals = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
-    (lo,), (hi,) = vals[tape.root].tolist()
+    v = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
+    lo, hi = v[:, tape.root, 0].tolist()
+    if lo != lo or hi != hi:    # a NaN end: no information
+        return Interval(-math.inf, math.inf)
     return Interval(lo, hi)
 
 

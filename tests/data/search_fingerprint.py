@@ -22,7 +22,8 @@ verdict, its witness as float reprs and boxes_explored.  A DELTA_SAT
 witness seeds the next CEGIS round, so equal lines need equal witnesses.
 Only public entry points are called, so the script runs on any version of
 the checker.  A full run takes about 20 s on 2 vCPUs; it is not part of
-the test suite.
+the test suite.  tests/data/search_fingerprint.txt is the full output
+of the commit that added it, which CI compares a fresh run against.
 """
 
 import argparse

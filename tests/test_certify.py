@@ -518,6 +518,26 @@ class TestVerify:
         if exc is None:
             assert out.detail == "LP margin nonpositive at iteration 2"
 
+    def test_failure_keeps_refuted_decrease_transcripts(self):
+        # nn10 n_seed_traces=2 seed 1 certifies in round 4; sampling
+        # refutes rounds 1 and 2, dsat round 3 (its first decrease query,
+        # golden case nn10_seed1_nst2_decrease_1).  With three rounds
+        # allowed, find_generator raises after round 3.
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=1, n_seed_traces=2,
+                                                   max_iterations=3))
+        assert isinstance(out, certify.Inconclusive)
+        assert (out.stage, out.iterations) == ("no_candidate", 3)
+        assert list(out.transcripts) == ["decrease_3"]
+        t = out.transcripts["decrease_3"]
+        want = json.loads((Path(__file__).parent / "data" / "dsat_golden.json"
+                           ).read_text())["nn10_seed1_nst2_decrease_1"]
+        assert (t.name, t.verdict, t.boxes_explored) == (
+            "decrease", "DELTA_SAT", 47) == ("decrease", want["verdict"],
+                                             want["boxes_explored"])
+        assert [[repr(iv.lo), repr(iv.hi)] for iv in t.witness] == \
+            want["witness"]
+
     def test_unbounded_lp_is_inconclusive(self, monkeypatch):
         def unbounded(lp):
             raise lpgen.LPUnboundedError("LP unbounded; add box constraints")

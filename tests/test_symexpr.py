@@ -1,6 +1,7 @@
 """Expression trees: evaluation, differentiation, intervals, serialization."""
 
 import dis
+import itertools
 import math
 import re
 import struct
@@ -112,6 +113,10 @@ class TestInterval:
             for fn in (sx.sin, sx.cos):
                 got = sx.interval_eval(fn(arg), bx)
                 assert (got.lo, got.hi) == (-math.inf, math.inf)
+        # an enclosure with a NaN end is the whole line, not an error
+        got = sx.interval_eval(sx.sub(sx.exp(sx.var(0)), inf),
+                               sx.box((0.0, 1e3)))
+        assert (got.lo, got.hi) == (-math.inf, math.inf)
 
     def test_division_through_zero_is_whole_line(self):
         iv = sx.interval_eval(sx.div(sx.const(1.0), sx.var(0)),
@@ -266,11 +271,16 @@ def _bits(x):
     return struct.pack("d", x)
 
 
-def _batched_slot(vals, slot, col):
-    v = vals[slot]
-    if v.ndim == 3:     # a network's outputs, (m, 2, B)
-        return [(o[0][col], o[1][col]) for o in v.tolist()]
-    return tuple(row[col if len(row) > 1 else 0] for row in v.tolist())
+def _batched_slot(tape, vals, slot, col):
+    """Box col's enclosure in slot of a forward pass's (2, S, B) array; for
+    a network, its outputs, which the pass writes to its rows' slots."""
+    op, network = tape.nodes[slot][:2]
+    if op == "net":
+        rows = {node[1]: s for s, node in enumerate(tape.nodes)
+                if node[0] == "row" and node[3] == (slot,)}
+        return [tuple(vals[:, rows[k], col].tolist())
+                for k in range(network.output_dim)]
+    return tuple(vals[:, slot, col].tolist())
 
 
 def _same_slot_bits(got, want):
@@ -317,10 +327,10 @@ def _trig_refused(tape, vals):
     """The boxes on which a sin or cos argument of the tape is not within
     TRIG_ARG_LIMIT, NaN included, a (B,) bool array: where the kernel
     gives the whole line."""
-    refused = np.zeros(max(v.shape[-1] for v in vals), bool)
+    refused = np.zeros(vals.shape[-1], bool)
     for op, _, _, kids in tape.nodes:
         if op in ("sin", "cos"):
-            refused |= ~(np.abs(vals[kids[0]]) <= iv.TRIG_ARG_LIMIT).all(0)
+            refused |= ~(np.abs(vals[:, kids[0]]) <= iv.TRIG_ARG_LIMIT).all(0)
     return refused
 
 
@@ -344,8 +354,9 @@ def test_batched_pass_is_bit_identical_to_the_scalar_kernels():
                     tape, np.array(boxes[i]).reshape(-1, 2, 1))
                 for got, c in ((vals, col), (alone, 0)):
                     for slot, w in enumerate(want):
-                        assert _same_slot_bits(_batched_slot(got, slot, c),
-                                               w), (e, boxes[i], slot)
+                        assert _same_slot_bits(
+                            _batched_slot(tape, got, slot, c), w), (
+                                e, boxes[i], slot)
                         compared += 1
             refused += int(_trig_refused(tape, vals).sum())
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -388,16 +399,16 @@ def _reference_contract(plan, vals, boxes, target, live):
             t = ts[parent]
             skip = skips[parent]
             if how == dsat._ADD:
-                t = iv._vsub(t, vals[sib])
+                t = iv._vsub(t, vals[:, sib])
             elif how == dsat._MUL:
-                f = vals[sib]
+                f = vals[:, sib]
                 zero = (f[0] <= 0.0) & (0.0 <= f[1])
                 skip = zero if skip is None else skip | zero
                 t = iv._vdiv(t, f)
             elif how == dsat._SUB_L:
-                t = iv._vadd(t, vals[sib])
+                t = iv._vadd(t, vals[:, sib])
             elif how == dsat._SUB_R:
-                t = iv._vsub(vals[sib], t)
+                t = iv._vsub(vals[:, sib], t)
             else:
                 t = iv._vneg(t)
         if idx >= 0:
@@ -408,7 +419,7 @@ def _reference_contract(plan, vals, boxes, target, live):
             refuted |= t[0] > t[1]
             np.copyto(cur, t, where=live)
             continue
-        t = dsat._meet(t, vals[slot])
+        t = dsat._meet(t, vals[:, slot])
         if skip is not None:
             t = np.where(skip, iv._OUT, t)
         refuted |= t[0] > t[1]
@@ -482,6 +493,73 @@ def test_hc4_sweep_matches_the_reference_sweep():
                 compared += 1
                 refuted += int(ref.sum())
     assert compared > 1000 and refuted > 10_000
+
+
+@np.errstate(all="ignore")
+def test_hc4_var_meets_follow_preorder():
+    """x occurs twice in one step (depth 2, under an add) and once more at
+    depth 4; on boxes and targets with ends at -0.0, 0.0 and their
+    neighbours, where a meet's ties between signed zeros decide bits, the
+    sweep gives the reference's refuted mask and bytes, one box at a time
+    and 128 at a time.  So it does for x - x <= -1.5, which refutes a
+    box only when the box meets both of x's targets in turn."""
+    x = sx.var(0)
+    lhs = sx.add(sx.add(x, x), sx.neg(sx.neg(sx.sub(x, sx.var(1)))))
+    ends = (-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0)
+    ivs = [(a, b) for a in ends for b in ends if a <= b]
+    boxes = np.array([[a, b] for a in ivs for b in ivs][:128])
+    boxes = boxes.transpose(1, 2, 0).copy()
+    zeros, refuted = set(), 0
+    for lhs, rhs_list in ((lhs, (0.0, -0.0, 5e-324, -5e-324)),
+                          (sx.sub(x, x), (-1.5,))):
+        atom = dsat._Atom(dsat.Constraint(lhs, "<=", 0.0))
+        full = _full_plan(atom.tape)
+        for rel, rhs in itertools.product(dsat.RELATIONS, rhs_list):
+            target = dsat._target_interval(rel, rhs)
+            for cols in [slice(None)] + [slice(b, b + 1) for b in range(128)]:
+                before = boxes[:, :, cols].copy()
+                live = np.ones(before.shape[2], bool)
+                vals = sx._interval_eval_raw(atom.tape, before)
+                got, want = before.copy(), before.copy()
+                mask = dsat._contract(atom.plan, vals, got, target, live)
+                ref = _reference_contract(full, vals, want, target, live)
+                assert mask.tolist() == ref.tolist(), (rel, rhs, cols)
+                assert (got[:, :, ~ref].tobytes()
+                        == want[:, :, ~ref].tobytes()), (rel, rhs, cols)
+                zeros |= {_bits(v) for v in got[:, :, ~ref].ravel()
+                          if v == 0.0}
+                refuted += int(ref.sum())
+    assert zeros == {_bits(0.0), _bits(-0.0)} and refuted > 0
+
+
+def test_hc4_steps_of_the_nn10_decrease_atom():
+    """nn10's recorded decrease atom: the 32 plan entries make 10 steps,
+    one per depth and role in that order, each entry in the target
+    array's column of its place in that order, and the var entries are
+    met in preorder."""
+    cert = certify.load_certificate(
+        Path(__file__).parent / "data" / "nn10_seed1_certificate.json")
+    field = plant.dubins_closed_loop(
+        plant.DubinsParams(), nn.load(cli.bundled_controller_path(10)))
+    plan = dsat._Atom(dsat.Constraint(
+        certify.lie_derivative(cert.candidate, field), ">=", -1e-6)).plan
+    depth = []
+    for e in plan:
+        depth.append(depth[e[2]] + 1 if e[2] >= 0 else 0)
+    order = sorted(range(len(plan)), key=lambda i: (depth[i], plan[i][1]))
+    col = {i: j for j, i in enumerate(order)}
+    assert len(plan) == 32 and len(plan.steps) == 10
+    assert [(step[0], step[2] - step[1]) for step in plan.steps] == [
+        (dsat._ROOT, 1), (dsat._ADD, 2), (dsat._MUL, 4), (dsat._ADD, 6),
+        (dsat._NEG, 1), (dsat._ADD, 4), (dsat._MULC, 2), (dsat._MULK, 2),
+        (dsat._MULC, 5), (dsat._MULK, 5)]
+    for how, a, b, parents, sibs, slots in plan.steps:
+        entries = order[a:b]
+        assert [plan[i][0] for i in entries] == slots.tolist()
+        assert [col.get(plan[i][2], 0) for i in entries] == parents.tolist()
+    assert plan.vars == [(col[i], e[4]) for i, e in enumerate(plan)
+                         if e[4] >= 0]
+    assert [idx for _, idx in plan.vars] == [0, 1, 0, 1]
 
 
 def test_hc4_plan_of_the_nn10_decrease_atom():
