@@ -1,8 +1,12 @@
 """Interval arithmetic for the checker: the Interval and Box types of the
-API, scalar kernels over (lo, hi) float pairs, their batched forms over B
-boxes at once, which the tape of symexpr runs, and a network's layer-wise
-interval pass over B boxes (`_inet`), which it runs for a net node.  The
-scalar kernels are the reference that the batched ones equal bit for bit.
+API, the outward-rounded interval kernels over B boxes at once, which the
+tape of symexpr runs, and a network's layer-wise interval pass over B
+boxes (`_inet`), which it runs for a net node.  An op's kernel rounds
+each endpoint to nearest and then moves it outward by whole ulps
+(np.nextafter), so containment holds without touching FPU modes; `_inet`
+bounds its rounding error instead.  Each box's enclosure has the same
+bits in any batch.  The tests hold the kernels, bit for bit, to a scalar
+reference over (lo, hi) float pairs: tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -86,54 +90,28 @@ def box(*bounds):
     return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
 
 
-# Low-level interval kernels work on (lo, hi) float pairs for speed; every
-# rounding-prone primitive is widened outward by at least one ulp per
-# endpoint, which keeps containment sound without touching FPU modes.
-
-_nextafter = math.nextafter
-
-
-def _widen(lo, hi, n=1):
-    for _ in range(n):
-        lo = _nextafter(lo, -_INF)
-        hi = _nextafter(hi, _INF)
-    return lo, hi
-
-
-def _iadd(a, b):
-    return (_nextafter(a[0] + b[0], -_INF), _nextafter(a[1] + b[1], _INF))
-
-
-def _isub(a, b):
-    return (_nextafter(a[0] - b[1], -_INF), _nextafter(a[1] - b[0], _INF))
-
-
-def _imul(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    p0 = a0 * b0
-    p1 = a0 * b1
-    p2 = a1 * b0
-    p3 = a1 * b1
-    s = p0 + p1 + p2 + p3
-    if s != s:  # 0*inf -> treat as 0 contribution
-        p0, p1, p2, p3 = [0.0 if x != x else x for x in (p0, p1, p2, p3)]
-    return (_nextafter(min(p0, p1, p2, p3), -_INF),
-            _nextafter(max(p0, p1, p2, p3), _INF))
-
-
-def _idiv(a, b):
-    if b[0] <= 0.0 <= b[1]:
-        return (-_INF, _INF)
-    p = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    s = p[0] + p[1] + p[2] + p[3]
-    if s != s:  # inf/inf, or both infinities among p: the whole line
-        return (-_INF, _INF)
-    return _widen(min(p), max(p))
-
-
-def _ineg(a):
-    return (-a[1], -a[0])
+# ---------------------------------------------------------------------------
+# Batched kernels: the checker evaluates B boxes at once
+# ---------------------------------------------------------------------------
+#
+# An interval slot of B boxes is a (2, B) array, row 0 the lower and row 1
+# the upper endpoints; a constant is (2, 1) and broadcasts.  Each kernel
+# computes every column with the same elementwise IEEE operations, so a
+# box gets the same enclosure bit for bit whatever its batch.  The
+# rounding rules: neg is exact; add, sub, mul and div round to nearest and
+# move each end out by one ulp; exp, tanh, sin and cos by two and pow by
+# three, and an end beyond the function's range is clipped to it.  A min
+# or max that no nextafter follows keeps Python's rule for ties and NaN
+# (max(a, b) is b only when b > a), which fixes the sign of a zero end.
+# Every kernel is total: a divisor holding zero, a quotient inf/inf, or a
+# sin or cos argument beyond TRIG_ARG_LIMIT or with a NaN end gives the
+# whole line.  A tape op's kernel writes into out (a slot, see symexpr)
+# when given it.  exp, tanh, sin, cos and pow nodes go through math.* (or
+# **) per element, trusted to 2 ulps; numpy's SIMD versions have no
+# documented error bound.  A network's tanh layers go through _ntanh
+# instead, a table and a series in numpy's correctly rounded + - * /,
+# whose bound _inet proves.  The kernels expect floating-point warnings to
+# be off (np.errstate), which the callers set once per pass.
 
 
 def _pow(x, n):
@@ -144,17 +122,6 @@ def _pow(x, n):
         return -_INF if x < 0.0 and n % 2 else _INF
 
 
-def _ipow(a, n):
-    lo, hi = a
-    cands = [_pow(lo, n), _pow(hi, n)]
-    if n % 2 == 0 and lo < 0.0 < hi:
-        cands.append(0.0)
-    out = _widen(min(cands), max(cands), 3)
-    if n % 2 == 0:
-        out = (max(out[0], 0.0), out[1])
-    return out
-
-
 def _exp(x):
     """math.exp(x), infinite where it overflows."""
     try:
@@ -163,83 +130,7 @@ def _exp(x):
         return _INF
 
 
-def _iexp(a):
-    lo, hi = _widen(_exp(a[0]), _exp(a[1]), 2)
-    return (max(lo, 0.0), hi)
-
-
-def _itanh(a):
-    lo, hi = _widen(math.tanh(a[0]), math.tanh(a[1]), 2)
-    return (max(lo, -1.0), min(hi, 1.0))
-
-
 _TWO_PI = 2.0 * math.pi
-
-
-def _trig_has_crit(lo, hi, offset):
-    """Does [lo, hi] (slightly expanded) contain offset + 2*pi*k for some k?"""
-    slack = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    k_lo = math.ceil((lo - slack - offset) / _TWO_PI)
-    k_hi = math.floor((hi + slack - offset) / _TWO_PI)
-    return k_lo <= k_hi
-
-
-def _itrig(a, fn, top, bottom):
-    """fn (sin or cos) over a, which peaks at top + 2*pi*k and bottoms out
-    at bottom + 2*pi*k."""
-    lo, hi = a
-    if not (abs(lo) <= TRIG_ARG_LIMIT and abs(hi) <= TRIG_ARG_LIMIT):
-        return (-_INF, _INF)    # NaN included
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    vlo, vhi = sorted((fn(lo), fn(hi)))
-    if _trig_has_crit(lo, hi, top):
-        vhi = 1.0
-    if _trig_has_crit(lo, hi, bottom):
-        vlo = -1.0
-    vlo, vhi = _widen(vlo, vhi, 2)
-    return (max(vlo, -1.0), min(vhi, 1.0))
-
-
-_isin = partial(_itrig, fn=math.sin, top=math.pi / 2, bottom=-math.pi / 2)
-_icos = partial(_itrig, fn=math.cos, top=0.0, bottom=math.pi)
-
-
-_ONE = (1.0, 1.0)
-
-
-def _isigmoid(a):
-    """1 / (1 + exp(-a)), composed of the kernels of the unrolled form."""
-    return _idiv(_ONE, _iadd(_ONE, _iexp(_ineg(a))))
-
-
-_KERNELS = {
-    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
-    "sin": _isin, "cos": _icos, "exp": _iexp, "tanh": _itanh,
-}
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels: the checker evaluates B boxes at once
-# ---------------------------------------------------------------------------
-#
-# An interval slot of B boxes is a (2, B) array, row 0 the lower and row 1
-# the upper endpoints; a constant is (2, 1) and broadcasts.  Each kernel
-# applies the IEEE operations of the scalar kernel above to every column,
-# and np.nextafter where that calls math.nextafter, so every box gets the
-# scalar enclosure bit for bit whatever its batch.  A min or max that no
-# nextafter follows keeps Python's rule for ties and NaN (max(a, b) is b
-# only when b > a), so signed zeros come out as the scalar kernels give
-# them.  Every kernel is total, as the scalar ones are: a divisor holding
-# zero, or a sin or cos argument beyond TRIG_ARG_LIMIT, gives the whole
-# line.  A tape op's kernel writes into out (a slot, see symexpr) when
-# given it.  exp, tanh, sin, cos and pow nodes go through math.* (or **) per
-# element, trusted to 2 ulps as in the scalar kernels; numpy's SIMD
-# versions have no documented error bound.  A network's tanh layers go
-# through _ntanh instead, a table and a series in numpy's correctly
-# rounded + - * /, whose bound _inet proves.  The kernels expect
-# floating-point warnings to be off (np.errstate), which the callers set
-# once per pass.
 
 _OUT = np.array([[-_INF], [_INF]])      # outward, per row; the whole line
 _UNIT = np.array([[-1.0], [1.0]])
@@ -257,8 +148,7 @@ def _emap(fn, a, out=None):
 
 
 def _vwiden(v, n=1):
-    """v, a new array, moved outward in place by n ulps per endpoint, as
-    _widen."""
+    """v, a new array, moved outward in place by n ulps per endpoint."""
     for _ in range(n):
         np.nextafter(v, _OUT, out=v)
     return v
@@ -295,8 +185,8 @@ def _vneg(a, out=None):
 
 def _vmul(a, b, out=None):
     p = (a[:, None] * b[None]).reshape(4, -1)
-    # _imul zeroes the NaN products (0 * inf) when their sum is NaN,
-    # which it is whenever one of them is.
+    # A NaN product is 0 * inf.  It counts as 0: an interval holds real
+    # numbers only, and 0 times any of them is 0.
     np.copyto(p, 0.0, where=p != p)
     return _vwiden(_vhull(p, out))
 
@@ -334,10 +224,12 @@ def _vtanh(a, out=None):
 
 
 def _vtrig(a, fn, crit, out=None):
-    """_itrig per column, crit being [[bottom], [top]]."""
+    """fn (sin or cos) over every column of a, fn peaking at top + 2*pi*k
+    and bottoming out at bottom + 2*pi*k, crit being [[bottom], [top]]."""
     bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
     v = _vhull(_emap(fn, np.where(bad, 0.0, a)), out)
-    # _trig_has_crit for bottom (row 0) and top (row 1) at once
+    # does the column, grown by a relative 1e-9, hold a bottom (row 0) or
+    # a top (row 1)?
     ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
     k = (ends[:, None] - crit) / _TWO_PI
     np.copyto(v, _UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
@@ -480,7 +372,7 @@ def _inet(layers, v):
     20, x = g + r with g on the table's grid, r exact and |r| <= h/2 =
     2^-8:
     - the table entry T is within 2 ulps of tanh g, at most 2^-52, as
-      math.tanh is trusted in _itanh;
+      math.tanh is trusted in _vtanh;
     - tau, the series of tanh r to r^7, is within 2^-60 of tanh r: the
       remainder is below 2^-77, the correction r*s (|s| < 2^-17) is below
       2^-25 and rounds a few times, and r + r*s rounds by u|tau| <= 2^-61;

@@ -73,16 +73,6 @@ def dubins_error_field(p):
     return [d_dot, sx.neg(u)]
 
 
-def distance_error(x, y, path_angle):
-    """Signed distance to the line through the origin at path_angle.
-
-    Angles follow the clockwise-from-+y convention of the vehicle model;
-    positive on the left of the path, negative on the right.
-    """
-    return (-x * math.sin(math.pi / 2 - path_angle)
-            + y * math.cos(math.pi / 2 - path_angle))
-
-
 def identity_output(n):
     return [sx.var(i) for i in range(n)]
 

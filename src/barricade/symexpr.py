@@ -398,14 +398,15 @@ def interval_eval(e, bx):
 
     Division by an interval containing zero, or with a quotient inf/inf,
     sin or cos of an argument beyond interval.TRIG_ARG_LIMIT, and an
-    enclosure with a NaN end yield the whole line, which callers must
+    enclosure that holds no real number (a NaN end, or the infinite point
+    [inf, inf] or [-inf, -inf]) yield the whole line, which callers must
     treat as "no information".
     """
     tape = lower(e)
     boxes = np.array([(iv.lo, iv.hi) for iv in bx], dtype=float)
     v = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
     lo, hi = v[:, tape.root, 0].tolist()
-    if lo != lo or hi != hi:    # a NaN end: no information
+    if not (lo < math.inf and hi > -math.inf):  # False for a NaN end too
         return Interval(-math.inf, math.inf)
     return Interval(lo, hi)
 

@@ -69,23 +69,17 @@ def _grid_refute(phi, domain, n=1000):
     verdict).  n*n total points for 2-d domains, n for 1-d.
     """
     dims = [np.linspace(iv.lo, iv.hi, n) for iv in domain.intervals]
-    if len(dims) == 1:
-        pts = dims[0][:, None]
-    else:
-        xx, yy = np.meshgrid(dims[0], dims[1])
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-    count = 0
-    for p in pts:
-        if _sat_at(phi.root, p):
-            count += 1
-    return count
+    pts = np.array([g.ravel() for g in np.meshgrid(*dims)])
+    return int(np.count_nonzero(_sat_on(phi.root, pts)))
 
 
-def _sat_at(node, p):
+def _sat_on(node, pts):
+    """Where node holds on the points pts, an (arity, N) array, evaluated
+    with compile_expr: a (N,) bool array."""
     if isinstance(node, dsat.Constraint):
-        v = sx.eval_expr(node.lhs, p)
+        v = sx.compile_expr(node.lhs)(pts)
         return v <= node.rhs if node.rel == "<=" else v >= node.rhs
-    return all(_sat_at(q, p) for q in node.parts)
+    return np.logical_and.reduce([_sat_on(q, pts) for q in node.parts])
 
 
 class TestCheck:

@@ -8,6 +8,7 @@ import pytest
 from barricade import network as nn
 from barricade import plant
 from barricade import symexpr as sx
+from barricade import train
 
 
 class TestDubinsErrorField:
@@ -36,19 +37,31 @@ class TestDubinsErrorField:
         assert sx.eval_expr(f[1], [0.4, -0.2, 0.7]) == -0.7
 
 
+def _d_err(x, y, path_angle):
+    """d_err of the point (x, y), as the trainer computes it
+    (train._path_errors_batch), against one straight segment through the
+    origin at path_angle, from -10 to 10 along it: a point within 5 of
+    the origin in each coordinate projects inside it."""
+    u = 10.0 * np.array([math.sin(path_angle), math.cos(path_angle)])
+    d_err, _ = train._path_errors_batch(
+        np.array([x]), np.array([y]), np.zeros(1),
+        train._path_segments([-u, u]))
+    return float(d_err[0])
+
+
 class TestDistanceError:
     def test_point_above_x_axis(self):
-        assert abs(plant.distance_error(0.0, 1.0, math.pi / 2) - 1.0) < 1e-15
+        assert abs(_d_err(0.0, 1.0, math.pi / 2) - 1.0) < 1e-15
 
     def test_on_path(self):
-        assert abs(plant.distance_error(1.0, 0.0, math.pi / 2)) < 1e-15
+        assert abs(_d_err(1.0, 0.0, math.pi / 2)) < 1e-15
 
     def test_projection_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             x, y = rng.uniform(-5, 5, size=2)
             p_ang = float(rng.uniform(-math.pi, math.pi))
-            d = plant.distance_error(x, y, p_ang)
+            d = _d_err(x, y, p_ang)
             # distance from (x, y) to the line through the origin with
             # direction (sin P, cos P)
             u = np.array([math.sin(p_ang), math.cos(p_ang)])

@@ -17,6 +17,7 @@ from barricade import certify, cli, dsat, lpgen, plant, simulate, train
 from barricade import interval as iv
 from barricade import network as nn
 from barricade import symexpr as sx
+import scalar_reference as ref
 from test_acceptance import _random_expr
 from test_dsat import _prune_rounds
 
@@ -113,10 +114,11 @@ class TestInterval:
             for fn in (sx.sin, sx.cos):
                 got = sx.interval_eval(fn(arg), bx)
                 assert (got.lo, got.hi) == (-math.inf, math.inf)
-        # an enclosure with a NaN end is the whole line, not an error
-        got = sx.interval_eval(sx.sub(sx.exp(sx.var(0)), inf),
-                               sx.box((0.0, 1e3)))
-        assert (got.lo, got.hi) == (-math.inf, math.inf)
+        # an enclosure with a NaN end, or the infinite point [inf, inf] or
+        # [-inf, -inf], holds no real number: the whole line, not an error
+        for e in (sx.sub(sx.exp(sx.var(0)), inf), inf, sx.neg(inf)):
+            got = sx.interval_eval(e, sx.box((0.0, 1e3)))
+            assert (got.lo, got.hi) == (-math.inf, math.inf)
 
     def test_division_through_zero_is_whole_line(self):
         iv = sx.interval_eval(sx.div(sx.const(1.0), sx.var(0)),
@@ -166,13 +168,13 @@ class TestExtremeEndpoints:
     def test_kernels_on_extreme_endpoints(self):
         ivs = _extreme_intervals()
         cases = []
-        for name, fn in iv._KERNELS.items():
+        for name, fn in ref._KERNELS.items():
             if name in ("add", "sub", "mul", "div"):
                 cases += [(name, fn, (a, b)) for a in ivs for b in ivs]
             else:
                 cases += [(name, fn, (a,)) for a in ivs]
         for n in (2, 3):
-            cases += [("pow", partial(iv._ipow, n=n), (a,)) for a in ivs]
+            cases += [("pow", partial(ref._ipow, n=n), (a,)) for a in ivs]
         for name, fn, args in cases:
             lo, hi = fn(*args)      # no kernel raises
             assert lo == lo and hi == hi and lo <= hi, (name, args, lo, hi)
@@ -198,73 +200,6 @@ class TestExtremeEndpoints:
                       & (boxes[:, 1] <= before[:, 1])).all(axis=0)
             assert inside[kept].all(), [pairs[i] for i in
                                         np.flatnonzero(kept & ~inside)]
-
-
-_TANH_GRID = [math.tanh(k / 128.0) for k in range(2561)]
-
-
-def _scalar_tanh(z):
-    """interval._ntanh on one Python float, in the same operations: the
-    nearest point g = k/128 of the grid on [0, 20], the series of
-    tanh(|z| - g) to the 7th power and the addition formula."""
-    x = abs(z)
-    k = round((x if x <= 20.0 else 20.0) * 128.0)   # ties to even, as rint
-    r = (20.0 if x > 20.0 else x) - k / 128.0
-    r2 = r * r
-    tau = r * (r2 * (-1.0 / 3.0 + r2 * (2.0 / 15.0 + r2 * (-17.0 / 315.0))))
-    tau += r
-    t = _TANH_GRID[k]
-    return math.copysign((t + tau) / (1.0 + t * tau), z)
-
-
-def _scalar_net(layers, ins):
-    """One box's network pass in the scalar layout: its input rows
-    (lo, hi), one (2, k) product per layer, the activation per endpoint
-    with the scalar kernels (tanh with _scalar_tanh, moved out by 2^-50);
-    one (lo, hi) pair per output."""
-    v = np.array(ins).T
-    for at, rmax, bmax, c, c_eta, tail, act in layers:
-        if tail is None:
-            e, ok = iv._error_bound(rmax * float(np.abs(v).max()) + bmax, c,
-                                    c_eta)
-            tail = np.array(((1.0, -e), (1.0, e))) if ok else None
-        if tail is None:
-            z = np.array([[-math.inf], [math.inf]]).repeat(at.shape[1], 1)
-        else:
-            z = np.concatenate((v, v[::-1], tail), axis=1) @ at
-        if act == "tanh":
-            v = np.array([[_scalar_tanh(a) for a in row]
-                          for row in z.tolist()])
-            v += np.array([[-2.0 ** -50], [2.0 ** -50]])
-            v = np.minimum(np.maximum(v, -1.0), 1.0)
-        elif act == "sigmoid":
-            v = np.array(([iv._isigmoid((a, a))[0] for a in z[0]],
-                          [iv._isigmoid((a, a))[1] for a in z[1]]))
-            v = np.minimum(np.maximum(v, 0.0), 1.0)
-        else:
-            v = z
-    return list(zip(*v.tolist()))
-
-
-def _scalar_slots(tape, pairs):
-    """Every slot's enclosure on one box of (lo, hi) pairs, slot by slot
-    with the scalar kernels."""
-    vals = []
-    for op, val, idx, kids in tape.nodes:
-        args = [vals[k] for k in kids]
-        if op == "const":
-            vals.append((val[0], val[0]))
-        elif op == "var":
-            vals.append(pairs[idx])
-        elif op == "pow":
-            vals.append(iv._ipow(args[0], val))
-        elif op == "net":
-            vals.append(_scalar_net(iv._net_layers(val), args))
-        elif op == "row":
-            vals.append(args[0][val])
-        else:
-            vals.append(iv._KERNELS[op](*args))
-    return vals
 
 
 def _bits(x):
@@ -349,7 +284,7 @@ def test_batched_pass_is_bit_identical_to_the_scalar_kernels():
             batch = np.array([boxes[i] for i in order]).transpose(1, 2, 0)
             vals = sx._interval_eval_raw(tape, batch)
             for col, i in enumerate(order):
-                want = _scalar_slots(tape, boxes[i])
+                want = ref._scalar_slots(tape, boxes[i])
                 alone = sx._interval_eval_raw(
                     tape, np.array(boxes[i]).reshape(-1, 2, 1))
                 for got, c in ((vals, col), (alone, 0)):
