@@ -21,10 +21,11 @@ print("v =", sx.to_sexpr(cand.expr))
 t1 = certify.query_decrease(cand, field, spec)
 print("decrease query:", t1.verdict, "(%d boxes)" % t1.boxes_explored)
 
-# analytic level range: max over X0 vertices up to the nearest unsafe face
+# analytic level range: max over X0 vertices up to the least v beyond the
+# safe square's four faces, x_i >= 1 and -x_i >= 1
 vmax = certify.vertex_max(cand, spec.x0)
-hmin = min(certify.halfspace_min(cand, a, b)
-           for a, b in spec.unsafe_halfspaces())
+hmin = certify.halfspace_min(cand, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                    [0.0, -1.0]], [1.0] * 4)
 print("feasible level range: (%.4f, %.4f)" % (vmax, hmin))
 
 level, transcripts = certify.select_level(cand, spec)

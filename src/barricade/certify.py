@@ -10,7 +10,8 @@ Each stored derivative is f at its stored state, so the step moves only
 where the rows lie.
 Each LP candidate is first falsified by sampling: its Lie derivative is
 evaluated on a fixed sample of D \\ X0 (FALSIFY_POINTS points, seeded by
-the config seed) and on the trace states between the LP's rows.  Up to
+the config seed) and on the trace states between the LP's rows, from f
+on the sample (once per call) and the traces' stored derivatives.  Up to
 MAX_CEX points where it is >= -gamma, worst first and CEX_SPREAD apart,
 become the starts of fresh simulations, all in one batch, whose points
 tighten the next LP.  Only a candidate that sampling cannot refute goes
@@ -79,18 +80,6 @@ class SafetySpec:
     @property
     def arity(self):
         return self.x0.arity
-
-    def unsafe_halfspaces(self):
-        """U as a disjunction of a.x >= b halfspaces (outside safe_rect)."""
-        out = []
-        n = self.arity
-        for i in range(n):
-            a = np.zeros(n)
-            a[i] = 1.0
-            out.append((a.copy(), self.safe_rect[i].hi))
-            a[i] = -1.0
-            out.append((a.copy(), -self.safe_rect[i].lo))
-        return out
 
     def domain_minus_x0(self):
         """Slab decomposition of safe_rect \\ X0 into at most 2n boxes."""
@@ -343,7 +332,10 @@ def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT):
 # ---------------------------------------------------------------------------
 
 def halfspace_min(cand, a, b):
-    """Exact minimum of v over the halfspace a.x >= b (P must be PD)."""
+    """Exact minimum of v over the halfspace a.x >= b or, for a (k, n)
+    matrix a and k bounds b, over the union of the halfspaces a[j].x >=
+    b[j].  Raises NotEllipsoidError unless P is positive definite, which
+    is checked once per call."""
     from fractions import Fraction  # not at import: it loads decimal
     p = cand.p_matrix
     # Sylvester's criterion on the exact rationals of P's floats: the k-th
@@ -355,15 +347,16 @@ def halfspace_min(cand, a, b):
         for row in m[k + 1:]:
             f = row[k] / pivot[k]
             row[:] = [x - f * y for x, y in zip(row, pivot)]
-    a = np.asarray(a, dtype=float)
     x_star = np.linalg.solve(p, -0.5 * cand.q_vector)
-    if a @ x_star >= b:
-        return cand.value(x_star)
-    # KKT minimum on the hyperplane a.x = b.
-    p_inv_a = np.linalg.solve(p, a)
-    lam = (2.0 * b + a @ np.linalg.solve(p, cand.q_vector)) / (a @ p_inv_a)
-    x_min = np.linalg.solve(p, lam * a - cand.q_vector) / 2.0
-    return cand.value(x_min)
+    mins = []
+    for a, b in zip(np.array(a, dtype=float, ndmin=2), np.ravel(b)):
+        x = x_star
+        if not a @ x_star >= b:     # KKT minimum on the hyperplane a.x = b
+            lam = ((2.0 * b + a @ np.linalg.solve(p, cand.q_vector))
+                   / (a @ np.linalg.solve(p, a)))
+            x = np.linalg.solve(p, lam * a - cand.q_vector) / 2.0
+        mins.append(cand.value(x))
+    return min(mins)
 
 
 def vertex_max(cand, x0):
@@ -386,7 +379,13 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
     sufficient, so each probe is confirmed by both set queries.
     """
     vmax = vertex_max(cand, spec.x0)
-    hmin = min(halfspace_min(cand, a, b) for a, b in spec.unsafe_halfspaces())
+    # U, outside the safe rectangle, is the union of the 2n halfspaces
+    # beyond its faces: x_i >= hi_i and -x_i >= -lo_i.
+    n = spec.arity
+    faces = np.zeros((n, 2, n))
+    faces[range(n), :, range(n)] = 1.0, -1.0
+    hmin = halfspace_min(cand, faces.reshape(2 * n, n), [
+        b for iv in spec.safe_rect for b in (iv.hi, -iv.lo)])
     transcripts = {}
     if not hmin > vmax:
         return NO_LEVEL, transcripts
@@ -413,16 +412,13 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
 
 def find_generator(spec, f, config):
     """Iterate LP candidates against the decrease query, folding each
-    round's counterexamples back in as fresh simulations.
-
-    Each candidate is first falsified by sampling its Lie derivative; dsat
-    runs only when sampling finds nothing, so a candidate is returned only
-    on an exact UNSAT.  Returns (candidate, decrease_transcript,
-    iterations, refuted), where refuted counts the rounds refuted by
-    "sampling" and by "dsat", or raises NoCandidateError.  An exception
-    that ends a round (one of _STAGES) carries the round's number as its
-    `iteration`, and the decrease transcripts of the rounds that dsat
-    refuted as its `transcripts`, named decrease_<round>.
+    round's counterexamples back in as fresh simulations (see the module
+    docstring).  Returns (candidate, decrease_transcript, iterations,
+    refuted), where refuted counts the rounds refuted by "sampling" and
+    by "dsat", or raises NoCandidateError.  An exception that ends a round
+    (one of _STAGES) carries the round's number as its `iteration`, and
+    the decrease transcripts of the rounds that dsat refuted as its
+    `transcripts`, named decrease_<round>.
     """
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     traces = _on_read_grid(lambda step: sim.seed_traces(
@@ -433,6 +429,7 @@ def find_generator(spec, f, config):
         np.random.default_rng(np.random.SeedSequence(config.seed,
                                                      spawn_key=(1,))),
         spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
+    sample_f = f.batched(sample.T).T    # f on the sample, once per call
     lp_region = (spec.safe_rect, spec.x0)
     refuted = {"sampling": 0, "dsat": 0}
     iteration, failed = 0, {}
@@ -447,12 +444,20 @@ def find_generator(spec, f, config):
                     "infeasible" if sol is lpgen.INFEASIBLE else
                     "margin nonpositive", iteration))
             cand = lpgen.candidate_from(sol[:-1], tmpl)
-            # Trace states midway between the LP's rows, in its region.
-            mid = np.concatenate([tr.states[SUBSAMPLE // 2::SUBSAMPLE]
-                                  for tr in traces])
-            cex = falsify(lie_derivative(cand, f), np.concatenate(
-                [mid[lpgen.in_region(mid, lp_region)], sample]),
-                spec, config.gamma)
+            # Trace states midway between the LP's rows, in its region,
+            # and f there as stored; grad v . f in lie_derivative's order.
+            half = slice(SUBSAMPLE // 2, None, SUBSAMPLE)
+            mid = np.concatenate([tr.states[half] for tr in traces])
+            mid_f = np.concatenate([tr.derivs[half] for tr in traces])
+            inside = lpgen.in_region(mid, lp_region)
+            points = np.concatenate([mid[inside], sample])
+            fx = np.concatenate([mid_f[inside], sample_f])
+            values = 0.0
+            for g, f_i in zip(cand.grad, fx.T):
+                values = values + sx.compile_expr(g)(points.T) * f_i
+            cex = falsify(values, points, spec, config.gamma)
+            # not held through the decrease query and the new traces
+            del mid, mid_f, inside, points, fx, values
             if cex:
                 refuted["sampling"] += 1
             else:
@@ -493,13 +498,12 @@ def _on_read_grid(integrate):
             for tr in integrate(SIM_STEP / REFINE)]
 
 
-def falsify(lie, points, spec, gamma):
+def falsify(values, points, spec, gamma):
     """Counterexamples to the decrease condition among `points`, an (m, n)
-    array: those where `lie` is >= -gamma, worst first, at most MAX_CEX of
-    them.  A point within CEX_SPREAD of one already taken, in every
-    dimension as a fraction of the safe rectangle's width, is skipped:
-    that one's cluster covers it."""
-    values = sx.compile_expr(lie)(points.T)
+    array, whose Lie derivative `values` are >= -gamma: worst first, at
+    most MAX_CEX of them.  A point within CEX_SPREAD of one already taken,
+    in every dimension as a fraction of the safe rectangle's width, is
+    skipped: that one's cluster covers it."""
     bad = np.flatnonzero(values >= -gamma)
     left = points[bad[np.argsort(-values[bad], kind="stable")]]
     reach = CEX_SPREAD * np.array([iv.width for iv in spec.safe_rect])

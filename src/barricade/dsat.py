@@ -201,12 +201,12 @@ def _meet(t, f):
     return np.where(take, t, f)
 
 
-def _contract(plan, vals, boxes, target, live):
-    """HC4 backward pass: contract the columns live of boxes, an (n, 2, B)
-    array, in place, assuming the root lies in target, given the forward
-    enclosures vals of the tape's slots (from _interval_eval_raw).
+def _contract(plan, vals, boxes, target):
+    """HC4 backward pass: contract boxes, an (n, 2, B) array, in place,
+    assuming the root lies in target, given the forward enclosures vals of
+    the tape's slots (from _interval_eval_raw).
 
-    Returns the live boxes that are refuted, a (B,) bool array.  An
+    Returns the boxes that are refuted, a (B,) bool array.  An
     occurrence's target depends only on its parent's and forward values,
     so the sweep runs the plan's steps (see _hc4_plan): each gathers its
     parents' targets from a (2, N, B) array, runs one inverse kernel, and
@@ -267,9 +267,9 @@ def _contract(plan, vals, boxes, target, live):
                 2, -1)).reshape(t.shape)
         ts[:, a:b] = _meet(t, vals.take(slots, 1))
     for j, i in plan.vars:
-        np.copyto(boxes[i], _meet(ts[:, j], boxes[i]), where=live)
-    return live & ((ts[0] > ts[1]).any(axis=0)
-                   | (boxes[:, 0] > boxes[:, 1]).any(axis=0))
+        boxes[i] = _meet(ts[:, j], boxes[i])
+    return ((ts[0] > ts[1]).any(axis=0)
+            | (boxes[:, 0] > boxes[:, 1]).any(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,8 @@ def prune(atoms, boxes, contract):
     (B,) array of TRUE, FALSE (refuted) and UNKNOWN, or EMPTY (None) when
     every box is refuted.  Conjuncts run in turn, each on the boxes as the
     ones before it contracted them.  A box's status is that of its
-    enclosures before this pass contracted it.
+    enclosures before this pass contracted it.  HC4 sweeps only the live
+    boxes, those to contract that no conjunct has refuted, gathered.
     """
     false = np.zeros(boxes.shape[2], bool)
     unknown = np.zeros_like(false)
@@ -327,7 +328,11 @@ def prune(atoms, boxes, contract):
         unknown |= ~true
         live = contract & ~false
         if live.any():
-            false |= _contract(atom.plan, vals, boxes, atom.target, live)
+            cols = slice(None) if live.all() else np.flatnonzero(live)
+            sub = boxes[:, :, cols]
+            false[cols] |= _contract(atom.plan, vals[:, :, cols], sub,
+                                     atom.target)
+            boxes[:, :, cols] = sub
     if false.all():
         return EMPTY
     return np.where(false, FALSE, np.where(unknown, UNKNOWN, TRUE))

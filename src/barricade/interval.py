@@ -223,25 +223,30 @@ def _vtanh(a, out=None):
     return _vclip(_vwiden(_emap(math.tanh, a, out), 2), -1.0, 1.0)
 
 
-def _vtrig(a, fn, crit, out=None):
-    """fn (sin or cos) over every column of a, fn peaking at top + 2*pi*k
-    and bottoming out at bottom + 2*pi*k, crit being [[bottom], [top]]."""
+# sin and cos, each with where it bottoms out and peaks, + 2*pi*k
+_TRIG = {"sin": (math.sin, (-math.pi / 2, math.pi / 2)),
+         "cos": (math.cos, (math.pi, 0.0))}
+
+
+def _vsincos(v, ops):
+    """sin and cos (those of ops, in order) of one argument over B boxes,
+    in _inet's layout: v (B, 2, 1), the result (B, 2, len(ops)).  One
+    limit, extremum and width test serves both: a row is -1 or 1 where
+    the argument grown by a relative 1e-9 holds a bottom or a top."""
+    a = v[:, :, 0].T
+    fns, crit = zip(*map(_TRIG.get, ops))
     bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
-    v = _vhull(_emap(fn, np.where(bad, 0.0, a)), out)
-    # does the column, grown by a relative 1e-9, hold a bottom (row 0) or
-    # a top (row 1)?
+    safe = np.where(bad, 0.0, a)
+    out = np.empty((len(ops), 2, a.shape[1]))
+    for fn, o in zip(fns, out):
+        _vhull(_emap(fn, safe), o)
     ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
-    k = (ends[:, None] - crit) / _TWO_PI
-    np.copyto(v, _UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
-    v = _vclip(_vwiden(v, 2), -1.0, 1.0)
-    np.copyto(v, _UNIT, where=a[1] - a[0] >= _TWO_PI)
-    np.copyto(v, _OUT, where=bad)
-    return v
-
-
-_vsin = partial(_vtrig, fn=math.sin,
-                crit=np.array([[-math.pi / 2], [math.pi / 2]]))
-_vcos = partial(_vtrig, fn=math.cos, crit=np.array([[math.pi], [0.0]]))
+    k = (ends[:, None, None] - np.array(crit)[:, :, None]) / _TWO_PI
+    np.copyto(out, _UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
+    _vclip(_vwiden(out, 2).transpose(1, 0, 2), -1.0, 1.0)
+    np.copyto(out, _UNIT, where=a[1] - a[0] >= _TWO_PI)
+    np.copyto(out, _OUT, where=bad)
+    return out.transpose(2, 1, 0)
 
 
 def _vsigmoid(a):
@@ -250,7 +255,7 @@ def _vsigmoid(a):
 
 _VKERNELS = {
     "add": _vadd, "sub": _vsub, "mul": _vmul, "div": _vdiv, "neg": _vneg,
-    "sin": _vsin, "cos": _vcos, "exp": _vexp, "tanh": _vtanh,
+    "exp": _vexp, "tanh": _vtanh,
 }
 
 
@@ -265,6 +270,7 @@ _TANH_SLACK = np.array([[-2.0 ** -50], [2.0 ** -50]])
 
 # _ntanh's table: tanh(k h) for h = 2^-7 and k h in [0, 20], by math.tanh
 _TANH_N = 128.0         # 1 / h
+_TANH_H = 2.0 ** -7     # h
 _TANH_END = 20.0        # tanh x is within 2^-57 of tanh 20 beyond it
 _TANH_TABLE = np.array([math.tanh(k / _TANH_N)
                         for k in range(int(_TANH_END * _TANH_N) + 1)])
@@ -280,14 +286,21 @@ def _ntanh(z):
     operation is elementwise and correctly rounded, so an element's
     result does not depend on the array."""
     x = np.abs(z)
-    k = np.rint(np.fmin(x, _TANH_END) * _TANH_N)
+    k = np.fmin(x, _TANH_END)
+    k *= _TANH_N
+    np.rint(k, out=k)
     t = _TANH_TABLE.take(k.astype(np.intp))
-    r = np.minimum(x, _TANH_END)
-    r -= k / _TANH_N
-    r2 = r * r
-    tau = r * (r2 * (_TANH_C3 + r2 * (_TANH_C5 + r2 * _TANH_C7)))
+    r = np.minimum(x, _TANH_END, out=x)
+    k *= _TANH_H            # k h, exactly k / 128
+    r -= k
+    r2 = np.multiply(r, r, out=k)
+    tau = r2 * _TANH_C7     # r * (r2 * (C3 + r2 * (C5 + r2 * C7))) + r
+    for c in (_TANH_C5, _TANH_C3):
+        tau += c
+        tau *= r2
+    tau *= r
     tau += r
-    y = t + tau
+    y = np.add(t, tau, out=r2)
     tau *= t
     tau += 1.0
     y /= tau
@@ -406,7 +419,8 @@ def _inet(layers, v):
             x[:, :, 2 * k:] = tail
             z = x @ at
         if act == "tanh":
-            v = _ntanh(z) + _TANH_SLACK
+            v = _ntanh(z)
+            v += _TANH_SLACK
             np.minimum(np.maximum(v, -1.0, out=v), 1.0, out=v)
         elif act == "sigmoid":
             flat = z.reshape(1, -1)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import network as nn
 from .interval import (Interval, Box, box, _VKERNELS, _vmulc, _vpow, _inet,
-                       _net_layers)
+                       _net_layers, _vsincos)
 
 
 class Expr:
@@ -292,6 +292,7 @@ class Tape:
     None)`` for a product by a constant factor c (`_factor`), and ``(rows,
     kernel, None, input slots)`` for a network pass, which writes output k
     to slot rows[k]: its row's, or the network's own (read by nothing).
+    The sin and cos of one argument share one such entry (_vsincos).
     """
 
     __slots__ = ("nodes", "root", "consts", "loads", "code")
@@ -300,9 +301,18 @@ class Tape:
         self.nodes = nodes
         self.root = root
         self.code = []                    # (slot, kernel, arg, arg or None)
-        consts, loads, rows = {}, {}, {}
+        consts, loads, rows, trig = {}, {}, {}, {}
+        for slot, (op, _, _, kids) in enumerate(nodes):
+            if op in ("sin", "cos"):
+                trig.setdefault(kids[0], {})[op] = slot
         for slot, (op, val, idx, kids) in enumerate(nodes):
-            if op == "const":
+            if op in ("sin", "cos"):
+                # at the first of sin and cos of its argument, both
+                outs = trig.pop(kids[0], None)
+                if outs:
+                    self.code.append((list(outs.values()), partial(
+                        _vsincos, ops=tuple(outs)), None, list(kids)))
+            elif op == "const":
                 consts[slot] = val[0]
             elif op == "var":
                 loads[slot] = idx

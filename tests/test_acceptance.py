@@ -198,15 +198,13 @@ def test_criterion_07_dsat_battery():
          dom2, "DELTA_SAT"),
     ]
 
-    def satisfied(node, p):
+    def holds(node, pts):
+        """Where node holds on the rows of pts, by compile_expr programs,
+        a conjunction's masks ANDed (as test_dsat._sat_on)."""
         if isinstance(node, dsat.Constraint):
-            v = sx.eval_expr(node.lhs, p)
-            return {"<=": v <= node.rhs, "<": v < node.rhs,
-                    ">=": v >= node.rhs, ">": v > node.rhs,
-                    "=": v == node.rhs}[node.rel]
-        if isinstance(node, dsat.And):
-            return all(satisfied(q, p) for q in node.parts)
-        return any(satisfied(q, p) for q in node.parts)
+            vals = sx.compile_expr(node.lhs)(pts.T)
+            return vals <= node.rhs if node.rel == "<=" else vals >= node.rhs
+        return np.logical_and.reduce([holds(q, pts) for q in node.parts])
 
     for phi, dom, expected in battery:
         out = dsat.check(phi, dom, DELTA)
@@ -221,17 +219,7 @@ def test_criterion_07_dsat_battery():
             side2 = np.linspace(dom[1].lo, dom[1].hi, 1000)
             xx, yy = np.meshgrid(side, side2)
             pts = np.column_stack([xx.ravel(), yy.ravel()])
-        fn = sx.compile_expr(phi.root.lhs) if isinstance(
-            phi.root, dsat.Constraint) else None
-        if fn is not None:
-            vals = fn(pts.T)
-            rel, rhs = phi.root.rel, phi.root.rhs
-            hits = {"<=": vals <= rhs, "<": vals < rhs,
-                    ">=": vals >= rhs, ">": vals > rhs,
-                    "=": vals == rhs}[rel]
-            assert int(np.count_nonzero(hits)) == 0
-        else:
-            assert not any(satisfied(phi.root, p) for p in pts)
+        assert int(np.count_nonzero(holds(phi.root, pts))) == 0
 
 
 def test_criterion_08_cmaes_benchmark():
@@ -288,8 +276,11 @@ def test_criterion_10_level_set_analytics():
     spec = certify.SafetySpec(sx.box((-0.1, 0.1), (-0.1, 0.1)),
                               sx.box((-1.0, 1.0), (-1.0, 1.0)))
     assert certify.vertex_max(cand, spec.x0) == 0.1 ** 2 + 0.1 ** 2
-    for a, b in spec.unsafe_halfspaces():
-        assert certify.halfspace_min(cand, a, b) == 1.0
+    for i, iv in enumerate(spec.safe_rect):     # U's faces
+        for sign, b in ((1.0, iv.hi), (-1.0, -iv.lo)):
+            a = np.zeros(2)
+            a[i] = sign
+            assert certify.halfspace_min(cand, a, b) == 1.0
     level, transcripts = certify.select_level(cand, spec)
     assert level is not certify.NO_LEVEL
     assert 0.02 < level < 1.0

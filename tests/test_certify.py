@@ -38,6 +38,24 @@ def _square_spec():
                               sx.box((-1.0, 1.0), (-1.0, 1.0)))
 
 
+def _unsafe_faces(spec):
+    """The 2n halfspaces a.x >= b beyond the safe rectangle's faces, as
+    (a, b) pairs: x_i >= hi_i and -x_i >= -lo_i."""
+    faces = []
+    for i, iv in enumerate(spec.safe_rect):
+        for sign, b in ((1.0, iv.hi), (-1.0, -iv.lo)):
+            a = np.zeros(spec.arity)
+            a[i] = sign
+            faces.append((a, b))
+    return faces
+
+
+def _unsafe_min(cand, spec):
+    """The least minimum of v over U's faces, one face per call."""
+    return min(certify.halfspace_min(cand, a, b)
+               for a, b in _unsafe_faces(spec))
+
+
 def _hand_controller_field():
     net = nn.Network((nn.make_layer([[0.9, 1.6]], [0.0], "tanh"),
                       nn.make_layer([[1.5]], [0.0], "tanh")))
@@ -217,6 +235,38 @@ class TestLevelAnalytics:
         level, _ = certify.select_level(cand, spec)
         assert level is certify.NO_LEVEL
 
+    def test_faces_in_one_call(self, monkeypatch):
+        # the union of U's faces in one call gives the least of the
+        # per-face minima, bit for bit, and select_level makes that one
+        # call, so P is checked once
+        rng = np.random.default_rng(5)
+        for n in (2, 3):
+            tmpl = lpgen.QuadraticTemplate(n)
+            for _ in range(20):
+                m = rng.uniform(-1, 1, size=(n, n))
+                p = m @ m.T + 0.2 * np.eye(n)
+                cand = lpgen.candidate_from(
+                    [p[i, j] for i, j in tmpl.pairs]
+                    + rng.uniform(-0.5, 0.5, size=n).tolist() + [0.0], tmpl)
+                spec = certify.SafetySpec(
+                    sx.box(*[(-0.1, 0.1)] * n),
+                    sx.box(*[tuple(sorted(rng.uniform(0.2, 2.0, 2)
+                                          * (-1.0, 1.0)))] * n))
+                a, b = zip(*_unsafe_faces(spec))
+                assert (certify.halfspace_min(cand, np.array(a), b)
+                        == _unsafe_min(cand, spec))
+        calls = []
+        halfspace_min = certify.halfspace_min
+
+        def counted(*args):
+            calls.append(args)
+            return halfspace_min(*args)
+        monkeypatch.setattr(certify, "halfspace_min", counted)
+        level, _ = certify.select_level(_identity_candidate(), _square_spec())
+        assert 0.02 < level < 1.0 and len(calls) == 1
+        assert calls[0][1].shape == (4, 2) and list(calls[0][2]) == [
+            1.0, 1.0, 1.0, 1.0]
+
 
 class TestBisection:
     """select_level's branches, counted through the level probes."""
@@ -256,9 +306,8 @@ class TestBisection:
             return
         assert probes[-2:] == [("init_containment", "UNSAT"),
                                ("unsafe_disjoint", "UNSAT")]
-        assert certify.vertex_max(cand, spec.x0) < level < min(
-            certify.halfspace_min(cand, a, b)
-            for a, b in spec.unsafe_halfspaces())
+        assert certify.vertex_max(cand, spec.x0) < level < _unsafe_min(
+            cand, spec)
         assert {n: t.verdict for n, t in transcripts.items()} == {
             "init_containment": "UNSAT", "unsafe_disjoint": "UNSAT"}
 
@@ -316,25 +365,60 @@ class TestFalsify:
         reach = certify.CEX_SPREAD * spec.safe_rect[0].width
         pts = np.array([[0.5, 0.0], [0.9, 0.0], [0.9 - 0.5 * reach, 0.01],
                         [0.9 - 0.5 * reach, 1.0], [-0.5, 0.0]])
-        cex = certify.falsify(sx.var(0), pts, spec, 1e-6)
+        cex = certify.falsify(pts[:, 0], pts, spec, 1e-6)
         assert [p.tolist() for p in cex] == [pts[1].tolist(),
                                              pts[3].tolist(),
                                              pts[0].tolist()]
         many = np.column_stack([np.linspace(0.0, 1.0, 200), np.zeros(200)])
-        cex = certify.falsify(sx.var(0), many, spec, 1e-6)
+        cex = certify.falsify(many[:, 0], many, spec, 1e-6)
         assert len(cex) == certify.MAX_CEX
         assert cex[0].tolist() == [1.0, 0.0]
 
     def test_nothing_below_minus_gamma(self):
         spec = certify.default_spec()
         pts = np.array([[-0.5, 0.0], [-1e-5, 0.3]])
-        assert certify.falsify(sx.var(0), pts, spec, 1e-6) == []
+        assert certify.falsify(pts[:, 0], pts, spec, 1e-6) == []
 
 
 @functools.lru_cache(maxsize=None)
 def _nn10_field():
     net = nn.load(cli.bundled_controller_path(10))
     return plant.dubins_closed_loop(plant.DubinsParams(), net)
+
+
+class TestFalsifyOnStoredDerivatives:
+    @pytest.mark.parametrize("neurons, seed, n_seed_traces", [
+        (10, 0, 2), (10, 2, 2), (10, 3, 2),
+        (100, 0, 20), (100, 1, 20), (100, 2, 20), (100, 3, 20)])
+    def test_same_counterexamples_as_the_lie_program(
+            self, monkeypatch, neurons, seed, n_seed_traces):
+        # the cegis-nn10 pool and nn100: in every round, the values from
+        # the stored derivatives and the sample's f, once per call, pick
+        # the counterexamples that the Lie derivative's program picks
+        f = plant.dubins_closed_loop(plant.DubinsParams(), nn.load(
+            cli.bundled_controller_path(neurons)))
+        rounds, cands = [], []
+        falsify, candidate_from = certify.falsify, lpgen.candidate_from
+
+        def recorded_candidate(*args):
+            cands.append(candidate_from(*args))
+            return cands[-1]
+
+        def recorded_falsify(*args):
+            rounds.append((cands[-1], *args))
+            return falsify(*args)
+        monkeypatch.setattr(lpgen, "candidate_from", recorded_candidate)
+        monkeypatch.setattr(certify, "falsify", recorded_falsify)
+        out = certify.verify(certify.default_spec(), f, certify.CertifyConfig(
+            seed=seed, n_seed_traces=n_seed_traces))
+        assert isinstance(out, certify.Certificate)
+        assert len(rounds) == out.iterations
+        for cand, values, points, spec, gamma in rounds:
+            lie = sx.compile_expr(certify.lie_derivative(cand, f))(points.T)
+            assert values.shape == lie.shape == (len(points),)
+            assert np.allclose(values, lie, rtol=1e-12, atol=1e-15)
+            assert ([p.tolist() for p in falsify(values, points, spec, gamma)]
+                    == [p.tolist() for p in falsify(lie, points, spec, gamma)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -691,8 +775,7 @@ def _cube_spec():
 
 
 def _hmin(cert):
-    return min(certify.halfspace_min(cert.candidate, a, b)
-               for a, b in cert.spec.unsafe_halfspaces())
+    return _unsafe_min(cert.candidate, cert.spec)
 
 
 def _violated(cert, field):

@@ -298,6 +298,95 @@ def test_batched_pass_is_bit_identical_to_the_scalar_kernels():
     assert compared > 50_000 and 100 < refused < 2000
 
 
+def _replaced_trig(a, fn, crit):
+    """The batched sin and cos kernels that interval._vsincos replaced
+    (_vtrig, with _vsin and _vcos binding fn and crit), as they were: fn
+    over every column of a, a (2, B) array, fn bottoming out at crit[0] +
+    2*pi*k and peaking at crit[1] + 2*pi*k."""
+    bad = ~(np.abs(a) <= iv.TRIG_ARG_LIMIT).all(axis=0)    # NaN included
+    v = iv._vhull(iv._emap(fn, np.where(bad, 0.0, a)))
+    ends = a + iv._UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
+    k = (ends[:, None] - crit) / iv._TWO_PI
+    np.copyto(v, iv._UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
+    v = iv._vclip(iv._vwiden(v, 2), -1.0, 1.0)
+    np.copyto(v, iv._UNIT, where=a[1] - a[0] >= iv._TWO_PI)
+    np.copyto(v, iv._OUT, where=bad)
+    return v
+
+
+_REPLACED = {"sin": partial(_replaced_trig, fn=math.sin, crit=np.array(
+                 [[-math.pi / 2], [math.pi / 2]])),
+             "cos": partial(_replaced_trig, fn=math.cos, crit=np.array(
+                 [[math.pi], [0.0]]))}
+
+
+def _trig_arguments():
+    """sin and cos arguments, a (2, B) array: random ones of widths from
+    1e-12 to beyond 2*pi; ones that end at, just short of or just past an
+    extremum k*pi/2 (within the kernels' 1e-9 growth, or outside it), or
+    hold one; every pair of _EXTREMES; NaN ends; ends at and beyond
+    TRIG_ARG_LIMIT."""
+    rng = np.random.default_rng(2212)
+    args = []
+    for w in (1e-12, 1e-6, 0.1, 1.0, 3.0, 6.0, iv._TWO_PI - 1e-9,
+              iv._TWO_PI, 8.0):
+        lo = rng.uniform(-20.0, 20.0, size=24)
+        args += zip(lo, lo + w)
+    for k in range(-8, 9):
+        c = k * math.pi / 2
+        for d in (0.0, 1e-12, 1e-10, 2e-9, 1e-3):
+            args += [(c - d, c + d), (c + d, c + 0.5), (c - 0.5, c - d)]
+    limit = iv.TRIG_ARG_LIMIT
+    above = math.nextafter(limit, math.inf)
+    return np.array(args + _extreme_intervals() + [
+        (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+        (-math.inf, math.nan), (limit, limit), (-limit, limit),
+        (limit, above), (-above, 0.0), (2.0e6, 3.0e6),
+        (-1.0e7, -1.0e7)]).T.copy()
+
+
+@np.errstate(all="ignore")
+def test_sincos_kernel_matches_the_kernels_it_replaced():
+    """interval._vsincos gives the bits of the kernels it replaced and of
+    the scalar reference, for sin and cos together in either order and
+    each alone, in one batch and one box at a time: on arguments with NaN
+    ends or beyond TRIG_ARG_LIMIT (the whole line), widths >= 2*pi
+    ([-1, 1]) and extrema inside.  A tape runs the sin and cos of one
+    argument in one entry."""
+    a = _trig_arguments()
+    want = {name: kernel(a) for name, kernel in _REPLACED.items()}
+    for ops in (("sin", "cos"), ("cos", "sin"), ("sin",), ("cos",)):
+        got = iv._vsincos(a.T[:, :, None], ops)
+        assert got.shape == (a.shape[1], 2, len(ops))
+        for j, name in enumerate(ops):
+            assert (np.ascontiguousarray(got[:, :, j].T).tobytes()
+                    == want[name].tobytes()), (ops, name)
+    for col in range(a.shape[1]):
+        one = iv._vsincos(a.T[col].reshape(1, 2, 1), ("sin", "cos"))
+        for j, name in enumerate(("sin", "cos")):
+            assert one[0, :, j].tobytes() == want[name][:, col].tobytes()
+            scalar = {"sin": ref._isin, "cos": ref._icos}[name]
+            assert _same_slot_bits(one[0, :, j].tolist(),
+                                   scalar(tuple(a[:, col].tolist())))
+    bad = ~(np.abs(a) <= iv.TRIG_ARG_LIMIT).all(axis=0)
+    wide = ~bad & (a[1] - a[0] >= iv._TWO_PI)
+    assert bad.sum() >= 10 and np.isnan(a).any(axis=0).sum() == 4
+    assert wide.sum() >= 20
+    for name, fn in (("sin", math.sin), ("cos", math.cos)):
+        # an extremum inside: a row at -1 or 1 that neither end reaches
+        ends = np.vectorize(fn)(np.where(bad, 0.0, a))
+        held = (~bad & ~wide
+                & ((want[name][1] == 1.0) & (ends.max(axis=0) < 0.999)
+                   | (want[name][0] == -1.0) & (ends.min(axis=0) > -0.999)))
+        assert held.sum() >= 20, name
+    x = sx.var(0)
+    for e, entries in ((sx.add(sx.sin(x), sx.cos(x)), 1),
+                       (sx.mul(sx.sin(x), sx.cos(sx.var(1))), 2)):
+        code = sx.lower(e).code
+        assert [fn.func for _, fn, _, _ in code if isinstance(
+            fn, partial)].count(iv._vsincos) == entries
+
+
 def _full_plan(tape):
     """Every occurrence that dsat._hc4_plan's walk reaches, each operand of
     a mul with the general role: the plan of the sweep before it was
@@ -418,7 +507,7 @@ def test_hc4_sweep_matches_the_reference_sweep():
                         1e300, -sys.float_info.max, math.inf):
                 target = dsat._target_interval(rel, rhs)
                 got, want = before.copy(), before.copy()
-                mask = dsat._contract(atom.plan, vals, got, target, live)
+                mask = dsat._contract(atom.plan, vals, got, target)
                 ref = _reference_contract(full, vals, want, target, live)
                 where = (sx.to_sexpr(lhs), rel, rhs)
                 assert mask.tolist() == ref.tolist(), where
@@ -456,7 +545,7 @@ def test_hc4_var_meets_follow_preorder():
                 live = np.ones(before.shape[2], bool)
                 vals = sx._interval_eval_raw(atom.tape, before)
                 got, want = before.copy(), before.copy()
-                mask = dsat._contract(atom.plan, vals, got, target, live)
+                mask = dsat._contract(atom.plan, vals, got, target)
                 ref = _reference_contract(full, vals, want, target, live)
                 assert mask.tolist() == ref.tolist(), (rel, rhs, cols)
                 assert (got[:, :, ~ref].tobytes()
@@ -465,6 +554,49 @@ def test_hc4_var_meets_follow_preorder():
                           if v == 0.0}
                 refuted += int(ref.sum())
     assert zeros == {_bits(0.0), _bits(-0.0)} and refuted > 0
+
+
+@np.errstate(all="ignore")
+def test_hc4_on_live_columns_matches_the_full_sweep():
+    """prune sweeps HC4 over the live columns only (to contract, and not
+    refuted by a conjunct before) and writes them back.  On conjunctions
+    of two or three atoms over criterion 06's and the extreme boxes, with
+    status-only columns mixed in, it gives the status and the bytes of
+    every column that a sweep of all columns gives, when the sweep keeps
+    the columns that are not live as they were."""
+    before = _reference_boxes()
+    width = before.shape[2]
+    rng = np.random.default_rng(2222)
+    lhs = _reference_lhs()
+    partial_passes = 0
+    for _ in range(60):
+        parts = [dsat.Constraint(lhs[i], rel, float(rng.uniform(-2.0, 2.0)))
+                 for i, rel in zip(rng.integers(len(lhs), size=3),
+                                   rng.choice(dsat.RELATIONS, size=3))]
+        atoms = dsat._atoms(dsat.And(parts[:rng.integers(2, 4)]))
+        contract = rng.random(width) < 0.75
+        got, want = before.copy(), before.copy()
+        status = dsat.prune(atoms, got, contract)
+        false = np.zeros(width, bool)
+        unknown = np.zeros(width, bool)
+        for atom in atoms:
+            vals = sx._interval_eval_raw(atom.tape, want)
+            true, out = atom.status(vals)
+            false |= out
+            unknown |= ~true
+            live = contract & ~false
+            partial_passes += bool(live.any() and not live.all())
+            swept = want.copy()
+            false |= live & dsat._contract(atom.plan, vals, swept,
+                                           atom.target)
+            np.copyto(want, swept, where=live)
+        if false.all():
+            assert status is dsat.EMPTY
+        else:
+            assert status.tolist() == np.where(false, dsat.FALSE, np.where(
+                unknown, dsat.UNKNOWN, dsat.TRUE)).tolist()
+        assert got.tobytes() == want.tobytes()
+    assert partial_passes > 50
 
 
 def test_hc4_steps_of_the_nn10_decrease_atom():
