@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import Box, Interval, _OUT, _mid, _vadd, _vdiv, _vneg, _vsub
+from .interval import Box, Interval, _mid, _vadd, _vclip, _vdiv, _vneg, _vsub
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -117,11 +117,8 @@ def _target_interval(rel, rhs):
 
 
 # How an occurrence's target follows from its parent's: the parent's op
-# and, where it matters, which operand the occurrence is.  _MULC, the
-# operand of a constant factor c (symexpr._factor), carries c as sibling.
-# _MULK, a constant leaf c under a general product, carries (sibling slot,
-# the float below c, the float above c) as sibling.
-_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL, _MULC, _MULK = range(8)
+# and, where it matters, which operand the occurrence is.
+_ROOT, _ADD, _SUB_L, _SUB_R, _NEG, _MUL = range(6)
 _HC4_ROLES = {"add": (_ADD, _ADD), "sub": (_SUB_L, _SUB_R),
               "mul": (_MUL, _MUL), "neg": (_NEG,)}
 _INNER, _LEAF = -1, -2
@@ -145,11 +142,10 @@ def _hc4_plan(tape):
     occurrence other than a var has _INNER, or _LEAF where the walk ends.
 
     The entries of one depth and role make a step of _contract, ordered
-    by depth, then role: ``(how, a, b, parents' columns, siblings,
+    by depth, then role: ``(how, a, b, parents' columns, sibling slots,
     slots)``, a:b being the step's columns of the target array, one per
-    entry.  _MULC's siblings are c and c < 0, _MULK's the sibling slots,
-    c- and c+, each (k, 1).  ``vars`` holds the var entries' columns and
-    var indices in preorder.
+    entry.  ``vars`` holds the var entries' columns and var indices in
+    preorder.
     """
     nodes = tape.nodes
     plan = _Plan()
@@ -157,13 +153,7 @@ def _hc4_plan(tape):
     stack = [(tape.root, _ROOT, -1, -1)]
     while stack:
         slot, how, parent, sib = stack.pop()
-        op, val, idx, kids = nodes[slot]
-        if how == _MUL and sx._factor(nodes[sib]):
-            how, sib = _MULC, nodes[sib][1][0]
-        elif how == _MUL and op == "const":
-            c = val[0]
-            how, sib = _MULK, (sib, math.nextafter(c, -math.inf),
-                               math.nextafter(c, math.inf))
+        op, _, idx, kids = nodes[slot]
         roles = _HC4_ROLES.get(op)
         me = len(plan)
         plan.append((slot, how, parent, sib, idx if op == "var" else
@@ -181,24 +171,13 @@ def _hc4_plan(tape):
     plan.steps = []
     for (_, how), group in sorted(groups.items()):
         slots, _, parents, sibs, _ = zip(*[plan[i] for i in group])
-        sibs, k = np.array(sibs), len(group)
-        if how == _MULK:
-            sibs = sibs[:, 0].astype(np.intp), sibs[:, 1:2], sibs[:, 2:]
-        elif how == _MULC:
-            sibs = sibs[:, None], sibs[:, None] < 0.0
+        k = len(group)
         col.update(zip(group, range(a, a + k)))
         plan.steps.append((how, a, a + k, np.array(
-            [col[p] for p in parents]), sibs, np.array(slots)))
+            [col[p] for p in parents]), np.array(sibs), np.array(slots)))
         a += k
     plan.vars = [(col[i], e[4]) for i, e in enumerate(plan) if e[4] >= 0]
     return plan
-
-
-def _meet(t, f):
-    """(max(f[0], t[0]), min(f[1], t[1])) by Python's rule for ties."""
-    take = np.greater(t, f)
-    take[1] = t[1] < f[1]
-    return np.where(take, t, f)
 
 
 def _contract(plan, vals, boxes, target):
@@ -211,15 +190,16 @@ def _contract(plan, vals, boxes, target):
     so the sweep runs the plan's steps (see _hc4_plan): each gathers its
     parents' targets from a (2, N, B) array, runs one inverse kernel, and
     meets the result with its entries' forward enclosures into its
-    columns.  Variables are narrowed by exact min/max after the sweep, in
-    preorder, as a recursive walk narrows them: a var's column is its
-    target met with the box before the sweep, which holds the box as it
-    narrows, so meeting the box with it gives the same bits.  A _MULK
-    column is the empty [inf, -inf] where its test refutes, else the
-    whole line.  The tests run once: empty columns (a leaf's meet with an
-    enclosure that has a NaN end is never empty, and t is empty only
-    below an empty meet) and empty boxes, a box being empty where a meet
-    was.
+    columns.  Every meet is _vclip, by Python's rule for ties.  Variables
+    are narrowed by it after the sweep, in preorder, as a recursive walk
+    narrows them: a var's column is its target met with the box before the
+    sweep, which holds the box as it narrows, so meeting the box with it
+    gives the same bits.  A constant leaf c under a product is met like
+    any leaf: its column is _vdiv(t, f) for its sibling f met with [c, c],
+    empty where the quotient misses c.  The tests run once: empty columns
+    (a leaf's meet with an enclosure that has a NaN end is never empty,
+    and t is empty only below an empty meet) and empty boxes, a box being
+    empty where a meet was.
 
     The recursive walk skips an operand of a product whose sibling's
     enclosure holds zero; the sweep need not.  There _vdiv gives the whole
@@ -227,47 +207,19 @@ def _contract(plan, vals, boxes, target):
     holds the enclosure it is met with: forward kernels enclose their
     operands' image, so an inverse kernel, rounding outward, holds each
     operand's enclosure (or is NaN, which no comparison takes).  So
-    nothing narrows, and no meet or _MULK test fires.
-
-    A constant leaf c under a general product (_MULK) with sibling f is
-    refuted where _vdiv(t, f) misses [c, c], without the division's hull:
-    exactly where f is clear of zero and the four quotients t_i / f_j all
-    lie above c+, the float above c, or all below c-, the float below c.
-    For _vdiv gives the whole line where f holds zero or where a quotient
-    is NaN (which fails both comparisons) or the quotients hold both
-    infinities (which fail one each); else [m-, M+] for the least and
-    greatest quotients m and M.  For floats, m- > c exactly when m > c+,
-    the infinities included (inf- is the largest finite float, and c+ is
-    inf for that float and for inf), and -0.0 and 0.0 have the same
-    neighbours and compare equal, so which tied zero is m does not
-    matter; likewise M+ < c exactly when M < c-.  A NaN c has NaN
-    neighbours and is never refuted, as a leaf's meet gives.
+    nothing narrows, and no meet is empty.
     """
     ts = np.empty((2, len(plan), boxes.shape[2]))
     for how, a, b, parents, sibs, slots in plan.steps:
         t = target[:, :, None] if how == _ROOT else ts.take(parents, 1)
-        if how == _MULC:    # _vdiv(t, [c, c]) for t[0] <= t[1]
-            c, neg = sibs
-            q = t / c
-            s = q[0] + q[0] + q[1]      # NaN where _vdiv's sum of quotients is
-            t = np.nextafter(np.where(neg, q[::-1], q), _OUT[:, None])
-            np.copyto(t, _OUT[:, None], where=s != s)
-        elif how == _MULK:
-            f_slots, below, above = sibs
-            f = vals.take(f_slots, 1)
-            q = t[:, None] / f[None]
-            refuted = ((f[0] > 0.0) | (f[1] < 0.0)) & (
-                (q > above).all(axis=(0, 1)) | (q < below).all(axis=(0, 1)))
-            ts[:, a:b] = np.where(refuted, _OUT[::-1, None], _OUT[:, None])
-            continue
-        elif how == _NEG:
+        if how == _NEG:
             t = _vneg(t)
         elif how != _ROOT:
             t = _INVERSE[how](t.reshape(2, -1), vals.take(sibs, 1).reshape(
                 2, -1)).reshape(t.shape)
-        ts[:, a:b] = _meet(t, vals.take(slots, 1))
+        ts[:, a:b] = _vclip(vals.take(slots, 1), t[0], t[1])
     for j, i in plan.vars:
-        boxes[i] = _meet(ts[:, j], boxes[i])
+        _vclip(boxes[i], ts[0, j], ts[1, j])
     return ((ts[0] > ts[1]).any(axis=0)
             | (boxes[:, 0] > boxes[:, 1]).any(axis=0))
 

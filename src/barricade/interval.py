@@ -155,8 +155,8 @@ def _vwiden(v, n=1):
 
 
 def _vclip(v, lo, hi):
-    """v, a new array, set in place to (max(v[0], lo), min(v[1], hi)) by
-    Python's rule."""
+    """v, set in place to (max(v[0], lo), min(v[1], hi)) by Python's rule:
+    the meet of v and [lo, hi]."""
     np.copyto(v[0], lo, where=lo > v[0])
     np.copyto(v[1], hi, where=hi < v[1])
     return v
@@ -400,7 +400,8 @@ def _inet(layers, v):
     rows move out by 2^-50, of which the rounding of the move (half an ulp
     of a value below 2) keeps at least 0.875 * 2^-50, and are clipped to
     [-1, 1].  sigmoid goes through _vsigmoid, the kernels of its unrolled
-    form on each endpoint, clipped to [0, 1].
+    form on each output's rows (lo, hi), clipped to [0, 1]: its lower end
+    is that of [lo, lo], and its upper end that of [hi, hi], bit for bit.
     """
     for at, rmax, bmax, c, c_eta, tail, act in layers:
         k = v.shape[2]
@@ -423,10 +424,8 @@ def _inet(layers, v):
             v += _TANH_SLACK
             np.minimum(np.maximum(v, -1.0, out=v), 1.0, out=v)
         elif act == "sigmoid":
-            flat = z.reshape(1, -1)
-            y = _vsigmoid(np.concatenate((flat, flat)))
-            v = y[1].reshape(z.shape)
-            v[:, 0] = y[0].reshape(z.shape)[:, 0]
+            v = _vsigmoid(z.transpose(1, 0, 2).reshape(2, -1))
+            v = v.reshape(2, *z.shape[::2]).transpose(1, 0, 2)
             np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
         else:
             v = z

@@ -208,6 +208,22 @@ class TestCheck:
         out = dsat.check(phi, sx.box((2e6, 3e6)), 1e-3, max_boxes=1000)
         assert (out.verdict, out.boxes_explored) == ("UNSAT", 1)
 
+    @pytest.mark.parametrize("lhs, rhs, domain", [
+        (sx.mul(sx.var(0), sx.const(-1.0744447943727233)), 0.0,
+         (-1e-322, -5e-324)),
+        (sx.add(sx.const(2.4001352837647527), sx.var(0)), 1e300,
+         (1e300, 1e300)),
+        (sx.add(sx.const(2.4001352837647527), sx.var(0)), 1e300,
+         (1e300, 1.0000000000000002e300)),
+    ], ids=["c*x", "c+x-point", "c+x"])
+    def test_constant_leaf_refutes(self, lhs, rhs, domain):
+        # the root's enclosure meets its target only within its outward
+        # rounding, and x's target meets x's enclosure; the constant
+        # leaf's own target misses c, which refutes the domain at once
+        phi = dsat.Formula(1, _c(lhs, "<=", rhs))
+        out = dsat.check(phi, sx.box(domain), 1e-3)
+        assert (out.verdict, out.boxes_explored) == ("UNSAT", 1)
+
     def test_unbounded_domain_rejected(self):
         # bisection of [1, inf] splits at inf and never shrinks the box
         phi = dsat.Formula(1, _c(sx.sub(sx.var(0), sx.var(0)), ">=", 1.0))

@@ -388,9 +388,8 @@ def test_sincos_kernel_matches_the_kernels_it_replaced():
 
 
 def _full_plan(tape):
-    """Every occurrence that dsat._hc4_plan's walk reaches, each operand of
-    a mul with the general role: the plan of the sweep before it was
-    specialised."""
+    """Every occurrence that dsat._hc4_plan's walk reaches, in preorder, as
+    (slot, role, parent entry, sibling slot, var index or -1)."""
     nodes = tape.nodes
     plan = []
     stack = [(tape.root, dsat._ROOT, -1, -1)]
@@ -407,11 +406,18 @@ def _full_plan(tape):
     return plan
 
 
+def _meet(t, f):
+    """(max(f[0], t[0]), min(f[1], t[1])) by Python's rule for ties."""
+    take = np.greater(t, f)
+    take[1] = t[1] < f[1]
+    return np.where(take, t, f)
+
+
 def _reference_contract(plan, vals, boxes, target, live):
-    """dsat._contract as it was before it was specialised: the full plan,
-    the general interval division for every operand of a mul, and below
-    a product whose sibling's enclosure holds zero, the whole line as
-    target, which neither narrows nor refutes."""
+    """dsat._contract one entry at a time, as a recursive walk runs it:
+    the full plan, the general interval division for every operand of a
+    mul, and below a product whose sibling's enclosure holds zero, the
+    whole line as target, which neither narrows nor refutes."""
     ts = [None] * len(plan)
     skips = [None] * len(plan)
     refuted = np.zeros(boxes.shape[2], bool)
@@ -437,13 +443,13 @@ def _reference_contract(plan, vals, boxes, target, live):
                 t = iv._vneg(t)
         if idx >= 0:
             cur = boxes[idx]
-            t = dsat._meet(t, cur)
+            t = _meet(t, cur)
             if skip is not None:
                 t = np.where(skip, cur, t)
             refuted |= t[0] > t[1]
             np.copyto(cur, t, where=live)
             continue
-        t = dsat._meet(t, vals[:, slot])
+        t = _meet(t, vals[:, slot])
         if skip is not None:
             t = np.where(skip, iv._OUT, t)
         refuted |= t[0] > t[1]
@@ -487,13 +493,12 @@ def _reference_boxes():
 
 @np.errstate(all="ignore")
 def test_hc4_sweep_matches_the_reference_sweep():
-    """The lowered atom's sweep (an operand of a constant factor divided by
-    it in two quotients, a leaf only tested for an empty meet, no mask at
-    all) over every box refutes the boxes that the general sweep refutes,
-    on criterion 06's trees and boxes and on extreme boxes, and contracts
-    every other box to the same bits, the boxes where a sin or cos
-    argument is refused among them.  A refuted box's endpoints are never
-    read (the search drops it), and may differ."""
+    """The lowered atom's sweep (one stacked step per depth and role, no
+    mask at all) over every box refutes the boxes that the general sweep
+    refutes, on criterion 06's trees and boxes and on extreme boxes, and
+    contracts every other box to the same bits, the boxes where a sin or
+    cos argument is refused among them.  A refuted box's endpoints are
+    never read (the search drops it), and may differ."""
     before = _reference_boxes()
     rng = np.random.default_rng(1999)
     live = np.ones(before.shape[2], bool)
@@ -600,7 +605,7 @@ def test_hc4_on_live_columns_matches_the_full_sweep():
 
 
 def test_hc4_steps_of_the_nn10_decrease_atom():
-    """nn10's recorded decrease atom: the 32 plan entries make 10 steps,
+    """nn10's recorded decrease atom: the 32 plan entries make 8 steps,
     one per depth and role in that order, each entry in the target
     array's column of its place in that order, and the var entries are
     met in preorder."""
@@ -615,11 +620,10 @@ def test_hc4_steps_of_the_nn10_decrease_atom():
         depth.append(depth[e[2]] + 1 if e[2] >= 0 else 0)
     order = sorted(range(len(plan)), key=lambda i: (depth[i], plan[i][1]))
     col = {i: j for j, i in enumerate(order)}
-    assert len(plan) == 32 and len(plan.steps) == 10
+    assert len(plan) == 32 and len(plan.steps) == 8
     assert [(step[0], step[2] - step[1]) for step in plan.steps] == [
         (dsat._ROOT, 1), (dsat._ADD, 2), (dsat._MUL, 4), (dsat._ADD, 6),
-        (dsat._NEG, 1), (dsat._ADD, 4), (dsat._MULC, 2), (dsat._MULK, 2),
-        (dsat._MULC, 5), (dsat._MULK, 5)]
+        (dsat._NEG, 1), (dsat._ADD, 4), (dsat._MUL, 4), (dsat._MUL, 10)]
     for how, a, b, parents, sibs, slots in plan.steps:
         entries = order[a:b]
         assert [plan[i][0] for i in entries] == slots.tolist()
@@ -631,9 +635,9 @@ def test_hc4_steps_of_the_nn10_decrease_atom():
 
 def test_hc4_plan_of_the_nn10_decrease_atom():
     """nn10's recorded decrease atom (config seed 1): the plan visits the 32
-    occurrences of the reference plan, the 7 operands of constant factors
-    divide by them, the 7 factors carry their neighbouring floats, and the
-    12 occurrences where the walk ends (constants, sin, cos and the
+    occurrences of the reference plan with its roles, parents and
+    siblings, every operand of a product with the one product role, and
+    the 12 occurrences where the walk ends (constants, sin, cos and the
     network's row) are leaves; the tape runs its 7 constant products in
     two products each."""
     cert = certify.load_certificate(
@@ -644,16 +648,7 @@ def test_hc4_plan_of_the_nn10_decrease_atom():
         certify.lie_derivative(cert.candidate, field), ">=", -1e-6))
     full = _full_plan(atom.tape)
     assert len(full) == len(atom.plan) == 32
-    assert ([(e[0], dsat._MUL if e[1] in (dsat._MULC, dsat._MULK) else
-              e[1], e[2], max(e[4], -1)) for e in atom.plan]
-            == [(e[0], e[1], e[2], e[4]) for e in full])
-    assert [type(e[3]) for e in atom.plan
-            if e[1] == dsat._MULC] == [float] * 7
-    factors = [(atom.tape.nodes[e[0]][1][0], e[3][1:]) for e in atom.plan
-               if e[1] == dsat._MULK]
-    assert len(factors) == 7
-    assert all(lo == math.nextafter(c, -math.inf) and
-               hi == math.nextafter(c, math.inf) for c, (lo, hi) in factors)
+    assert [e[:4] + (max(e[4], -1),) for e in atom.plan] == full
     leaves = [atom.tape.nodes[e[0]][0] for e in atom.plan
               if e[4] == dsat._LEAF]
     assert sorted(set(leaves)) == ["const", "cos", "row", "sin"]
