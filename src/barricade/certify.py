@@ -35,6 +35,7 @@ from . import lpgen
 from . import dsat
 from . import simulate as sim
 from ._version import __version__
+from .lpgen import NotEllipsoidError
 
 GAMMA_DEFAULT = 1e-6
 DELTA_DEFAULT = 1e-3
@@ -55,10 +56,6 @@ MAX_CEX = 8                # counterexample clusters simulated per round
 ENCLOSING_INFLATION = 3.0  # enclosing box over the safe rectangle's radius
 
 
-class NotEllipsoidError(ValueError):
-    """Quadratic part of the candidate is not positive definite."""
-
-
 @dataclass(frozen=True)
 class SafetySpec:
     """Initial box, safe rectangle (U is its complement) and the derived
@@ -70,44 +67,46 @@ class SafetySpec:
         if self.x0.arity != self.safe_rect.arity:
             raise ValueError("X0 has arity %d, the safe rectangle %d"
                              % (self.x0.arity, self.safe_rect.arity))
-        if not all(math.isfinite(v) for b in (self.x0, self.safe_rect)
-                   for iv in b for v in (iv.lo, iv.hi)):
+        (ilo, ihi), (olo, ohi) = self.x0.bounds.T, self.safe_rect.bounds.T
+        if not np.isfinite([ilo, ihi, olo, ohi]).all():
             raise ValueError("X0 and the safe rectangle must be bounded")
-        for inner, outer in zip(self.x0, self.safe_rect):
-            if not (outer.lo < inner.lo and inner.hi < outer.hi):
-                raise ValueError("X0 must lie strictly inside the safe rectangle")
+        if not ((olo < ilo) & (ihi < ohi)).all():
+            raise ValueError("X0 must lie strictly inside the safe rectangle")
 
     @property
     def arity(self):
         return self.x0.arity
 
     def domain_minus_x0(self):
-        """Slab decomposition of safe_rect \\ X0 into at most 2n boxes."""
-        slabs = []
-        for dim, (inner, outer) in enumerate(zip(self.x0, self.safe_rect)):
-            # X0's extent below dim, the safe rectangle's above it.
-            base = sx.Box(self.x0.intervals[:dim]
-                          + self.safe_rect.intervals[dim:])
-            slabs.append(base.replace(dim, sx.Interval(outer.lo, inner.lo)))
-            slabs.append(base.replace(dim, sx.Interval(inner.hi, outer.hi)))
-        return slabs
+        """Slab decomposition of safe_rect \\ X0 into 2n boxes: slabs 2i
+        and 2i+1 lie below and above X0 in dimension i, within X0's extent
+        in the dimensions before i and the safe rectangle's after it."""
+        inner, outer = self.x0.bounds.tolist(), self.safe_rect.bounds.tolist()
+        return [_slab(inner[:dim] + outer[dim:], dim, ends)
+                for dim in range(self.arity)
+                for ends in ((outer[dim][0], inner[dim][0]),
+                             (inner[dim][1], outer[dim][1]))]
 
     def unsafe_slabs(self):
         """U within the enclosing box (ENCLOSING_INFLATION times the safe
         rectangle about its centre) as 2n slabs: slabs 2i and 2i+1 lie
         beyond the safe rectangle's upper and lower face in dimension i."""
-        reach = [ENCLOSING_INFLATION * (0.5 * iv.width)
-                 for iv in self.safe_rect]
-        env = sx.Box(tuple(sx.Interval(iv.mid - r, iv.mid + r)
-                           for iv, r in zip(self.safe_rect, reach)))
-        return [env.replace(dim, iv)
-                for dim, (safe, outer) in enumerate(zip(self.safe_rect, env))
-                for iv in (sx.Interval(safe.hi, outer.hi),
-                           sx.Interval(outer.lo, safe.lo))]
+        safe, env = self.safe_rect.bounds.tolist(), []
+        for (lo, hi), mid in zip(safe, self.safe_rect.midpoint()):
+            reach = ENCLOSING_INFLATION * (0.5 * (hi - lo))
+            env.append((mid - reach, mid + reach))
+        return [_slab(env, dim, ends) for dim in range(self.arity)
+                for ends in ((safe[dim][1], env[dim][1]),
+                             (env[dim][0], safe[dim][0]))]
 
     def to_dict(self):
-        return {"x0": [[iv.lo, iv.hi] for iv in self.x0],
-                "safe_rect": [[iv.lo, iv.hi] for iv in self.safe_rect]}
+        return {"x0": self.x0.bounds.tolist(),
+                "safe_rect": self.safe_rect.bounds.tolist()}
+
+
+def _slab(rows, dim, ends):
+    """The box of the (lo, hi) rows with row dim replaced by ends."""
+    return sx.box(*rows[:dim], ends, *rows[dim + 1:])
 
 
 def default_spec():
@@ -159,11 +158,11 @@ class QueryTranscript:
         return {
             "name": self.name,
             "formula": self.formula,
-            "domains": [[[iv.lo, iv.hi] for iv in b] for b in self.domains],
+            "domains": [b.bounds.tolist() for b in self.domains],
             "delta": self.delta,
             "verdict": self.verdict,
             "witness": (None if self.witness is None
-                        else [[iv.lo, iv.hi] for iv in self.witness]),
+                        else self.witness.bounds.tolist()),
             "boxes_explored": self.boxes_explored,
             "wall_time": self.wall_time,
         }
@@ -218,6 +217,11 @@ def _number(v):
     return float(v)
 
 
+def _rows(v):
+    """v, a JSON array of arrays of numbers, as lists of floats."""
+    return [[_number(x) for x in row] for row in v]
+
+
 def _count(v):
     """v, a JSON integer >= 0."""
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -238,8 +242,8 @@ def load_certificate(path):
         data = json.load(fh)
     try:
         gen = data["generator"]
-        p = np.array(gen["p_matrix"], dtype=float)
-        q = np.array(gen["q_vector"], dtype=float)
+        p = np.array(_rows(gen["p_matrix"]))
+        q = np.array([_number(v) for v in gen["q_vector"]])
         n = len(q)
         if not (p.shape == (n, n) and q.shape == (n,)
                 and np.isfinite(p).all() and np.isfinite(q).all()
@@ -254,8 +258,8 @@ def load_certificate(path):
                 or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
             raise ValueError("generator expr or grad differs from the one "
                              "rebuilt from p_matrix, q_vector and c")
-        spec = SafetySpec(sx.box(*data["spec"]["x0"]),
-                          sx.box(*data["spec"]["safe_rect"]))
+        spec = SafetySpec(sx.box(*_rows(data["spec"]["x0"])),
+                          sx.box(*_rows(data["spec"]["safe_rect"])))
         level, gamma, delta = (_number(data[k])
                                for k in ("level", "gamma", "delta"))
         CertifyConfig(gamma, delta)     # raises unless finite and > 0
@@ -270,7 +274,7 @@ def load_certificate(path):
                            data["controller_hash"],
                            _count(data["iterations"]), refuted,
                            str(data.get("version", "?")))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError("malformed certificate %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
 
@@ -334,20 +338,8 @@ def query_unsafe_disjoint(cand, level, spec, delta=DELTA_DEFAULT):
 def halfspace_min(cand, a, b):
     """Exact minimum of v over the halfspace a.x >= b or, for a (k, n)
     matrix a and k bounds b, over the union of the halfspaces a[j].x >=
-    b[j].  Raises NotEllipsoidError unless P is positive definite, which
-    is checked once per call."""
-    from fractions import Fraction  # not at import: it loads decimal
-    p = cand.p_matrix
-    # Sylvester's criterion on the exact rationals of P's floats: the k-th
-    # pivot of elimination is the k-th leading minor over the (k-1)-th.
-    m = [[Fraction(v) for v in row] for row in p.tolist()]
-    for k, pivot in enumerate(m):
-        if pivot[k] <= 0:
-            raise NotEllipsoidError("quadratic part is not positive definite")
-        for row in m[k + 1:]:
-            f = row[k] / pivot[k]
-            row[:] = [x - f * y for x, y in zip(row, pivot)]
-    x_star = np.linalg.solve(p, -0.5 * cand.q_vector)
+    b[j].  Raises NotEllipsoidError as cand.center does."""
+    p, x_star = cand.p_matrix, cand.center
     mins = []
     for a, b in zip(np.array(a, dtype=float, ndmin=2), np.ravel(b)):
         x = x_star
@@ -361,10 +353,7 @@ def halfspace_min(cand, a, b):
 
 def vertex_max(cand, x0):
     """Max of v over the 2^n vertices of the box."""
-    best = -np.inf
-    for corner in itertools.product(*[(iv.lo, iv.hi) for iv in x0]):
-        best = max(best, cand.value(corner))
-    return best
+    return max(cand.value(corner) for corner in itertools.product(*x0.bounds))
 
 
 NO_LEVEL = None
@@ -384,8 +373,8 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
     n = spec.arity
     faces = np.zeros((n, 2, n))
     faces[range(n), :, range(n)] = 1.0, -1.0
-    hmin = halfspace_min(cand, faces.reshape(2 * n, n), [
-        b for iv in spec.safe_rect for b in (iv.hi, -iv.lo)])
+    ends = spec.safe_rect.bounds[:, ::-1] * (1.0, -1.0)    # rows (hi, -lo)
+    hmin = halfspace_min(cand, faces.reshape(2 * n, n), ends.ravel())
     transcripts = {}
     if not hmin > vmax:
         return NO_LEVEL, transcripts
@@ -506,7 +495,7 @@ def falsify(values, points, spec, gamma):
     skipped: that one's cluster covers it."""
     bad = np.flatnonzero(values >= -gamma)
     left = points[bad[np.argsort(-values[bad], kind="stable")]]
-    reach = CEX_SPREAD * np.array([iv.width for iv in spec.safe_rect])
+    reach = CEX_SPREAD * np.diff(spec.safe_rect.bounds).ravel()
     taken = []
     while len(left) and len(taken) < MAX_CEX:
         taken.append(left[0])
@@ -522,12 +511,11 @@ def _cex_cluster(cex, spec):
     time; jittered restarts knock out the whole stretch at once.
     """
     pts = [np.asarray(cex, dtype=float)]
-    for dim, iv in enumerate(spec.safe_rect):
+    for dim, (lo, hi) in enumerate(spec.safe_rect.bounds):
         for sign in (-1.0, 1.0):
             # cex lies in the safe rectangle, so only dim can leave it.
             p = np.array(cex, dtype=float)
-            p[dim] = min(max(p[dim] + sign * CEX_SPREAD * iv.width, iv.lo),
-                         iv.hi)
+            p[dim] = min(max(p[dim] + sign * CEX_SPREAD * (hi - lo), lo), hi)
             if not spec.x0.contains(p):
                 pts.append(p)
     return pts
@@ -586,11 +574,12 @@ def certificate_grid_oracle(cert, f):
     """Sampling cross-check of a certificate at any arity, by compile_expr
     programs at the points of one generator of seed 0.  Returns counts of
     "boundary" points of L (normal vectors scaled to the unit sphere, Muller
-    1959, mapped through P's eigendecomposition) with grad v . f >= 0, of
+    1959, mapped by the candidate's level_points) with grad v . f >= 0, of
     "x0" points with v > level, and of "unsafe" points with v <= level: an
     equal share in each slab of spec.unsafe_slabs(), one slab at a time,
     half of it on the slab's inner face, where a convex v is least.
-    Raises ValueError when spec and field differ in arity."""
+    Raises ValueError when spec and field differ in arity, and as
+    level_points does when P is not positive definite or L is empty."""
     spec, cand, level = cert.spec, cert.candidate, cert.level
     if spec.arity != f.arity:
         raise ValueError("spec arity %d, field arity %d"
@@ -598,17 +587,14 @@ def certificate_grid_oracle(cert, f):
     rng = np.random.default_rng(0)
     vfun = sx.compile_expr(cand.expr)
     lie = sx.compile_expr(lie_derivative(cand, f))
-    x_star = np.linalg.solve(cand.p_matrix, -0.5 * cand.q_vector)
-    evals, evecs = np.linalg.eigh(cand.p_matrix)
     dirs = rng.standard_normal((f.arity, ORACLE_BOUNDARY))
-    radii = np.sqrt((level - cand.value(x_star)) / evals)
-    boundary = (evecs @ (dirs * radii[:, None] / np.linalg.norm(dirs, axis=0))
-                + x_star[:, None])
+    dirs /= np.linalg.norm(dirs, axis=0)
+    boundary = cand.level_points(level, dirs)
     # In chunks, so a wide controller's hidden layers stay small.
     boundary_bad = sum(int(np.sum(lie(boundary[:, i:i + ORACLE_CHUNK]) >= 0.0))
                        for i in range(0, ORACLE_BOUNDARY, ORACLE_CHUNK))
     x0 = np.concatenate([
-        list(itertools.product(*[(iv.lo, iv.hi) for iv in spec.x0])),
+        list(itertools.product(*spec.x0.bounds)),
         sim.sample_box(rng, spec.x0, ORACLE_X0)])
     x0_bad = int(np.sum(vfun(x0.T) > level))
     slabs = spec.unsafe_slabs()
@@ -616,6 +602,6 @@ def certificate_grid_oracle(cert, f):
     for k, slab in enumerate(slabs):
         dim, below = divmod(k, 2)
         pts = sim.sample_box(rng, slab, ORACLE_UNSAFE // len(slabs))
-        pts[::2, dim] = slab[dim].hi if below else slab[dim].lo
+        pts[::2, dim] = slab.bounds[dim, below]
         u_bad += int(np.sum(vfun(pts.T) <= level))
     return {"boundary": boundary_bad, "x0": x0_bad, "unsafe": u_bad}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import Box, Interval, _mid, _vadd, _vclip, _vdiv, _vneg, _vsub
+from .interval import Box, box, _mid, _vadd, _vclip, _vdiv, _vneg, _vsub
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -290,10 +290,6 @@ def prune(atoms, boxes, contract):
     return np.where(false, FALSE, np.where(unknown, UNKNOWN, TRUE))
 
 
-def _box(pairs):
-    return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
-
-
 @np.errstate(all="ignore")
 def branch(boxes, delta):
     """Where to split each box of boxes, an (n, 2, B) array: at the
@@ -332,8 +328,7 @@ def check(phi, domains, delta, max_boxes=10_000_000):
         if domain.arity != phi.arity:
             raise ValueError("domain arity %d != formula arity %d"
                              % (domain.arity, phi.arity))
-        if not all(math.isfinite(iv.lo) and math.isfinite(iv.hi)
-                   for iv in domain):
+        if not np.isfinite(domain.bounds).all():
             raise ValueError("unbounded domain %s" % (domain,))
     t0 = time.perf_counter()
     witness, explored = _search(_atoms(phi.root), domains, delta, max_boxes)
@@ -344,8 +339,7 @@ def check(phi, domains, delta, max_boxes=10_000_000):
 @np.errstate(all="ignore")
 def _search(atoms, domains, delta, max_boxes):
     """The work-set search of check: (witness or None, boxes explored)."""
-    boxes = np.array([[(iv.lo, iv.hi) for iv in d] for d in domains],
-                     dtype=float).transpose(1, 2, 0).copy()
+    boxes = np.array([d.bounds for d in domains]).transpose(1, 2, 0).copy()
     # A box's next pass: contraction round 0..PRUNE_ROUNDS - 1, or the
     # status pass (PRUNE_ROUNDS).
     rounds = np.zeros(len(domains), int)
@@ -377,7 +371,7 @@ def _search(atoms, domains, delta, max_boxes):
                 # Certainly satisfied somewhere in here: the midpoint is
                 # a genuine witness, reported as a degenerate box.
                 pairs = [(_mid(lo, hi),) * 2 for lo, hi in pairs]
-            witness = _box(pairs)
+            witness = box(*pairs)
             # The path ends with the witness: the boxes after it go.
             rest = slice(boxes.shape[2], None)
             before[-1] = before[cut] + 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class Interval:
     def mid(self):
         return _mid(self.lo, self.hi)
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class Box:
@@ -73,16 +70,27 @@ class Box:
     def __iter__(self):
         return iter(self.intervals)
 
+    @cached_property
+    def bounds(self):
+        """The (n, 2) array of the intervals' ends, row i being (lo, hi) of
+        dimension i; read-only, made once."""
+        b = np.array([(iv.lo, iv.hi) for iv in self], float).reshape(-1, 2)
+        b.flags.writeable = False
+        return b
+
     def midpoint(self):
         return [iv.mid for iv in self.intervals]
 
-    def contains(self, point):
-        return all(iv.contains(x) for iv, x in zip(self.intervals, point))
-
-    def replace(self, i, interval):
-        ivs = list(self.intervals)
-        ivs[i] = interval
-        return Box(tuple(ivs))
+    def contains(self, x):
+        """Whether the point x (length n) lies in the box, lo <= x <= hi in
+        every dimension; for an (m, n) array x, an (m,) mask of its rows."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.arity,):
+            raise ValueError("points of shape %s in a box of arity %d"
+                             % (x.shape, self.arity))
+        lo, hi = self.bounds.T
+        inside = ((lo <= x) & (x <= hi)).all(axis=-1)
+        return inside if x.ndim > 1 else bool(inside)
 
 
 def box(*bounds):

@@ -13,6 +13,7 @@ more often than a bare feasible point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class QuadraticTemplate:
         return value, decrease
 
 
+class NotEllipsoidError(ValueError):
+    """Quadratic part of the candidate is not positive definite."""
+
+
 @dataclass(frozen=True)
 class GeneratorCandidate:
     arity: int
@@ -68,6 +73,35 @@ class GeneratorCandidate:
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return float(x @ self.p_matrix @ x + self.q_vector @ x + self.c_scalar)
+
+    @cached_property
+    def center(self):
+        """x* = -P^-1 q / 2, where v is least.  Raises NotEllipsoidError
+        unless P is positive definite, by Sylvester's criterion on the
+        exact rationals of P's floats: the k-th pivot of elimination is the
+        k-th leading minor over the (k-1)-th."""
+        from fractions import Fraction  # not at import: it loads decimal
+        m = [[Fraction(v) for v in row] for row in self.p_matrix.tolist()]
+        for k, pivot in enumerate(m):
+            if pivot[k] <= 0:
+                raise NotEllipsoidError("P is not positive definite")
+            for row in m[k + 1:]:
+                f = row[k] / pivot[k]
+                row[:] = [x - f * y for x, y in zip(row, pivot)]
+        return np.linalg.solve(self.p_matrix, -0.5 * self.q_vector)
+
+    def level_points(self, level, dirs):
+        """The points x* + E (u * sqrt((level - v(x*)) / lambda)) of {v =
+        level}, P = E diag(lambda) E', for the unit columns u of the (n, k)
+        array dirs, as columns.  Raises NotEllipsoidError as center does,
+        and ValueError when level <= v(x*): the set is empty or a point."""
+        least = self.value(self.center)
+        if not level > least:
+            raise ValueError("level %r at or below the minimum %r of v: the "
+                             "level set is empty or a point" % (level, least))
+        evals, evecs = np.linalg.eigh(self.p_matrix)
+        return (evecs @ (dirs * np.sqrt((level - least) / evals)[:, None])
+                + self.center[:, None])
 
 
 @dataclass
@@ -134,13 +168,7 @@ def _interleave(a, b):
 def in_region(x, region):
     """Mask of the rows of x inside `outer` and not inside `inner`."""
     outer, inner = region
-    return _inside(x, outer) & ~_inside(x, inner)
-
-
-def _inside(x, box):
-    lo = np.array([iv.lo for iv in box])
-    hi = np.array([iv.hi for iv in box])
-    return ((lo <= x) & (x <= hi)).all(axis=1)
+    return outer.contains(x) & ~inner.contains(x)
 
 
 # ---------------------------------------------------------------------------

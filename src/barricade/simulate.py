@@ -128,21 +128,17 @@ def sample_box(rng, region, count, exclude=None):
     """(count, n) points drawn uniformly from the box `region`, those in
     the box `exclude` rejected.  They are the points that drawing one at a
     time from rng and skipping the excluded ones would keep, in that order.
-    Raises ValueError when `region` lies inside `exclude`, where no draw
-    could be kept."""
-    lows = np.array([iv.lo for iv in region])
-    highs = np.array([iv.hi for iv in region])
+    Raises ValueError when `exclude` holds both corners of `region`, where
+    no draw could be kept."""
+    lows, highs = region.bounds.T
     if exclude is None:
         return rng.uniform(lows, highs, size=(count, len(lows)))
-    ex_lo = np.array([iv.lo for iv in exclude])
-    ex_hi = np.array([iv.hi for iv in exclude])
-    if ((ex_lo <= lows) & (highs <= ex_hi)).all():
+    if exclude.contains(region.bounds.T).all():
         raise ValueError("the sampled region lies inside the excluded box")
     points = np.empty((0, len(lows)))
     while len(points) < count:
         x = rng.uniform(lows, highs, size=(count, len(lows)))
-        points = np.concatenate(
-            [points, x[~((ex_lo <= x) & (x <= ex_hi)).all(axis=1)]])
+        points = np.concatenate([points, x[~exclude.contains(x)]])
     return points[:count]
 
 

@@ -33,32 +33,18 @@ class _Mapper:
         return "%s,%s" % (_fmt(self.x(x)), _fmt(self.y(y)))
 
 
-def level_set_points(candidate, level, count=256):
-    """Points on {v(x) = level} for a PD quadratic, angle-parameterized."""
-    p = candidate.p_matrix
-    x_star = np.linalg.solve(p, -0.5 * candidate.q_vector)
-    rho = level - candidate.value(x_star)
-    if rho <= 0:
-        raise ValueError("level at or below the minimum of v; empty level set")
-    evals, evecs = np.linalg.eigh(p)
-    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=True)
-    circ = np.vstack([np.cos(phis), np.sin(phis)])
-    pts = (evecs @ (circ * np.sqrt(rho / evals)[:, None])) + x_star[:, None]
-    return pts.T
-
-
 def render(spec, traces=(), candidate=None, level=None):
     """Return the SVG document as a string.
 
     Green rectangle: X0.  Red frame: the unsafe complement region.  Blue
     polylines: trajectories (star at start, circle at end).  One polyline
-    of class "levelset" when a candidate and level are given.
+    of class "levelset" when a candidate and level are given: the
+    candidate's level_points in 256 directions, which raise as they do.
     """
-    r = spec.safe_rect
-    pad_x = 0.25 * (r[0].hi - r[0].lo)
-    pad_y = 0.25 * (r[1].hi - r[1].lo)
-    xlim = (r[0].lo - pad_x, r[0].hi + pad_x)
-    ylim = (r[1].lo - pad_y, r[1].hi + pad_y)
+    r = spec.safe_rect.bounds[:2]
+    (rx0, rx1), (ry0, ry1) = r.tolist()
+    # the safe rectangle and a quarter of its width on either side
+    xlim, ylim = (r + 0.25 * np.diff(r) * (-1.0, 1.0)).tolist()
     m = _Mapper(xlim, ylim)
 
     out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -71,15 +57,14 @@ def render(spec, traces=(), candidate=None, level=None):
                'M %s L %s L %s L %s Z M %s L %s L %s L %s Z"/>' % (
                    m.pt(xlim[0], ylim[0]), m.pt(xlim[1], ylim[0]),
                    m.pt(xlim[1], ylim[1]), m.pt(xlim[0], ylim[1]),
-                   m.pt(r[0].lo, r[1].lo), m.pt(r[0].hi, r[1].lo),
-                   m.pt(r[0].hi, r[1].hi), m.pt(r[0].lo, r[1].hi)))
+                   m.pt(rx0, ry0), m.pt(rx1, ry0),
+                   m.pt(rx1, ry1), m.pt(rx0, ry1)))
 
-    x0 = spec.x0
+    (x0, x1), (y0, y1) = spec.x0.bounds[:2].tolist()
     out.append('<rect class="init" fill="#c8e6c9" stroke="#2e7d32" '
                'x="%s" y="%s" width="%s" height="%s"/>' % (
-                   _fmt(m.x(x0[0].lo)), _fmt(m.y(x0[1].hi)),
-                   _fmt((x0[0].hi - x0[0].lo) * m.sx),
-                   _fmt((x0[1].hi - x0[1].lo) * m.sy)))
+                   _fmt(m.x(x0)), _fmt(m.y(y1)),
+                   _fmt((x1 - x0) * m.sx), _fmt((y1 - y0) * m.sy)))
 
     for tr in traces:
         pts = " ".join(m.pt(s[0], s[1]) for s in tr.states)
@@ -94,8 +79,10 @@ def render(spec, traces=(), candidate=None, level=None):
                    'stroke="#1565c0"/>' % (_fmt(m.x(se[0])), _fmt(m.y(se[1]))))
 
     if candidate is not None and level is not None:
-        pts = level_set_points(candidate, level)
-        text = " ".join(m.pt(p[0], p[1]) for p in pts)
+        phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=True)
+        pts = candidate.level_points(level, np.vstack([np.cos(phis),
+                                                       np.sin(phis)]))
+        text = " ".join(m.pt(x, y) for x, y in pts.T)
         out.append('<polyline class="levelset" fill="none" stroke="#6a1b9a" '
                    'stroke-width="2" points="%s"/>' % text)
 

@@ -54,11 +54,11 @@ class Expr:
         return "Expr(%s)" % to_sexpr(self)
 
     def __eq__(self, other):
-        """Structural equality, decided on the tapes, which keep the
-        constants -0.0 and 0.0 apart."""
+        """Structural equality, decided on the tape nodes (no Tape is
+        built), which keep the constants -0.0 and 0.0 apart."""
         if not isinstance(other, Expr):
             return NotImplemented
-        return lower(self).nodes == lower(other).nodes
+        return _lowered(self)[0] == _lowered(other)[0]
 
     def __hash__(self):
         return hash((self.op, self.val, self.idx, len(self.args)))
@@ -413,8 +413,7 @@ def interval_eval(e, bx):
     treat as "no information".
     """
     tape = lower(e)
-    boxes = np.array([(iv.lo, iv.hi) for iv in bx], dtype=float)
-    v = _interval_eval_raw(tape, boxes.reshape(-1, 2, 1))
+    v = _interval_eval_raw(tape, bx.bounds.reshape(-1, 2, 1))
     lo, hi = v[:, tape.root, 0].tolist()
     if not (lo < math.inf and hi > -math.inf):  # False for a NaN end too
         return Interval(-math.inf, math.inf)

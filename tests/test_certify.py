@@ -743,13 +743,20 @@ class TestCertificateFile:
         _set(("iterations",), -4),
         _set(("refuted",), {"sampling": 0.9, "dsat": "0"}),
         _set(("controller_hash",), 12),
+        # each keeps the number's value, so only the type check rejects it
+        _set(("spec", "x0", 0, 0), "-0.1"),
+        _set(("spec", "safe_rect", 0, 1), True),
+        _set(("generator", "q_vector", 0), "0.0"),
+        _set(("generator", "p_matrix", 0, 0), True),
+        _set(("level",), 10 ** 400),    # no float holds it
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
             "level_inf", "gamma_nan", "delta_neg_inf", "refuted_partial",
             "refuted_int", "level_str", "gamma_bool", "c_str", "gamma_zero",
             "delta_neg", "iterations_float", "iterations_neg",
-            "refuted_not_counts", "hash_int"])
+            "refuted_not_counts", "hash_int", "x0_str", "safe_rect_bool",
+            "q_str", "p_bool", "level_huge_int"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)
@@ -801,6 +808,22 @@ class TestGridOracle:
         assert certify.certificate_grid_oracle(cert2,
                                                _contraction_field()) == zero
         assert certify.certificate_grid_oracle(cert3, field3) == zero
+
+    def test_no_ellipsoid_is_an_error(self):
+        # P = diag(1, -1), and a level at or below v's minimum: the
+        # boundary of L cannot be sampled, which is an error, not NaN
+        # points that count as no violation
+        indefinite = lpgen.candidate_from([1.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+                                          lpgen.QuadraticTemplate(2))
+        for cand, level, exc in ((indefinite, 0.5, certify.NotEllipsoidError),
+                                 (_identity_candidate(), 0.0, ValueError),
+                                 (_identity_candidate(), -1.0, ValueError)):
+            cert = certify.Certificate(cand, level, 1e-6, 1e-3, {},
+                                       _square_spec(), "", 1)
+            with pytest.raises(exc) as info:
+                certify.certificate_grid_oracle(cert, _contraction_field())
+            assert (exc is ValueError) != isinstance(
+                info.value, certify.NotEllipsoidError)
 
     @pytest.mark.parametrize("planted", ["unsafe", "x0", "boundary"])
     def test_planted_violation_found(self, planted):

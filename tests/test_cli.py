@@ -153,9 +153,36 @@ class TestPlotCmd:
         cert_path = tmp_path / "certificate.json"
         cli.main(["verify", "--nn", hand_nn, "--out", str(cert_path)])
         cert = certify.load_certificate(cert_path)
-        pts = svgplot.level_set_points(cert.candidate, cert.level)
+        # the unit circle that render maps, as it does
+        phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=True)
+        pts = cert.candidate.level_points(
+            cert.level, np.vstack([np.cos(phis), np.sin(phis)])).T
         for p in pts:
             assert abs(cert.candidate.value(p) - cert.level) < 1e-6
+
+    @pytest.mark.parametrize("coeffs, level, exc, message", [
+        ([1.0, 0.0, -1.0, 0.0, 0.0, 0.0], 0.5, certify.NotEllipsoidError,
+         "not positive definite"),
+        ([1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 0.0, ValueError, "level set"),
+    ], ids=["indefinite", "empty_level_set"])
+    def test_no_ellipsoid_is_an_error(self, tmp_path, hand_nn, capsys,
+                                      coeffs, level, exc, message):
+        # P = diag(1, -1) has no level set to draw, nor has the identity
+        # at its minimum 0: an error, not NaN coordinates
+        cand = lpgen.candidate_from(coeffs, lpgen.QuadraticTemplate(2))
+        spec = certify.default_spec()
+        with pytest.raises(exc, match=message):
+            svgplot.render(spec, (), cand, level)
+        cert_path = tmp_path / "certificate.json"
+        certify.Certificate(cand, level, 1e-6, 1e-3, {}, spec, "",
+                            1).save(cert_path)
+        out = tmp_path / "plot.svg"
+        capsys.readouterr()
+        rc = cli.main(["plot", "--nn", hand_nn, "--count", "1",
+                       "--certificate", str(cert_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert err.startswith("error: ") and message in err
 
     def test_arity_mismatch_rejected(self, tmp_path, hand_nn):
         # certificate with a 1-d spec cannot be drawn over a 2-d system

@@ -132,6 +132,44 @@ class TestInterval:
         assert iv.lo == -math.inf and iv.hi == math.inf
 
 
+class TestBox:
+    def test_bounds_are_the_ends(self):
+        bx = sx.box((-1.0, 2.0), (-0.0, 0.0), (3.5, 3.5))
+        assert bx.bounds.tolist() == [[iv.lo, iv.hi] for iv in bx]
+        assert math.copysign(1.0, bx.bounds[1, 0]) == -1.0
+        assert bx.bounds.dtype == float and bx.bounds is bx.bounds
+
+    def test_bounds_are_read_only(self):
+        bx = sx.box((-1.0, 2.0), (0.0, 1.0))
+        for write in (lambda b: b.__setitem__((0, 0), 5.0),
+                      lambda b: b.fill(0.0), lambda b: b.sort()):
+            with pytest.raises(ValueError):
+                write(bx.bounds)
+        assert bx.bounds.tolist() == [[-1.0, 2.0], [0.0, 1.0]]
+
+    def test_contains_follows_the_scalar_rule(self):
+        # on the faces, just outside them, at -0.0 against 0.0 ends, at
+        # infinities and NaN: lo <= x <= hi in every dimension
+        bx = sx.box((-1.0, 2.0), (-0.0, 0.0), (0.0, 5e-324))
+        coords = (-1.0, 2.0, -0.0, 0.0, 5e-324, -5e-324, 0.5,
+                  -1.0000000000000002, 2.0000000000000004, math.inf,
+                  -math.inf, math.nan)
+        pts = list(itertools.product(coords, repeat=3))
+        want = [all(iv.lo <= x <= iv.hi for iv, x in zip(bx, p))
+                for p in pts]
+        assert 0 < sum(want) < len(want)
+        assert bx.contains(np.array(pts)).tolist() == want
+        assert [bx.contains(p) for p in pts] == want
+        assert all(type(bx.contains(p)) is bool for p in pts[:5])
+        assert bx.contains(np.empty((0, 3))).shape == (0,)
+
+    def test_contains_wrong_length_raises(self):
+        bx = sx.box((-1.0, 2.0), (0.0, 1.0))
+        for bad in ([0.5], [0.5, 0.5, 0.5], np.zeros((4, 3)), 0.5, []):
+            with pytest.raises(ValueError):
+                bx.contains(bad)
+
+
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300,
              sys.float_info.max, -sys.float_info.max, math.inf, -math.inf)
 
@@ -778,6 +816,22 @@ class TestNetNode:
         for bad in ((2, (x, y)), (0, (x,))):
             with pytest.raises(ValueError):
                 sx.net(net, *bad)
+
+    def test_equality_builds_no_tape(self, monkeypatch):
+        # == compares the lowered nodes; a Tape would prepare every
+        # network's layers, which it does not need
+        net = _layered_net(np.random.default_rng(1), (2, 3, 2),
+                           ("tanh", "identity"))
+        x, y = sx.var(0), sx.var(1)
+        e = sx.net(net, 1, (x, y))
+
+        def refused(network):
+            raise AssertionError("a Tape was built")
+        monkeypatch.setattr(sx, "_net_layers", refused)
+        assert e == sx.net(net, 1, [x, y]) and e != sx.net(net, 0, (x, y))
+        assert sx.div(e, sx.const(0.0)) == sx.div(e, sx.const(0.0))
+        assert sx.div(e, sx.const(-0.0)) != sx.div(e, sx.const(0.0))
+        assert sx.const(-0.0) != sx.const(0.0)
 
     def test_text_names_the_controller(self):
         net = _layered_net(np.random.default_rng(2), (2, 1), ("tanh",))
