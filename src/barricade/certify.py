@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from . import dsat
 from . import simulate as sim
 from ._version import __version__
 from .lpgen import NotEllipsoidError
+from .network import json_number, json_rows
 
 GAMMA_DEFAULT = 1e-6
 DELTA_DEFAULT = 1e-3
@@ -210,18 +210,6 @@ class Certificate:
             json.dump(self.to_dict(), fh, indent=1)
 
 
-def _number(v):
-    """v, a JSON number (not a bool or a string), as a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError("%r is not a number" % (v,))
-    return float(v)
-
-
-def _rows(v):
-    """v, a JSON array of arrays of numbers, as lists of floats."""
-    return [[_number(x) for x in row] for row in v]
-
-
 def _count(v):
     """v, a JSON integer >= 0."""
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -242,8 +230,8 @@ def load_certificate(path):
         data = json.load(fh)
     try:
         gen = data["generator"]
-        p = np.array(_rows(gen["p_matrix"]))
-        q = np.array([_number(v) for v in gen["q_vector"]])
+        p = np.array(json_rows(gen["p_matrix"]))
+        q = np.array([json_number(v) for v in gen["q_vector"]])
         n = len(q)
         if not (p.shape == (n, n) and q.shape == (n,)
                 and np.isfinite(p).all() and np.isfinite(q).all()
@@ -253,14 +241,14 @@ def load_certificate(path):
         tmpl = lpgen.QuadraticTemplate(n)
         cand = lpgen.candidate_from(
             [p[i, j] for i, j in tmpl.pairs] + q.tolist()
-            + [_number(gen["c"])], tmpl)
+            + [json_number(gen["c"])], tmpl)
         if (gen["expr"] != sx.to_sexpr(cand.expr)
                 or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
             raise ValueError("generator expr or grad differs from the one "
                              "rebuilt from p_matrix, q_vector and c")
-        spec = SafetySpec(sx.box(*_rows(data["spec"]["x0"])),
-                          sx.box(*_rows(data["spec"]["safe_rect"])))
-        level, gamma, delta = (_number(data[k])
+        spec = SafetySpec(sx.box(*json_rows(data["spec"]["x0"])),
+                          sx.box(*json_rows(data["spec"]["safe_rect"])))
+        level, gamma, delta = (json_number(data[k])
                                for k in ("level", "gamma", "delta"))
         CertifyConfig(gamma, delta)     # raises unless finite and > 0
         if not math.isfinite(level):

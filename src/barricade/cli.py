@@ -35,12 +35,15 @@ def _load_system(args):
         base = (os.path.dirname(os.path.abspath(args.system)) if args.system
                 else os.getcwd())
         net = nn.load(os.path.join(base, cfg["controller"]))
-        params = plant.DubinsParams(cfg["speed"], cfg["path_angle"])
-        field = plant.dubins_closed_loop(params, net, gain=cfg["gain"])
+        params = plant.DubinsParams(nn.json_number(cfg["speed"]),
+                                    nn.json_number(cfg["path_angle"]))
+        field = plant.dubins_closed_loop(params, net,
+                                         gain=nn.json_number(cfg["gain"]))
         spec_cfg = cfg.get("spec", {})
         if spec_cfg:
-            spec = certify.SafetySpec(sx.box(*spec_cfg["x0"]),
-                                      sx.box(*spec_cfg["safe_rect"]))
+            spec = certify.SafetySpec(
+                sx.box(*nn.json_rows(spec_cfg["x0"])),
+                sx.box(*nn.json_rows(spec_cfg["safe_rect"])))
         else:
             spec = certify.default_spec()
     except (KeyError, TypeError, AttributeError) as exc:

@@ -1,4 +1,4 @@
-"""Interval branch-and-prune delta-satisfiability checker.
+"""Branch-and-prune delta-satisfiability checker over intervals.
 
 Decides a conjunction of closed nonlinear inequalities (`lhs <= rhs` or
 `lhs >= rhs`) over the domains of one query, a list of boxes.  UNSAT is
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as sx
-from .interval import Box, box, _mid, _vadd, _vclip, _vdiv, _vneg, _vsub
+from .interval import Box, _mid, _vadd, _vclip, _vdiv, _vneg, _vsub
 from .symexpr import _interval_eval_raw
 
 RELATIONS = ("<=", ">=")
@@ -298,9 +298,7 @@ def branch(boxes, delta):
     Returns (dims, mids), (B,) arrays; dims is -1 for a box with no such
     dimension."""
     lo, hi = boxes[:, 0], boxes[:, 1]
-    mid = 0.5 * (lo + hi)
-    # _mid, also where lo + hi overflows
-    mid = np.where((lo <= mid) & (mid <= hi), mid, 0.5 * lo + 0.5 * hi)
+    mid = _mid(lo, hi)
     width = hi - lo
     ok = (width > delta) & (lo < mid) & (mid < hi)
     dims = np.where(ok, width, -1.0).argmax(axis=0)
@@ -366,12 +364,12 @@ def _search(atoms, domains, delta, max_boxes):
         cut, rest = m, slice(m, None)
         if sat.any():
             cut = int(sat.argmax())
-            pairs = head[:, :, cut].tolist()
+            ends = head[:, :, cut]
             if dims[cut] >= 0:
                 # Certainly satisfied somewhere in here: the midpoint is
                 # a genuine witness, reported as a degenerate box.
-                pairs = [(_mid(lo, hi),) * 2 for lo, hi in pairs]
-            witness = box(*pairs)
+                ends = _mid(ends[:, :1], ends[:, 1:]).repeat(2, axis=1)
+            witness = Box(ends)
             # The path ends with the witness: the boxes after it go.
             rest = slice(boxes.shape[2], None)
             before[-1] = before[cut] + 1

@@ -1,19 +1,20 @@
-"""Interval arithmetic for the checker: the Interval and Box types of the
-API, the outward-rounded interval kernels over B boxes at once, which the
-tape of symexpr runs, and a network's layer-wise interval pass over B
-boxes (`_inet`), which it runs for a net node.  An op's kernel rounds
-each endpoint to nearest and then moves it outward by whole ulps
-(np.nextafter), so containment holds without touching FPU modes; `_inet`
-bounds its rounding error instead.  Each box's enclosure has the same
-bits in any batch.  The tests hold the kernels, bit for bit, to a scalar
-reference over (lo, hi) float pairs: tests/scalar_reference.py.
+"""Arithmetic on intervals for the checker: the Box type of the API, one
+read-only (n, 2) array of interval ends; the outward-rounded interval
+kernels over B boxes at once, which the tape of symexpr runs; and a
+network's layer-wise interval pass over B boxes (`_inet`), which it runs
+for a net node.  An op's kernel rounds each endpoint to nearest and then
+moves it outward by whole ulps (np.nextafter), so containment holds
+without touching FPU modes; `_inet` bounds its rounding error instead.
+Each box's enclosure has the same bits in any batch.  The tests hold the
+kernels, bit for bit, to a scalar reference over (lo, hi) float pairs:
+tests/scalar_reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -27,59 +28,46 @@ TRIG_ARG_LIMIT = 1.0e6
 
 
 def _mid(lo, hi):
-    """Midpoint of [lo, hi], also where lo + hi overflows."""
+    """Midpoint of [lo, hi], also where lo + hi overflows; lo and hi are
+    floats or arrays, and the result an array."""
     mid = 0.5 * (lo + hi)
-    if not lo <= mid <= hi:     # lo + hi overflowed
-        mid = 0.5 * lo + 0.5 * hi
-    return mid
+    return np.where((lo <= mid) & (mid <= hi), mid, 0.5 * lo + 0.5 * hi)
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        # [inf, inf] and [-inf, -inf] hold no real number.
-        if not (self.lo <= self.hi and self.lo < _INF and self.hi > -_INF):
-            raise ValueError("empty interval: [%r, %r]" % (self.lo, self.hi))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return _mid(self.lo, self.hi)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    intervals: tuple
+    """A box of R^n: bounds, a read-only (n, 2) float array, row i being
+    (lo, hi) of dimension i.  Each row holds a real number: lo <= hi, no
+    NaN end, and neither [inf, inf] nor [-inf, -inf]."""
+
+    bounds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+        b = self.bounds
+        b = np.array(b if len(b) else np.empty((0, 2)), float)
+        if b.shape != (len(b), 2):
+            raise ValueError("not (lo, hi) pairs: %r" % (self.bounds,))
+        for lo, hi in b.tolist():
+            if not (lo <= hi and lo < _INF and hi > -_INF):
+                raise ValueError("empty interval: [%r, %r]" % (lo, hi))
+        b.flags.writeable = False
+        object.__setattr__(self, "bounds", b)
+
+    def __eq__(self, other):
+        """Equal ends, -0.0 and 0.0 alike."""
+        if not isinstance(other, Box):
+            return NotImplemented
+        return np.array_equal(self.bounds, other.bounds)
+
+    def __hash__(self):
+        return hash(tuple(self.bounds.ravel().tolist()))
 
     @property
     def arity(self):
-        return len(self.intervals)
-
-    def __getitem__(self, i):
-        return self.intervals[i]
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    @cached_property
-    def bounds(self):
-        """The (n, 2) array of the intervals' ends, row i being (lo, hi) of
-        dimension i; read-only, made once."""
-        b = np.array([(iv.lo, iv.hi) for iv in self], float).reshape(-1, 2)
-        b.flags.writeable = False
-        return b
+        return len(self.bounds)
 
     def midpoint(self):
-        return [iv.mid for iv in self.intervals]
+        return [float(_mid(lo, hi)) for lo, hi in self.bounds.tolist()]
 
     def contains(self, x):
         """Whether the point x (length n) lies in the box, lo <= x <= hi in
@@ -95,7 +83,7 @@ class Box:
 
 def box(*bounds):
     """box((lo, hi), (lo, hi), ...) convenience constructor."""
-    return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
+    return Box(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +338,8 @@ def _net_layers(network):
 
 @np.errstate(all="ignore")
 def _inet(layers, v):
-    """Interval forward pass of a network (layers from _net_layers) over B
-    boxes: v is (B, 2, n), box b's input intervals having the lower
+    """The interval forward pass of a network (layers from _net_layers)
+    over B boxes: v is (B, 2, n), box b's input intervals having the lower
     endpoints v[b, 0] and the upper ones v[b, 1].  Returns the (B, 2, m)
     enclosures of the m outputs in the same layout.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,18 @@ def _validate(layers):
             raise NetworkFormatError(
                 "layer %d expects %d inputs but layer %d outputs %d"
                 % (k, layer.d_in, k - 1, layers[k - 1].d_out))
+
+
+def json_number(v):
+    """v, a JSON number (not a bool or a string), as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError("%r is not a number" % (v,))
+    return float(v)
+
+
+def json_rows(v):
+    """v, a JSON array of arrays of numbers, as lists of floats."""
+    return [[json_number(x) for x in row] for row in v]
 
 
 def make_layer(weights, bias, activation):
@@ -178,8 +190,9 @@ def to_dict(net):
 
 def from_dict(data):
     try:
-        layers = [make_layer(l["weights"], l["bias"], l["activation"])
-                  for l in data["layers"]]
+        layers = [make_layer(json_rows(l["weights"]),
+                             [json_number(b) for b in l["bias"]],
+                             l["activation"]) for l in data["layers"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise NetworkFormatError("bad network structure: %s" % exc) from exc
     return Network(tuple(layers))

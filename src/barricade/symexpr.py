@@ -11,8 +11,8 @@ expressions.  Each evaluator runs it a layer at a time: the interval
 checker with one interval matrix product per box and layer
 (`interval._inet`), the array evaluator with one matrix product per
 layer, the scalar reference with `network.forward`.  So a tree's size
-does not grow with the network's.  The interval types and kernels live in
-`interval`; the types are re-exported here.
+does not grow with the network's.  The Box type and the interval kernels
+live in `interval`; `Box` and `box` are re-exported here.
 
 Trees are walked without recursion: `lower`, `arity`, `substitute` and
 `==` loop over one iterative post-order (`_postorder`), and the
@@ -29,7 +29,7 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from . import network as nn
-from .interval import (Interval, Box, box, _VKERNELS, _vmulc, _vpow, _inet,
+from .interval import (Box, box, _VKERNELS, _vmulc, _vpow, _inet,
                        _net_layers, _vsincos)
 
 
@@ -403,8 +403,8 @@ def _interval_eval_raw(tape, boxes):
 
 
 def interval_eval(e, bx):
-    """Sound interval enclosure of e over box bx: the checker's forward
-    pass on one box.
+    """Sound interval enclosure (lo, hi), two floats, of e over box bx:
+    the checker's forward pass on one box.
 
     Division by an interval containing zero, or with a quotient inf/inf,
     sin or cos of an argument beyond interval.TRIG_ARG_LIMIT, and an
@@ -416,8 +416,8 @@ def interval_eval(e, bx):
     v = _interval_eval_raw(tape, bx.bounds.reshape(-1, 2, 1))
     lo, hi = v[:, tape.root, 0].tolist()
     if not (lo < math.inf and hi > -math.inf):  # False for a NaN end too
-        return Interval(-math.inf, math.inf)
-    return Interval(lo, hi)
+        return -math.inf, math.inf
+    return lo, hi
 
 
 # The ufunc that each op's numpy operator calls on arrays, so a program

@@ -6,7 +6,7 @@ path-following rollout in the full (x, y, theta) pose space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

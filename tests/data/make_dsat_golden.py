@@ -83,7 +83,7 @@ def _checks():
 def _record(verdict, witness, boxes):
     return {"verdict": verdict,
             "witness": None if witness is None else [
-                [repr(iv.lo), repr(iv.hi)] for iv in witness],
+                [repr(lo), repr(hi)] for lo, hi in witness.bounds.tolist()],
             "boxes_explored": boxes}
 
 

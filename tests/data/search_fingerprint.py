@@ -40,7 +40,7 @@ CONFIGS = ([(10, 20, s) for s in range(16)] + [(100, 20, s) for s in range(8)]
 
 def _query_line(r):
     witness = None if r.witness is None else [
-        (repr(iv.lo), repr(iv.hi)) for iv in r.witness]
+        (repr(lo), repr(hi)) for lo, hi in r.witness.bounds.tolist()]
     return "  dsat %s %s %d" % (r.verdict, witness, r.boxes_explored)
 
 

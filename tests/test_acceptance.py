@@ -151,11 +151,11 @@ def test_criterion_06_interval_soundness_fuzz():
         bx = sx.box(*zip(lo, hi))
         p = rng.uniform(lo, hi)
         try:
-            iv = sx.interval_eval(e, bx)
+            e_lo, e_hi = sx.interval_eval(e, bx)
             val = sx.eval_expr(e, p)
         except sx.EvalError:
             continue
-        if not (iv.lo <= val <= iv.hi):
+        if not (e_lo <= val <= e_hi):
             containment += 1
         if trial % 10 == 0:
             # random sub-box: result must be contained in the parent's
@@ -164,10 +164,10 @@ def test_criterion_06_interval_soundness_fuzz():
             s_hi = lo + frac.max(axis=0) * (hi - lo)
             sub = sx.box(*zip(s_lo, s_hi))
             try:
-                sub_iv = sx.interval_eval(e, sub)
+                sub_lo, sub_hi = sx.interval_eval(e, sub)
             except sx.EvalError:
                 continue
-            if not (iv.lo <= sub_iv.lo and sub_iv.hi <= iv.hi):
+            if not (e_lo <= sub_lo and sub_hi <= e_hi):
                 isotonic += 1
     assert containment == 0
     assert isotonic == 0
@@ -213,10 +213,10 @@ def test_criterion_07_dsat_battery():
             continue
         # 10^6-point grid refutation
         if dom.arity == 1:
-            pts = np.linspace(dom[0].lo, dom[0].hi, 1_000_000)[:, None]
+            pts = np.linspace(*dom.bounds[0], 1_000_000)[:, None]
         else:
-            side = np.linspace(dom[0].lo, dom[0].hi, 1000)
-            side2 = np.linspace(dom[1].lo, dom[1].hi, 1000)
+            side = np.linspace(*dom.bounds[0], 1000)
+            side2 = np.linspace(*dom.bounds[1], 1000)
             xx, yy = np.meshgrid(side, side2)
             pts = np.column_stack([xx.ravel(), yy.ravel()])
         assert int(np.count_nonzero(holds(phi.root, pts))) == 0
@@ -276,8 +276,8 @@ def test_criterion_10_level_set_analytics():
     spec = certify.SafetySpec(sx.box((-0.1, 0.1), (-0.1, 0.1)),
                               sx.box((-1.0, 1.0), (-1.0, 1.0)))
     assert certify.vertex_max(cand, spec.x0) == 0.1 ** 2 + 0.1 ** 2
-    for i, iv in enumerate(spec.safe_rect):     # U's faces
-        for sign, b in ((1.0, iv.hi), (-1.0, -iv.lo)):
+    for i, (lo, hi) in enumerate(spec.safe_rect.bounds):     # U's faces
+        for sign, b in ((1.0, hi), (-1.0, -lo)):
             a = np.zeros(2)
             a[i] = sign
             assert certify.halfspace_min(cand, a, b) == 1.0

@@ -42,8 +42,8 @@ def _unsafe_faces(spec):
     """The 2n halfspaces a.x >= b beyond the safe rectangle's faces, as
     (a, b) pairs: x_i >= hi_i and -x_i >= -lo_i."""
     faces = []
-    for i, iv in enumerate(spec.safe_rect):
-        for sign, b in ((1.0, iv.hi), (-1.0, -iv.lo)):
+    for i, (lo, hi) in enumerate(spec.safe_rect.bounds):
+        for sign, b in ((1.0, hi), (-1.0, -lo)):
             a = np.zeros(spec.arity)
             a[i] = sign
             faces.append((a, b))
@@ -65,9 +65,9 @@ def _hand_controller_field():
 class TestSpec:
     def test_default_geometry(self):
         spec = certify.default_spec()
-        assert [(iv.lo, iv.hi) for iv in spec.x0] == [(-0.1, 0.1)] * 2
-        assert (spec.safe_rect[0].lo, spec.safe_rect[0].hi) == (-1.0, 1.0)
-        assert spec.safe_rect[1].hi == pytest.approx(math.pi / 2)
+        assert spec.x0.bounds.tolist() == [[-0.1, 0.1]] * 2
+        assert spec.safe_rect.bounds[0].tolist() == [-1.0, 1.0]
+        assert spec.safe_rect.bounds[1, 1] == pytest.approx(math.pi / 2)
 
     def test_unbounded_safe_rect_rejected(self):
         with pytest.raises(ValueError):
@@ -104,12 +104,13 @@ class TestSpec:
         # slabs 2i and 2i+1 lie beyond the upper and lower face of dim i
         for k, slab in enumerate(slabs):
             dim, below = divmod(k, 2)
-            face = spec.safe_rect[dim]
-            assert (slab[dim].hi == face.lo if below
-                    else slab[dim].lo == face.hi)
+            (lo, hi), (face_lo, face_hi) = (slab.bounds[dim],
+                                            spec.safe_rect.bounds[dim])
+            assert hi == face_lo if below else lo == face_hi
         # the enclosing box is three times the safe rectangle
         env = sx.box((-3.0, 3.0), (-3.0, 3.0))
-        assert all(s[dim] == env[dim] for k, s in enumerate(slabs)
+        assert all((s.bounds[dim] == env.bounds[dim]).all()
+                   for k, s in enumerate(slabs)
                    for dim in range(2) if dim != k // 2)
         rng = np.random.default_rng(3)
         for p in sim.sample_box(rng, env, 2000):
@@ -362,7 +363,7 @@ class TestFalsify:
         # L(x) = x0 on the default spec: every point with x0 >= -gamma is
         # a counterexample, the largest x0 first.
         spec = certify.default_spec()
-        reach = certify.CEX_SPREAD * spec.safe_rect[0].width
+        reach = certify.CEX_SPREAD * np.diff(spec.safe_rect.bounds[0])[0]
         pts = np.array([[0.5, 0.0], [0.9, 0.0], [0.9 - 0.5 * reach, 0.01],
                         [0.9 - 0.5 * reach, 1.0], [-0.5, 0.0]])
         cex = certify.falsify(pts[:, 0], pts, spec, 1e-6)
@@ -619,8 +620,8 @@ class TestVerify:
         assert (t.name, t.verdict, t.boxes_explored) == (
             "decrease", "DELTA_SAT", 47) == ("decrease", want["verdict"],
                                              want["boxes_explored"])
-        assert [[repr(iv.lo), repr(iv.hi)] for iv in t.witness] == \
-            want["witness"]
+        assert [[repr(lo), repr(hi)] for lo, hi in t.witness.bounds.tolist()
+                ] == want["witness"]
 
     def test_unbounded_lp_is_inconclusive(self, monkeypatch):
         def unbounded(lp):

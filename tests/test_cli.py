@@ -101,7 +101,16 @@ class TestVerifyCmd:
         {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]]}},
         {"speed": "fast"},
         [{"speed": 1.0}],
-    ], ids=["spec_without_safe_rect", "speed_string", "top_level_list"])
+        {"spec": {"x0": [["-0.1", 0.1], [-0.1, True]],
+                  "safe_rect": [[-1.0, 1.0], [-1.5, 1.5]]}},
+        {"gain": "2"},
+        {"speed": "1.0"},
+        {"path_angle": True},
+        {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]],
+                  "safe_rect": [[-1.0, 1.0], [-1.5, "1.5"]]}},
+    ], ids=["spec_without_safe_rect", "speed_string", "top_level_list",
+            "x0_string_and_bool", "gain_string", "speed_number_string",
+            "path_angle_bool", "safe_rect_string"])
     def test_malformed_system_file_one_error_line(self, tmp_path, hand_nn,
                                                   capsys, system):
         if isinstance(system, dict):

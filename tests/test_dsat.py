@@ -68,7 +68,7 @@ def _grid_refute(phi, domain, n=1000):
     Returns the number of satisfying grid points (0 backs up an UNSAT
     verdict).  n*n total points for 2-d domains, n for 1-d.
     """
-    dims = [np.linspace(iv.lo, iv.hi, n) for iv in domain.intervals]
+    dims = [np.linspace(lo, hi, n) for lo, hi in domain.bounds]
     pts = np.array([g.ravel() for g in np.meshgrid(*dims)])
     return int(np.count_nonzero(_sat_on(phi.root, pts)))
 
@@ -108,7 +108,7 @@ class TestCheck:
         phi = dsat.Formula(2, _c(sx.add(sx.var(0), sx.var(1)), ">=", 0.5))
         out = dsat.check(phi, sx.box((-1.0, 1.0), (-1.0, 1.0)), 1e-3)
         assert out.verdict == "DELTA_SAT"
-        assert max(iv.width for iv in out.witness) <= 1e-3 + 1e-12
+        assert np.diff(out.witness.bounds).max() <= 1e-3 + 1e-12
 
     def test_budget(self):
         # sum of two sines barely misses 2; forces deep branching
@@ -138,10 +138,11 @@ class TestCheck:
         # x^2 on [1e200, 1e201] overflows the float range
         bx = sx.box((1e200, 1e201))
         sq = sx.pow_(sx.var(0), 2)
-        iv = sx.interval_eval(sq, bx)
-        assert iv.hi == math.inf and 0.0 < iv.lo
-        cube = sx.interval_eval(sx.pow_(sx.var(0), 3), sx.box((-1e201, -1e200)))
-        assert cube.lo == -math.inf and cube.hi < 0.0
+        lo, hi = sx.interval_eval(sq, bx)
+        assert hi == math.inf and 0.0 < lo
+        lo, hi = sx.interval_eval(sx.pow_(sx.var(0), 3),
+                                  sx.box((-1e201, -1e200)))
+        assert lo == -math.inf and hi < 0.0
         out = dsat.check(dsat.Formula(1, _c(sq, ">=", 0.0)), bx, 1e-3)
         assert out.verdict == "DELTA_SAT"
         out = dsat.check(dsat.Formula(1, _c(sq, "<=", 0.0)), bx, 1e-3)
@@ -169,8 +170,9 @@ class TestCheck:
         out = dsat.check(dsat.Formula(1, _c(sx.var(0), ">=", 1.6e308)),
                          dom, 1e-3)
         assert out.verdict == "DELTA_SAT"
-        assert out.witness[0].lo == out.witness[0].hi
-        assert dom.contains([out.witness[0].lo])
+        (lo, hi), = out.witness.bounds
+        assert lo == hi
+        assert dom.contains([lo])
 
     @pytest.mark.parametrize("lhs, rhs, domain", [
         (sx.add(sx.var(0), sx.sin(sx.var(0))), 1.6e308, [(1.1e308, 1.7e308)]),
@@ -182,9 +184,8 @@ class TestCheck:
         phi = dsat.Formula(len(domain), _c(lhs, ">=", rhs))
         out = dsat.check(phi, sx.box(*domain), 1e-3, max_boxes=20_000)
         assert out.verdict == "DELTA_SAT"
-        assert max(iv.width for iv in out.witness) > 1e-3
-        assert _halves([(iv.lo, iv.hi) for iv in out.witness],
-                       1e-3) is None
+        assert np.diff(out.witness.bounds).max() > 1e-3
+        assert _halves(out.witness.bounds.tolist(), 1e-3) is None
 
     @pytest.mark.parametrize("batch", [1, 128])
     def test_nan_ended_trig_argument_is_refused(self, monkeypatch, batch):

@@ -104,6 +104,31 @@ class TestPersistence:
         with pytest.raises(nn.NetworkFormatError):
             nn.load(path)
 
+    @pytest.mark.parametrize("layer", [
+        {"weights": [["0.5", True]], "bias": ["0"]},
+        {"weights": [["0.5", 1.0]], "bias": [0.0]},
+        {"weights": [[True, 1.0]], "bias": [0.0]},
+        {"weights": [[0.5, 1.0]], "bias": ["0"]},
+        {"weights": [[0.5, 1.0]], "bias": [False]},
+    ], ids=["strings_and_bool", "weight_string", "weight_bool",
+            "bias_string", "bias_bool"])
+    def test_rejects_numbers_that_are_strings_or_bools(self, tmp_path,
+                                                       layer):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"layers": [
+            {**layer, "activation": "tanh"}]}))
+        with pytest.raises(nn.NetworkFormatError):
+            nn.load(path)
+
+    def test_integers_load_as_floats(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"layers": [
+            {"weights": [[1, -2]], "bias": [0], "activation": "tanh"}]}))
+        net = nn.load(path)
+        assert net.layers[0].weights == ((1.0, -2.0),)
+        assert nn.controller_hash(net) == nn.controller_hash(nn.Network(
+            (nn.make_layer([[1.0, -2.0]], [0.0], "tanh"),)))
+
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")

@@ -95,15 +95,15 @@ class TestEval:
 
 class TestInterval:
     def test_sin_on_half_period(self):
-        iv = sx.interval_eval(sx.sin(sx.var(0)), sx.box((0.0, math.pi)))
-        assert iv.lo <= 0.0 <= iv.hi
-        assert iv.hi >= 1.0
-        assert iv.hi < 1.0 + 1e-12 and iv.lo > -1e-12
+        lo, hi = sx.interval_eval(sx.sin(sx.var(0)), sx.box((0.0, math.pi)))
+        assert lo <= 0.0 <= hi
+        assert hi >= 1.0
+        assert hi < 1.0 + 1e-12 and lo > -1e-12
 
     def test_even_power(self):
-        iv = sx.interval_eval(sx.pow_(sx.var(0), 2), sx.box((-2.0, 1.0)))
-        assert iv.lo <= 0.0 and abs(iv.lo) < 1e-12
-        assert 4.0 <= iv.hi < 4.0 + 1e-12
+        lo, hi = sx.interval_eval(sx.pow_(sx.var(0), 2), sx.box((-2.0, 1.0)))
+        assert lo <= 0.0 and abs(lo) < 1e-12
+        assert 4.0 <= hi < 4.0 + 1e-12
 
     def test_trig_argument_limit(self):
         # beyond TRIG_ARG_LIMIT, or at a NaN end (exp(x) - inf is
@@ -113,29 +113,29 @@ class TestInterval:
                         (sx.sub(sx.exp(sx.var(0)), inf), sx.box((0.0, 1e3)))):
             for fn in (sx.sin, sx.cos):
                 got = sx.interval_eval(fn(arg), bx)
-                assert (got.lo, got.hi) == (-math.inf, math.inf)
+                assert got == (-math.inf, math.inf)
         # an enclosure with a NaN end, or the infinite point [inf, inf] or
         # [-inf, -inf], holds no real number: the whole line, not an error
         for e in (sx.sub(sx.exp(sx.var(0)), inf), inf, sx.neg(inf)):
             got = sx.interval_eval(e, sx.box((0.0, 1e3)))
-            assert (got.lo, got.hi) == (-math.inf, math.inf)
+            assert got == (-math.inf, math.inf)
 
     def test_division_through_zero_is_whole_line(self):
-        iv = sx.interval_eval(sx.div(sx.const(1.0), sx.var(0)),
-                              sx.box((-1.0, 1.0)))
-        assert iv.lo == -math.inf and iv.hi == math.inf
+        lo, hi = sx.interval_eval(sx.div(sx.const(1.0), sx.var(0)),
+                                  sx.box((-1.0, 1.0)))
+        assert lo == -math.inf and hi == math.inf
 
     def test_inf_over_inf_is_whole_line(self):
         q = sx.div(sx.sub(sx.const(1.0), sx.exp(sx.var(0))),
                    sx.neg(sx.exp(sx.var(1))))
-        iv = sx.interval_eval(q, sx.box((700.0, 800.0), (700.0, 800.0)))
-        assert iv.lo == -math.inf and iv.hi == math.inf
+        lo, hi = sx.interval_eval(q, sx.box((700.0, 800.0), (700.0, 800.0)))
+        assert lo == -math.inf and hi == math.inf
 
 
 class TestBox:
     def test_bounds_are_the_ends(self):
         bx = sx.box((-1.0, 2.0), (-0.0, 0.0), (3.5, 3.5))
-        assert bx.bounds.tolist() == [[iv.lo, iv.hi] for iv in bx]
+        assert bx.bounds.tolist() == [[-1.0, 2.0], [-0.0, 0.0], [3.5, 3.5]]
         assert math.copysign(1.0, bx.bounds[1, 0]) == -1.0
         assert bx.bounds.dtype == float and bx.bounds is bx.bounds
 
@@ -147,6 +147,46 @@ class TestBox:
                 write(bx.bounds)
         assert bx.bounds.tolist() == [[-1.0, 2.0], [0.0, 1.0]]
 
+    def test_bounds_is_the_only_data(self):
+        bx = sx.box((-1.0, 2.0), (0.0, 1.0))
+        bx.midpoint(), bx.contains([0.0, 0.5]), bx.arity    # cache nothing
+        assert list(vars(bx)) == ["bounds"]
+        with pytest.raises(AttributeError):
+            bx.bounds = np.zeros((2, 2))
+        ends = np.array([[-1.0, 2.0], [0.0, 1.0]])
+        made = sx.Box(ends)
+        ends[0, 0] = 5.0        # Box keeps a copy
+        assert made == bx and made.bounds is not ends
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 0.0)], [(math.nan, 1.0)], [(0.0, math.nan)],
+        [(math.inf, math.inf)], [(-math.inf, -math.inf)],
+        [(0.0, 1.0), (2.0, 1.0)],
+    ], ids=["lo_above_hi", "nan_lo", "nan_hi", "inf_point", "-inf_point",
+            "second_row"])
+    def test_rejects_rows_without_a_real_number(self, rows):
+        with pytest.raises(ValueError):
+            sx.box(*rows)
+        with pytest.raises(ValueError):
+            sx.Box(np.array(rows))
+
+    def test_rejects_rows_that_are_not_pairs(self):
+        for rows in ([(1, 2, 3, 4)], [(1.0,)], [(0.0, 1.0), (2.0,)],
+                     [1.0, 2.0], [[(0.0, 1.0)]]):
+            with pytest.raises((ValueError, TypeError)):
+                sx.box(*rows)
+        for ends in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 1))):
+            with pytest.raises(ValueError):
+                sx.Box(ends)
+
+    def test_equal_ends_make_equal_boxes(self):
+        a = sx.box((-0.0, 0.0), (1.0, 2.0))
+        b = sx.Box(np.array([[0.0, -0.0], [1.0, 2.0]]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != sx.box((-0.0, 0.0), (1.0, 3.0))
+        assert a != sx.box((-0.0, 0.0))
+        assert a != a.bounds.tolist()
+
     def test_contains_follows_the_scalar_rule(self):
         # on the faces, just outside them, at -0.0 against 0.0 ends, at
         # infinities and NaN: lo <= x <= hi in every dimension
@@ -155,7 +195,7 @@ class TestBox:
                   -1.0000000000000002, 2.0000000000000004, math.inf,
                   -math.inf, math.nan)
         pts = list(itertools.product(coords, repeat=3))
-        want = [all(iv.lo <= x <= iv.hi for iv, x in zip(bx, p))
+        want = [all(lo <= x <= hi for (lo, hi), x in zip(bx.bounds, p))
                 for p in pts]
         assert 0 < sum(want) < len(want)
         assert bx.contains(np.array(pts)).tolist() == want
@@ -175,12 +215,12 @@ _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300,
 
 
 def _extreme_intervals():
-    """Every (lo, hi) pair of _EXTREMES that Interval accepts."""
+    """Every (lo, hi) pair of _EXTREMES that box accepts."""
     out = []
     for lo in _EXTREMES:
         for hi in _EXTREMES:
             try:
-                sx.Interval(lo, hi)
+                sx.box((lo, hi))
             except ValueError:
                 continue
             out.append((lo, hi))
@@ -191,17 +231,26 @@ class TestExtremeEndpoints:
     def test_degenerate_infinite_intervals_rejected(self):
         for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
             with pytest.raises(ValueError):
-                sx.Interval(lo, hi)
+                sx.box((lo, hi))
         with pytest.raises(ValueError):
             sx.box((-math.inf, -math.inf), (-math.inf, math.inf))
-        assert sx.Interval(-math.inf, math.inf).width == math.inf
-        assert sx.Interval(-math.inf, -1e308).hi == -1e308
+        (lo, hi), = sx.box((-math.inf, math.inf)).bounds
+        assert hi - lo == math.inf
+        assert sx.box((-math.inf, -1e308)).bounds[0, 1] == -1e308
 
     def test_midpoint_near_float_max(self):
         # lo + hi overflows
         bx = sx.box((1.6e308, 1.7e308))
         mid = bx.midpoint()
         assert math.isfinite(mid[0]) and bx.contains(mid)
+
+    def test_midpoint_of_floats_and_of_arrays_agree(self):
+        ivs = _extreme_intervals()
+        with np.errstate(all="ignore"):
+            got = iv._mid(*np.array(ivs).T)
+        want = np.array([float(iv._mid(lo, hi)) for lo, hi in ivs])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert (np.signbit(got) == np.signbit(want))[want == want].all()
 
     def test_kernels_on_extreme_endpoints(self):
         ivs = _extreme_intervals()
@@ -709,9 +758,9 @@ class TestTape:
         e = sx.var(0)
         for _ in range(3000):
             e = sx.add(e, sx.const(1.0))
-        iv = sx.interval_eval(e, sx.box((0.0, 1.0)))
-        assert iv.lo <= 3000.0 and 3001.0 <= iv.hi
-        assert iv.hi - iv.lo < 1.0 + 1e-8  # one ulp out per add
+        lo, hi = sx.interval_eval(e, sx.box((0.0, 1.0)))
+        assert lo <= 3000.0 and 3001.0 <= hi
+        assert hi - lo < 1.0 + 1e-8  # one ulp out per add
         got = sx.compile_expr(e)([np.array([0.0, 0.5, 1.0])])
         assert got.tolist() == [3000.0, 3000.5, 3001.0]
 
@@ -902,11 +951,12 @@ class TestNetNode:
             point = rng.uniform(lo, hi)
             exact = _mp_forward(net, point)
             for k in range(widths[-1]):
-                got = sx.interval_eval(sx.net(net, k, x), bx)
-                ref = sx.interval_eval(unrolled[k], bx)
-                assert got.lo <= exact[k] <= got.hi
-                assert got.width <= 1.01 * ref.width + 1e-9
-                assert ref.width <= 1.01 * got.width + 1e-9
+                got_lo, got_hi = sx.interval_eval(sx.net(net, k, x), bx)
+                ref_lo, ref_hi = sx.interval_eval(unrolled[k], bx)
+                got_w, ref_w = got_hi - got_lo, ref_hi - ref_lo
+                assert got_lo <= exact[k] <= got_hi
+                assert got_w <= 1.01 * ref_w + 1e-9
+                assert ref_w <= 1.01 * got_w + 1e-9
 
     def test_thousand_neuron_eval_at_and_text(self):
         net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
