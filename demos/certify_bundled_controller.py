@@ -9,15 +9,16 @@ render the phase portrait.  The same thing is available as one command:
 
 import numpy as np
 
-from barricade import certify, cli, network as nn, plant, simulate as sim
+from barricade import certify, cli, network as nn, simulate as sim
 from barricade import svgplot
 
 net = nn.load(cli.bundled_controller_path(10))
 print("controller: %d parameters, hash %s"
       % (nn.parameter_count(net), nn.controller_hash(net)[:12]))
 
-field = plant.dubins_closed_loop(plant.DubinsParams(), net)
-spec = certify.default_spec()
+# the case study's loop: default speed, path angle, gain and safety spec
+system = certify.System(net)
+field, spec = system.field, system.spec
 
 result = certify.verify(spec, field,
                         controller_hash=nn.controller_hash(net))

@@ -6,7 +6,7 @@ controllers were trained with the full population of 152.
 
 import numpy as np
 
-from barricade import network as nn, plant, simulate as sim, train
+from barricade import certify, network as nn, simulate as sim, train
 
 cmaes = train.CmaesConfig(population=40, iterations=30, sigma0=0.5, seed=0)
 rollout = train.RolloutConfig(n_steps=300)
@@ -20,7 +20,7 @@ for k in range(0, len(history), 5):
 
 # even this small budget learns strong heading feedback; lateral feedback
 # needs the full training budget because the cost weights heading 1000x more
-field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+field = certify.System(net).field
 tr = sim.simulate(field, [0.0, 0.5], 15.0, 0.01)
 theta = np.abs(tr.states[:, 1])
 print("heading error from theta_e=0.5: start %.3f, after 15s %.5f"

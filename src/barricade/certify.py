@@ -26,12 +26,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import symexpr as sx
 from . import lpgen
 from . import dsat
+from . import plant
 from . import simulate as sim
 from ._version import __version__
 from .lpgen import NotEllipsoidError
@@ -103,6 +105,16 @@ class SafetySpec:
         return {"x0": self.x0.bounds.tolist(),
                 "safe_rect": self.safe_rect.bounds.tolist()}
 
+    @classmethod
+    def from_dict(cls, data):
+        """The spec of a to_dict object: exactly the keys x0 and safe_rect,
+        each a list of [lo, hi] rows of JSON numbers."""
+        if not isinstance(data, dict) or set(data) != {"x0", "safe_rect"}:
+            raise TypeError("spec %r is not an object with exactly the keys "
+                            "x0 and safe_rect" % (data,))
+        return cls(sx.box(*json_rows(data["x0"])),
+                   sx.box(*json_rows(data["safe_rect"])))
+
 
 def _slab(rows, dim, ends):
     """The box of the (lo, hi) rows with row dim replaced by ends."""
@@ -114,6 +126,49 @@ def default_spec():
     [-1,1] x [-pi/2, pi/2]."""
     return SafetySpec(sx.box((-0.1, 0.1), (-0.1, 0.1)),
                       sx.box((-1.0, 1.0), (-math.pi / 2, math.pi / 2)))
+
+
+@dataclass(frozen=True)
+class System:
+    """The closed loop the pipeline certifies: the Dubins error dynamics
+    of `params`, driven by `gain` times the controller's output, and its
+    safety spec.  The defaults are the case study's."""
+    controller: object                  # network.Network
+    params: plant.DubinsParams = plant.DubinsParams()
+    gain: float = 1.0
+    spec: SafetySpec = default_spec()
+
+    @cached_property
+    def field(self):
+        """The closed-loop VectorField, built on first use and kept, so
+        its batched program is compiled once per system."""
+        return plant.dubins_closed_loop(self.params, self.controller,
+                                        gain=self.gain)
+
+    @classmethod
+    def from_dict(cls, data, controller):
+        """The system a --system file's JSON object `data` describes,
+        driven by `controller`.  Every key is optional, an absent one
+        taking the default of System or DubinsParams: speed, path_angle
+        and gain (JSON numbers), spec (as SafetySpec.from_dict reads it)
+        and controller (the path `controller` was loaded from, which the
+        caller resolves).  Raises KeyError for any other key, TypeError
+        for a value of the wrong type, and ValueError as DubinsParams and
+        SafetySpec do."""
+        if not isinstance(data, dict):
+            raise TypeError("%r is not a JSON object" % (data,))
+        unknown = set(data) - {"speed", "path_angle", "gain", "spec",
+                               "controller"}
+        if unknown:
+            raise KeyError("unknown keys %s" % ", ".join(sorted(unknown)))
+        params = {k: json_number(data[k])
+                  for k in ("speed", "path_angle") if k in data}
+        loop = {}
+        if "gain" in data:
+            loop["gain"] = json_number(data["gain"])
+        if "spec" in data:
+            loop["spec"] = SafetySpec.from_dict(data["spec"])
+        return cls(controller, plant.DubinsParams(**params), **loop)
 
 
 @dataclass(frozen=True)
@@ -181,9 +236,6 @@ class Certificate:
     refuted: dict = None   # {"sampling": s, "dsat": d}: who refuted a round
     version: str = __version__
 
-    def barrier_value(self, x):
-        return self.candidate.value(x) - self.level
-
     def to_dict(self):
         cand = self.candidate
         return {
@@ -246,8 +298,7 @@ def load_certificate(path):
                 or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
             raise ValueError("generator expr or grad differs from the one "
                              "rebuilt from p_matrix, q_vector and c")
-        spec = SafetySpec(sx.box(*json_rows(data["spec"]["x0"])),
-                          sx.box(*json_rows(data["spec"]["safe_rect"])))
+        spec = SafetySpec.from_dict(data["spec"])
         level, gamma, delta = (json_number(data[k])
                                for k in ("level", "gamma", "delta"))
         CertifyConfig(gamma, delta)     # raises unless finite and > 0

@@ -8,48 +8,35 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
 from importlib import resources
 
-from . import certify, network as nn, plant, simulate as sim, svgplot
-from . import symexpr as sx
+from . import certify, network as nn, simulate as sim, svgplot
 
 PLOT_STEP = 0.01   # RK4 step of the plotted traces, finer than the pipeline's
 
 
 def _load_system(args):
-    """System config + controller from --system JSON and/or flags; a
-    malformed --system file raises ValueError."""
-    cfg = {"speed": 1.0, "path_angle": math.pi / 4, "gain": 1.0}
+    """The certify.System of --system and --nn.  The file's controller path
+    is relative to the file; --nn overrides it.  A malformed --system file
+    raises ValueError."""
+    data = {}
+    if args.system:
+        with open(args.system) as fh:
+            data = json.load(fh)
     try:
-        if args.system:
-            with open(args.system) as fh:
-                cfg.update(json.load(fh).items())
-        if args.nn:
-            cfg["controller"] = args.nn
-        if "controller" not in cfg:
+        path = args.nn or data.get("controller")
+        if path is None:
             raise SystemExit("error: no controller given (--nn or system.json)")
-        base = (os.path.dirname(os.path.abspath(args.system)) if args.system
-                else os.getcwd())
-        net = nn.load(os.path.join(base, cfg["controller"]))
-        params = plant.DubinsParams(nn.json_number(cfg["speed"]),
-                                    nn.json_number(cfg["path_angle"]))
-        field = plant.dubins_closed_loop(params, net,
-                                         gain=nn.json_number(cfg["gain"]))
-        spec_cfg = cfg.get("spec", {})
-        if spec_cfg:
-            spec = certify.SafetySpec(
-                sx.box(*nn.json_rows(spec_cfg["x0"])),
-                sx.box(*nn.json_rows(spec_cfg["safe_rect"])))
-        else:
-            spec = certify.default_spec()
+        if not args.nn:
+            path = os.path.join(os.path.dirname(os.path.abspath(args.system)),
+                                path)
+        return certify.System.from_dict(data, nn.load(path))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed system file %s: %s %s"
                          % (args.system, type(exc).__name__, exc)) from None
-    return net, field, spec
 
 
 def bundled_controller_path(n_hidden):
@@ -79,17 +66,13 @@ def cmd_train(args):
     return 0
 
 
-def _run_verify(field, spec, net, args):
+def cmd_verify(args):
+    system = _load_system(args)
     config = certify.CertifyConfig(gamma=args.gamma, delta=args.delta,
                                    seed=args.seed,
                                    max_iterations=args.max_iters)
-    return certify.verify(spec, field, config,
-                          controller_hash=nn.controller_hash(net))
-
-
-def cmd_verify(args):
-    net, field, spec = _load_system(args)
-    result = _run_verify(field, spec, net, args)
+    result = certify.verify(system.spec, system.field, config,
+                            nn.controller_hash(system.controller))
     if isinstance(result, certify.Certificate):
         result.save(args.out)
         print("certified: level=%g iterations=%d (refuted by sampling %d, "
@@ -102,15 +85,11 @@ def cmd_verify(args):
 
 
 def cmd_plot(args):
-    net, field, spec = _load_system(args)
-    if args.traces:
-        traces = [sim.read_trace_csv(args.traces)]
-        if traces[0].states.shape[1] != spec.arity:
-            raise SystemExit("error: trace arity does not match system")
-    else:
-        traces = sim.seed_traces(field, spec.safe_rect, args.count,
-                                 certify.SIM_DURATION, PLOT_STEP,
-                                 args.seed, exclude=spec.x0)
+    system = _load_system(args)
+    spec = system.spec
+    traces = sim.seed_traces(system.field, spec.safe_rect, args.count,
+                             certify.SIM_DURATION, PLOT_STEP, args.seed,
+                             exclude=spec.x0)
     candidate = level = None
     if args.certificate:
         cert = certify.load_certificate(args.certificate)
@@ -139,15 +118,13 @@ def cmd_bench(args):
             print("bench: %s" % exc, file=sys.stderr)
             failures += 1
             continue
-        params = plant.DubinsParams()
-        field = plant.dubins_closed_loop(params, net)
-        spec = certify.default_spec()
+        system = certify.System(net)
         iters, q_times, totals = [], [], []
         for trial in range(args.trials):
             config = certify.CertifyConfig(seed=args.seed + trial)
             t0 = time.perf_counter()
             try:
-                result = certify.verify(spec, field, config,
+                result = certify.verify(system.spec, system.field, config,
                                         nn.controller_hash(net))
             except Exception as exc:  # recorded, not fatal
                 print("bench: trial failed for %d neurons: %s" % (size, exc),
@@ -207,7 +184,6 @@ def build_parser():
     p.add_argument("--system")
     p.add_argument("--nn")
     p.add_argument("--certificate")
-    p.add_argument("--traces", help="trace CSV to draw instead of simulating")
     p.add_argument("--count", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="plot.svg")

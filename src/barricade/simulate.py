@@ -9,7 +9,6 @@ for bit; that is enough for the LP, and soundness rests with the checker.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,39 +140,3 @@ def sample_box(rng, region, count, exclude=None):
         points = np.concatenate([points, x[~exclude.contains(x)]])
     return points[:count]
 
-
-def _trace_header(n):
-    return (["t"] + ["x%d" % i for i in range(n)]
-            + ["dx%d" % i for i in range(n)])
-
-
-def write_trace_csv(trace, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_trace_header(trace.states.shape[1]))
-        for t, x, dx in zip(trace.times, trace.states, trace.derivs):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in x]
-                       + [repr(float(v)) for v in dx])
-
-
-def read_trace_csv(path):
-    """Read a file written by write_trace_csv.  Raises ValueError when it is
-    empty, its header is not t plus 2n columns, it has no rows, or a row
-    has the wrong length."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("%s: empty trace file" % path)
-    header = rows[0]
-    n = (len(header) - 1) // 2
-    if n < 1 or header != _trace_header(n):
-        raise ValueError("%s: header is not t, x0..x<n-1>, dx0..dx<n-1>"
-                         % path)
-    if len(rows) == 1:
-        raise ValueError("%s: no trace rows" % path)
-    for line, row in enumerate(rows[1:], 2):
-        if len(row) != len(header):
-            raise ValueError("%s: line %d has %d fields, expected %d"
-                             % (path, line, len(row), len(header)))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return Trace(data[:, 0], data[:, 1:1 + n], data[:, 1 + n:])

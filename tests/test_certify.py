@@ -665,14 +665,6 @@ class TestVerify:
         saved["queries"] = {}   # transcripts are not loaded
         assert back.to_dict() == saved
 
-    def test_barrier_identity(self, tmp_path):
-        f = _hand_controller_field()
-        out = certify.verify(certify.default_spec(), f)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = rng.uniform(-1, 1, size=2)
-            assert out.barrier_value(x) == out.candidate.value(x) - out.level
-
 
 def _certificate_dict():
     cert = certify.Certificate(_identity_candidate(), 0.5, 1e-3, 1e-3, {},
@@ -750,6 +742,7 @@ class TestCertificateFile:
         _set(("generator", "q_vector", 0), "0.0"),
         _set(("generator", "p_matrix", 0, 0), True),
         _set(("level",), 10 ** 400),    # no float holds it
+        _set(("spec", "u"), []),        # SafetySpec.from_dict's exact keys
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
@@ -757,7 +750,7 @@ class TestCertificateFile:
             "refuted_int", "level_str", "gamma_bool", "c_str", "gamma_zero",
             "delta_neg", "iterations_float", "iterations_neg",
             "refuted_not_counts", "hash_int", "x0_str", "safe_rect_bool",
-            "q_str", "p_bool", "level_huge_int"])
+            "q_str", "p_bool", "level_huge_int", "spec_extra_key"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)

@@ -4,18 +4,22 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from barricade import certify
 from barricade import cli
+from barricade import dsat
 from barricade import lpgen
 from barricade import network as nn
 from barricade import plant
 from barricade import simulate as sim
 from barricade import svgplot
 from barricade import symexpr as sx
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -108,9 +112,15 @@ class TestVerifyCmd:
         {"path_angle": True},
         {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]],
                   "safe_rect": [[-1.0, 1.0], [-1.5, "1.5"]]}},
+        {"gian": 0.9},
+        {"spec": None},
+        {"spec": {}},
+        {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]],
+                  "safe_rect": [[-1.0, 1.0], [-1.5, 1.5]], "u": []}},
     ], ids=["spec_without_safe_rect", "speed_string", "top_level_list",
             "x0_string_and_bool", "gain_string", "speed_number_string",
-            "path_angle_bool", "safe_rect_string"])
+            "path_angle_bool", "safe_rect_string", "unknown_key",
+            "spec_null", "spec_empty", "spec_extra_key"])
     def test_malformed_system_file_one_error_line(self, tmp_path, hand_nn,
                                                   capsys, system):
         if isinstance(system, dict):
@@ -124,6 +134,49 @@ class TestVerifyCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed system file ")
         assert err.count("\n") == 1
+
+    def test_nn_flag_is_relative_to_the_working_directory(
+            self, tmp_path, hand_nn, monkeypatch):
+        # --nn overrides the file's controller, which need not exist
+        (tmp_path / "sub").mkdir()
+        system = tmp_path / "sub" / "system.json"
+        system.write_text(json.dumps({"controller": "missing.json"}))
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["verify", "--system", "sub/system.json",
+                       "--nn", os.path.basename(hand_nn), "--max-iters", "0",
+                       "--out", "c.json"])
+        assert rc == 2
+
+    def test_system_file_builds_the_loop_built_by_hand(self, tmp_path):
+        # perfbench/run.py and the search fingerprint build the loop by
+        # hand; the CLI builds it from the --system file through System
+        nn10 = cli.bundled_controller_path(10)
+        net = nn.load(nn10)
+        default = certify.System.from_dict({}, net)
+        assert default.field == plant.dubins_closed_loop(
+            plant.DubinsParams(), net)
+        assert default.field is default.field    # built once, then kept
+        assert default.spec == certify.default_spec()
+        stored = certify.load_certificate(DATA / "nn10_seed1_certificate.json")
+
+        def decrease_text(field):
+            # the formula query_decrease checks, without running the check
+            return dsat.Formula(2, dsat.Constraint(
+                certify.lie_derivative(stored.candidate, field), ">=",
+                -stored.gamma)).to_text()
+
+        recorded = json.loads((DATA / "nn10_seed1_certificate.json")
+                              .read_text())["queries"]["decrease"]["formula"]
+        assert decrease_text(default.field) == recorded
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"speed": 2, "gain": 0.9,
+                                      "controller": nn10}))
+        args = cli.build_parser().parse_args(["verify", "--system",
+                                              str(system)])
+        by_hand = plant.dubins_closed_loop(plant.DubinsParams(speed=2.0),
+                                           net, gain=0.9)
+        assert decrease_text(cli._load_system(args).field) == \
+            decrease_text(by_hand) != recorded
 
 
 class TestPlotCmd:
@@ -256,39 +309,6 @@ class TestPlotCmd:
         assert cli.main(["plot", "--nn", hand_nn, "--count", "2",
                          "--out", str(tmp_path / "p.svg")]) == 0
         assert steps == [cli.PLOT_STEP]
-
-    def test_traces_file_drawn(self, tmp_path, hand_nn):
-        field = plant.dubins_closed_loop(plant.DubinsParams(),
-                                         nn.load(hand_nn))
-        trace_path = tmp_path / "trace.csv"
-        sim.write_trace_csv(sim.simulate(field, [0.5, 0.3], 1.0, 0.01),
-                            trace_path)
-        out = tmp_path / "plot.svg"
-        rc = cli.main(["plot", "--nn", hand_nn, "--traces", str(trace_path),
-                       "--out", str(out)])
-        assert rc == 0
-        assert out.read_text().count('class="trace"') == 1
-
-    @pytest.mark.parametrize("text", [
-        "",
-        "t,x0,x1,dx0,dx1\r\n",
-        "t,x0,x1,dx0\r\n0,1,2,3\r\n",
-        "time,x0,x1,dx0,dx1\r\n0,1,2,3,4\r\n",
-        "t,x0,x1,dx0,dx1\r\n0,1,2\r\n",
-        "t,x0,x1,dx0,dx1\r\n0,0.5,0.5,0,0\r\n0.1,0.5,0.5,0,0,0\r\n",
-        "t,x0,dx0\r\n0,0.5,-0.5\r\n",
-    ], ids=["empty", "header_only", "odd_header", "bad_header", "short_row",
-            "long_row", "arity_1d"])
-    def test_malformed_traces_one_error_line(self, tmp_path, hand_nn,
-                                             capsys, text):
-        trace_path = tmp_path / "trace.csv"
-        trace_path.write_text(text)
-        rc = cli.main(["plot", "--nn", hand_nn, "--traces", str(trace_path),
-                       "--out", str(tmp_path / "p.svg")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert not (tmp_path / "p.svg").exists()
 
 
 class TestBenchCmd:

@@ -1,4 +1,4 @@
-"""RK4 integration, trace generation, CSV round-trip."""
+"""RK4 integration and trace generation."""
 
 import math
 import signal
@@ -122,18 +122,6 @@ class TestSeedTraces:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        field = _dubins_zero_controller()
-        tr = sim.simulate(field, [0.3, -0.2], 1.0, 0.05)
-        path = tmp_path / "trace.csv"
-        sim.write_trace_csv(tr, path)
-        back = sim.read_trace_csv(path)
-        assert np.array_equal(back.times, tr.times)
-        assert np.array_equal(back.states, tr.states)
-        assert np.array_equal(back.derivs, tr.derivs)
 
 
 def _bundled_field(size, gain=1.0):
