@@ -273,8 +273,8 @@ def load_certificate(path):
     """Read a file written by Certificate.save.  The candidate is rebuilt
     from p_matrix's upper triangle, q_vector and c, and the stored expr and
     grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
-    when a field is missing, ill-typed (a number that is a bool or a
-    string, a count that is not an integer >= 0), out of range (gamma and
+    when a field is missing, ill-typed (a number that json_number
+    refuses, a count that is not an integer >= 0), out of range (gamma and
     delta as CertifyConfig wants them) or inconsistent.  Queries are not
     re-run, and neither their formula text nor the version is read; the
     refuted counts are read when present."""
@@ -286,7 +286,6 @@ def load_certificate(path):
         q = np.array([json_number(v) for v in gen["q_vector"]])
         n = len(q)
         if not (p.shape == (n, n) and q.shape == (n,)
-                and np.isfinite(p).all() and np.isfinite(q).all()
                 and (p == p.T).all()):
             raise ValueError("generator p_matrix and q_vector do not "
                              "describe one quadratic")
@@ -302,8 +301,6 @@ def load_certificate(path):
         level, gamma, delta = (json_number(data[k])
                                for k in ("level", "gamma", "delta"))
         CertifyConfig(gamma, delta)     # raises unless finite and > 0
-        if not math.isfinite(level):
-            raise ValueError("level must be finite")
         refuted = data.get("refuted")    # absent from 0.2.0 files
         if refuted is not None:
             refuted = {k: _count(refuted[k]) for k in ("sampling", "dsat")}
@@ -313,7 +310,7 @@ def load_certificate(path):
                            data["controller_hash"],
                            _count(data["iterations"]), refuted,
                            str(data.get("version", "?")))
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed certificate %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
 
@@ -395,16 +392,18 @@ def vertex_max(cand, x0):
     return max(cand.value(corner) for corner in itertools.product(*x0.bounds))
 
 
-NO_LEVEL = None
+class NoLevelError(RuntimeError):
+    """select_level found no level with X0 inside L and L disjoint from U."""
 
 
 def select_level(cand, spec, delta=DELTA_DEFAULT):
     """Binary search for a level with X0 inside L and L disjoint from U.
 
-    Returns (level, transcripts), or (NO_LEVEL, transcripts) after
-    BISECTION_STEPS rejected probes.  The feasible range is (vertex_max,
+    Returns (level, transcripts).  The feasible range is (vertex_max,
     min halfspace minimum); the vertex condition is necessary but not
-    sufficient, so each probe is confirmed by both set queries.
+    sufficient, so each probe is confirmed by both set queries.  Raises
+    NoLevelError when the range is empty or after BISECTION_STEPS
+    rejected probes.
     """
     vmax = vertex_max(cand, spec.x0)
     # U, outside the safe rectangle, is the union of the 2n halfspaces
@@ -414,9 +413,9 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
     faces[range(n), :, range(n)] = 1.0, -1.0
     ends = spec.safe_rect.bounds[:, ::-1] * (1.0, -1.0)    # rows (hi, -lo)
     hmin = halfspace_min(cand, faces.reshape(2 * n, n), ends.ravel())
-    transcripts = {}
     if not hmin > vmax:
-        return NO_LEVEL, transcripts
+        raise NoLevelError("empty level range: v's vertex maximum on X0 "
+                           "is %r, its minimum on U %r" % (vmax, hmin))
     lo, hi = vmax, hmin
     for _ in range(BISECTION_STEPS):
         level = 0.5 * (lo + hi)
@@ -428,10 +427,9 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
         if t3.verdict != "UNSAT":
             hi = level          # L touches U: shrink it
             continue
-        transcripts["init_containment"] = t2
-        transcripts["unsafe_disjoint"] = t3
-        return level, transcripts
-    return NO_LEVEL, transcripts
+        return level, {"init_containment": t2, "unsafe_disjoint": t3}
+    raise NoLevelError("all %d level probes between %r and %r failed"
+                       % (BISECTION_STEPS, vmax, hmin))
 
 
 # ---------------------------------------------------------------------------
@@ -565,22 +563,24 @@ class NoCandidateError(RuntimeError):
 
 
 # The failures that verify reports as Inconclusive, by stage.
-_STAGES = {NoCandidateError: "no_candidate",
+_STAGES = {plant.ArityError: "arity",
+           NoCandidateError: "no_candidate",
            dsat.BudgetExhausted: "budget",
            sim.SimulationDivergence: "simulation",
            lpgen.LPUnboundedError: "lp_unbounded",
            lpgen.PivotLimitError: "lp",
+           NoLevelError: "no_level",
            NotEllipsoidError: "no_level"}
 
 
 def verify(spec, f, config=None, controller_hash=""):
     """Full procedure; returns a Certificate or an Inconclusive record."""
     config = config or CertifyConfig()
-    if spec.arity != f.arity:
-        return Inconclusive("arity", "spec has arity %d, the field %d"
-                            % (spec.arity, f.arity))
     transcripts, iterations = {}, 0
     try:
+        if spec.arity != f.arity:
+            raise plant.ArityError("spec has arity %d, the field %d"
+                                   % (spec.arity, f.arity))
         cand, t1, iterations, refuted = find_generator(spec, f, config)
         transcripts["decrease"] = t1
         level, level_transcripts = select_level(cand, spec, config.delta)
@@ -590,10 +590,6 @@ def verify(spec, f, config=None, controller_hash=""):
         return Inconclusive(stage, str(exc),
                             getattr(exc, "transcripts", transcripts),
                             getattr(exc, "iteration", iterations))
-    if level is NO_LEVEL:
-        return Inconclusive("no_level",
-                            "no admissible level within bisection budget",
-                            transcripts, iterations)
     transcripts.update(level_transcripts)
     return Certificate(cand, level, config.gamma, config.delta, transcripts,
                        spec, controller_hash, iterations, refuted)

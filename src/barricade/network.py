@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,11 @@ def _validate(layers):
 
 
 def json_number(v):
-    """v, a JSON number (not a bool or a string), as a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError("%r is not a number" % (v,))
+    """v, a finite JSON number, as a float.  Raises TypeError for a bool,
+    a string, NaN, an infinity or an integer beyond the float range."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not -sys.float_info.max <= v <= sys.float_info.max):
+        raise TypeError("%r is not a finite number" % (v,))
     return float(v)
 
 

@@ -175,7 +175,6 @@ def cmaes_minimize(objective, dim, cfg):
     best_x = mean.copy()
     best_f = math.inf
     history = []
-    evals = 0
     for gen in range(cfg.iterations):
         d2, b_mat = np.linalg.eigh(cov)
         d2 = np.maximum(d2, 1e-20)
@@ -189,7 +188,6 @@ def cmaes_minimize(objective, dim, cfg):
         for i in range(lam):
             f = objective(xs[i])
             fs[i] = math.inf if (f != f) else f
-        evals += lam
         order = np.argsort(fs, kind="stable")
         if fs[order[0]] < best_f:
             best_f = float(fs[order[0]])

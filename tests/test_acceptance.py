@@ -282,7 +282,7 @@ def test_criterion_10_level_set_analytics():
             a[i] = sign
             assert certify.halfspace_min(cand, a, b) == 1.0
     level, transcripts = certify.select_level(cand, spec)
-    assert level is not certify.NO_LEVEL
+    assert isinstance(level, float)
     assert 0.02 < level < 1.0
     assert transcripts["init_containment"].verdict == "UNSAT"
     assert transcripts["unsafe_disjoint"].verdict == "UNSAT"

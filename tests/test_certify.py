@@ -222,19 +222,28 @@ class TestLevelAnalytics:
         cand = _identity_candidate()
         spec = _square_spec()
         level, transcripts = certify.select_level(cand, spec)
-        assert level is not certify.NO_LEVEL
+        assert isinstance(level, float)
         assert 0.02 < level < 1.0
         assert transcripts["init_containment"].verdict == "UNSAT"
         assert transcripts["unsafe_disjoint"].verdict == "UNSAT"
 
-    def test_select_level_infeasible_range(self):
+    def test_select_level_infeasible_range(self, monkeypatch):
         tmpl = lpgen.QuadraticTemplate(2)
         # v with a huge linear tilt: vertex max exceeds halfspace minimum
         cand = lpgen.candidate_from([1.0, 0.0, 1.0, 1.0, 0.0, 0.0], tmpl)
         spec = certify.SafetySpec(sx.box((-0.9, 0.9), (-0.9, 0.9)),
                                   sx.box((-1.0, 1.0), (-1.0, 1.0)))
-        level, _ = certify.select_level(cand, spec)
-        assert level is certify.NO_LEVEL
+
+        def no_probe(*args):
+            raise AssertionError("an empty range needs no probe")
+        monkeypatch.setattr(certify, "query_init_containment", no_probe)
+        with pytest.raises(certify.NoLevelError) as info:
+            certify.select_level(cand, spec)
+        vmax, umin = certify.vertex_max(cand, spec.x0), _unsafe_min(cand, spec)
+        assert not umin > vmax
+        assert str(info.value) == (
+            "empty level range: v's vertex maximum on X0 is %r, its minimum "
+            "on U %r" % (vmax, umin))
 
     def test_faces_in_one_call(self, monkeypatch):
         # the union of U's faces in one call gives the least of the
@@ -296,12 +305,17 @@ class TestBisection:
                                     lpgen.QuadraticTemplate(2))
         spec = certify.SafetySpec(sx.box((0.0, 0.1), (-0.1, 0.0)),
                                   sx.box((-r, r), (-r, r)))
-        level, transcripts = certify.select_level(cand, spec, delta)
+        if found:
+            level, transcripts = certify.select_level(cand, spec, delta)
+        else:
+            with pytest.raises(certify.NoLevelError,
+                               match="^all %d level probes between "
+                               % certify.BISECTION_STEPS):
+                certify.select_level(cand, spec, delta)
         inits = [v for name, v in probes if name == "init_containment"]
         unsafes = [v for name, v in probes if name == "unsafe_disjoint"]
         assert (len(inits), len(unsafes)) == (n_init, n_unsafe)
         if not found:
-            assert level is certify.NO_LEVEL and transcripts == {}
             assert len(inits) == certify.BISECTION_STEPS
             assert "UNSAT" not in unsafes
             return
@@ -559,6 +573,20 @@ class TestVerify:
         assert out.stage == "budget"
         assert out.transcripts["decrease"].verdict == "UNSAT"
 
+    def test_level_search_failure_keeps_the_decrease_transcript(
+            self, monkeypatch):
+        # with no probe allowed, the level search fails after CEGIS found
+        # its candidate, and says so
+        cert = certify.verify(_square_spec(), _contraction_field())
+        monkeypatch.setattr(certify, "BISECTION_STEPS", 0)
+        out = certify.verify(_square_spec(), _contraction_field())
+        assert isinstance(out, certify.Inconclusive)
+        assert out.stage == "no_level"
+        assert out.detail.startswith("all 0 level probes between ")
+        assert list(out.transcripts) == ["decrease"]
+        assert out.transcripts["decrease"].verdict == "UNSAT"
+        assert out.iterations == cert.iterations
+
     @pytest.mark.parametrize("exc,stage", [
         (certify.NoCandidateError, "no_candidate"),
         (dsat.BudgetExhausted, "budget"),
@@ -566,6 +594,8 @@ class TestVerify:
         (lpgen.LPUnboundedError, "lp_unbounded"),
         (lpgen.PivotLimitError, "lp"),
         (certify.NotEllipsoidError, "no_level"),
+        (certify.NoLevelError, "no_level"),
+        (plant.ArityError, "arity"),
     ])
     def test_failure_stage(self, monkeypatch, exc, stage):
         def fail(*args):
@@ -681,6 +711,20 @@ def _set(path, value):
     return edit
 
 
+def _with_c(c):
+    """An edit setting the generator's c, with the expr and grad text that
+    candidate_from builds with it."""
+    def edit(d):
+        gen = d["generator"]
+        tmpl = lpgen.QuadraticTemplate(len(gen["q_vector"]))
+        cand = lpgen.candidate_from(
+            [gen["p_matrix"][i][j] for i, j in tmpl.pairs]
+            + gen["q_vector"] + [c], tmpl)
+        gen.update(c=c, expr=sx.to_sexpr(cand.expr),
+                   grad=[sx.to_sexpr(g) for g in cand.grad])
+    return edit
+
+
 class TestCertificateFile:
     def test_hand_built_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
@@ -743,6 +787,8 @@ class TestCertificateFile:
         _set(("generator", "p_matrix", 0, 0), True),
         _set(("level",), 10 ** 400),    # no float holds it
         _set(("spec", "u"), []),        # SafetySpec.from_dict's exact keys
+        _with_c(math.nan),              # expr and grad rebuilt with c
+        _with_c(math.inf),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
@@ -750,7 +796,8 @@ class TestCertificateFile:
             "refuted_int", "level_str", "gamma_bool", "c_str", "gamma_zero",
             "delta_neg", "iterations_float", "iterations_neg",
             "refuted_not_counts", "hash_int", "x0_str", "safe_rect_bool",
-            "q_str", "p_bool", "level_huge_int", "spec_extra_key"])
+            "q_str", "p_bool", "level_huge_int", "spec_extra_key", "c_nan",
+            "c_inf"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)

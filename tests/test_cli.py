@@ -92,6 +92,22 @@ class TestVerifyCmd:
                        "--out", str(tmp_path / "c.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("layer", [
+        {"weights": [[math.nan, 1.6]], "bias": [0.0]},
+        {"weights": [[0.9, 1.6]], "bias": [10 ** 400]},
+        {"weights": [[0.9, -math.inf]], "bias": [0.0]},
+    ], ids=["weight_nan", "bias_huge_int", "weight_neg_inf"])
+    def test_non_finite_network_number_one_error_line(self, tmp_path, capsys,
+                                                      layer):
+        bad = tmp_path / "nn.json"
+        bad.write_text(json.dumps({"layers": [{**layer,
+                                               "activation": "tanh"}]}))
+        out = tmp_path / "c.json"
+        rc = cli.main(["verify", "--nn", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_system_config_file(self, tmp_path, hand_nn):
         system = tmp_path / "system.json"
         system.write_text(json.dumps({
@@ -117,10 +133,14 @@ class TestVerifyCmd:
         {"spec": {}},
         {"spec": {"x0": [[-0.1, 0.1], [-0.1, 0.1]],
                   "safe_rect": [[-1.0, 1.0], [-1.5, 1.5]], "u": []}},
+        {"gain": math.nan},
+        {"path_angle": math.inf},
+        {"gain": 10 ** 400},
     ], ids=["spec_without_safe_rect", "speed_string", "top_level_list",
             "x0_string_and_bool", "gain_string", "speed_number_string",
             "path_angle_bool", "safe_rect_string", "unknown_key",
-            "spec_null", "spec_empty", "spec_extra_key"])
+            "spec_null", "spec_empty", "spec_extra_key", "gain_nan",
+            "path_angle_inf", "gain_huge_int"])
     def test_malformed_system_file_one_error_line(self, tmp_path, hand_nn,
                                                   capsys, system):
         if isinstance(system, dict):

@@ -120,6 +120,18 @@ class TestPersistence:
         with pytest.raises(nn.NetworkFormatError):
             nn.load(path)
 
+    @pytest.mark.parametrize("layer", [
+        {"weights": [[math.nan, 1.0]], "bias": [0.0]},
+        {"weights": [[0.5, math.inf]], "bias": [0.0]},
+        {"weights": [[0.5, 1.0]], "bias": [10 ** 400]},
+    ], ids=["weight_nan", "weight_inf", "bias_huge_int"])
+    def test_rejects_numbers_that_are_not_finite(self, tmp_path, layer):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"layers": [
+            {**layer, "activation": "tanh"}]}))
+        with pytest.raises(nn.NetworkFormatError):
+            nn.load(path)
+
     def test_integers_load_as_floats(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"layers": [
