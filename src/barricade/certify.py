@@ -1,23 +1,16 @@
 """End-to-end certification: CEGIS loop for the generator function, level
 selection by binary search, final set queries and certificate emission.
 
-The pipeline mirrors the simulate -> solve LP -> interval-check cycle.
-Traces are integrated at SIM_STEP, the grid of the states the pipeline
-reads: every SUBSAMPLE-th state (one each 0.1 s) gives LP rows, and the
-states midway between them are falsified.  A batch too stiff for that
-step is integrated again REFINE times finer, on the same read times.
-Each stored derivative is f at its stored state, so the step moves only
-where the rows lie.
-Each LP candidate is first falsified by sampling: its Lie derivative is
-evaluated on a fixed sample of D \\ X0 (FALSIFY_POINTS points, seeded by
-the config seed) and on the trace states between the LP's rows, from f
-on the sample (once per call) and the traces' stored derivatives.  Up to
-MAX_CEX points where it is >= -gamma, worst first and CEX_SPREAD apart,
-become the starts of fresh simulations, all in one batch, whose points
-tighten the next LP.  Only a candidate that sampling cannot refute goes
-to the decrease query, whose witness box is fed back the same way.
-Sampling never certifies: a candidate leaves the loop only on the
-query's UNSAT.
+Traces are integrated at SIM_STEP (REFINE times finer when a batch is too
+stiff for it, on the same read times): every SUBSAMPLE-th state gives LP
+rows, and the states midway between them are falsified, each with its
+stored derivative.  Each candidate's Lie derivative is first evaluated on
+those midpoints and on a fixed, seeded sample of D \\ X0 (FALSIFY_POINTS
+points, f on it once per call).  Up to MAX_CEX points where it is >=
+-gamma, worst first and CEX_SPREAD apart, start fresh simulations, all in
+one batch.  Only a candidate that sampling cannot refute goes to the
+decrease query, whose witness is fed back the same way; sampling never
+certifies.
 """
 
 from __future__ import annotations
@@ -272,15 +265,14 @@ def _count(v):
 def load_certificate(path):
     """Read a file written by Certificate.save.  The candidate is rebuilt
     from p_matrix's upper triangle, q_vector and c, and the stored expr and
-    grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError
-    when a field is missing, ill-typed (a number that json_number
-    refuses, a count that is not an integer >= 0), out of range (gamma and
-    delta as CertifyConfig wants them) or inconsistent.  Queries are not
-    re-run, and neither their formula text nor the version is read; the
-    refuted counts are read when present."""
-    with open(path) as fh:
-        data = json.load(fh)
+    grad must be the to_sexpr text of the rebuilt ones.  Raises ValueError,
+    naming the file, when it is not JSON, or a field is missing, ill-typed
+    (json_number, counts >= 0), out of range (as CertifyConfig wants gamma
+    and delta) or inconsistent.  Queries, formula text and version are not
+    read; the refuted counts are, when present."""
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         gen = data["generator"]
         p = np.array(json_rows(gen["p_matrix"]))
         q = np.array([json_number(v) for v in gen["q_vector"]])
@@ -310,7 +302,7 @@ def load_certificate(path):
                            data["controller_hash"],
                            _count(data["iterations"]), refuted,
                            str(data.get("version", "?")))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError("malformed certificate %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
 
@@ -437,53 +429,51 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
 # ---------------------------------------------------------------------------
 
 def find_generator(spec, f, config):
-    """Iterate LP candidates against the decrease query, folding each
-    round's counterexamples back in as fresh simulations (see the module
-    docstring).  Returns (candidate, decrease_transcript, iterations,
-    refuted), where refuted counts the rounds refuted by "sampling" and
-    by "dsat", or raises NoCandidateError.  An exception that ends a round
-    (one of _STAGES) carries the round's number as its `iteration`, and
-    the decrease transcripts of the rounds that dsat refuted as its
-    `transcripts`, named decrease_<round>.
-    """
+    """The CEGIS loop of the module docstring.  Returns (candidate,
+    decrease_transcript, iterations, refuted), refuted counting the rounds
+    refuted by "sampling" and by "dsat", or raises NoCandidateError.  An
+    exception of _STAGES that ends a round carries its number as
+    `iteration`, and the decrease transcripts of the rounds dsat refuted,
+    named decrease_<round>, as `transcripts`."""
     tmpl = lpgen.QuadraticTemplate(spec.arity)
-    traces = _on_read_grid(lambda step: sim.seed_traces(
+    lp_region = (spec.safe_rect, spec.x0)
+    # What the rounds read of each batch, derived once: the LP's points,
+    # and the states midway between them in the LP's region with their
+    # derivatives, a (2, m, n) array.
+    points, mids = [], []
+
+    def accept(traces):
+        points.append(lpgen.lp_points(traces, SUBSAMPLE, lp_region))
+        mid = lpgen.trace_grid(traces, slice(SUBSAMPLE // 2, None, SUBSAMPLE))
+        mids.append(mid[:, lpgen.in_region(mid[0], lp_region)])
+    accept(_on_read_grid(lambda step: sim.seed_traces(
         f, spec.safe_rect, config.n_seed_traces, SIM_DURATION, step,
-        config.seed, exclude=spec.x0))
+        config.seed, exclude=spec.x0)))
     # Its own stream of config.seed, so the seed traces do not move.
     sample = sim.sample_box(
         np.random.default_rng(np.random.SeedSequence(config.seed,
                                                      spawn_key=(1,))),
         spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
-    sample_f = f.batched(sample.T).T    # f on the sample, once per call
-    lp_region = (spec.safe_rect, spec.x0)
+    sample = np.stack([sample, f.batched(sample.T).T])  # f once per call
     refuted = {"sampling": 0, "dsat": 0}
     iteration, failed = 0, {}
     try:
         for iteration in range(1, config.max_iterations + 1):
-            lp = lpgen.build_constraints(traces, tmpl, EPS_POS, EPS_DEC,
-                                         subsample=SUBSAMPLE,
-                                         region=lp_region)
+            lp = lpgen.build_constraints(points, tmpl, EPS_POS, EPS_DEC)
             sol = lpgen.solve_lp(lp)
             if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
                 raise NoCandidateError("LP %s at iteration %d" % (
                     "infeasible" if sol is lpgen.INFEASIBLE else
                     "margin nonpositive", iteration))
             cand = lpgen.candidate_from(sol[:-1], tmpl)
-            # Trace states midway between the LP's rows, in its region,
-            # and f there as stored; grad v . f in lie_derivative's order.
-            half = slice(SUBSAMPLE // 2, None, SUBSAMPLE)
-            mid = np.concatenate([tr.states[half] for tr in traces])
-            mid_f = np.concatenate([tr.derivs[half] for tr in traces])
-            inside = lpgen.in_region(mid, lp_region)
-            points = np.concatenate([mid[inside], sample])
-            fx = np.concatenate([mid_f[inside], sample_f])
+            # grad v . f at the traces' midpoints, from their stored
+            # derivatives, and at the sample, in lie_derivative's order.
+            xs, fx = np.concatenate([*mids, sample], axis=1)
             values = 0.0
             for g, f_i in zip(cand.grad, fx.T):
-                values = values + sx.compile_expr(g)(points.T) * f_i
-            cex = falsify(values, points, spec, config.gamma)
-            # not held through the decrease query and the new traces
-            del mid, mid_f, inside, points, fx, values
+                values = values + sx.compile_expr(g)(xs.T) * f_i
+            cex = falsify(values, xs, spec, config.gamma)
+            del xs, fx, values  # not held through the query and new traces
             if cex:
                 refuted["sampling"] += 1
             else:
@@ -495,7 +485,7 @@ def find_generator(spec, f, config):
                 failed["decrease_%d" % iteration] = transcript
                 cex = [transcript.witness.midpoint()]
             starts = [p for x in cex for p in _cex_cluster(x, spec)]
-            traces.extend(_on_read_grid(lambda step: sim.simulate_batch(
+            accept(_on_read_grid(lambda step: sim.simulate_batch(
                 f, starts, SIM_DURATION, step)))
         raise NoCandidateError("no candidate within %d iterations"
                                % config.max_iterations)

@@ -20,13 +20,13 @@ PLOT_STEP = 0.01   # RK4 step of the plotted traces, finer than the pipeline's
 
 def _load_system(args):
     """The certify.System of --system and --nn.  The file's controller path
-    is relative to the file; --nn overrides it.  A malformed --system file
-    raises ValueError."""
-    data = {}
-    if args.system:
-        with open(args.system) as fh:
-            data = json.load(fh)
+    is relative to the file; --nn overrides it.  A malformed --system file,
+    one that is not JSON included, raises ValueError naming it."""
     try:
+        data = {}
+        if args.system:
+            with open(args.system) as fh:
+                data = json.load(fh)
         path = args.nn or data.get("controller")
         if path is None:
             raise SystemExit("error: no controller given (--nn or system.json)")
@@ -34,7 +34,9 @@ def _load_system(args):
             path = os.path.join(os.path.dirname(os.path.abspath(args.system)),
                                 path)
         return certify.System.from_dict(data, nn.load(path))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except nn.NetworkFormatError:
+        raise                           # it names the controller's file
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError("malformed system file %s: %s %s"
                          % (args.system, type(exc).__name__, exc)) from None
 

@@ -1,13 +1,10 @@
 """Linear-program generation and solving for quadratic generator candidates.
 
 A quadratic template v(x) = x'Px + q'x + c is linear in its coefficients,
-so "v positive at sampled states" and "v decreasing along sampled
-trajectories" are linear rows.  The LP is one matrix: `rows @ x <= rhs`,
-every trace point's rows built at once from the stacked states and
-derivatives, and the simplex reads that matrix as it is.  A shared margin
-variable is maximized so the LP returns a candidate that satisfies the
-constraints strictly, which survives the a-posteriori interval check far
-more often than a bare feasible point.
+so "v positive" and "v decreasing" at sampled trace points are linear
+rows, of one matrix `rows @ x <= rhs` that the simplex reads as it is.  A
+shared margin is maximized, so the candidate satisfies the rows strictly
+and survives the interval check far more often than a bare feasible point.
 """
 
 from __future__ import annotations
@@ -115,47 +112,53 @@ class LPProblem:
         return float(np.min(self.rhs - self.rows @ x))
 
 
-def build_constraints(traces, tmpl, eps_pos, eps_dec, subsample=10,
-                      region=None):
-    """Rows from trace data, in `rows @ x <= rhs` form.
+def trace_grid(traces, read):
+    """The states and derivatives that `read`, a slice, picks from each of
+    `traces`, all of one length, as one (2, B, k, n) array."""
+    return np.array([[tr.states[read] for tr in traces],
+                     [tr.derivs[read] for tr in traces]])
 
-    Every subsample-th state x_k of each trace, with stored derivative
-    dx_k, gives two rows, in this order:
-        -v(x_k) + s <= -eps_pos
-        grad v(x_k) . dx_k + s <= -eps_dec
-    The trace heads come first, then the other points, strided down to at
-    most MAX_POINTS; then the normalization box |coeff| <= 1 and
-    |s| <= 10, two rows per unknown.  The objective maximizes the shared
-    margin s, the last unknown.  `region`, when given, is a pair of boxes
-    (outer, inner): heads and points outside outer or inside inner are
-    dropped, so the rows cover the domain the SMT check will.  The
-    simplex breaks its ties by index, so this order fixes the certificate.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    if not (eps_pos > 0 and eps_dec > 0):
-        raise ValueError("eps_pos and eps_dec must be positive")
+
+def lp_points(traces, subsample, region=None):
+    """(heads, rest): every subsample-th state of the batch `traces` and
+    its derivative, as (2, m, n) arrays of the trace heads and of the other
+    points, trace by trace.  Points outside `outer` or inside `inner` of
+    region = (outer, inner), when given, are dropped, as the check does."""
     if not subsample >= 1:
         raise ValueError("subsample must be >= 1")
-    x = np.concatenate([tr.states[::subsample] for tr in traces])
-    dx = np.concatenate([tr.derivs[::subsample] for tr in traces])
-    head = np.concatenate([np.arange(0, len(tr), subsample) == 0
-                           for tr in traces])
-    keep = np.ones(len(x), bool) if region is None else in_region(x, region)
+    grid = trace_grid(traces, slice(None, None, subsample))
+    keep = (np.ones(grid.shape[1:3], bool) if region is None
+            else in_region(grid[0], region))
+    return grid[:, :, :1][:, keep[:, :1]], grid[:, :, 1:][:, keep[:, 1:]]
+
+
+def build_constraints(points, tmpl, eps_pos, eps_dec):
+    """The LP of the lp_points of one or more batches.  Each point x_k,
+    with stored derivative dx_k, gives two rows, in this order:
+        -v(x_k) + s <= -eps_pos
+        grad v(x_k) . dx_k + s <= -eps_dec
+    The heads of every batch come first, then the other points, strided
+    down to at most MAX_POINTS; then the box |coeff| <= 1 and |s| <= 10,
+    two rows per unknown.  The objective maximizes the margin s, the last
+    unknown.  The simplex breaks ties by index: this order fixes the
+    certificate."""
+    if not points:
+        raise ValueError("need at least one batch of points")
+    if not (eps_pos > 0 and eps_dec > 0):
+        raise ValueError("eps_pos and eps_dec must be positive")
+    heads, rest = (np.concatenate(p, axis=1) for p in zip(*points))
     # Trace heads escape the stride: counterexample traces start exactly
     # at the state the last candidate failed on.
-    points = np.flatnonzero(keep & ~head)
-    if len(points) > MAX_POINTS:
-        points = points[::int(np.ceil(len(points) / MAX_POINTS))]
-    order = np.concatenate([np.flatnonzero(keep & head), points])
-    value, decrease = tmpl.monomials(x[order], dx[order])
-    margin = np.ones((len(order), 1))
+    if rest.shape[1] > MAX_POINTS:
+        rest = rest[:, ::int(np.ceil(rest.shape[1] / MAX_POINTS))]
+    value, decrease = tmpl.monomials(*np.concatenate([heads, rest], axis=1))
+    margin = np.ones((len(value), 1))
     box = np.eye(tmpl.n_unknowns + 1)     # margin s is the last unknown
     rows = np.vstack([_interleave(np.hstack([-value, margin]),
                                   np.hstack([decrease, margin])),
                       _interleave(box, -box)])
     rhs = np.concatenate([
-        np.tile([-eps_pos, -eps_dec], len(order)),
+        np.tile([-eps_pos, -eps_dec], len(value)),
         np.repeat([COEFF_BOUND] * tmpl.n_unknowns + [MARGIN_BOUND], 2)])
     return LPProblem(rows, rhs, box[-1])
 

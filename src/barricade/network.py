@@ -1,11 +1,8 @@
 """Feedforward neural-network controller: layers, JSON persistence and the
-forward passes that the expression node `symexpr.net` runs.
-
-`forward` is the scalar reference, which matches the unrolled `to_expr`
-sums bit for bit; `symexpr.array_program` runs the layers over the
-columns of an array with `batch_arrays`.  The checker's interval pass is
-`interval._inet`.  `to_expr` lowers a network neuron by neuron: the
-independent form that tests check the layer-wise passes against.
+forward passes that the expression node `symexpr.net` runs: the scalar
+reference `forward`, bit for bit the unrolled `to_expr` sums (the
+neuron-by-neuron form tests check the layer-wise passes against), and the
+arrays of `symexpr.array_program` (`batch_arrays`) and `interval._inet`.
 """
 
 from __future__ import annotations
@@ -77,10 +74,13 @@ def _validate(layers):
 
 def json_number(v):
     """v, a finite JSON number, as a float.  Raises TypeError for a bool,
-    a string, NaN, an infinity or an integer beyond the float range."""
+    a string, NaN, an infinity or an integer beyond the float range,
+    quoting at most 40 characters of v, or an integer's length in bits."""
     if (isinstance(v, bool) or not isinstance(v, (int, float))
             or not -sys.float_info.max <= v <= sys.float_info.max):
-        raise TypeError("%r is not a finite number" % (v,))
+        raise TypeError("%s is not a finite number" % (
+            "a %d-bit integer" % v.bit_length() if type(v) is int
+            else "%.40r" % (v,)))
     return float(v)
 
 
@@ -173,11 +173,10 @@ REPEAT_MAX = 256
 def batch_arrays(net, batch):
     """numpy_arrays(net) with each bias shaped to add to (d_out, batch).
 
-    Up to REPEAT_MAX columns the bias is repeated to that shape: numpy adds
-    equal shapes two to three times as fast as it broadcasts a column,
-    which the simulator's narrow batches feel.  Wider batches broadcast a
-    column, which costs no memory (a repeated bias is 8 MB at 100 neurons
-    and 10,000 columns)."""
+    Up to REPEAT_MAX columns the bias is repeated to that shape, which
+    numpy adds two to three times as fast as a broadcast column.  Wider
+    batches broadcast it, costing no memory (a repeated bias is 8 MB at
+    100 neurons and 10,000 columns)."""
     return [(w, np.repeat(b[:, None], batch, axis=1) if batch <= REPEAT_MAX
              else b[:, None], act)
             for w, b, act in numpy_arrays(net)]
@@ -207,12 +206,13 @@ def save(net, path):
 
 
 def load(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError("not valid JSON: %s" % exc) from exc
-    return from_dict(data)
+    """The network of a JSON file.  Raises NetworkFormatError, naming the
+    file, when json.load refuses it (digit limit included) or from_dict."""
+    try:
+        with open(path) as fh:
+            return from_dict(json.load(fh))
+    except ValueError as exc:   # NetworkFormatError is one
+        raise NetworkFormatError("network file %s: %s" % (path, exc)) from None
 
 
 def controller_hash(net):

@@ -1,11 +1,10 @@
 """Closed-loop vector-field construction and the Dubins path-following
 error dynamics.
 
-State for the verified system is (d_err, theta_e): signed lateral offset
-from the target line and heading error.  The closed loop substitutes one
-`symexpr.net` node per controller output into the plant field, so the
-checker, the simulator and the oracle all evaluate the same expressions,
-each running the network one layer at a time.
+The state is (d_err, theta_e): signed lateral offset from the target line
+and heading error.  The closed loop substitutes one `symexpr.net` node per
+controller output into the plant field, so the checker, the simulator and
+the oracle evaluate the same expressions.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class VectorField:
     def batched(self):
         """f as a callable (X, out=None) -> out: f at the columns of the
         (n, B) array X (or n length-B arrays) written into out (made when
-        None) by one symexpr.array_program, built on first use.  It may
-        round differently from eval_at in the last bits (numpy's functions,
-        the order of the sums in a controller's matrix products)."""
+        None) by one symexpr.array_program, built on first use, whose
+        bind(B) the simulator runs.  It may round differently from eval_at
+        in the last bits."""
         return sx.array_program(self.components, rows=True)
 
 

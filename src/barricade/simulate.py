@@ -1,10 +1,9 @@
 """Fixed-step RK4 integration of a closed-loop vector field.
 
-Traces feed the LP constraint generator.  A batch of starts is integrated
-in lockstep through the field's batched evaluator, into preallocated stage
-buffers and one (steps + 1, n, B) array of which each Trace is a view.
-It matches the checker's expression for f to within a few ulps, not bit
-for bit; that is enough for the LP, and soundness rests with the checker.
+A batch of starts is integrated in lockstep by the field's program bound
+to the batch's width, each numpy call writing through its out into
+registers, stage buffers or one (steps + 1, n, B) array that each Trace
+views.  It matches the checker's f within a few ulps, enough for the LP.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def simulate_batch(field, starts, duration, step):
     x0 = np.array(starts, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.arity or not len(x0):
         raise ValueError("starts must be (B, %d), B >= 1" % field.arity)
-    f = field.batched
+    f = field.batched.bind(len(x0))
     n_steps = int(np.floor(duration / step + 1e-12))
     states, derivs = np.empty((2, n_steps + 1) + x0.T.shape)
     states[0] = x0.T
@@ -75,14 +74,14 @@ def simulate_batch(field, starts, duration, step):
         f(states[0], derivs[0])
         for x, k1, x_next, k1_next in zip(states, derivs, states[1:],
                                           derivs[1:]):
-            f(np.add(x, np.multiply(half, k1, out=xs), out=xs), k2)
-            f(np.add(x, np.multiply(half, k2, out=xs), out=xs), k3)
-            f(np.add(x, np.multiply(h, k3, out=xs), out=xs), k4)
+            f(np.add(x, np.multiply(half, k1, xs), xs), k2)
+            f(np.add(x, np.multiply(half, k2, xs), xs), k3)
+            f(np.add(x, np.multiply(h, k3, xs), xs), k4)
             # x + sixth * (k1 + two * k2 + two * k3 + k4), in that order
-            np.add(k1, np.multiply(two, k2, out=acc), out=acc)
-            np.add(acc, np.multiply(two, k3, out=xs), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(x, np.multiply(sixth, acc, out=acc), out=x_next)
+            np.add(k1, np.multiply(two, k2, acc), acc)
+            np.add(acc, np.multiply(two, k3, xs), acc)
+            np.add(acc, k4, acc)
+            np.add(x, np.multiply(sixth, acc, acc), x_next)
             f(x_next, k1_next)
     ok = ((states[1:].max(axis=(1, 2)) <= DIVERGENCE_LIMIT)
           & (states[1:].min(axis=(1, 2)) >= -DIVERGENCE_LIMIT))

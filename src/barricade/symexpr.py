@@ -1,30 +1,20 @@
 """Expression trees shared by the simulator, the LP generator and the checker.
 
-A single Expr semantics is used everywhere: the s-expression serialization
-of certificate files, and one flat tape per expression (`lower`), which
-the interval checker and the array evaluator both run.  Keeping one
-semantics is what makes an UNSAT verdict from the interval checker
-meaningful for the system that was simulated.
-
-A controller is one node, `net`: output k of a network applied to input
-expressions.  Each evaluator runs it a layer at a time: the interval
-checker with one interval matrix product per box and layer
-(`interval._inet`), the array evaluator with one matrix product per
-layer, the scalar reference with `network.forward`.  So a tree's size
-does not grow with the network's.  The Box type and the interval kernels
-live in `interval`; `Box` and `box` are re-exported here.
-
-Trees are walked without recursion: `lower`, `arity`, `substitute` and
-`==` loop over one iterative post-order (`_postorder`), and the
-s-expression writer runs on an explicit stack.  Only the scalar reference
-`eval_expr` recurses.
+One Expr semantics serves the certificate files' s-expressions and one
+flat tape per expression (`lower`), which the interval checker and the
+array evaluator both run, so an UNSAT verdict speaks of the system that
+was simulated.  A controller is one node, `net` (output k of a network
+applied to input expressions), run a layer at a time by each evaluator,
+so a tree's size does not grow with the network's.  `Box` and `box` are
+re-exported from `interval`.  Only the scalar reference `eval_expr`
+recurses: the other walks loop over one iterative post-order.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -381,12 +371,10 @@ def _interval_eval_raw(tape, boxes):
     (n, 2, B) array, box b's dimension i being [boxes[i, 0, b],
     boxes[i, 1, b]].
 
-    Returns the enclosures of the S slots, which the checker's HC4 pass
-    reads, as one new (2, S, B) array v, slot s's being v[:, s].  Kernels
-    write to their slots through out=.  v is the transpose of an (S, 2,
-    B) array, so no slot's bounds overlap another's, else numpy would copy
-    a kernel's operands that might overlap its out.
-    """
+    Returns the S slots' enclosures, which HC4 reads, as one new (2, S,
+    B) array v, slot s's being v[:, s], written by the kernels through
+    out=.  v is the transpose of an (S, 2, B) array, so no slot overlaps
+    another, which would make numpy copy a kernel's operands."""
     slots = np.empty((len(tape.nodes), 2, boxes.shape[2]))
     vals = list(slots)      # the (2, B) block of each slot
     slots[tape.consts[0]] = tape.consts[1]
@@ -404,14 +392,10 @@ def _interval_eval_raw(tape, boxes):
 
 def interval_eval(e, bx):
     """Sound interval enclosure (lo, hi), two floats, of e over box bx:
-    the checker's forward pass on one box.
-
-    Division by an interval containing zero, or with a quotient inf/inf,
-    sin or cos of an argument beyond interval.TRIG_ARG_LIMIT, and an
-    enclosure that holds no real number (a NaN end, or the infinite point
-    [inf, inf] or [-inf, -inf]) yield the whole line, which callers must
-    treat as "no information".
-    """
+    the checker's forward pass on one box.  A divisor holding zero, a
+    quotient inf/inf, a sin or cos argument beyond TRIG_ARG_LIMIT, and an
+    enclosure that holds no real number (a NaN end, [inf, inf] or [-inf,
+    -inf]) give the whole line: no information."""
     tape = lower(e)
     v = _interval_eval_raw(tape, bx.bounds.reshape(-1, 2, 1))
     lo, hi = v[:, tape.root, 0].tolist()
@@ -426,8 +410,12 @@ _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
            "div": np.divide, "neg": np.negative, "pow": np.power,
            "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
 _GLOBALS = {f.__name__: f for f in (
-    *_UFUNCS.values(), np.square, np.array, np.asarray, np.ascontiguousarray,
-    np.broadcast_arrays, np.empty)} | {"one": 1.0}
+    *_UFUNCS.values(), np.square, np.matmul, np.copyto, np.empty,
+    nn.batch_arrays)} | {"one": 1.0}
+# A layer's activation in place on its register {0}; sigmoid 1/(1+exp(-y))
+_ACTIVATIONS = {"tanh": ("tanh({0}, {0})",), "identity": (),
+                "sigmoid": ("negative({0}, {0})", "exp({0}, {0})",
+                            "add(one, {0}, {0})", "divide(one, {0}, {0})")}
 # Each distinct source is compiled once: compiling anew fragments the heap.
 _compiled = lru_cache(32)(partial(compile, filename="<program>", mode="exec"))
 
@@ -436,12 +424,14 @@ def array_program(exprs, rows=False):
     """The expressions as one straight-line numpy function of p, p[i]
     being var(i): run(p) returns exprs[0]; with rows, run(p, out=None)
     writes exprs[i] at the columns of the (n, B) array p into row i of out
-    (made when None).  Constants (0-d arrays, which numpy combines with an
-    array about twice as fast as a float), exponents and networks are
-    names in its namespace, never source text.  A network is one matrix
-    product per layer, with batch_arrays, over its inputs stacked, or p's
-    own rows when they are var(0..q-1) in order.  It may round differently
-    from eval_expr in the last bits and makes no division or NaN check."""
+    (made when None).  Each slot's ufunc writes through its positional out
+    into its row of out or a register, reused after the slot's last read:
+    run.bind(B) allocates the registers of width B and returns step(p,
+    out), which allocates no data (p C-contiguous); run binds per call.
+    Constants (0-d arrays, twice as fast as floats), exponents and
+    networks are names, never source text.  A network is one matrix
+    product per layer, over p's rows when its inputs are var(0..q-1) in
+    order.  It may round differently from eval_expr in the last bits."""
     nodes, *roots = _lowered(*exprs)
     direct = {s for s, (op, _, _, kids) in enumerate(nodes) if op == "net"
               and [nodes[k][::2] for k in kids]
@@ -450,54 +440,71 @@ def array_program(exprs, rows=False):
     last_read = {k: s for s, node in enumerate(nodes) if s not in direct
                  for k in node[3]}
     ns = dict(_GLOBALS)
-    lines = ["def run(p, out=None):"]
-    if rows:
-        lines += ["p = asarray(p, dtype=float)", "if out is None: out = "
-                  "empty((%d, p.shape[1]))" % len(exprs)]
-    names, free = [], []
+    setup, body = [], []        # the lines of bind and of step
+    names, regs, free = [], [], []
     for slot, (op, val, idx, kids) in enumerate(nodes):
         args = [names[k] for k in kids]
-        # A slot's register is reused after its last read, so no more
-        # arrays stay referenced than are ever live at once.
         free.extend(names[k] for k in dict.fromkeys(kids)
-                    if nodes[k][3] and last_read[k] == slot)
-        name = free.pop() if kids and free else "r%d" % slot
+                    if names[k] in regs and last_read[k] == slot)
         copies = [i for i, root in enumerate(roots) if rows and root == slot]
+        name = "v%d" % slot
         if op == "const":
             ns[name] = np.array(val[0])
         elif op == "var":
             if slot in last_read or slot in roots:
-                lines.append("%s = p[%d]" % (name, idx))
+                body.append("%s = p[%d]" % (name, idx))
         elif op == "net":
-            ns["a%d" % slot] = cache(partial(nn.batch_arrays, val))
-            lines += ["y = " + ("ascontiguousarray(p[:%d])" % len(kids)
-                                if slot in direct else
-                                "array(broadcast_arrays(%s))"
-                                % ", ".join(args)),
-                      "a = a%d(y.shape[1])" % slot]
+            ns[name] = val
+            x = "p[:%d]" % len(kids)
+            if slot not in direct:
+                x = "y%d" % slot
+                setup.append("%s = empty([%d, width])" % (x, len(kids)))
+                body += ["copyto(%s[%d], %s)" % (x, i, a)
+                         for i, a in enumerate(args)]
+            setup.append("a = batch_arrays(%s, width)" % name)
             for j, layer in enumerate(val.layers):
-                lines += ["%s = a[%d][0] @ %s" % (name, j, name if j else "y"),
-                          "%s += a[%d][1]" % (name, j)]
-                if layer.activation == "tanh":
-                    lines.append("tanh(%s, out=%s)" % (name, name))
-                elif layer.activation == "sigmoid":
-                    lines.append("{0} = divide(one, add(one, exp(negative("
-                                 "{0}))))".format(name))
+                h = "h%d_%d" % (slot, j)
+                setup += ["%s = empty([%d, width])" % (h, layer.d_out),
+                          "w{0}, b{0} = a[{1}][:2]".format(h, j)]
+                body += [line.format(h, x) for line in (
+                    "matmul(w{0}, {1}, {0})", "add({0}, b{0}, {0})",
+                    *_ACTIVATIONS[layer.activation])]
+                x = h
+            name = x
         elif op == "row":
-            lines.append("%s = %s[%d]" % (name, args[0], val))
+            setup.append("%s = %s[%d]" % (name, args[0], val))
         else:
             fn = np.square if (op, val) == ("pow", 2) else _UFUNCS[op]
             if fn is np.power:
                 args.append("n%d" % slot)
                 ns[args[-1]] = val
             if copies:
-                args.append("out=out[%d]" % copies.pop(0))
-            lines.append("%s = %s(%s)" % (name, fn.__name__, ", ".join(args)))
-        lines += ["out[%d] = %s" % (i, name) for i in copies]
+                name = "out[%d]" % copies.pop(0)
+            elif free:
+                name = free.pop()
+            else:
+                name = "r%d" % len(regs)
+                regs.append(name)
+            body.append("%s(%s)" % (fn.__name__, ", ".join(args + [name])))
+        body += ["copyto(out[%d], %s)" % (i, name) for i in copies]
         names.append(name)
-    lines.append("return " + ("out" if rows else names[roots[0]]))
-    exec(_compiled("\n    ".join(lines)), ns)
-    return ns.pop("run")      # no cycle through the namespace
+    if regs:
+        setup.insert(0, "%s, = empty([%d, width])" % (", ".join(regs),
+                                                      len(regs)))
+    body.append("return " + ("out" if rows else names[roots[0]]))
+    exec(_compiled("\n    ".join(
+        ["def bind(width):", *setup, "def step(p, out):",
+         *("    " + line for line in body), "return step"])), ns)
+    bind = ns.pop("bind")     # no cycle through the namespace
+    n_rows = len(exprs)
+
+    def run(p, out=None):
+        p = np.ascontiguousarray(p, dtype=float)
+        if rows and out is None:
+            out = np.empty((n_rows, p.shape[1]))
+        return bind(p.shape[1])(p, out)
+    run.bind = bind
+    return run
 
 
 def compile_expr(e):

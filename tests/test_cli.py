@@ -199,6 +199,72 @@ class TestVerifyCmd:
             decrease_text(by_hand) != recorded
 
 
+# A JSON integer past Python's 4,300-digit limit, which json.load refuses
+HUGE = "9" * 5000
+
+
+class TestInputFileErrors:
+    """A number that no float holds, in each kind of input file: exit 1
+    with one error line, under 200 characters, that names the file."""
+
+    @staticmethod
+    def _one_error_line(capsys, argv, name):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and not os.path.exists("out.json")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert name in err and len(err) < 200
+        return err
+
+    @staticmethod
+    def _write(name, data, number):
+        """data as JSON, with its string "HUGE" written as `number`."""
+        Path(name).write_text(json.dumps(data).replace('"HUGE"', number))
+
+    @pytest.mark.parametrize("number", [str(10 ** 400), HUGE],
+                             ids=["int_400_digits", "int_5000_digits"])
+    def test_network_file(self, tmp_path, capsys, monkeypatch, number):
+        monkeypatch.chdir(tmp_path)
+        self._write("net.json", {"layers": [{
+            "weights": [["HUGE", 1.6]], "bias": [0.0],
+            "activation": "tanh"}]}, number)
+        err = self._one_error_line(
+            capsys, ["verify", "--nn", "net.json", "--out", "out.json"],
+            "net.json")
+        assert err.startswith("error: network file net.json: ")
+
+    @pytest.mark.parametrize("number", [str(10 ** 400), HUGE],
+                             ids=["int_400_digits", "int_5000_digits"])
+    def test_system_file(self, tmp_path, hand_nn, capsys, monkeypatch,
+                         number):
+        monkeypatch.chdir(tmp_path)
+        self._write("sys.json", {"controller": os.path.basename(hand_nn),
+                                 "gain": "HUGE"}, number)
+        err = self._one_error_line(
+            capsys, ["verify", "--system", "sys.json", "--out", "out.json"],
+            "sys.json")
+        assert err.startswith("error: malformed system file sys.json: ")
+
+    def test_system_file_not_json(self, tmp_path, hand_nn, capsys,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("sys.json").write_text("{broken")
+        err = self._one_error_line(
+            capsys, ["verify", "--system", "sys.json", "--out", "out.json"],
+            "sys.json")
+        assert err.startswith("error: malformed system file sys.json: ")
+
+    def test_certificate_file(self, tmp_path, hand_nn, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = json.loads((DATA / "nn10_seed1_certificate.json").read_text())
+        data["level"] = "HUGE"
+        self._write("cert.json", data, HUGE)
+        err = self._one_error_line(
+            capsys, ["plot", "--nn", hand_nn, "--certificate", "cert.json",
+                     "--out", "out.json"], "cert.json")
+        assert err.startswith("error: malformed certificate cert.json: ")
+
+
 class TestPlotCmd:
     def test_svg_structure(self, tmp_path, hand_nn):
         cert_path = tmp_path / "certificate.json"

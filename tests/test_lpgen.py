@@ -35,6 +35,11 @@ def _trace(states, derivs):
                      np.asarray(derivs, float))
 
 
+def _points(traces, subsample, region=None):
+    """lpgen.lp_points of each trace, as a batch of one."""
+    return [lpgen.lp_points([tr], subsample, region) for tr in traces]
+
+
 def _reference_lp(traces, tmpl, eps_pos, eps_dec, subsample, region=None):
     """build_constraints expanded by hand, one point at a time."""
     heads, points = [], []
@@ -85,7 +90,7 @@ class TestTemplateRows:
             2, (sx.neg(sx.var(0)), sx.neg(sx.var(1))))
         traces = [sim.simulate(field, [1.0, 0.5], 1.0, 0.01)]
         tmpl = lpgen.QuadraticTemplate(2)
-        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=10)
+        lp = lpgen.build_constraints(_points(traces, 10), tmpl, 1e-3, 1e-3)
         n_pts = len(range(0, 101, 10))
         # 2 rows per point, 2 box rows per coefficient, 2 margin rows
         assert len(lp.rows) == 2 * n_pts + 2 * tmpl.n_unknowns + 2
@@ -116,8 +121,8 @@ class TestBuildConstraints:
                   sx.box(*[(-0.5, 0.5)] * arity))
         tmpl = lpgen.QuadraticTemplate(arity)
         for reg in (None, region):
-            lp = lpgen.build_constraints(traces, tmpl, 1e-3, 2e-3,
-                                         subsample=subsample, region=reg)
+            lp = lpgen.build_constraints(_points(traces, subsample, reg),
+                                         tmpl, 1e-3, 2e-3)
             rows, rhs, _, _ = _reference_lp(traces, tmpl, 1e-3, 2e-3,
                                             subsample, reg)
             assert lp.rows.tobytes() == rows.tobytes()
@@ -134,8 +139,8 @@ class TestBuildConstraints:
                   [[-1.0, 0.7], [0.0, -0.1], [np.nan, 0.0]]]
         traces = [_trace(s, np.ones((len(s), 2))) for s in states]
         tmpl = lpgen.QuadraticTemplate(2)
-        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=1,
-                                     region=region)
+        lp = lpgen.build_constraints(_points(traces, 1, region), tmpl, 1e-3,
+                                     1e-3)
         kept = [[-1.0, 0.7], [0.5, 0.5], [1.0, -1.0], [-0.3, 0.2]]
         assert len(lp.rows) == 2 * len(kept) + 2 * 7
         value, _ = tmpl.monomials(np.array(kept), np.ones((4, 2)))
@@ -156,7 +161,7 @@ class TestBuildConstraints:
         traces = [_trace(rng.uniform(-1, 1, size=(k, 2)),
                          rng.uniform(-1, 1, size=(k, 2))) for k in lengths]
         tmpl = lpgen.QuadraticTemplate(2)
-        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=1)
+        lp = lpgen.build_constraints(_points(traces, 1), tmpl, 1e-3, 1e-3)
         rows, rhs, n_heads, n_ref = _reference_lp(traces, tmpl, 1e-3, 1e-3,
                                                   1)
         assert (n_heads, n_ref) == (len(lengths), n_points)
@@ -175,7 +180,7 @@ class TestBuildConstraints:
                   _trace([[0.25, 0.0], [0.0, 0.25]],
                          [[2.0, 0.0], [0.0, 2.0]])]
         tmpl = lpgen.QuadraticTemplate(2)
-        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 2e-3, subsample=1)
+        lp = lpgen.build_constraints(_points(traces, 1), tmpl, 1e-3, 2e-3)
         order = [([0.5, 0.0], [1.0, 0.0]), ([0.25, 0.0], [2.0, 0.0]),
                  ([0.0, 0.5], [0.0, 1.0]), ([0.0, 0.25], [0.0, 2.0])]
         for k, (x, dx) in enumerate(order):
@@ -193,8 +198,27 @@ class TestBuildConstraints:
     def test_subsample_below_one_rejected(self, subsample):
         traces = [_trace([[0.5, 0.5], [0.4, 0.4]], [[-1.0, -1.0]] * 2)]
         with pytest.raises(ValueError, match="subsample"):
-            lpgen.build_constraints(traces, lpgen.QuadraticTemplate(2),
-                                    1e-3, 1e-3, subsample=subsample)
+            _points(traces, subsample)
+
+    def test_three_batches_equal_the_reference(self):
+        # the rows that find_generator builds from each batch's points,
+        # derived once: 3 x 30 traces of 160 states with subsample 2 keep
+        # 61 heads and 4,823 other points in the region, strided by 2
+        rng = np.random.default_rng(3)
+        batches = [[_trace(rng.uniform(-1.2, 1.2, size=(160, 2)),
+                           rng.uniform(-2.0, 2.0, size=(160, 2)))
+                    for _ in range(30)] for _ in range(3)]
+        region = (sx.box((-1.0, 1.0), (-1.0, 1.0)),
+                  sx.box((-0.1, 0.1), (-0.1, 0.1)))
+        tmpl = lpgen.QuadraticTemplate(2)
+        lp = lpgen.build_constraints(
+            [lpgen.lp_points(b, 2, region) for b in batches],
+            tmpl, 1e-3, 2e-3)
+        rows, rhs, n_heads, n_points = _reference_lp(
+            [tr for b in batches for tr in b], tmpl, 1e-3, 2e-3, 2, region)
+        assert (n_heads, n_points) == (61, 2412)
+        assert lp.rows.tobytes() == rows.tobytes()
+        assert lp.rhs.tobytes() == rhs.tobytes()
 
 
 class TestSolve:
@@ -231,7 +255,7 @@ class TestSolve:
         traces = [sim.simulate(field, [x0], 2.0, 0.01)
                   for x0 in (1.0, -1.0, 0.5, -0.5)]
         tmpl = lpgen.QuadraticTemplate(1)
-        lp = lpgen.build_constraints(traces, tmpl, 1e-3, 1e-3, subsample=10)
+        lp = lpgen.build_constraints(_points(traces, 10), tmpl, 1e-3, 1e-3)
         sol = lpgen.solve_lp(lp)
         assert sol is not lpgen.INFEASIBLE
         assert sol[-1] > 0          # positive margin
@@ -299,8 +323,8 @@ def _three_state_lp():
     traces = sim.seed_traces(f, safe_rect, 20, certify.SIM_DURATION,
                              certify.SIM_STEP, 1, exclude=x0)
     return lpgen.build_constraints(
-        traces, lpgen.QuadraticTemplate(3), certify.EPS_POS, certify.EPS_DEC,
-        subsample=certify.SUBSAMPLE, region=(safe_rect, x0))
+        [lpgen.lp_points(traces, certify.SUBSAMPLE, (safe_rect, x0))],
+        lpgen.QuadraticTemplate(3), certify.EPS_POS, certify.EPS_DEC)
 
 
 def _chvatal_cycling_tableau():

@@ -293,6 +293,28 @@ class TestSimulateBatchBits:
             assert tr.states.tobytes() == states[:, :, b].tobytes()
             assert tr.derivs.tobytes() == derivs[:, :, b].tobytes()
 
+    @pytest.mark.parametrize("width", [1, 2, 40, nn.REPEAT_MAX + 1])
+    @pytest.mark.parametrize("field", [
+        lambda: _bundled_field(100),
+        lambda: plant.dubins_closed_loop(plant.DubinsParams(), _net(
+            np.random.default_rng(8), (2, 6, 1), ("sigmoid", "sigmoid"))),
+        lambda: plant.VectorField(2, (sx.var(1), sx.sub(
+            sx.neg(sx.div(sx.var(0), sx.add(sx.const(1.0),
+                                            sx.pow_(sx.var(1), 2)))),
+            sx.mul(sx.const(0.1), sx.pow_(sx.var(1), 3))))),
+    ], ids=["nn100", "sigmoid-2-layer", "pow-div"])
+    def test_other_fields_equal_operator_order_rk4(self, field, width):
+        # the registers of a bound program, over 2 s of each field
+        field = field()
+        starts = np.random.default_rng(width).uniform(
+            [-1.0, -1.5], [1.0, 1.5], size=(width, 2))
+        traces = sim.simulate_batch(field, starts, 2.0, 0.01)
+        states, derivs = _rk4_in_operator_order(field, starts, 200, 0.01)
+        assert len(traces) == width
+        for b, tr in enumerate(traces):
+            assert tr.states.tobytes() == states[:, :, b].tobytes()
+            assert tr.derivs.tobytes() == derivs[:, :, b].tobytes()
+
     def test_divergence_names_the_first_step_past_the_guard(self):
         field = plant.VectorField(1, (sx.mul(sx.var(0), sx.var(0)),))
         with pytest.raises(sim.SimulationDivergence,

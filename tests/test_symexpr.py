@@ -1321,8 +1321,23 @@ class TestArrayProgram:
                                     lpgen.QuadraticTemplate(2))
         for run in (field.batched, swapped.batched, sx.compile_expr(
                 certify.lie_derivative(cand, field))):
-            code = run.__code__
-            assert fast_names(code, "STORE") <= fast_names(code, "LOAD")
+            for code in (run.__code__, run.bind(3).__code__):
+                assert fast_names(code, "STORE") <= fast_names(code, "LOAD")
+
+    def test_registers_do_not_leak_between_widths(self):
+        # widths 40, 2 and 40 again, through run and through bound steps
+        # used in turn: each equals the reference on its own points
+        net = nn.load(cli.bundled_controller_path(10))
+        field = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        rng = np.random.default_rng(16)
+        xs = [rng.uniform(-1.0, 1.0, size=(2, w)) for w in (40, 2, 40)]
+        want = [np.array([_ref_array_eval(c, x) for c in field.components])
+                for x in xs]
+        assert all(_same_bits(field.batched(x), w) for x, w in zip(xs, want))
+        steps = {w: field.batched.bind(w) for w in (40, 2)}
+        for x, w in zip(xs, want):
+            out = np.full_like(w, np.nan)
+            assert steps[x.shape[1]](x, out) is out and _same_bits(out, w)
 
     def test_no_value_in_the_source(self, monkeypatch):
         sources = []
