@@ -30,7 +30,7 @@ from . import plant
 from . import simulate as sim
 from ._version import __version__
 from .lpgen import NotEllipsoidError
-from .network import json_number, json_rows
+from .network import json_number, json_rows, read_json
 
 GAMMA_DEFAULT = 1e-6
 DELTA_DEFAULT = 1e-3
@@ -271,8 +271,7 @@ def load_certificate(path):
     and delta) or inconsistent.  Queries, formula text and version are not
     read; the refuted counts are, when present."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         gen = data["generator"]
         p = np.array(json_rows(gen["p_matrix"]))
         q = np.array([json_number(v) for v in gen["q_vector"]])

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
@@ -25,8 +24,7 @@ def _load_system(args):
     try:
         data = {}
         if args.system:
-            with open(args.system) as fh:
-                data = json.load(fh)
+            data = nn.read_json(args.system)
         path = args.nn or data.get("controller")
         if path is None:
             raise SystemExit("error: no controller given (--nn or system.json)")

@@ -76,8 +76,9 @@ class Box:
         if x.shape[-1:] != (self.arity,):
             raise ValueError("points of shape %s in a box of arity %d"
                              % (x.shape, self.arity))
-        lo, hi = self.bounds.T
-        inside = ((lo <= x) & (x <= hi)).all(axis=-1)
+        inside = np.ones(x.shape[:-1], bool)
+        for i, (lo, hi) in enumerate(self.bounds.tolist()):
+            inside &= (lo <= x[..., i]) & (x[..., i] <= hi)
         return inside if x.ndim > 1 else bool(inside)
 
 

@@ -84,6 +84,21 @@ def json_number(v):
     return float(v)
 
 
+def read_json(path):
+    """The JSON value of a network, certificate or --system file.  An
+    integer beyond Python's digit limit raises ValueError by its length."""
+    with open(path) as fh:
+        return json.load(fh, parse_int=_json_int)
+
+
+def _json_int(text):
+    try:
+        return int(text)
+    except ValueError:      # more digits than sys.get_int_max_str_digits()
+        raise ValueError("a %d-digit integer is not a finite number"
+                         % len(text.lstrip("-"))) from None
+
+
 def json_rows(v):
     """v, a JSON array of arrays of numbers, as lists of floats."""
     return [[json_number(x) for x in row] for row in v]
@@ -207,10 +222,9 @@ def save(net, path):
 
 def load(path):
     """The network of a JSON file.  Raises NetworkFormatError, naming the
-    file, when json.load refuses it (digit limit included) or from_dict."""
+    file, when read_json refuses it (digit limit included) or from_dict."""
     try:
-        with open(path) as fh:
-            return from_dict(json.load(fh))
+        return from_dict(read_json(path))
     except ValueError as exc:   # NetworkFormatError is one
         raise NetworkFormatError("network file %s: %s" % (path, exc)) from None
 

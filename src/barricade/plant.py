@@ -2,16 +2,18 @@
 error dynamics.
 
 The state is (d_err, theta_e): signed lateral offset from the target line
-and heading error.  The closed loop substitutes one `symexpr.net` node per
-controller output into the plant field, so the checker, the simulator and
-the oracle evaluate the same expressions.
+and heading error.  A plant is a function from its input expressions to
+its state components; the closed loop is that function applied to one
+`symexpr.net` node per controller output, built with the smart
+constructors, so the checker, the simulator and the oracle evaluate the
+same expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import symexpr as sx
 
@@ -27,9 +29,8 @@ class VectorField:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        for c in self.components:
-            if sx.arity(c) > self.arity:
-                raise ArityError("component uses var >= field arity")
+        if any(sx.arity(c) > self.arity for c in self.components):
+            raise ArityError("component uses var >= field arity")
 
     def eval_at(self, x):
         return [sx.eval_expr(c, x) for c in self.components]
@@ -54,57 +55,44 @@ class DubinsParams:
             raise ValueError("speed must be positive")
 
 
-def dubins_error_field(p):
-    """Dubins path-following error dynamics in (d_err, theta_e, u).
+def dubins_error_field(p, u):
+    """Dubins path-following error dynamics of (d_err, theta_e) driven by
+    the input expressions u (one, the steering rate).
 
     Components are built in the unsimplified trigonometric form
-    [-V sin(P - theta_e) cos(P) + V cos(P - theta_e) sin(P), -u]
+    [-V sin(P - theta_e) cos(P) + V cos(P - theta_e) sin(P), -u[0]]
     so the checked expression is the derived one, not a rewrite.  The
     first component is numerically identical to V sin(theta_e).
     """
     v = sx.const(p.speed)
     pa = sx.const(p.path_angle)
     theta_e = sx.var(1)
-    u = sx.var(2)
     d_dot = sx.add(
         sx.mul(sx.neg(v), sx.mul(sx.sin(sx.sub(pa, theta_e)), sx.cos(pa))),
         sx.mul(v, sx.mul(sx.cos(sx.sub(pa, theta_e)), sx.sin(pa))))
-    return [d_dot, sx.neg(u)]
-
-
-def identity_output(n):
-    return [sx.var(i) for i in range(n)]
+    return [d_dot, sx.neg(u[0])]
 
 
 def close_loop(plant_f, output_g, controller, gain=1.0):
-    """Substitute u = gain * h(g(x)) into the plant field, u_k being one
-    `net` node per controller output.
+    """The closed loop of plant_f driven by u = gain * h(g(x)), built with
+    the smart constructors (mul folds a gain of 1), u_k being one `net`
+    node per controller output.
 
-    plant_f: expressions over vars (x_0..x_{n-1}, u_0..u_{m-1});
-    output_g: n -> q expressions; controller: Network with q inputs and
-    m outputs.  Returns a VectorField of arity n.
+    plant_f: a function from the m input expressions to the n state
+    components, over vars x_0..x_{n-1}; output_g: n -> q expressions;
+    controller: Network with q inputs and m outputs.  Returns a
+    VectorField of arity n, which raises ArityError if a component uses
+    a var >= n, through the plant or through the output map.
     """
-    n = len(plant_f)
-    q = len(output_g)
-    m = controller.output_dim
-    if controller.input_dim != q:
+    if controller.input_dim != len(output_g):
         raise ArityError("controller expects %d inputs, output map gives %d"
-                         % (controller.input_dim, q))
-    for g in output_g:
-        if sx.arity(g) > n:
-            raise ArityError("output map uses var >= state arity")
-    for fc in plant_f:
-        if sx.arity(fc) > n + m:
-            raise ArityError("plant component uses var >= n + m")
-    u_exprs = [sx.net(controller, k, output_g) for k in range(m)]
-    if gain != 1.0:
-        u_exprs = [sx.mul(sx.const(gain), u) for u in u_exprs]
-    mapping = {n + k: u_exprs[k] for k in range(m)}
-    comps = [sx.substitute(fc, mapping) for fc in plant_f]
-    return VectorField(n, tuple(comps))
+                         % (controller.input_dim, len(output_g)))
+    comps = plant_f([sx.mul(sx.const(gain), sx.net(controller, k, output_g))
+                     for k in range(controller.output_dim)])
+    return VectorField(len(comps), comps)
 
 
 def dubins_closed_loop(params, controller, gain=1.0):
     """Closed loop for the case study: 2 states, identity output, 1 input."""
-    return close_loop(dubins_error_field(params), identity_output(2),
-                      controller, gain=gain)
+    return close_loop(partial(dubins_error_field, params),
+                      [sx.var(0), sx.var(1)], controller, gain=gain)

@@ -180,31 +180,6 @@ def arity(e):
     return max((n.idx + 1 for n in _postorder(e) if n.op == "var"), default=0)
 
 
-def substitute(e, mapping):
-    """Replace var(i) by mapping[i] where present; rebuilds with folding."""
-    new = {}    # id(node) -> its substitute
-    for node in _postorder(e):
-        args = tuple(new[id(a)] for a in node.args)
-        if node.op == "var":
-            out = mapping.get(node.idx, node)
-        elif all(a is b for a, b in zip(args, node.args)):
-            out = node
-        elif node.op == "pow":
-            out = pow_(args[0], node.val)
-        elif node.op == "net":
-            out = net(*node.val, args)
-        else:
-            out = _BUILDERS[node.op](*args)
-        new[id(node)] = out
-    return new[id(e)]
-
-
-_BUILDERS = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "sin": sin, "cos": cos, "exp": exp, "tanh": tanh,
-}
-
-
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------

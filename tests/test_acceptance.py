@@ -105,7 +105,8 @@ def test_criterion_04_dynamics_identity():
         v = float(rng.uniform(1e-12, 2.0))
         p_ang = float(rng.uniform(-math.pi, math.pi))
         th_e = float(rng.uniform(-math.pi, math.pi))
-        field = plant.dubins_error_field(plant.DubinsParams(v, p_ang))
+        field = plant.dubins_error_field(plant.DubinsParams(v, p_ang),
+                                         [sx.var(2)])
         d_dot = sx.eval_expr(field[0], [0.0, th_e, 0.0])
         assert abs(d_dot - v * math.sin(th_e)) < 1e-12
 

@@ -264,6 +264,33 @@ class TestInputFileErrors:
                      "--out", "out.json"], "cert.json")
         assert err.startswith("error: malformed certificate cert.json: ")
 
+    @pytest.mark.parametrize("kind", ["network", "system", "certificate"])
+    def test_digit_limit_error_states_the_digits(self, tmp_path, hand_nn,
+                                                 capsys, monkeypatch, kind):
+        # an integer past Python's 4,300-digit limit, in a file under a
+        # 60-character directory name: the line states the digit count,
+        # not Python's advice to raise the limit
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("d" * 60)
+        path = os.path.join("d" * 60, kind + ".json")
+        if kind == "network":
+            self._write(path, {"layers": [{
+                "weights": [["HUGE", 1.6]], "bias": [0.0],
+                "activation": "tanh"}]}, HUGE)
+            argv = ["verify", "--nn", path]
+        elif kind == "system":
+            self._write(path, {"controller": "nn.json", "gain": "HUGE"}, HUGE)
+            argv = ["verify", "--system", path]
+        else:
+            data = json.loads(
+                (DATA / "nn10_seed1_certificate.json").read_text())
+            data["level"] = "HUGE"
+            self._write(path, data, HUGE)
+            argv = ["plot", "--nn", hand_nn, "--certificate", path]
+        err = self._one_error_line(capsys, argv + ["--out", "out.json"], path)
+        assert "a 5000-digit integer" in err
+        assert "set_int_max_str_digits" not in err
+
 
 class TestPlotCmd:
     def test_svg_structure(self, tmp_path, hand_nn):

@@ -313,11 +313,11 @@ def _assert_optimal(lp, x, basis, tol=1e-9):
 def _three_state_lp():
     """The seed LP of the Dubins loop with a first-order steering lag,
     w' = 5 (u - w), the bundled nn10 fed (d, theta): 3,198 x 11."""
-    d_dot, _ = plant.dubins_error_field(plant.DubinsParams())
-    lagged = [d_dot, sx.neg(sx.var(2)),
-              sx.mul(sx.const(5.0), sx.sub(sx.var(3), sx.var(2)))]
-    f = plant.close_loop(lagged, [sx.var(0), sx.var(1)],
-                         nn.load(cli.bundled_controller_path(10)))
+    d_dot = plant.dubins_error_field(plant.DubinsParams(), [sx.var(2)])[0]
+    w = sx.var(2)
+    f = plant.close_loop(
+        lambda u: [d_dot, sx.neg(w), sx.mul(sx.const(5.0), sx.sub(u[0], w))],
+        [sx.var(0), sx.var(1)], nn.load(cli.bundled_controller_path(10)))
     x0 = sx.box(*[(-0.1, 0.1)] * 3)
     safe_rect = sx.box((-1.0, 1.0), (-math.pi / 2, math.pi / 2), (-3.0, 3.0))
     traces = sim.seed_traces(f, safe_rect, 20, certify.SIM_DURATION,

@@ -361,9 +361,9 @@ class TestBatchedField:
     def test_output_map_is_applied(self):
         rng = np.random.default_rng(4)
         output = [sx.sub(sx.var(0), sx.var(1)), sx.const(0.25)]
-        field = plant.close_loop(plant.dubins_error_field(
-            plant.DubinsParams()), output, _net(rng, (2, 3, 1),
-                                                ("tanh", "tanh")))
+        field = plant.close_loop(
+            lambda u: plant.dubins_error_field(plant.DubinsParams(), u),
+            output, _net(rng, (2, 3, 1), ("tanh", "tanh")))
         xs = rng.uniform(-1.0, 1.0, size=(2, 7))
         got = field.batched(xs)
         for b in range(xs.shape[1]):

@@ -203,6 +203,33 @@ class TestBox:
         assert all(type(bx.contains(p)) is bool for p in pts[:5])
         assert bx.contains(np.empty((0, 3))).shape == (0,)
 
+    @pytest.mark.parametrize("rows, shape", [
+        ([(-1.0, 2.0), (-0.0, 0.0)], (2,)),
+        ([(-1.0, 2.0), (-0.0, 0.0)], (7, 2)),
+        ([(-1.0, 2.0), (-0.0, 0.0)], (3, 5, 2)),
+        ([(-1.0, 2.0), (-0.0, 0.0)], (0, 2)),
+        ([(0.0, 5e-324)], (9, 1)),
+        ([], (0,)),
+        ([], (4, 0)),
+        ([(-1.0, 2.0), (-0.0, 0.0), (0.0, 5e-324)], (6, 3)),
+    ], ids=["point", "rows", "grid", "no_rows", "arity_1", "arity_0_point",
+            "arity_0_rows", "arity_3"])
+    def test_contains_equals_the_all_formula(self, rows, shape):
+        # the mask of every dimension at once, NaN and infinite
+        # coordinates and signed zeros among the points
+        bx = sx.box(*rows)
+        coords = np.array([-1.0, 2.0, -0.0, 0.0, 5e-324, -5e-324, 0.5, 3.0,
+                           math.inf, -math.inf, math.nan])
+        x = np.random.default_rng(17).choice(coords, size=shape)
+        lo, hi = bx.bounds.T
+        want = ((lo <= x) & (x <= hi)).all(axis=-1)
+        got = bx.contains(x)
+        if len(shape) == 1:
+            assert type(got) is bool and got == bool(want)
+        else:
+            assert got.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_contains_wrong_length_raises(self):
         bx = sx.box((-1.0, 2.0), (0.0, 1.0))
         for bad in ([0.5], [0.5, 0.5, 0.5], np.zeros((4, 3)), 0.5, []):
@@ -779,14 +806,12 @@ class TestTape:
 
     @pytest.mark.parametrize("walk", [
         lambda e: sx.arity(e) == 1,
-        lambda e: sx.arity(sx.substitute(e, {0: sx.var(1)})) == 2,
         lambda e: sx.to_sexpr(e) == ("(add " * 3000 + "(var 0)"
                                      + " (const 1.0))" * 3000),
         lambda e: e == _chain() and e != sx.add(_chain(2999), sx.const(2.0)),
         lambda e: hash(e) == hash(_chain()),
         lambda e: repr(e).startswith("Expr(" + "(add " * 3000),
-    ], ids=["arity", "substitute", "to_sexpr", "eq",
-            "hash", "repr"])
+    ], ids=["arity", "to_sexpr", "eq", "hash", "repr"])
     def test_walks_are_iterative(self, walk):
         assert walk(_chain())
 
@@ -810,13 +835,6 @@ class TestSexpr:
         e = sx.add(sx.mul(sx.const(2.0), sx.var(0)), sx.sin(sx.var(1)))
         text = sx.to_sexpr(e)
         assert text.startswith("(add (mul (const 2") and "(sin (var 1))" in text
-
-
-class TestSubstitute:
-    def test_replaces_variable(self):
-        e = sx.add(sx.var(0), sx.var(1))
-        out = sx.substitute(e, {1: sx.sin(sx.var(0))})
-        assert sx.eval_expr(out, [0.5]) == 0.5 + math.sin(0.5)
 
 
 def _layered_net(rng, widths, activations):
@@ -859,9 +877,12 @@ class TestNetNode:
         folded = sx.net(net, 0, (sx.const(0.5), sx.const(-1.0)))
         assert folded.op == "const"
         assert folded.val == nn.forward(net, [0.5, -1.0])[0]
-        moved = sx.substitute(e, {1: sx.sin(x)})
+        moved = sx.net(net, 1, (x, sx.sin(x)))
         assert sx.eval_expr(moved, [0.3]) == nn.forward(
             net, [0.3, math.sin(0.3)])[1]
+        folded = sx.net(net, 1, (sx.const(0.3), sx.sin(sx.const(0.3))))
+        assert folded.op == "const"
+        assert folded.val == nn.forward(net, [0.3, math.sin(0.3)])[1]
         for bad in ((2, (x, y)), (0, (x,))):
             with pytest.raises(ValueError):
                 sx.net(net, *bad)
@@ -962,7 +983,8 @@ class TestNetNode:
         net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
                                      1000, seed=0)
         field = plant.dubins_closed_loop(plant.DubinsParams(), net)
-        d_dot = plant.dubins_error_field(plant.DubinsParams())[0]
+        d_dot = plant.dubins_error_field(plant.DubinsParams(),
+                                         [sx.var(2)])[0]
         for x in ([0.1, 0.05], [-0.7, 1.2]):
             u = nn.forward(net, x)[0]
             assert field.eval_at(x) == [sx.eval_expr(d_dot, x + [u]), -u]
@@ -1287,8 +1309,8 @@ class TestArrayProgram:
     def test_output_maps_match_reference(self, output):
         rng = np.random.default_rng(14)
         field = plant.close_loop(
-            plant.dubins_error_field(plant.DubinsParams()), output(),
-            _layered_net(rng, (2, 3, 1), ("tanh", "tanh")))
+            lambda u: plant.dubins_error_field(plant.DubinsParams(), u),
+            output(), _layered_net(rng, (2, 3, 1), ("tanh", "tanh")))
         _assert_field_matches_reference(field, rng)
 
     def test_constant_var_and_net_row_components(self):
@@ -1315,7 +1337,7 @@ class TestArrayProgram:
         net = nn.load(cli.bundled_controller_path(10))
         field = plant.dubins_closed_loop(plant.DubinsParams(), net)
         swapped = plant.close_loop(
-            plant.dubins_error_field(plant.DubinsParams()),
+            lambda u: plant.dubins_error_field(plant.DubinsParams(), u),
             [sx.var(1), sx.var(0)], net)
         cand = lpgen.candidate_from([1.0, 0.5, 2.0, 0.1, -0.1, 0.0],
                                     lpgen.QuadraticTemplate(2))
