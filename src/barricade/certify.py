@@ -530,21 +530,21 @@ def falsify(values, points, spec, gamma):
 
 
 def _cex_cluster(cex, spec):
-    """The counterexample plus axis-aligned neighbors.
+    """The counterexample, then its axis-aligned neighbors outside X0:
+    along dimension 0 down and up, then dimension 1, and so on.
 
     A lone trace head only refutes a tiny neighborhood, which lets the
     next witness crawl along a constraint boundary one delta-box at a
     time; jittered restarts knock out the whole stretch at once.
     """
-    pts = [np.asarray(cex, dtype=float)]
+    cex = np.asarray(cex, dtype=float)
+    near = np.repeat(cex[None], 2 * len(cex), axis=0)   # (2n, n)
     for dim, (lo, hi) in enumerate(spec.safe_rect.bounds):
-        for sign in (-1.0, 1.0):
+        for up, sign in enumerate((-1.0, 1.0)):
             # cex lies in the safe rectangle, so only dim can leave it.
-            p = np.array(cex, dtype=float)
-            p[dim] = min(max(p[dim] + sign * CEX_SPREAD * (hi - lo), lo), hi)
-            if not spec.x0.contains(p):
-                pts.append(p)
-    return pts
+            near[2 * dim + up, dim] = min(max(
+                cex[dim] + sign * CEX_SPREAD * (hi - lo), lo), hi)
+    return [cex, *near[~spec.x0.contains(near)]]
 
 
 class NoCandidateError(RuntimeError):

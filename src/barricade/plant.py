@@ -40,8 +40,8 @@ class VectorField:
         """f as a callable (X, out=None) -> out: f at the columns of the
         (n, B) array X (or n length-B arrays) written into out (made when
         None) by one symexpr.array_program, built on first use, whose
-        bind(B) the simulator runs.  It may round differently from eval_at
-        in the last bits."""
+        bind(B)(X, out) pins the simulator's steps.  It may round
+        differently from eval_at in the last bits."""
         return sx.array_program(self.components, rows=True)
 
 

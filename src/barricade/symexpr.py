@@ -385,7 +385,7 @@ _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
            "div": np.divide, "neg": np.negative, "pow": np.power,
            "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
 _GLOBALS = {f.__name__: f for f in (
-    *_UFUNCS.values(), np.square, np.matmul, np.copyto, np.empty,
+    *_UFUNCS.values(), np.square, np.dot, np.copyto, np.empty,
     nn.batch_arrays)} | {"one": 1.0}
 # A layer's activation in place on its register {0}; sigmoid 1/(1+exp(-y))
 _ACTIVATIONS = {"tanh": ("tanh({0}, {0})",), "identity": (),
@@ -400,14 +400,18 @@ def array_program(exprs, rows=False):
     being var(i): run(p) returns exprs[0]; with rows, run(p, out=None)
     writes exprs[i] at the columns of the (n, B) array p into row i of out
     (made when None).  Each slot's ufunc writes through its positional out
-    into its row of out or a register, reused after the slot's last read:
-    run.bind(B) allocates the registers of width B and returns step(p,
-    out), which allocates no data (p C-contiguous); run binds per call.
-    Constants (0-d arrays, twice as fast as floats), exponents and
-    networks are names, never source text.  A network is one matrix
-    product per layer, over p's rows when its inputs are var(0..q-1) in
-    order.  It may round differently from eval_expr in the last bits."""
+    into its row of out or a register, reused after the slot's last read.
+    run.bind(B) allocates the registers of width B and returns pin(p,
+    out), which takes the views of p's and out's rows once and returns a
+    step() that allocates and slices nothing (p C-contiguous); run binds
+    and pins per call.  Constants (0-d arrays, twice as fast as floats),
+    exponents and networks are names, never source text.  A network is
+    one dot(w, x, h) per layer, the product of w @ x at a lower call
+    cost, over p's rows when its inputs are var(0..q-1) in order.
+    -1 * (x * c) runs as x * -c (`_fold_negations`).  It may round
+    differently from eval_expr in the last bits."""
     nodes, *roots = _lowered(*exprs)
+    _fold_negations(nodes, roots)
     direct = {s for s, (op, _, _, kids) in enumerate(nodes) if op == "net"
               and [nodes[k][::2] for k in kids]
               == [("var", i) for i in range(len(kids))]}
@@ -415,24 +419,26 @@ def array_program(exprs, rows=False):
     last_read = {k: s for s, node in enumerate(nodes) if s not in direct
                  for k in node[3]}
     ns = dict(_GLOBALS)
-    setup, body = [], []        # the lines of bind and of step
+    setup, views, body = [], [], []     # the lines of bind, pin and step
     names, regs, free = [], [], []
     for slot, (op, val, idx, kids) in enumerate(nodes):
         args = [names[k] for k in kids]
         free.extend(names[k] for k in dict.fromkeys(kids)
                     if names[k] in regs and last_read[k] == slot)
         copies = [i for i, root in enumerate(roots) if rows and root == slot]
+        views += ["o%d = out[%d]" % (i, i) for i in copies]
         name = "v%d" % slot
         if op == "const":
             ns[name] = np.array(val[0])
         elif op == "var":
             if slot in last_read or slot in roots:
-                body.append("%s = p[%d]" % (name, idx))
+                views.append("%s = p[%d]" % (name, idx))
         elif op == "net":
             ns[name] = val
-            x = "p[:%d]" % len(kids)
-            if slot not in direct:
-                x = "y%d" % slot
+            x = "x%d" % slot
+            if slot in direct:
+                views.append("%s = p[:%d]" % (x, len(kids)))
+            else:
                 setup.append("%s = empty([%d, width])" % (x, len(kids)))
                 body += ["copyto(%s[%d], %s)" % (x, i, a)
                          for i, a in enumerate(args)]
@@ -442,7 +448,7 @@ def array_program(exprs, rows=False):
                 setup += ["%s = empty([%d, width])" % (h, layer.d_out),
                           "w{0}, b{0} = a[{1}][:2]".format(h, j)]
                 body += [line.format(h, x) for line in (
-                    "matmul(w{0}, {1}, {0})", "add({0}, b{0}, {0})",
+                    "dot(w{0}, {1}, {0})", "add({0}, b{0}, {0})",
                     *_ACTIVATIONS[layer.activation])]
                 x = h
             name = x
@@ -454,22 +460,24 @@ def array_program(exprs, rows=False):
                 args.append("n%d" % slot)
                 ns[args[-1]] = val
             if copies:
-                name = "out[%d]" % copies.pop(0)
+                name = "o%d" % copies.pop(0)
             elif free:
                 name = free.pop()
             else:
                 name = "r%d" % len(regs)
                 regs.append(name)
             body.append("%s(%s)" % (fn.__name__, ", ".join(args + [name])))
-        body += ["copyto(out[%d], %s)" % (i, name) for i in copies]
+        body += ["copyto(o%d, %s)" % (i, name) for i in copies]
         names.append(name)
     if regs:
         setup.insert(0, "%s, = empty([%d, width])" % (", ".join(regs),
                                                       len(regs)))
     body.append("return " + ("out" if rows else names[roots[0]]))
     exec(_compiled("\n    ".join(
-        ["def bind(width):", *setup, "def step(p, out):",
-         *("    " + line for line in body), "return step"])), ns)
+        ["def bind(width):", *setup, "def pin(p, out):",
+         *("    " + line for line in views), "    def step():",
+         *("        " + line for line in body), "    return step",
+         "return pin"])), ns)
     bind = ns.pop("bind")     # no cycle through the namespace
     n_rows = len(exprs)
 
@@ -477,9 +485,27 @@ def array_program(exprs, rows=False):
         p = np.ascontiguousarray(p, dtype=float)
         if rows and out is None:
             out = np.empty((n_rows, p.shape[1]))
-        return bind(p.shape[1])(p, out)
+        return bind(p.shape[1])(p, out)()
     run.bind = bind
     return run
+
+
+def _fold_negations(nodes, roots):
+    """Rewrite each -1 * (x * c) in the list nodes, c a finite constant and
+    x * c read once and no root, as x * -c, of the same bits (rounding is
+    symmetric in sign): x * c's slot becomes -c.  Not for the tape, which
+    widens each product by an ulp: there the fold would narrow enclosures."""
+    reads = [k for node in nodes for k in node[3]]
+    for slot, (op, _, _, kids) in enumerate(nodes):
+        if op != "mul":
+            continue
+        one, m = sorted(kids, key=lambda k: nodes[k][0] == "mul")
+        if (nodes[one][:2] == ("const", (-1.0, -1.0)) and m not in roots
+                and nodes[m][0] == "mul" and reads.count(m) == 1):
+            x, c = sorted(nodes[m][3], key=lambda k: _factor(nodes[k]))
+            if _factor(nodes[c]):
+                nodes[m] = ("const", tuple(-v for v in nodes[c][1]), None, ())
+                nodes[slot] = ("mul", None, None, (x, m))
 
 
 def compile_expr(e):

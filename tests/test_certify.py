@@ -395,6 +395,35 @@ class TestFalsify:
         assert certify.falsify(pts[:, 0], pts, spec, 1e-6) == []
 
 
+def _cluster_point_by_point(cex, spec):
+    """The counterexample cluster with one X0 test per neighbor: the
+    reference for certify._cex_cluster."""
+    pts = [np.asarray(cex, dtype=float)]
+    for dim, (lo, hi) in enumerate(spec.safe_rect.bounds):
+        for sign in (-1.0, 1.0):
+            p = np.array(cex, dtype=float)
+            p[dim] = min(max(p[dim] + sign * certify.CEX_SPREAD * (hi - lo),
+                             lo), hi)
+            if not spec.x0.contains(p):
+                pts.append(p)
+    return pts
+
+
+class TestCexCluster:
+    @pytest.mark.parametrize("cex, size", [
+        ([1.0, 0.3], 5),                # on a face: one neighbor is cex
+        ([0.12, -0.05], 4),             # the one down dimension 0 is in X0
+        ([0.05, 0.0], 4),               # so are cex and that neighbor
+        ([-1.0, -math.pi / 2], 5),      # on a corner of the safe rectangle
+    ])
+    def test_equals_the_per_point_rule(self, cex, size):
+        spec = certify.default_spec()
+        got = certify._cex_cluster(np.array(cex), spec)
+        want = _cluster_point_by_point(cex, spec)
+        assert len(got) == len(want) == size
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 @functools.lru_cache(maxsize=None)
 def _nn10_field():
     net = nn.load(cli.bundled_controller_path(10))

@@ -1313,6 +1313,16 @@ class TestArrayProgram:
             output(), _layered_net(rng, (2, 3, 1), ("tanh", "tanh")))
         _assert_field_matches_reference(field, rng)
 
+    @pytest.mark.parametrize("neurons,speed", [
+        (10, 1.0), (100, 1.0), (10, 2.0)], ids=["nn10", "nn100", "speed-2"])
+    def test_bundled_loops_match_reference(self, neurons, speed):
+        # each layer's dot(w, x, h) has the bits of the reference's w @ x
+        # on this BLAS; the field's -1 * (x * c) folds at speed 1 only
+        field = plant.dubins_closed_loop(
+            plant.DubinsParams(speed=speed),
+            nn.load(cli.bundled_controller_path(neurons)))
+        _assert_field_matches_reference(field, np.random.default_rng(17))
+
     def test_constant_var_and_net_row_components(self):
         rng = np.random.default_rng(15)
         net = _layered_net(rng, (2, 4, 2), ("tanh", "sigmoid"))
@@ -1341,9 +1351,13 @@ class TestArrayProgram:
             [sx.var(1), sx.var(0)], net)
         cand = lpgen.candidate_from([1.0, 0.5, 2.0, 0.1, -0.1, 0.0],
                                     lpgen.QuadraticTemplate(2))
-        for run in (field.batched, swapped.batched, sx.compile_expr(
-                certify.lie_derivative(cand, field))):
-            for code in (run.__code__, run.bind(3).__code__):
+        p = np.zeros((2, 3))
+        for run, out in ((field.batched, np.empty((2, 3))),
+                         (swapped.batched, np.empty((2, 3))),
+                         (sx.compile_expr(certify.lie_derivative(
+                             cand, field)), None)):
+            for code in (run.__code__, run.bind(3).__code__,
+                         run.bind(3)(p, out).__code__):
                 assert fast_names(code, "STORE") <= fast_names(code, "LOAD")
 
     def test_registers_do_not_leak_between_widths(self):
@@ -1359,7 +1373,40 @@ class TestArrayProgram:
         steps = {w: field.batched.bind(w) for w in (40, 2)}
         for x, w in zip(xs, want):
             out = np.full_like(w, np.nan)
-            assert steps[x.shape[1]](x, out) is out and _same_bits(out, w)
+            assert steps[x.shape[1]](x, out)() is out and _same_bits(out, w)
+
+    def test_negated_products_fold(self, monkeypatch):
+        # -1 * (x * c) runs as one multiply by -c, of the same bits at
+        # +-0, +-inf and on overflow; not when x * c is read again or is
+        # an output, nor for another factor, such as the -2 at speed 2
+        sources = []
+
+        def compiled(source):
+            sources.append(source)
+            return compile(source, "<program>", "exec")
+        monkeypatch.setattr(sx, "_compiled", compiled)
+        x = np.array([[0.0, -0.0, 1.5, -1.5, 1e10, -1e10, math.inf,
+                       -math.inf]])
+        m1, x0 = sx.const(-1.0), sx.var(0)
+        cases = []      # (expressions, multiplies in the program)
+        for c in (3.0, -3.0, 1e300, -1e300):
+            for y in (sx.mul(x0, sx.const(c)), sx.mul(sx.const(c), x0)):
+                cases += [([sx.mul(m1, y)], 1), ([sx.mul(y, m1)], 1),
+                          ([sx.add(sx.mul(m1, y), y)], 2),
+                          ([sx.mul(m1, y), y], 2),
+                          ([sx.mul(sx.const(-2.0), y)], 2)]
+        with np.errstate(all="ignore"):    # inf - inf, overflow
+            for exprs, multiplies in cases:
+                sources.clear()
+                got = sx.array_program(exprs, rows=True)(x)
+                want = np.array([_ref_array_eval(e, x) for e in exprs])
+                assert _same_bits(got, want), exprs
+                assert sources[0].count("multiply(") == multiplies
+                # no number is an operand in the text, -c neither
+                assert not re.search(r"[(,]\s*[-+.\d]", sources[0])
+        results = sx.compile_expr(cases[0][0][0])(x)    # -1 * (x * 3)
+        assert np.copysign(1.0, results[:2]).tolist() == [-1.0, 1.0]
+        assert results[-2:].tolist() == [-math.inf, math.inf]
 
     def test_no_value_in_the_source(self, monkeypatch):
         sources = []
