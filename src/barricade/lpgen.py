@@ -133,8 +133,9 @@ def lp_points(traces, subsample, region=None):
 
 
 def build_constraints(points, tmpl, eps_pos, eps_dec):
-    """The LP of the lp_points of one or more batches.  Each point x_k,
-    with stored derivative dx_k, gives two rows, in this order:
+    """The LP of the lp_points of one or more batches, written in place
+    into one array.  Each point x_k, with stored derivative dx_k, gives
+    two rows, at an even index and the odd one after it:
         -v(x_k) + s <= -eps_pos
         grad v(x_k) . dx_k + s <= -eps_dec
     The heads of every batch come first, then the other points, strided
@@ -152,20 +153,17 @@ def build_constraints(points, tmpl, eps_pos, eps_dec):
     if rest.shape[1] > MAX_POINTS:
         rest = rest[:, ::int(np.ceil(rest.shape[1] / MAX_POINTS))]
     value, decrease = tmpl.monomials(*np.concatenate([heads, rest], axis=1))
-    margin = np.ones((len(value), 1))
-    box = np.eye(tmpl.n_unknowns + 1)     # margin s is the last unknown
-    rows = np.vstack([_interleave(np.hstack([-value, margin]),
-                                  np.hstack([decrease, margin])),
-                      _interleave(box, -box)])
-    rhs = np.concatenate([
-        np.tile([-eps_pos, -eps_dec], len(value)),
-        np.repeat([COEFF_BOUND] * tmpl.n_unknowns + [MARGIN_BOUND], 2)])
+    p, u = value.shape
+    box = np.eye(u + 1)                 # margin s is the last unknown
+    rows = np.empty((2 * p + 2 * (u + 1), u + 1))
+    np.negative(value, out=rows[:2 * p:2, :u])
+    rows[1:2 * p:2, :u] = decrease
+    rows[:2 * p, u] = 1.0
+    rows[2 * p::2] = box
+    np.negative(box, out=rows[2 * p + 1::2])
+    rhs = np.full(len(rows), COEFF_BOUND)
+    rhs[:2 * p:2], rhs[1:2 * p:2], rhs[-2:] = -eps_pos, -eps_dec, MARGIN_BOUND
     return LPProblem(rows, rhs, box[-1])
-
-
-def _interleave(a, b):
-    """Rows a[0], b[0], a[1], b[1], ..."""
-    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
 
 
 def in_region(x, region):
@@ -175,8 +173,12 @@ def in_region(x, region):
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex: Dantzig pricing, Bland's rule after a degenerate
-# run (deterministic, cycle-free)
+# Two-phase simplex on the dual, revised: it keeps the explicit basis inverse
+# B^-1 and beta = B^-1 c, prices every column with one product per pivot and
+# forms only the entering column.  Its rules, and its row operations on B^-1
+# and beta, are a dense tableau's (Dantzig pricing, Bland's rule after a
+# degenerate run: deterministic, cycle-free) and read the tableau's numbers up
+# to rounding, so its bases are the tableau's unless rounding breaks a tie.
 # ---------------------------------------------------------------------------
 
 INFEASIBLE = None
@@ -197,8 +199,9 @@ def solve_lp(lp):
     Returns the optimal unknown vector, or INFEASIBLE (None).
 
     The primal has few unknowns and many rows, so the simplex runs on the
-    dual (min b'y s.t. A'y = c, y >= 0), whose basis has only n columns;
-    the primal vertex solution is recovered from the optimal dual basis by
+    dual (min b'y s.t. A'y = c, y >= 0), whose basis has only n columns:
+    an n x n inverse, and one n-vector times A to price all m columns.
+    The primal vertex solution is recovered from the optimal dual basis by
     solving the corresponding n active constraint rows.  The entering
     column has the most negative reduced cost (Dantzig); after
     DEGENERATE_RUN zero-step pivots in a row, Bland's smallest-index rule
@@ -210,46 +213,40 @@ def solve_lp(lp):
 
 
 def _solve(lp):
-    """solve_lp's answer and its final dual basis: the rows of lp whose
-    equalities define the solution."""
+    """solve_lp's answer and its final dual basis, the rows of lp whose
+    equalities define the solution: a dense tableau's, pivot by pivot."""
     a_ub, b_ub = lp.rows, lp.rhs
     m, n = a_ub.shape
 
-    # Dual equalities: a_ub' y = objective, y >= 0; dual cost is b_ub.
-    mat = a_ub.T.copy()                       # n x m
-    rhs = lp.objective.astype(float).copy()   # length n
-    flip = rhs < 0
-    mat[flip] *= -1.0
-    rhs[flip] *= -1.0
+    # Dual equalities: a_ub' y = objective, y >= 0, each flipped to a
+    # nonnegative right side; dual cost is b_ub.  The n artificial columns
+    # of phase 1 follow a_ub's m.
+    sign = np.where(lp.objective < 0, -1.0, 1.0)
+    mat = np.empty((n, m + n))
+    np.multiply(a_ub.T, sign[:, None], out=mat[:, :m])
+    mat[:, m:] = np.eye(n)
 
     # Phase 1: artificial basis, minimize artificial sum.
-    tab = np.hstack([mat, np.eye(n), rhs[:, None]])
+    inv = np.hstack([np.eye(n), (lp.objective * sign)[:, None]])
     basis = m + np.arange(n)
-    obj = np.zeros(tab.shape[1])
-    obj[m:m + n] = 1.0
-    obj -= tab.sum(axis=0)
-    _pivot_until_optimal(tab, obj, basis, m + n)
-    if -obj[-1] > 1e-8:
+    cost = np.repeat([0.0, 1.0], [m, n])
+    _pivot_until_optimal(mat, cost, inv, basis)
+    if cost[basis] @ inv[:, -1] > 1e-8:
         # Dual infeasible: with bounded feasible primal this is unbounded.
         raise LPUnboundedError("LP unbounded; add box constraints")
 
-    # Drive leftover artificials out of the basis, drop their columns.
-    for i in range(n):
-        if basis[i] >= m:
-            for j in range(m):
-                if abs(tab[i, j]) > PIVOT_TOL:
-                    _pivot(tab, basis, i, j)
-                    break
-    keep = [i for i in range(n) if basis[i] < m]
-    tab = np.hstack([tab[keep, :m], tab[keep, -1:]])
-    basis = basis[keep]
+    # Drive leftover artificials out of the basis at their row's first
+    # column off zero; drop the rows of those that stay.
+    mat = mat[:, :m]
+    for i in np.flatnonzero(basis >= m):
+        off = np.flatnonzero(np.abs(inv[i, :-1] @ mat) > PIVOT_TOL)
+        if off.size:
+            _pivot(inv, basis, i, off[0], inv[:, :-1] @ mat[:, off[0]])
+    keep = basis < m
+    inv, basis = inv[keep], basis[keep]
 
     # Phase 2: minimize b_ub . y.
-    obj = np.append(b_ub, 0.0)
-    for i in range(len(basis)):
-        if obj[basis[i]] != 0.0:
-            obj -= obj[basis[i]] * tab[i]
-    if not _pivot_until_optimal(tab, obj, basis, m):
+    if not _pivot_until_optimal(mat, b_ub, inv, basis):
         return INFEASIBLE, basis               # dual unbounded
 
     # Primal solution from the active rows of the optimal dual basis.
@@ -262,39 +259,42 @@ def _solve(lp):
     return np.linalg.lstsq(a_act, b_act, rcond=None)[0], basis
 
 
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    colvals = tab[:, col].copy()
-    colvals[row] = 0.0
-    tab -= np.outer(colvals, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
+def _pivot(inv, basis, row, enter, col):
+    """Column `enter`, col = B^-1 a_enter (overwritten), enters at `row`:
+    the tableau's row operations on inv = [B^-1 | beta]."""
+    inv[row] /= col[row]
+    col[row] = 0.0
+    inv -= col[:, None] * inv[row]
+    basis[row] = enter
 
 
-def _pivot_until_optimal(tab, obj, basis, n_cols):
+def _pivot_until_optimal(mat, cost, inv, basis):
+    """Minimize cost . y s.t. mat @ y = rhs, y >= 0, from `basis`, with
+    inv = [B^-1 | B^-1 rhs].  False when the entering column is
+    unbounded."""
     degenerate = 0                  # zero-step pivots in a row
     for _ in range(MAX_PIVOTS):
-        neg = np.nonzero(obj[:n_cols] < -ENTER_TOL)[0]
-        if neg.size == 0:
+        reduced = cost[basis] @ inv[:, :-1] @ mat
+        np.subtract(cost, reduced, out=reduced)
+        least = np.fmin.reduce(reduced)      # a NaN never enters
+        if not least < -ENTER_TOL:
             return True
         if degenerate < DEGENERATE_RUN:
-            enter = int(neg[np.argmin(obj[neg])])  # Dantzig: most negative
+            enter = int((reduced == least).argmax())  # Dantzig: most negative
         else:
-            enter = int(neg[0])                    # Bland: smallest index
-        col = tab[:, enter]
-        pos = col > PIVOT_TOL
-        if not pos.any():
+            enter = int((reduced < -ENTER_TOL).argmax())  # Bland: first index
+        col = inv[:, :-1] @ mat[:, enter]
+        beta = inv[:, -1].tolist()      # n rows: the ratio test in Python
+        ratios = {i: beta[i] / c for i, c in enumerate(col.tolist())
+                  if c > PIVOT_TOL}
+        if not ratios:
             return False
-        ratios = np.full(tab.shape[0], np.inf)
-        ratios[pos] = tab[pos, -1] / col[pos]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-12)[0]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland: smallest basis var
+        best = min(ratios.values())
+        leave = min((i for i, r in ratios.items() if r <= best + 1e-12),
+                    key=basis.__getitem__)    # Bland: smallest basis var
         if degenerate < DEGENERATE_RUN:
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
-        _pivot(tab, basis, leave, enter)
-        obj -= obj[enter] * tab[leave]
+        _pivot(inv, basis, leave, enter, col)
     raise PivotLimitError("simplex iteration limit reached")
 
 

@@ -770,6 +770,21 @@ class TestCertificateFile:
         saved["queries"] = {}   # transcripts are not loaded
         assert back.to_dict() == saved
 
+    def test_recorded_file_is_what_verify_writes(self):
+        # the whole search of `barricade verify --nn nn10 --seed 1`, LP
+        # bits included, apart from the queries' wall times
+        path = Path(__file__).parent / "data" / "nn10_seed1_certificate.json"
+        net = nn.load(cli.bundled_controller_path(10))
+        out = certify.verify(
+            certify.default_spec(),
+            plant.dubins_closed_loop(plant.DubinsParams(), net),
+            certify.CertifyConfig(seed=1), nn.controller_hash(net))
+        fresh, saved = out.to_dict(), json.loads(path.read_text())
+        for data in (fresh, saved):
+            for query in data["queries"].values():
+                del query["wall_time"]
+        assert fresh == saved
+
     def test_file_without_refuted_counts_loads(self, tmp_path):
         # 0.2.0 files predate the counts
         data = _certificate_dict()

@@ -16,6 +16,8 @@ from barricade import plant
 from barricade import simulate as sim
 from barricade import symexpr as sx
 
+import lp_reference
+
 # (coeffs, expr, grad) text written by the term-by-term symbolic
 # differentiator that closed-form gradients replaced: arity 1-4, with
 # coefficients 0, -0.0, 1 and 0.5 among random ones.
@@ -327,17 +329,18 @@ def _three_state_lp():
         lpgen.QuadraticTemplate(3), certify.EPS_POS, certify.EPS_DEC)
 
 
-def _chvatal_cycling_tableau():
+def _chvatal_cycling_start():
     """Chvatal's cycling example (Linear Programming, 1983, ch. 3) as a
-    phase-2 tableau: max 10x1 - 57x2 - 9x3 - 24x4 subject to
-    0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0, 0.5x1 - 1.5x2 - 0.5x3 + x4 <= 0,
-    x1 <= 1, x >= 0, from the slack basis.  The optimum is 1, at
-    x1 = x3 = 1."""
-    tab = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0, 0.0],
-                    [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0, 0.0],
-                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
-    obj = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0, 0.0])
-    return tab, obj, np.array([4, 5, 6])
+    phase-2 start from the slack basis: max 10x1 - 57x2 - 9x3 - 24x4
+    subject to 0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0, 0.5x1 - 1.5x2 - 0.5x3 +
+    x4 <= 0, x1 <= 1, x >= 0, as the columns, costs, [B^-1 | beta] and
+    basis of _pivot_until_optimal.  The optimum is 1, at x1 = x3 = 1."""
+    mat = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                    [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    cost = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+    inv = np.hstack([np.eye(3), [[0.0], [0.0], [1.0]]])
+    return mat, cost, inv, np.array([4, 5, 6])
 
 
 class TestPricing:
@@ -371,18 +374,96 @@ class TestPricing:
         monkeypatch.setattr(lpgen, "DEGENERATE_RUN", lpgen.MAX_PIVOTS)
         monkeypatch.setattr(lpgen, "MAX_PIVOTS", 100)
         with pytest.raises(lpgen.PivotLimitError):
-            lpgen._pivot_until_optimal(*_chvatal_cycling_tableau(), 7)
+            lpgen._pivot_until_optimal(*_chvatal_cycling_start())
         assert issubclass(lpgen.PivotLimitError, RuntimeError)
 
     @pytest.mark.parametrize("run", [lpgen.DEGENERATE_RUN, 0],
                              ids=["fallback", "bland-only"])
     def test_bland_fallback_ends_the_cycle(self, run, monkeypatch):
         monkeypatch.setattr(lpgen, "DEGENERATE_RUN", run)
-        tab, obj, basis = _chvatal_cycling_tableau()
-        assert lpgen._pivot_until_optimal(tab, obj, basis, 7)
-        assert obj[-1] == 1.0
-        assert sorted(zip(basis, tab[:, -1])) == [(0, 1.0), (2, 1.0),
+        mat, cost, inv, basis = _chvatal_cycling_start()
+        assert lpgen._pivot_until_optimal(mat, cost, inv, basis)
+        assert -(cost[basis] @ inv[:, -1]) == 1.0
+        assert sorted(zip(basis, inv[:, -1])) == [(0, 1.0), (2, 1.0),
                                                   (4, 2.0)]
+
+
+def _answer(solve, lp):
+    """solve(lp)'s basis, in order, and the bytes of its x, or the class
+    of the error it raised."""
+    try:
+        x, basis = solve(lp)
+    except (lpgen.LPUnboundedError, lpgen.PivotLimitError) as exc:
+        return type(exc)
+    return basis.tolist(), None if x is lpgen.INFEASIBLE else x.tobytes()
+
+
+class TestDenseReference:
+    """_solve pivots through the dense tableau's bases, so it returns the
+    reference's basis and x, bit for bit."""
+
+    def test_criterion_09_and_three_state_lps(self):
+        for lp in [*_criterion_09_lps(), _three_state_lp()]:
+            assert _answer(lpgen._solve, lp) == _answer(lp_reference.solve,
+                                                        lp)
+
+    @pytest.mark.parametrize("rows, rhs, objective, want", [
+        # the dual's equation for x2 is 0 = 0: its artificial stays, its
+        # row is dropped, and x comes from lstsq on the one active row
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], [1.0, 0.0],
+         ([0], np.array([1.0, 0.0]).tobytes())),
+        # phase 1 ends with an artificial in the basis at zero, which
+        # leaves at the first column off zero in its row
+        ([[-1.0, 0.0], [-1.0, 1.0]], [2.0, 1.0], [-1.0, 1.0],
+         ([1, 0], np.array([-2.0, -1.0]).tobytes())),
+        ([[-1.0], [1.0]], [-1.0, 0.0], [1.0], ([1], lpgen.INFEASIBLE)),
+        ([[-1.0]], [0.0], [1.0], lpgen.LPUnboundedError),
+    ], ids=["artificial-stays", "artificial-leaves", "infeasible",
+            "unbounded"])
+    def test_small_lps(self, rows, rhs, objective, want):
+        lp = _lp(rows, rhs, objective)
+        assert _answer(lpgen._solve, lp) == want
+        assert _answer(lp_reference.solve, lp) == want
+
+    def test_ratio_tie_goes_to_the_smallest_basis_index(self):
+        # y0 enters with column (1, 1) at rows of ratios 1 + 5e-13 and 1:
+        # within 1e-12 they tie, and the row of basis index 1 leaves
+        mat = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        rhs = np.array([[1.0 + 5e-13], [1.0]])
+        cost = np.array([-1.0, 0.0, 0.0])
+        inv, basis = np.hstack([np.eye(2), rhs]), np.array([1, 2])
+        assert lpgen._pivot_until_optimal(mat, cost, inv, basis)
+        tab, ref_basis = np.hstack([mat, rhs]), np.array([1, 2])
+        assert lp_reference._pivot_until_optimal(tab, np.append(cost, 0.0),
+                                                 ref_basis, 3)
+        assert basis.tolist() == ref_basis.tolist() == [0, 2]
+
+    def test_cegis_rounds(self, monkeypatch):
+        # every round's LP of the cegis-nn10 benchmark pool: the rows are
+        # the reference build's, and the answer the reference solver's
+        built = []
+        build = lpgen.build_constraints
+
+        def recording_build(points, *args):
+            built.append((list(points), args, build(points, *args)))
+            return built[-1][2]
+
+        monkeypatch.setattr(lpgen, "build_constraints", recording_build)
+        net = nn.load(cli.bundled_controller_path(10))
+        f = plant.dubins_closed_loop(plant.DubinsParams(), net)
+        for seed in (0, 2, 3):
+            out = certify.verify(certify.default_spec(), f,
+                                 certify.CertifyConfig(seed=seed,
+                                                       n_seed_traces=2))
+            assert isinstance(out, certify.Certificate)
+        assert len(built) == 10
+        for points, args, lp in built:
+            ref = lp_reference.build_constraints(points, *args)
+            assert lp.rows.tobytes() == ref.rows.tobytes()
+            assert lp.rhs.tobytes() == ref.rhs.tobytes()
+            assert lp.objective.tobytes() == ref.objective.tobytes()
+            assert _answer(lpgen._solve, lp) == _answer(lp_reference.solve,
+                                                        lp)
 
 
 class TestCandidate:
