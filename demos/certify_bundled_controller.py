@@ -37,8 +37,8 @@ print("sampling oracle violations:", violations)
 assert not any(violations.values()), violations
 
 # phase portrait with a few trajectories and the certified level set
-traces = sim.seed_traces(field, spec.safe_rect, 12, certify.SIM_DURATION,
-                         certify.SIM_STEP, 0, exclude=spec.x0)
+batch = sim.seed_traces(field, spec.safe_rect, 12, certify.SIM_DURATION,
+                        certify.SIM_STEP, 0, exclude=spec.x0)
 with open("phase_portrait.svg", "w") as fh:
-    fh.write(svgplot.render(spec, traces, result.candidate, result.level))
+    fh.write(svgplot.render(spec, batch, result.candidate, result.level))
 print("wrote phase_portrait.svg")

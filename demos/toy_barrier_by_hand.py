@@ -34,8 +34,8 @@ for name, t in transcripts.items():
     print("  query %-18s %s" % (name, t.verdict))
 
 # the induced barrier separates a sample trajectory from the unsafe set
-tr = sim.simulate(field, [0.09, -0.05], 8.0, 0.01)
-values = [cand.value(x) - level for x in tr.states]
+batch = sim.simulate(field, [[0.09, -0.05]], 8.0, 0.01)
+values = [cand.value(x) - level for x in batch.states[:, :, 0]]
 print("barrier along a trajectory from X0: starts %.4f, ends %.4f "
       "(never positive: %s)" % (values[0], values[-1],
                                 all(v <= 0 for v in values)))

@@ -21,7 +21,7 @@ for k in range(0, len(history), 5):
 # even this small budget learns strong heading feedback; lateral feedback
 # needs the full training budget because the cost weights heading 1000x more
 field = certify.System(net).field
-tr = sim.simulate(field, [0.0, 0.5], 15.0, 0.01)
-theta = np.abs(tr.states[:, 1])
+batch = sim.simulate(field, [[0.0, 0.5]], 15.0, 0.01)
+theta = np.abs(batch.states[:, 1, 0])
 print("heading error from theta_e=0.5: start %.3f, after 15s %.5f"
       % (theta[0], theta[-1]))

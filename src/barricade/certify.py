@@ -40,8 +40,8 @@ BISECTION_STEPS = 30       # level probes before select_level gives up
 SIM_DURATION = 10.0        # length of every simulated trace
 SIM_STEP = 0.05            # RK4 step: every state the pipeline reads
 SUBSAMPLE = 2              # every SUBSAMPLE-th trace state gives LP rows
-# Past SIM_STEP * stiffness = STIFF_LIMIT, just above the bundled loop's
-# 0.47 at default speed and gain, a batch is integrated at 0.01 s instead.
+# Past SIM_STEP * stiffness = STIFF_LIMIT, just above the bundled loops'
+# 0.44 at default speed and gain, a batch is integrated at 0.01 s instead.
 STIFF_LIMIT = 0.5
 REFINE = 5                 # SIM_STEP / REFINE: the finer step
 EPS_POS = EPS_DEC = 1e-3   # LP margins of the value and decrease rows
@@ -441,9 +441,9 @@ def find_generator(spec, f, config):
     # derivatives, a (2, m, n) array.
     points, mids = [], []
 
-    def accept(traces):
-        points.append(lpgen.lp_points(traces, SUBSAMPLE, lp_region))
-        mid = lpgen.trace_grid(traces, slice(SUBSAMPLE // 2, None, SUBSAMPLE))
+    def accept(batch):
+        points.append(lpgen.lp_points(batch, SUBSAMPLE, lp_region))
+        mid = lpgen.trace_grid(batch, slice(SUBSAMPLE // 2, None, SUBSAMPLE))
         mids.append(mid[:, lpgen.in_region(mid[0], lp_region)])
     accept(_on_read_grid(lambda step: sim.seed_traces(
         f, spec.safe_rect, config.n_seed_traces, SIM_DURATION, step,
@@ -484,7 +484,7 @@ def find_generator(spec, f, config):
                 failed["decrease_%d" % iteration] = transcript
                 cex = [transcript.witness.midpoint()]
             starts = [p for x in cex for p in _cex_cluster(x, spec)]
-            accept(_on_read_grid(lambda step: sim.simulate_batch(
+            accept(_on_read_grid(lambda step: sim.simulate(
                 f, starts, SIM_DURATION, step)))
         raise NoCandidateError("no candidate within %d iterations"
                                % config.max_iterations)
@@ -495,7 +495,7 @@ def find_generator(spec, f, config):
 
 
 def _on_read_grid(integrate):
-    """integrate(step), a batch of traces, on the SIM_STEP grid.
+    """integrate(step), a simulate.Batch, on the SIM_STEP grid.
 
     When the batch diverges at SIM_STEP, or SIM_STEP times its stiffness
     exceeds STIFF_LIMIT, it is integrated again at SIM_STEP / REFINE and
@@ -503,14 +503,14 @@ def _on_read_grid(integrate):
     diverges too.
     """
     try:
-        traces = integrate(SIM_STEP)
-        if SIM_STEP * sim.stiffness(traces) <= STIFF_LIMIT:
-            return traces
+        batch = integrate(SIM_STEP)
+        if SIM_STEP * sim.stiffness(batch) <= STIFF_LIMIT:
+            return batch
     except sim.SimulationDivergence:
         pass
-    return [sim.Trace(tr.times[::REFINE], tr.states[::REFINE],
-                      tr.derivs[::REFINE])
-            for tr in integrate(SIM_STEP / REFINE)]
+    fine = integrate(SIM_STEP / REFINE)
+    return sim.Batch(fine.times[::REFINE], fine.states[::REFINE],
+                     fine.derivs[::REFINE])
 
 
 def falsify(values, points, spec, gamma):

@@ -87,16 +87,16 @@ def cmd_verify(args):
 def cmd_plot(args):
     system = _load_system(args)
     spec = system.spec
-    traces = sim.seed_traces(system.field, spec.safe_rect, args.count,
-                             certify.SIM_DURATION, PLOT_STEP, args.seed,
-                             exclude=spec.x0)
+    batch = sim.seed_traces(system.field, spec.safe_rect, args.count,
+                            certify.SIM_DURATION, PLOT_STEP, args.seed,
+                            exclude=spec.x0)
     candidate = level = None
     if args.certificate:
         cert = certify.load_certificate(args.certificate)
         if cert.candidate.arity != spec.arity:
             raise SystemExit("error: certificate arity does not match system")
         candidate, level = cert.candidate, cert.level
-    svg = svgplot.render(spec, traces, candidate, level)
+    svg = svgplot.render(spec, batch, candidate, level)
     with open(args.out, "w") as fh:
         fh.write(svg)
     print("wrote %s" % args.out)

@@ -312,9 +312,9 @@ def check(phi, domains, delta, max_boxes=10_000_000):
     with the witness that depth-first search over the domains in order
     returns (see the module docstring).
 
-    Raises ValueError for a domain with an infinite endpoint, which
-    bisection cannot split, and BudgetExhausted when depth-first search
-    over the domains would explore more than max_boxes boxes.
+    Raises ValueError for an unbounded domain, which bisection cannot
+    split, or an atom over a var beyond phi's arity; BudgetExhausted when
+    depth-first search would explore more than max_boxes boxes.
     """
     if isinstance(domains, Box):
         domains = [domains]

@@ -227,10 +227,10 @@ _TRIG = {"sin": (math.sin, (-math.pi / 2, math.pi / 2)),
 
 def _vsincos(v, ops):
     """sin and cos (those of ops, in order) of one argument over B boxes,
-    in _inet's layout: v (B, 2, 1), the result (B, 2, len(ops)).  One
-    limit, extremum and width test serves both: a row is -1 or 1 where
-    the argument grown by a relative 1e-9 holds a bottom or a top."""
-    a = v[:, :, 0].T
+    in the tape's slot layout: v (1, 2, B), the result (len(ops), 2, B).
+    One limit, extremum and width test serves both: a row is -1 or 1
+    where the argument grown by a relative 1e-9 holds a bottom or a top."""
+    (a,) = v
     fns, crit = zip(*map(_TRIG.get, ops))
     bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
     safe = np.where(bad, 0.0, a)
@@ -243,7 +243,7 @@ def _vsincos(v, ops):
     _vclip(_vwiden(out, 2).transpose(1, 0, 2), -1.0, 1.0)
     np.copyto(out, _UNIT, where=a[1] - a[0] >= _TWO_PI)
     np.copyto(out, _OUT, where=bad)
-    return out.transpose(2, 1, 0)
+    return out
 
 
 def _vsigmoid(a):
@@ -340,9 +340,9 @@ def _net_layers(network):
 @np.errstate(all="ignore")
 def _inet(layers, v):
     """The interval forward pass of a network (layers from _net_layers)
-    over B boxes: v is (B, 2, n), box b's input intervals having the lower
-    endpoints v[b, 0] and the upper ones v[b, 1].  Returns the (B, 2, m)
-    enclosures of the m outputs in the same layout.
+    over B boxes: v is (n, 2, B), a tape's slots, input i of box b being
+    [v[i, 0, b], v[i, 1, b]].  Returns the (m, 2, B) enclosures of the m
+    outputs in the same layout.
 
     For each box, each layer is one matrix product [lo hi 1 -E; hi lo 1 E]
     [W+ | W- | b | 1]^T of its input rows (lo, hi): row 0 sums
@@ -400,6 +400,7 @@ def _inet(layers, v):
     form on each output's rows (lo, hi), clipped to [0, 1]: its lower end
     is that of [lo, lo], and its upper end that of [hi, hi], bit for bit.
     """
+    v = v.transpose(2, 1, 0)
     for at, rmax, bmax, c, c_eta, tail, act in layers:
         k = v.shape[2]
         x = np.empty((v.shape[0], 2, 2 * k + 2))
@@ -426,4 +427,4 @@ def _inet(layers, v):
             np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
         else:
             v = z
-    return v
+    return v.transpose(2, 1, 0)

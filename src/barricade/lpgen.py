@@ -112,21 +112,21 @@ class LPProblem:
         return float(np.min(self.rhs - self.rows @ x))
 
 
-def trace_grid(traces, read):
-    """The states and derivatives that `read`, a slice, picks from each of
-    `traces`, all of one length, as one (2, B, k, n) array."""
-    return np.array([[tr.states[read] for tr in traces],
-                     [tr.derivs[read] for tr in traces]])
+def trace_grid(batch, read):
+    """The states and derivatives that `read`, a slice, picks from each
+    member of `batch`, as one (2, B, k, n) array, trace by trace."""
+    return np.array((batch.states[read],
+                     batch.derivs[read])).transpose(0, 3, 1, 2)
 
 
-def lp_points(traces, subsample, region=None):
-    """(heads, rest): every subsample-th state of the batch `traces` and
-    its derivative, as (2, m, n) arrays of the trace heads and of the other
+def lp_points(batch, subsample, region=None):
+    """(heads, rest): every subsample-th state of `batch` and its
+    derivative, as (2, m, n) arrays of the trace heads and of the other
     points, trace by trace.  Points outside `outer` or inside `inner` of
     region = (outer, inner), when given, are dropped, as the check does."""
     if not subsample >= 1:
         raise ValueError("subsample must be >= 1")
-    grid = trace_grid(traces, slice(None, None, subsample))
+    grid = trace_grid(batch, slice(None, None, subsample))
     keep = (np.ones(grid.shape[1:3], bool) if region is None
             else in_region(grid[0], region))
     return grid[:, :, :1][:, keep[:, :1]], grid[:, :, 1:][:, keep[:, 1:]]

@@ -2,8 +2,8 @@
 
 A batch of starts is integrated in lockstep by the field's program bound
 to the batch's width, each numpy call writing through its out into
-registers, stage buffers or one (steps + 1, n, B) array that each Trace
-views.  It matches the checker's f within a few ulps, enough for the LP.
+registers, stage buffers or the (steps + 1, n, B) stores of the Batch it
+returns.  It matches the checker's f within a few ulps, enough for the LP.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ class SimulationDivergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Trace:
-    times: np.ndarray
-    states: np.ndarray   # shape (k, n)
-    derivs: np.ndarray   # shape (k, n)
+class Batch:
+    """B traces in lockstep: trace b is states[:, :, b], derivs[:, :, b]."""
+    times: np.ndarray    # shape (k,)
+    states: np.ndarray   # shape (k, n, B)
+    derivs: np.ndarray   # shape (k, n, B)
 
     def __len__(self):
         return len(self.times)
@@ -42,18 +43,14 @@ def rk4_step(f, x, h):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def simulate(field, x0, duration, step):
-    """Integrate for floor(duration/step) steps, recording every state."""
-    return simulate_batch(field, [x0], duration, step)[0]
+def simulate(field, starts, duration, step):
+    """RK4 from every start, in lockstep, for floor(duration/step) steps.
 
-
-def simulate_batch(field, starts, duration, step):
-    """simulate() for every start, in lockstep; one Trace per start.
-
-    starts is (B, n), n the field's arity.  Raises SimulationDivergence
-    when a state component of any member leaves the guard or turns NaN.
-    The field's program is bound to width B once, and pinned to the stage
-    buffers once per batch and to each step's rows of the store for k1.
+    starts is (B, n), n the field's arity; returns one Batch of steps + 1
+    times.  Raises SimulationDivergence when a state component of any
+    member leaves the guard or turns NaN.  The field's program is bound
+    to width B once, and pinned to the stage buffers once per batch and
+    to each step's rows of the store for k1.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -96,19 +93,16 @@ def simulate_batch(field, starts, duration, step):
     if not ok.all():    # max and min keep NaN, which fails both tests
         raise SimulationDivergence("state exceeded %g at t=%g" % (
             DIVERGENCE_LIMIT, (ok.argmin() + 1) * step))
-    times = np.arange(n_steps + 1) * step
-    return [Trace(times, states[:, :, b], derivs[:, :, b])
-            for b in range(len(x0))]
+    return Batch(np.arange(n_steps + 1) * step, states, derivs)
 
 
-def stiffness(traces):
+def stiffness(batch):
     """The largest |f(x') - f(x)| / |x' - x| over the steps x -> x' of
-    `traces`, all of one length: |lambda| for a linear field, and a
-    lower bound on f's Lipschitz constant along the traces for any
-    field.  Steps shorter than sqrt(eps) * (1 + |x|), where rounding in
-    f would swamp the difference, are skipped; 0.0 when none is left."""
-    states = np.stack([tr.states for tr in traces], axis=2)
-    derivs = np.stack([tr.derivs for tr in traces], axis=2)
+    `batch`: |lambda| for a linear field, and a lower bound on f's
+    Lipschitz constant along the traces for any field.  Steps shorter
+    than sqrt(eps) * (1 + |x|), where rounding in f would swamp the
+    difference, are skipped; 0.0 when none is left."""
+    states, derivs = batch.states, batch.derivs
     dx = np.linalg.norm(np.diff(states, axis=0), axis=1)
     df = np.linalg.norm(np.diff(derivs, axis=0), axis=1)
     long = dx > _SQRT_EPS * (1.0 + np.linalg.norm(states[:-1], axis=1))
@@ -121,13 +115,13 @@ def seed_traces(field, region, count, duration, step, rng_seed, exclude=None):
     `exclude`, when given, is a sub-box rejected from the sample (used to
     draw from the annular domain between the initial set and the unsafe
     set).  Deterministic under rng_seed.  All starts are drawn first, then
-    integrated as one batch.
+    integrated as one Batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     starts = sample_box(np.random.default_rng(rng_seed), region, count,
                         exclude)
-    return simulate_batch(field, starts, duration, step)
+    return simulate(field, starts, duration, step)
 
 
 def sample_box(rng, region, count, exclude=None):

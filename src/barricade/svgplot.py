@@ -33,13 +33,13 @@ class _Mapper:
         return "%s,%s" % (_fmt(self.x(x)), _fmt(self.y(y)))
 
 
-def render(spec, traces=(), candidate=None, level=None):
+def render(spec, batch=None, candidate=None, level=None):
     """Return the SVG document as a string.
 
     Green rectangle: X0.  Red frame: the unsafe complement region.  Blue
-    polylines: trajectories (star at start, circle at end).  One polyline
-    of class "levelset" when a candidate and level are given: the
-    candidate's level_points in 256 directions, which raise as they do.
+    polylines: the traces of `batch` (star at start, circle at end).  One
+    polyline of class "levelset" when a candidate and level are given:
+    the candidate's level_points in 256 directions, which raise as they do.
     """
     r = spec.safe_rect.bounds[:2]
     (rx0, rx1), (ry0, ry1) = r.tolist()
@@ -66,12 +66,11 @@ def render(spec, traces=(), candidate=None, level=None):
                    _fmt(m.x(x0)), _fmt(m.y(y1)),
                    _fmt((x1 - x0) * m.sx), _fmt((y1 - y0) * m.sy)))
 
-    for tr in traces:
-        pts = " ".join(m.pt(s[0], s[1]) for s in tr.states)
+    for states in () if batch is None else batch.states.transpose(2, 0, 1):
+        pts = " ".join(m.pt(s[0], s[1]) for s in states)
         out.append('<polyline class="trace" fill="none" stroke="#1565c0" '
                    'stroke-width="1" points="%s"/>' % pts)
-        s0 = tr.states[0]
-        se = tr.states[-1]
+        s0, se = states[0], states[-1]
         out.append('<text class="start" x="%s" y="%s" font-size="12" '
                    'text-anchor="middle" fill="#1565c0">*</text>'
                    % (_fmt(m.x(s0[0])), _fmt(m.y(s0[1]) + 4)))

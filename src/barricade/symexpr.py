@@ -349,7 +349,11 @@ def _interval_eval_raw(tape, boxes):
     Returns the S slots' enclosures, which HC4 reads, as one new (2, S,
     B) array v, slot s's being v[:, s], written by the kernels through
     out=.  v is the transpose of an (S, 2, B) array, so no slot overlaps
-    another, which would make numpy copy a kernel's operands."""
+    another, which would make numpy copy a kernel's operands.  Raises
+    ValueError when the tape reads a var at or beyond n."""
+    i = max(tape.loads[1], default=-1)
+    if i >= len(boxes):
+        raise ValueError("var(%d) read at arity %d" % (i, len(boxes)))
     slots = np.empty((len(tape.nodes), 2, boxes.shape[2]))
     vals = list(slots)      # the (2, B) block of each slot
     slots[tape.consts[0]] = tape.consts[1]
@@ -358,8 +362,8 @@ def _interval_eval_raw(tape, boxes):
     for slot, fn, a, b in tape.code:
         if b is None:
             fn(vals[a], out=vals[slot])
-        elif a is None:     # a network pass over the slots b
-            slots[slot] = fn(slots[b].transpose(2, 1, 0)).transpose(2, 1, 0)
+        elif a is None:     # a network or sin-cos pass over the slots b
+            slots[slot] = fn(slots[b])
         else:
             fn(vals[a], vals[b], out=vals[slot])
     return slots.transpose(1, 0, 2)
@@ -370,7 +374,8 @@ def interval_eval(e, bx):
     the checker's forward pass on one box.  A divisor holding zero, a
     quotient inf/inf, a sin or cos argument beyond TRIG_ARG_LIMIT, and an
     enclosure that holds no real number (a NaN end, [inf, inf] or [-inf,
-    -inf]) give the whole line: no information."""
+    -inf]) give the whole line: no information.  Raises ValueError when e
+    reads a var at or beyond bx's arity."""
     tape = lower(e)
     v = _interval_eval_raw(tape, bx.bounds.reshape(-1, 2, 1))
     lo, hi = v[:, tape.root, 0].tolist()

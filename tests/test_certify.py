@@ -538,6 +538,22 @@ class TestCounterexampleSources:
         assert _without_wall_times(again) == _without_wall_times(
             _cegis_nn10(3))
 
+    def test_one_simulate_call_per_batch(self, monkeypatch):
+        # every batch goes through simulate.simulate, the span that the
+        # benchmark times: the seed batch, then one per refuted round
+        calls = []
+        simulate = sim.simulate
+
+        def counted(*args):
+            calls.append(simulate(*args))
+            return calls[-1]
+        monkeypatch.setattr(sim, "simulate", counted)
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=0, n_seed_traces=2))
+        assert isinstance(out, certify.Certificate)
+        assert len(calls) == out.iterations == 3
+        assert calls[0].states.shape[2] == 2     # the seed batch
+
 
 class TestVerify:
     def test_bundled_box_counts(self):
@@ -565,13 +581,13 @@ class TestVerify:
         f = plant.VectorField(2, tuple(sx.mul(sx.const(-100.0), sx.var(i))
                                        for i in range(2)))
         steps = []
-        simulate_batch = sim.simulate_batch
+        simulate = sim.simulate
 
         def recorded(field, starts, duration, step):
             steps.append(step)
-            return simulate_batch(field, starts, duration, step)
+            return simulate(field, starts, duration, step)
 
-        monkeypatch.setattr(sim, "simulate_batch", recorded)
+        monkeypatch.setattr(sim, "simulate", recorded)
         out = certify.verify(_square_spec(), f)
         assert isinstance(out, certify.Certificate)
         assert certify.certificate_grid_oracle(out, f) == {

@@ -347,7 +347,7 @@ class TestPlotCmd:
         cand = lpgen.candidate_from(coeffs, lpgen.QuadraticTemplate(2))
         spec = certify.default_spec()
         with pytest.raises(exc, match=message):
-            svgplot.render(spec, (), cand, level)
+            svgplot.render(spec, None, cand, level)
         cert_path = tmp_path / "certificate.json"
         certify.Certificate(cand, level, 1e-6, 1e-3, {}, spec, "",
                             1).save(cert_path)
@@ -402,7 +402,7 @@ class TestPlotCmd:
         def diverged(*args):
             raise sim.SimulationDivergence("state exceeded 1e+06 at t=0.3")
 
-        monkeypatch.setattr(sim, "simulate_batch", diverged)
+        monkeypatch.setattr(sim, "simulate", diverged)
         rc = cli.main(["plot", "--nn", hand_nn, "--count", "2",
                        "--out", str(tmp_path / "p.svg")])
         err = capsys.readouterr().err
@@ -412,13 +412,13 @@ class TestPlotCmd:
 
     def test_traces_drawn_at_plot_step(self, tmp_path, hand_nn, monkeypatch):
         steps = []
-        simulate_batch = sim.simulate_batch
+        simulate = sim.simulate
 
         def recorded(field, starts, duration, step):
             steps.append(step)
-            return simulate_batch(field, starts, duration, step)
+            return simulate(field, starts, duration, step)
 
-        monkeypatch.setattr(sim, "simulate_batch", recorded)
+        monkeypatch.setattr(sim, "simulate", recorded)
         assert cli.main(["plot", "--nn", hand_nn, "--count", "2",
                          "--out", str(tmp_path / "p.svg")]) == 0
         assert steps == [cli.PLOT_STEP]

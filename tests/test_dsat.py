@@ -231,6 +231,17 @@ class TestCheck:
         with pytest.raises(ValueError):
             dsat.check(phi, sx.box((1.0, math.inf)), 1e-3, max_boxes=20000)
 
+    @pytest.mark.parametrize("root", [
+        _c(sx.var(1), ">=", 0.0),
+        dsat.And((_c(sx.var(0), ">=", 0.0),
+                  _c(sx.add(sx.var(0), sx.var(3)), "<=", 1.0))),
+    ], ids=["atom", "second-conjunct"])
+    def test_var_beyond_arity_rejected(self, root):
+        # an atom reading var(i), i >= arity, named; not numpy's IndexError
+        phi = dsat.Formula(1, root)
+        with pytest.raises(ValueError, match=r"^var\([13]\) read at arity 1$"):
+            dsat.check(phi, sx.box((0.0, 1.0)), 1e-3)
+
     def test_unsat_battery_grid_refutation(self):
         # each analytically-UNSAT instance survives a 10^6-point search
         dom2 = sx.box((-2.0, 2.0), (-2.0, 2.0))

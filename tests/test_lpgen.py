@@ -32,22 +32,29 @@ def _lp(rows, rhs, objective):
 
 
 def _trace(states, derivs):
-    states = np.asarray(states, float)
-    return sim.Trace(0.01 * np.arange(len(states)), states,
-                     np.asarray(derivs, float))
+    """One trace: its (k, n) states and derivatives."""
+    return np.asarray(states, float), np.asarray(derivs, float)
+
+
+def _batch(traces):
+    """Traces of one length as one simulate.Batch, member b being
+    traces[b]."""
+    states, derivs = (np.stack(a, axis=2) for a in zip(*traces))
+    return sim.Batch(0.01 * np.arange(len(states)), states, derivs)
 
 
 def _points(traces, subsample, region=None):
     """lpgen.lp_points of each trace, as a batch of one."""
-    return [lpgen.lp_points([tr], subsample, region) for tr in traces]
+    return [lpgen.lp_points(_batch([tr]), subsample, region)
+            for tr in traces]
 
 
 def _reference_lp(traces, tmpl, eps_pos, eps_dec, subsample, region=None):
     """build_constraints expanded by hand, one point at a time."""
     heads, points = [], []
-    for tr in traces:
-        for k in range(0, len(tr), subsample):
-            x, dx = tr.states[k], tr.derivs[k]
+    for states, derivs in traces:
+        for k in range(0, len(states), subsample):
+            x, dx = states[k], derivs[k]
             if region is not None and (not region[0].contains(x)
                                        or region[1].contains(x)):
                 continue
@@ -90,9 +97,10 @@ class TestTemplateRows:
     def test_constraint_count(self):
         field = plant.VectorField(
             2, (sx.neg(sx.var(0)), sx.neg(sx.var(1))))
-        traces = [sim.simulate(field, [1.0, 0.5], 1.0, 0.01)]
+        batch = sim.simulate(field, [[1.0, 0.5]], 1.0, 0.01)
         tmpl = lpgen.QuadraticTemplate(2)
-        lp = lpgen.build_constraints(_points(traces, 10), tmpl, 1e-3, 1e-3)
+        lp = lpgen.build_constraints([lpgen.lp_points(batch, 10)], tmpl,
+                                     1e-3, 1e-3)
         n_pts = len(range(0, 101, 10))
         # 2 rows per point, 2 box rows per coefficient, 2 margin rows
         assert len(lp.rows) == 2 * n_pts + 2 * tmpl.n_unknowns + 2
@@ -169,7 +177,7 @@ class TestBuildConstraints:
         assert (n_heads, n_ref) == (len(lengths), n_points)
         assert len(lp.rows) == 2 * (n_heads + n_points) + 2 * 7
         # the heads lead, ahead of the strided points
-        heads = np.array([tr.states[0] for tr in traces])
+        heads = np.array([states[0] for states, _ in traces])
         value, _ = tmpl.monomials(heads, np.zeros_like(heads))
         assert np.array_equal(lp.rows[0:2 * n_heads:2, :-1], -value)
         assert lp.rows.tobytes() == rows.tobytes()
@@ -214,13 +222,60 @@ class TestBuildConstraints:
                   sx.box((-0.1, 0.1), (-0.1, 0.1)))
         tmpl = lpgen.QuadraticTemplate(2)
         lp = lpgen.build_constraints(
-            [lpgen.lp_points(b, 2, region) for b in batches],
+            [lpgen.lp_points(_batch(b), 2, region) for b in batches],
             tmpl, 1e-3, 2e-3)
         rows, rhs, n_heads, n_points = _reference_lp(
             [tr for b in batches for tr in b], tmpl, 1e-3, 2e-3, 2, region)
         assert (n_heads, n_points) == (61, 2412)
         assert lp.rows.tobytes() == rows.tobytes()
         assert lp.rhs.tobytes() == rhs.tobytes()
+
+
+def _stacked_grid(traces, read):
+    """trace_grid as it stacked per-trace (k, n) arrays, trace by trace."""
+    return np.array([[states[read] for states, _ in traces],
+                     [derivs[read] for _, derivs in traces]])
+
+
+def _stacked_stiffness(traces):
+    """simulate.stiffness as it stacked per-trace (k, n) arrays."""
+    states = np.stack([states for states, _ in traces], axis=2)
+    derivs = np.stack([derivs for _, derivs in traces], axis=2)
+    dx = np.linalg.norm(np.diff(states, axis=0), axis=1)
+    df = np.linalg.norm(np.diff(derivs, axis=0), axis=1)
+    long = dx > sim._SQRT_EPS * (1.0 + np.linalg.norm(states[:-1], axis=1))
+    return float(np.max(df[long] / dx[long])) if long.any() else 0.0
+
+
+class TestBatchLayout:
+    """The readers of a Batch slice its (k, n, B) store in place, and give
+    the bytes of the per-trace formulas they replaced, in the same
+    trace-major order, so the LP's rows do not move."""
+
+    @pytest.mark.parametrize("count", [40, 1])
+    def test_readers_equal_the_stacked_formulas(self, count):
+        system = certify.System(nn.load(cli.bundled_controller_path(10)))
+        spec = system.spec
+        batch = sim.seed_traces(system.field, spec.safe_rect, count,
+                                certify.SIM_DURATION, certify.SIM_STEP, 0,
+                                exclude=spec.x0)
+        traces = [(batch.states[:, :, b], batch.derivs[:, :, b])
+                  for b in range(count)]
+        assert (np.float64(sim.stiffness(batch)).tobytes()
+                == np.float64(_stacked_stiffness(traces)).tobytes())
+        for read in (slice(None), slice(None, None, certify.SUBSAMPLE),
+                     slice(certify.SUBSAMPLE // 2, None, certify.SUBSAMPLE)):
+            grid = lpgen.trace_grid(batch, read)
+            assert grid.shape == (2, count, len(batch.times[read]), 2)
+            assert grid.tobytes() == _stacked_grid(traces, read).tobytes()
+        region = (spec.safe_rect, spec.x0)
+        grid = _stacked_grid(traces, slice(None, None, certify.SUBSAMPLE))
+        keep = lpgen.in_region(grid[0], region)
+        want = (grid[:, :, :1][:, keep[:, :1]],
+                grid[:, :, 1:][:, keep[:, 1:]])
+        got = lpgen.lp_points(batch, certify.SUBSAMPLE, region)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0].shape[1] == count
 
 
 class TestSolve:
@@ -254,10 +309,11 @@ class TestSolve:
     def test_stable_contraction_field(self):
         # xdot = -x from several starts: v = c x^2 with c > 0 must emerge
         field = plant.VectorField(1, (sx.neg(sx.var(0)),))
-        traces = [sim.simulate(field, [x0], 2.0, 0.01)
-                  for x0 in (1.0, -1.0, 0.5, -0.5)]
+        batch = sim.simulate(field, [[1.0], [-1.0], [0.5], [-0.5]], 2.0,
+                             0.01)
         tmpl = lpgen.QuadraticTemplate(1)
-        lp = lpgen.build_constraints(_points(traces, 10), tmpl, 1e-3, 1e-3)
+        lp = lpgen.build_constraints([lpgen.lp_points(batch, 10)], tmpl,
+                                     1e-3, 1e-3)
         sol = lpgen.solve_lp(lp)
         assert sol is not lpgen.INFEASIBLE
         assert sol[-1] > 0          # positive margin
@@ -322,10 +378,10 @@ def _three_state_lp():
         [sx.var(0), sx.var(1)], nn.load(cli.bundled_controller_path(10)))
     x0 = sx.box(*[(-0.1, 0.1)] * 3)
     safe_rect = sx.box((-1.0, 1.0), (-math.pi / 2, math.pi / 2), (-3.0, 3.0))
-    traces = sim.seed_traces(f, safe_rect, 20, certify.SIM_DURATION,
-                             certify.SIM_STEP, 1, exclude=x0)
+    batch = sim.seed_traces(f, safe_rect, 20, certify.SIM_DURATION,
+                            certify.SIM_STEP, 1, exclude=x0)
     return lpgen.build_constraints(
-        [lpgen.lp_points(traces, certify.SUBSAMPLE, (safe_rect, x0))],
+        [lpgen.lp_points(batch, certify.SUBSAMPLE, (safe_rect, x0))],
         lpgen.QuadraticTemplate(3), certify.EPS_POS, certify.EPS_DEC)
 
 

@@ -45,8 +45,8 @@ class TestRk4:
         f = _exp_field()
         errors = []
         for h in (0.1, 0.05, 0.025):
-            tr = sim.simulate(f, [1.0], 1.0, h)
-            errors.append(abs(tr.states[-1, 0] - math.e))
+            batch = sim.simulate(f, [[1.0]], 1.0, h)
+            errors.append(abs(batch.states[-1, 0, 0] - math.e))
         assert errors[0] / errors[1] > 12.0
         assert errors[1] / errors[2] > 12.0
 
@@ -57,30 +57,32 @@ class TestRk4:
 
 class TestSimulate:
     def test_trace_length(self):
-        tr = sim.simulate(_const_zero_field(), [0.0], 10.0, 0.01)
-        assert len(tr) == 1001
+        batch = sim.simulate(_const_zero_field(), [[0.0], [1.0]], 10.0, 0.01)
+        assert len(batch) == len(batch.times) == 1001
+        assert batch.states.shape == batch.derivs.shape == (1001, 1, 2)
 
     def test_zero_field_constant(self):
-        tr = sim.simulate(_const_zero_field(), [1.5], 1.0, 0.1)
-        assert np.all(tr.states == 1.5)
+        batch = sim.simulate(_const_zero_field(), [[1.5]], 1.0, 0.1)
+        assert np.all(batch.states == 1.5)
 
     def test_dubins_uncontrolled_growth(self):
         # u = 0 keeps theta_e fixed, so d_err(t) = t sin(0.1)
         field = _dubins_zero_controller()
-        tr = sim.simulate(field, [0.0, 0.1], 1.0, 0.01)
-        assert abs(tr.states[-1, 0] - math.sin(0.1)) < 1e-8
-        assert abs(tr.states[-1, 1] - 0.1) < 1e-15
+        batch = sim.simulate(field, [[0.0, 0.1]], 1.0, 0.01)
+        assert abs(batch.states[-1, 0, 0] - math.sin(0.1)) < 1e-8
+        assert abs(batch.states[-1, 1, 0] - 0.1) < 1e-15
 
     def test_derivs_match_field(self):
         field = _dubins_zero_controller()
-        tr = sim.simulate(field, [0.2, -0.1], 0.5, 0.05)
-        for x, dx in zip(tr.states, tr.derivs):
+        batch = sim.simulate(field, [[0.2, -0.1]], 0.5, 0.05)
+        for x, dx in zip(batch.states[:, :, 0], batch.derivs[:, :, 0]):
             assert list(dx) == field.eval_at(list(x))
 
     def test_divergence_guard(self):
         field = plant.VectorField(1, (sx.mul(sx.const(50.0), sx.var(0)),))
         with pytest.raises(sim.SimulationDivergence):
-            sim.simulate(field, [1.0], 10.0, 0.1)
+            sim.simulate(field, [[1.0]], 10.0, 0.1)
+
 
 
 class TestSeedTraces:
@@ -89,18 +91,16 @@ class TestSeedTraces:
         region = sx.box((-1.0, 1.0), (-0.5, 0.5))
         a = sim.seed_traces(field, region, 5, 1.0, 0.1, rng_seed=42)
         b = sim.seed_traces(field, region, 5, 1.0, 0.1, rng_seed=42)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.states, tb.states)
+        assert np.array_equal(a.states, b.states)
 
     def test_count_and_membership(self):
         field = _dubins_zero_controller()
         region = sx.box((-1.0, 1.0), (-0.5, 0.5))
         inner = sx.box((-0.1, 0.1), (-0.1, 0.1))
-        traces = sim.seed_traces(field, region, 30, 0.5, 0.1, 7,
-                                 exclude=inner)
-        assert len(traces) == 30
-        for tr in traces:
-            x0 = tr.states[0]
+        batch = sim.seed_traces(field, region, 30, 0.5, 0.1, 7,
+                                exclude=inner)
+        assert batch.states.shape[2] == 30
+        for x0 in batch.states[0].T:
             assert region.contains(x0)
             assert not inner.contains(x0)
 
@@ -145,32 +145,33 @@ class TestSimulateBatch:
         field = _bundled_field(size)
         rng = np.random.default_rng(size)
         starts = rng.uniform([-1.0, -1.5], [1.0, 1.5], size=(count, 2))
-        traces = sim.simulate_batch(field, starts, 10.0, 0.01)
-        assert len(traces) == count
-        for x0, tr in zip(starts, traces):
+        batch = sim.simulate(field, starts, 10.0, 0.01)
+        assert batch.states.shape[2] == count
+        for b, x0 in enumerate(starts):
+            states = batch.states[:, :, b]
             ref = _scalar_rk4_states(field, x0, 1000, 0.01)
-            assert np.max(np.abs(tr.states - ref)) <= 1e-12
-            ref_d = np.array([field.eval_at(list(x)) for x in tr.states])
-            assert np.max(np.abs(tr.derivs - ref_d)) <= 1e-12
+            assert np.max(np.abs(states - ref)) <= 1e-12
+            ref_d = np.array([field.eval_at(list(x)) for x in states])
+            assert np.max(np.abs(batch.derivs[:, :, b] - ref_d)) <= 1e-12
 
     def test_one_diverging_member_raises(self):
         field = plant.VectorField(1, (sx.mul(sx.var(0), sx.var(0)),))
         with pytest.raises(sim.SimulationDivergence):
-            sim.simulate_batch(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
+            sim.simulate(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
 
     def test_nan_counts_as_divergence(self):
         field = plant.VectorField(1, (sx.neg(sx.var(0)),))
         with pytest.raises(sim.SimulationDivergence):
-            sim.simulate_batch(field, [[1.0], [math.nan]], 1.0, 0.1)
+            sim.simulate(field, [[1.0], [math.nan]], 1.0, 0.1)
 
     def test_seed_starts_match_rejection_loop(self):
         field = _dubins_zero_controller()
         region = sx.box((-1.0, 1.0), (-0.5, 0.5))
         inner = sx.box((-0.1, 0.1), (-0.1, 0.1))
-        traces = sim.seed_traces(field, region, 30, 0.5, 0.1, 42,
-                                 exclude=inner)
-        assert traces[0].states[0].tolist() == [0.5479120971119267,
-                                                -0.06112156024794768]
+        batch = sim.seed_traces(field, region, 30, 0.5, 0.1, 42,
+                                exclude=inner)
+        assert batch.states[0, :, 0].tolist() == [0.5479120971119267,
+                                                  -0.06112156024794768]
         # one start at a time, rejecting draws inside `inner`
         rng = np.random.default_rng(42)
         expected = []
@@ -178,8 +179,7 @@ class TestSimulateBatch:
             x0 = rng.uniform([-1.0, -0.5], [1.0, 0.5])
             if not inner.contains(x0):
                 expected.append(x0)
-        for tr, x0 in zip(traces, expected):
-            assert np.array_equal(tr.states[0], x0)
+        assert np.array_equal(batch.states[0].T, expected)
 
 
 class TestPipelineGrid:
@@ -187,10 +187,10 @@ class TestPipelineGrid:
     the falsifier's midpoints halfway between them."""
 
     def test_read_times(self):
-        tr = sim.simulate(_dubins_zero_controller(), [0.5, 0.3],
-                          certify.SIM_DURATION, certify.SIM_STEP)
-        rows = tr.times[::certify.SUBSAMPLE]
-        mids = tr.times[certify.SUBSAMPLE // 2::certify.SUBSAMPLE]
+        batch = sim.simulate(_dubins_zero_controller(), [[0.5, 0.3]],
+                             certify.SIM_DURATION, certify.SIM_STEP)
+        rows = batch.times[::certify.SUBSAMPLE]
+        mids = batch.times[certify.SUBSAMPLE // 2::certify.SUBSAMPLE]
         assert np.allclose(rows, 0.1 * np.arange(101), rtol=0, atol=1e-12)
         assert np.allclose(mids, 0.05 + 0.1 * np.arange(100), rtol=0,
                            atol=1e-12)
@@ -210,14 +210,14 @@ class TestPipelineGrid:
 
         coarse, fine = certify._on_read_grid(seed), seed(0.001)
         stride = round(certify.SIM_STEP / 0.001)
-        read = np.union1d(np.arange(0, len(coarse[0]), certify.SUBSAMPLE),
-                          np.arange(certify.SUBSAMPLE // 2, len(coarse[0]),
+        read = np.union1d(np.arange(0, len(coarse), certify.SUBSAMPLE),
+                          np.arange(certify.SUBSAMPLE // 2, len(coarse),
                                     certify.SUBSAMPLE))
-        for c, r in zip(coarse, fine):
-            assert np.allclose(c.times[read], r.times[read * stride],
-                               rtol=0, atol=1e-12)
-            assert np.max(np.abs(c.states[read]
-                                 - r.states[read * stride])) <= 1e-4
+        assert coarse.states.shape[2] == fine.states.shape[2] == 20
+        assert np.allclose(coarse.times[read], fine.times[read * stride],
+                           rtol=0, atol=1e-12)
+        assert np.max(np.abs(coarse.states[read]
+                             - fine.states[read * stride])) <= 1e-4
 
     @pytest.mark.parametrize("gain, refined", [(1.0, False), (10.0, True)])
     def test_stiff_batch_integrated_finer(self, gain, refined):
@@ -227,15 +227,15 @@ class TestPipelineGrid:
         starts = [[0.5, 0.3], [-0.8, 0.6]]
 
         def batch(step):
-            return sim.simulate_batch(field, starts, certify.SIM_DURATION,
-                                      step)
+            return sim.simulate(field, starts, certify.SIM_DURATION, step)
 
         got = certify._on_read_grid(batch)
         fine = certify.SIM_STEP / certify.REFINE
-        want = ([tr.states[::certify.REFINE] for tr in batch(fine)]
-                if refined else [tr.states for tr in batch(certify.SIM_STEP)])
-        assert [np.array_equal(g.states, w) for g, w in zip(got, want)] == [
-            True, True]
+        want = (batch(fine).states[::certify.REFINE] if refined
+                else batch(certify.SIM_STEP).states)
+        assert got.states.shape == want.shape == (201, 2, 2)
+        assert [np.array_equal(got.states[:, :, b], want[:, :, b])
+                for b in range(2)] == [True, True]
         assert (certify.SIM_STEP * sim.stiffness(batch(certify.SIM_STEP))
                 > certify.STIFF_LIMIT) == refined
 
@@ -244,23 +244,23 @@ class TestStiffness:
     def test_linear_field_gives_its_rate(self):
         f = plant.VectorField(2, tuple(sx.mul(sx.const(-3.0), sx.var(i))
                                        for i in range(2)))
-        tr = sim.simulate(f, [0.5, -0.2], 1.0, 0.05)
-        assert sim.stiffness([tr]) == pytest.approx(3.0, rel=1e-9)
+        batch = sim.simulate(f, [[0.5, -0.2]], 1.0, 0.05)
+        assert sim.stiffness(batch) == pytest.approx(3.0, rel=1e-9)
 
     def test_rotation_gives_its_frequency(self):
         f = plant.VectorField(2, (sx.mul(sx.const(7.0), sx.var(1)),
                                   sx.mul(sx.const(-7.0), sx.var(0))))
-        tr = sim.simulate(f, [1.0, 0.0], 1.0, 0.01)
-        assert sim.stiffness([tr]) == pytest.approx(7.0, rel=1e-9)
+        batch = sim.simulate(f, [[1.0, 0.0]], 1.0, 0.01)
+        assert sim.stiffness(batch) == pytest.approx(7.0, rel=1e-9)
 
     def test_no_motion_is_zero(self):
-        tr = sim.simulate(_const_zero_field(), [2.5], 1.0, 0.1)
-        assert sim.stiffness([tr]) == 0.0
+        batch = sim.simulate(_const_zero_field(), [[2.5]], 1.0, 0.1)
+        assert sim.stiffness(batch) == 0.0
 
 
 def _rk4_in_operator_order(field, starts, n_steps, step):
     """The lockstep RK4 loop with numpy's operators, a fresh array per
-    operation: the reference that simulate_batch must equal bit for bit.
+    operation: the reference that simulate must equal bit for bit.
     Returns the states and derivatives as (steps + 1, n, B) arrays."""
     f = field.batched
     half, h, sixth, two = (np.array(v)
@@ -285,13 +285,11 @@ class TestSimulateBatchBits:
         field = _bundled_field(10)
         starts = np.random.default_rng(width).uniform(
             [-1.0, -1.5], [1.0, 1.5], size=(width, 2))
-        traces = sim.simulate_batch(field, starts, 10.0, 0.01)
+        batch = sim.simulate(field, starts, 10.0, 0.01)
         states, derivs = _rk4_in_operator_order(field, starts, 1000, 0.01)
-        assert len(traces) == width
-        for b, tr in enumerate(traces):
-            assert tr.states.shape == tr.derivs.shape == (1001, 2)
-            assert tr.states.tobytes() == states[:, :, b].tobytes()
-            assert tr.derivs.tobytes() == derivs[:, :, b].tobytes()
+        assert batch.states.shape == batch.derivs.shape == (1001, 2, width)
+        assert batch.states.tobytes() == states.tobytes()
+        assert batch.derivs.tobytes() == derivs.tobytes()
 
     @pytest.mark.parametrize("width", [1, 2, 40, nn.REPEAT_MAX + 1])
     @pytest.mark.parametrize("field", [
@@ -308,25 +306,24 @@ class TestSimulateBatchBits:
         field = field()
         starts = np.random.default_rng(width).uniform(
             [-1.0, -1.5], [1.0, 1.5], size=(width, 2))
-        traces = sim.simulate_batch(field, starts, 2.0, 0.01)
+        batch = sim.simulate(field, starts, 2.0, 0.01)
         states, derivs = _rk4_in_operator_order(field, starts, 200, 0.01)
-        assert len(traces) == width
-        for b, tr in enumerate(traces):
-            assert tr.states.tobytes() == states[:, :, b].tobytes()
-            assert tr.derivs.tobytes() == derivs[:, :, b].tobytes()
+        assert batch.states.shape == (201, 2, width)
+        assert batch.states.tobytes() == states.tobytes()
+        assert batch.derivs.tobytes() == derivs.tobytes()
 
     def test_divergence_names_the_first_step_past_the_guard(self):
         field = plant.VectorField(1, (sx.mul(sx.var(0), sx.var(0)),))
         with pytest.raises(sim.SimulationDivergence,
                            match=r"^state exceeded 1e\+06 at t=0\.21$"):
-            sim.simulate_batch(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
+            sim.simulate(field, [[-1.0], [0.1], [5.0]], 1.0, 0.01)
 
     @pytest.mark.parametrize("starts", [
         [[0.1, 0.2, 0.3]], [0.1, 0.2], [[0.1]], np.empty((0, 2))],
         ids=["three-states", "one-dimensional", "one-state", "no-starts"])
     def test_starts_must_be_batch_by_arity(self, starts):
         with pytest.raises(ValueError, match="must be \\(B, 2\\), B >= 1"):
-            sim.simulate_batch(_dubins_zero_controller(), starts, 1.0, 0.1)
+            sim.simulate(_dubins_zero_controller(), starts, 1.0, 0.1)
 
 def _net(rng, widths, activations):
     return nn.Network(tuple(

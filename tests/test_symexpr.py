@@ -131,6 +131,12 @@ class TestInterval:
         lo, hi = sx.interval_eval(q, sx.box((700.0, 800.0), (700.0, 800.0)))
         assert lo == -math.inf and hi == math.inf
 
+    def test_var_beyond_the_box_rejected(self):
+        # named, not numpy's IndexError; var(0) alone reads within arity 1
+        with pytest.raises(ValueError, match=r"^var\(2\) read at arity 1$"):
+            sx.interval_eval(sx.add(sx.var(0), sx.var(2)), sx.box((0.0, 1.0)))
+        assert sx.interval_eval(sx.var(0), sx.box((0.0, 1.0))) == (0.0, 1.0)
+
 
 class TestBox:
     def test_bounds_are_the_ends(self):
@@ -470,17 +476,16 @@ def test_sincos_kernel_matches_the_kernels_it_replaced():
     a = _trig_arguments()
     want = {name: kernel(a) for name, kernel in _REPLACED.items()}
     for ops in (("sin", "cos"), ("cos", "sin"), ("sin",), ("cos",)):
-        got = iv._vsincos(a.T[:, :, None], ops)
-        assert got.shape == (a.shape[1], 2, len(ops))
+        got = iv._vsincos(a[None], ops)
+        assert got.shape == (len(ops), 2, a.shape[1])
         for j, name in enumerate(ops):
-            assert (np.ascontiguousarray(got[:, :, j].T).tobytes()
-                    == want[name].tobytes()), (ops, name)
+            assert got[j].tobytes() == want[name].tobytes(), (ops, name)
     for col in range(a.shape[1]):
-        one = iv._vsincos(a.T[col].reshape(1, 2, 1), ("sin", "cos"))
+        one = iv._vsincos(a[None, :, col:col + 1], ("sin", "cos"))
         for j, name in enumerate(("sin", "cos")):
-            assert one[0, :, j].tobytes() == want[name][:, col].tobytes()
+            assert one[j, :, 0].tobytes() == want[name][:, col].tobytes()
             scalar = {"sin": ref._isin, "cos": ref._icos}[name]
-            assert _same_slot_bits(one[0, :, j].tolist(),
+            assert _same_slot_bits(one[j, :, 0].tolist(),
                                    scalar(tuple(a[:, col].tolist())))
     bad = ~(np.abs(a) <= iv.TRIG_ARG_LIMIT).all(axis=0)
     wide = ~bad & (a[1] - a[0] >= iv._TWO_PI)
@@ -819,10 +824,10 @@ class TestTape:
         net = train.widen_controller(nn.load(cli.bundled_controller_path(100)),
                                      1000, seed=0)
         field = plant.dubins_closed_loop(plant.DubinsParams(), net)
-        traces = simulate.simulate_batch(field, [[0.1, 0.05], [-0.2, 0.1]],
-                                         10.0, 0.01)
-        for tr in traces:
-            assert len(tr) == 1001 and np.isfinite(tr.states).all()
+        batch = simulate.simulate(field, [[0.1, 0.05], [-0.2, 0.1]], 10.0,
+                                  0.01)
+        assert batch.states.shape == (1001, 2, 2)
+        assert np.isfinite(batch.states).all()
         cand = lpgen.candidate_from([1.0, 0.1, 1.0, 0.0, 0.0, 0.0],
                                     lpgen.QuadraticTemplate(2))
         lie = certify.lie_derivative(cand, field)
@@ -1081,8 +1086,8 @@ def _exact_layer(mpmath, rows, act, point):
 
 
 def _kernel_out(net, lo, hi):
-    (out,) = iv._inet(iv._net_layers(net), np.array([[lo, hi]]))
-    out = list(zip(*out.tolist()))
+    out = iv._inet(iv._net_layers(net), np.array([lo, hi]).T[:, :, None])
+    out = out[:, :, 0].tolist()
     assert len(out) == len(net.layers[-1].bias)
     assert all(o_lo <= o_hi for o_lo, o_hi in out)   # no NaN, not empty
     return out
