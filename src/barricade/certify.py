@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -177,25 +178,24 @@ class CertifyConfig:
     def __post_init__(self):
         for name, ok in (("gamma", 0 < self.gamma < math.inf),
                          ("delta", 0 < self.delta < math.inf),
-                         ("max_iterations", self.max_iterations >= 0),
-                         ("n_seed_traces", self.n_seed_traces >= 1)):
+                         ("seed", _is_count(self.seed)),
+                         ("max_iterations", _is_count(self.max_iterations)),
+                         ("n_seed_traces", _is_count(self.n_seed_traces, 1))):
             if not ok:
                 raise ValueError(
-                    "%s=%r: gamma and delta must be finite and > 0, "
-                    "max_iterations >= 0 and n_seed_traces >= 1"
-                    % (name, getattr(self, name)))
+                    "%s=%r: gamma and delta must be finite and > 0, seed "
+                    "and max_iterations integers >= 0 and n_seed_traces "
+                    "an integer >= 1" % (name, getattr(self, name)))
 
 
-@dataclass
-class QueryTranscript:
+@dataclass(frozen=True)
+class QueryTranscript(dsat.DsatResult):
+    """A dsat.check result, all its fields, and the query it answers:
+    its name, its formula phi, the domains and delta."""
     name: str
     phi: dsat.Formula
     domains: list
     delta: float
-    verdict: str
-    witness: object
-    boxes_explored: int
-    wall_time: float
 
     @property
     def formula(self):
@@ -255,9 +255,15 @@ class Certificate:
             json.dump(self.to_dict(), fh, indent=1)
 
 
+def _is_count(v, least=0):
+    """Whether v is an integer >= least, as operator.index takes, no bool."""
+    return (hasattr(type(v), "__index__") and not isinstance(v, bool)
+            and operator.index(v) >= least)
+
+
 def _count(v):
     """v, a JSON integer >= 0."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    if not _is_count(v):
         raise TypeError("%r is not a count" % (v,))
     return v
 
@@ -273,13 +279,13 @@ def load_certificate(path):
     try:
         data = read_json(path)
         gen = data["generator"]
+        spec = SafetySpec.from_dict(data["spec"])
         p = np.array(json_rows(gen["p_matrix"]))
         q = np.array([json_number(v) for v in gen["q_vector"]])
-        n = len(q)
-        if not (p.shape == (n, n) and q.shape == (n,)
-                and (p == p.T).all()):
+        n = spec.arity
+        if not (p.shape == (n, n) and q.shape == (n,) and (p == p.T).all()):
             raise ValueError("generator p_matrix and q_vector do not "
-                             "describe one quadratic")
+                             "describe one quadratic in the spec's arity")
         tmpl = lpgen.QuadraticTemplate(n)
         cand = lpgen.candidate_from(
             [p[i, j] for i, j in tmpl.pairs] + q.tolist()
@@ -288,7 +294,6 @@ def load_certificate(path):
                 or gen["grad"] != [sx.to_sexpr(g) for g in cand.grad]):
             raise ValueError("generator expr or grad differs from the one "
                              "rebuilt from p_matrix, q_vector and c")
-        spec = SafetySpec.from_dict(data["spec"])
         level, gamma, delta = (json_number(data[k])
                                for k in ("level", "gamma", "delta"))
         CertifyConfig(gamma, delta)     # raises unless finite and > 0
@@ -308,11 +313,16 @@ def load_certificate(path):
 
 @dataclass
 class Inconclusive:
-    stage: str   # "arity" | "no_candidate" | "no_level" | "budget" |
-                 # "simulation" | "lp" | "lp_unbounded"
+    """A verify call's record, returned when it fails: the stage (a value
+    of _STAGES) where it stopped, the detail of why, the CEGIS rounds it
+    reached (iterations) and those sampling and dsat refuted (refuted).
+    Its transcripts are decrease_<k> for each round k that dsat refuted,
+    then decrease once a candidate passed."""
+    stage: str
     detail: str
     transcripts: dict = field(default_factory=dict)
     iterations: int = 0
+    refuted: dict = field(default_factory=lambda: {"sampling": 0, "dsat": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +341,8 @@ def _query(name, lhs, rel, rhs, boxes, delta):
     """Exists x in one of boxes with lhs(x) rel rhs?  UNSAT iff every box is
     UNSAT; the first DELTA_SAT box (by index) gives the witness."""
     phi = dsat.Formula(boxes[0].arity, dsat.Constraint(lhs, rel, rhs))
-    r = dsat.check(phi, list(boxes), delta)
-    return QueryTranscript(name, phi, list(boxes), delta, r.verdict,
-                           r.witness, r.boxes_explored, r.wall_time)
+    return QueryTranscript(**vars(dsat.check(phi, boxes, delta)), name=name,
+                           phi=phi, domains=list(boxes), delta=delta)
 
 
 def query_decrease(cand, f, spec, gamma=GAMMA_DEFAULT, delta=DELTA_DEFAULT):
@@ -427,13 +436,12 @@ def select_level(cand, spec, delta=DELTA_DEFAULT):
 # CEGIS loop and the full pipeline
 # ---------------------------------------------------------------------------
 
-def find_generator(spec, f, config):
-    """The CEGIS loop of the module docstring.  Returns (candidate,
-    decrease_transcript, iterations, refuted), refuted counting the rounds
-    refuted by "sampling" and by "dsat", or raises NoCandidateError.  An
-    exception of _STAGES that ends a round carries its number as
-    `iteration`, and the decrease transcripts of the rounds dsat refuted,
-    named decrease_<round>, as `transcripts`."""
+def find_generator(spec, f, config, run):
+    """The CEGIS loop of the module docstring; returns the candidate or
+    raises a failure of _STAGES.  Each round goes into `run`, the verify
+    call's Inconclusive: its number as iterations, its refuted count, and
+    its decrease transcript as decrease_<round> when dsat refuted it and
+    as decrease when the candidate passed."""
     tmpl = lpgen.QuadraticTemplate(spec.arity)
     lp_region = (spec.safe_rect, spec.x0)
     # What the rounds read of each batch, derived once: the LP's points,
@@ -454,44 +462,38 @@ def find_generator(spec, f, config):
                                                      spawn_key=(1,))),
         spec.safe_rect, FALSIFY_POINTS, exclude=spec.x0)
     sample = np.stack([sample, f.batched(sample.T).T])  # f once per call
-    refuted = {"sampling": 0, "dsat": 0}
-    iteration, failed = 0, {}
-    try:
-        for iteration in range(1, config.max_iterations + 1):
-            lp = lpgen.build_constraints(points, tmpl, EPS_POS, EPS_DEC)
-            sol = lpgen.solve_lp(lp)
-            if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
-                raise NoCandidateError("LP %s at iteration %d" % (
-                    "infeasible" if sol is lpgen.INFEASIBLE else
-                    "margin nonpositive", iteration))
-            cand = lpgen.candidate_from(sol[:-1], tmpl)
-            # grad v . f at the traces' midpoints, from their stored
-            # derivatives, and at the sample, in lie_derivative's order.
-            xs, fx = np.concatenate([*mids, sample], axis=1)
-            values = 0.0
-            for g, f_i in zip(cand.grad, fx.T):
-                values = values + sx.compile_expr(g)(xs.T) * f_i
-            cex = falsify(values, xs, spec, config.gamma)
-            del xs, fx, values  # not held through the query and new traces
-            if cex:
-                refuted["sampling"] += 1
-            else:
-                transcript = query_decrease(cand, f, spec, config.gamma,
-                                            config.delta)
-                if transcript.verdict == "UNSAT":
-                    return cand, transcript, iteration, refuted
-                refuted["dsat"] += 1
-                failed["decrease_%d" % iteration] = transcript
-                cex = [transcript.witness.midpoint()]
-            starts = [p for x in cex for p in _cex_cluster(x, spec)]
-            accept(_on_read_grid(lambda step: sim.simulate(
-                f, starts, SIM_DURATION, step)))
-        raise NoCandidateError("no candidate within %d iterations"
-                               % config.max_iterations)
-    except tuple(_STAGES) as exc:
-        exc.iteration = iteration   # the round that raised it
-        exc.transcripts = failed
-        raise
+    for run.iterations in range(1, config.max_iterations + 1):
+        lp = lpgen.build_constraints(points, tmpl, EPS_POS, EPS_DEC)
+        sol = lpgen.solve_lp(lp)
+        if sol is lpgen.INFEASIBLE or sol[-1] <= 0:
+            raise NoCandidateError("LP %s at iteration %d" % (
+                "infeasible" if sol is lpgen.INFEASIBLE else
+                "margin nonpositive", run.iterations))
+        cand = lpgen.candidate_from(sol[:-1], tmpl)
+        # grad v . f at the traces' midpoints, from their stored
+        # derivatives, and at the sample, in lie_derivative's order.
+        xs, fx = np.concatenate([*mids, sample], axis=1)
+        values = 0.0
+        for g, f_i in zip(cand.grad, fx.T):
+            values = values + sx.compile_expr(g)(xs.T) * f_i
+        cex = falsify(values, xs, spec, config.gamma)
+        del xs, fx, values  # not held through the query and new traces
+        if cex:
+            run.refuted["sampling"] += 1
+        else:
+            transcript = query_decrease(cand, f, spec, config.gamma,
+                                        config.delta)
+            if transcript.verdict == "UNSAT":
+                run.transcripts["decrease"] = transcript
+                return cand
+            run.refuted["dsat"] += 1
+            run.transcripts["decrease_%d" % run.iterations] = transcript
+            cex = [transcript.witness.midpoint()]
+        starts = [p for x in cex for p in _cex_cluster(x, spec)]
+        accept(_on_read_grid(lambda step: sim.simulate(
+            f, starts, SIM_DURATION, step)))
+    raise NoCandidateError("no candidate within %d iterations"
+                           % config.max_iterations)
 
 
 def _on_read_grid(integrate):
@@ -563,25 +565,23 @@ _STAGES = {plant.ArityError: "arity",
 
 
 def verify(spec, f, config=None, controller_hash=""):
-    """Full procedure; returns a Certificate or an Inconclusive record."""
+    """Full procedure; returns a Certificate or the run's Inconclusive."""
     config = config or CertifyConfig()
-    transcripts, iterations = {}, 0
+    run = Inconclusive("", "")
     try:
         if spec.arity != f.arity:
             raise plant.ArityError("spec has arity %d, the field %d"
                                    % (spec.arity, f.arity))
-        cand, t1, iterations, refuted = find_generator(spec, f, config)
-        transcripts["decrease"] = t1
+        cand = find_generator(spec, f, config, run)
         level, level_transcripts = select_level(cand, spec, config.delta)
     except tuple(_STAGES) as exc:
-        stage = next(s for t, s in _STAGES.items() if isinstance(exc, t))
-        # A failure in find_generator knows its round and transcripts.
-        return Inconclusive(stage, str(exc),
-                            getattr(exc, "transcripts", transcripts),
-                            getattr(exc, "iteration", iterations))
-    transcripts.update(level_transcripts)
-    return Certificate(cand, level, config.gamma, config.delta, transcripts,
-                       spec, controller_hash, iterations, refuted)
+        run.stage = next(s for t, s in _STAGES.items() if isinstance(exc, t))
+        run.detail = str(exc)
+        return run
+    return Certificate(cand, level, config.gamma, config.delta,
+                       {"decrease": run.transcripts["decrease"],
+                        **level_transcripts},
+                       spec, controller_hash, run.iterations, run.refuted)
 
 
 # ---------------------------------------------------------------------------

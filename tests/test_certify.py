@@ -331,7 +331,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": -1e-6}, {"gamma": math.inf},
         {"delta": 0.0}, {"delta": math.nan}, {"max_iterations": -1},
-        {"n_seed_traces": 0}])
+        {"n_seed_traces": 0}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
+        {"max_iterations": 1.5}, {"n_seed_traces": 2.5}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError, match="^%s=" % next(iter(kwargs))):
             certify.CertifyConfig(**kwargs)
@@ -356,17 +357,16 @@ class TestCegis:
 
     def test_toy_field_converges_quickly(self):
         cfg = certify.CertifyConfig()
-        cand, transcript, iters, _ = certify.find_generator(
-            _square_spec(), _contraction_field(), cfg)
-        assert iters <= 3
-        assert transcript.verdict == "UNSAT"
+        run = certify.Inconclusive("", "")
+        certify.find_generator(_square_spec(), _contraction_field(), cfg, run)
+        assert run.iterations <= 3
+        assert run.transcripts["decrease"].verdict == "UNSAT"
 
     def test_determinism(self):
         cfg = certify.CertifyConfig(seed=5)
-        a, _, _, _ = certify.find_generator(_square_spec(),
-                                            _contraction_field(), cfg)
-        b, _, _, _ = certify.find_generator(_square_spec(),
-                                            _contraction_field(), cfg)
+        a, b = (certify.find_generator(_square_spec(), _contraction_field(),
+                                       cfg, certify.Inconclusive("", ""))
+                for _ in range(2))
         assert np.array_equal(a.p_matrix, b.p_matrix)
         assert np.array_equal(a.q_vector, b.q_vector)
         assert a.c_scalar == b.c_scalar
@@ -675,6 +675,7 @@ class TestVerify:
                              certify.CertifyConfig(seed=0, n_seed_traces=2))
         assert isinstance(out, certify.Inconclusive)
         assert (out.stage, out.iterations) == (stage, 2)
+        assert sum(out.refuted.values()) == out.iterations - 1
         if exc is None:
             assert out.detail == "LP margin nonpositive at iteration 2"
 
@@ -697,6 +698,19 @@ class TestVerify:
                                              want["boxes_explored"])
         assert [[repr(lo), repr(hi)] for lo, hi in t.witness.bounds.tolist()
                 ] == want["witness"]
+
+    def test_no_level_keeps_every_round(self, monkeypatch):
+        # the same config with no level probe allowed: CEGIS passes its
+        # candidate in round 4, and the record keeps all four rounds
+        monkeypatch.setattr(certify, "BISECTION_STEPS", 0)
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=1, n_seed_traces=2))
+        assert isinstance(out, certify.Inconclusive)
+        assert (out.stage, out.iterations) == ("no_level", 4)
+        assert out.refuted == {"sampling": 2, "dsat": 1}
+        assert list(out.transcripts) == ["decrease_3", "decrease"]
+        assert [t.verdict for t in out.transcripts.values()] == [
+            "DELTA_SAT", "UNSAT"]
 
     def test_unbounded_lp_is_inconclusive(self, monkeypatch):
         def unbounded(lp):
@@ -849,6 +863,7 @@ class TestCertificateFile:
         _set(("spec", "u"), []),        # SafetySpec.from_dict's exact keys
         _with_c(math.nan),              # expr and grad rebuilt with c
         _with_c(math.inf),
+        _set(("spec",), {"x0": [[-0.1, 0.1]], "safe_rect": [[-1.0, 1.0]]}),
     ], ids=["no_generator", "grad_int", "expr_int", "expr_open",
             "grad_bad_forms", "p_shape", "q_null", "level_null", "x0_float",
             "expr_tampered", "grad_swapped", "p_asymmetric", "level_nan",
@@ -857,7 +872,7 @@ class TestCertificateFile:
             "delta_neg", "iterations_float", "iterations_neg",
             "refuted_not_counts", "hash_int", "x0_str", "safe_rect_bool",
             "q_str", "p_bool", "level_huge_int", "spec_extra_key", "c_nan",
-            "c_inf"])
+            "c_inf", "spec_arity"])
     def test_malformed_file_is_value_error(self, tmp_path, edit):
         data = _certificate_dict()
         edit(data)
