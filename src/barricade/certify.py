@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +30,7 @@ from . import dsat
 from . import plant
 from . import simulate as sim
 from ._version import __version__
+from .dsat import _is_count
 from .lpgen import NotEllipsoidError
 from .network import json_number, json_rows, read_json
 
@@ -176,14 +177,14 @@ class CertifyConfig:
     n_seed_traces: int = 20
 
     def __post_init__(self):
-        for name, ok in (("gamma", 0 < self.gamma < math.inf),
-                         ("delta", 0 < self.delta < math.inf),
+        for name, ok in (("gamma", _is_positive(self.gamma)),
+                         ("delta", _is_positive(self.delta)),
                          ("seed", _is_count(self.seed)),
                          ("max_iterations", _is_count(self.max_iterations)),
                          ("n_seed_traces", _is_count(self.n_seed_traces, 1))):
             if not ok:
                 raise ValueError(
-                    "%s=%r: gamma and delta must be finite and > 0, seed "
+                    "%s=%r: gamma and delta must be finite numbers > 0, seed "
                     "and max_iterations integers >= 0 and n_seed_traces "
                     "an integer >= 1" % (name, getattr(self, name)))
 
@@ -255,10 +256,10 @@ class Certificate:
             json.dump(self.to_dict(), fh, indent=1)
 
 
-def _is_count(v, least=0):
-    """Whether v is an integer >= least, as operator.index takes, no bool."""
-    return (hasattr(type(v), "__index__") and not isinstance(v, bool)
-            and operator.index(v) >= least)
+def _is_positive(v):
+    """Whether v is a real number, finite and > 0, no bool."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and 0 < v < math.inf)
 
 
 def _count(v):

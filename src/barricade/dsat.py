@@ -36,6 +36,7 @@ count.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -54,6 +55,12 @@ EMPTY = None
 PRUNE_ROUNDS = 3   # contraction rounds per box
 BATCH = 128        # most boxes per pass; wider passes are fewer but take
                    # more boxes past a DELTA_SAT witness
+
+
+def _is_count(v, least=0):
+    """Whether v is an integer >= least, as operator.index takes, no bool."""
+    return (hasattr(type(v), "__index__") and not isinstance(v, bool)
+            and operator.index(v) >= least)
 
 
 class BudgetExhausted(RuntimeError):
@@ -105,6 +112,7 @@ class DsatResult:
     witness: object             # Box | None
     boxes_explored: int
     wall_time: float
+    passes: int                 # work-set passes (prune calls) of the search
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +228,8 @@ def _contract(plan, vals, boxes, target):
         ts[:, a:b] = _vclip(vals.take(slots, 1), t[0], t[1])
     for j, i in plan.vars:
         _vclip(boxes[i], ts[0, j], ts[1, j])
-    return ((ts[0] > ts[1]).any(axis=0)
-            | (boxes[:, 0] > boxes[:, 1]).any(axis=0))
+    return (np.logical_or.reduce(ts[0] > ts[1])
+            | np.logical_or.reduce(boxes[:, 0] > boxes[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +277,23 @@ def prune(atoms, boxes, contract):
     every box is refuted.  Conjuncts run in turn, each on the boxes as the
     ones before it contracted them.  A box's status is that of its
     enclosures before this pass contracted it.  HC4 sweeps only the live
-    boxes, those to contract that no conjunct has refuted, gathered.
+    boxes, those to contract that no conjunct has refuted: in place when
+    every box is, else gathered.
     """
-    false = np.zeros(boxes.shape[2], bool)
-    unknown = np.zeros_like(false)
+    false = unknown = None
     for atom in atoms:
         vals = _interval_eval_raw(atom.tape, boxes)
         true, out = atom.status(vals)
-        false |= out
-        unknown |= ~true
+        false, unknown = ((out, ~true) if false is None else
+                          (false | out, unknown | ~true))
         live = contract & ~false
-        if live.any():
-            cols = slice(None) if live.all() else np.flatnonzero(live)
-            sub = boxes[:, :, cols]
-            false[cols] |= _contract(atom.plan, vals[:, :, cols], sub,
+        n = np.count_nonzero(live)
+        if n == len(live):
+            false |= _contract(atom.plan, vals, boxes, atom.target)
+        elif n:
+            cols = live.nonzero()[0]
+            sub = boxes.take(cols, 2)
+            false[cols] |= _contract(atom.plan, vals.take(cols, 2), sub,
                                      atom.target)
             boxes[:, :, cols] = sub
     if false.all():
@@ -298,12 +309,12 @@ def branch(boxes, delta):
     Returns (dims, mids), (B,) arrays; dims is -1 for a box with no such
     dimension."""
     lo, hi = boxes[:, 0], boxes[:, 1]
-    mid = _mid(lo, hi)
+    mid = 0.5 * (lo + hi)       # in [lo, hi] and so _mid's, bar overflow
+    mid = _mid(lo, hi) if np.isinf(mid).any() else mid
     width = hi - lo
     ok = (width > delta) & (lo < mid) & (mid < hi)
     dims = np.where(ok, width, -1.0).argmax(axis=0)
-    cols = np.arange(boxes.shape[2])
-    return np.where(ok.any(axis=0), dims, -1), mid[dims, cols]
+    return np.where(ok.any(axis=0), dims, -1), mid[dims, np.arange(len(dims))]
 
 
 def check(phi, domains, delta, max_boxes=10_000_000):
@@ -313,13 +324,17 @@ def check(phi, domains, delta, max_boxes=10_000_000):
     returns (see the module docstring).
 
     Raises ValueError for an unbounded domain, which bisection cannot
-    split, or an atom over a var beyond phi's arity; BudgetExhausted when
-    depth-first search would explore more than max_boxes boxes.
+    split, an atom over a var beyond phi's arity, or a max_boxes that is
+    not an integer >= 0 (as operator.index takes it, no bool);
+    BudgetExhausted when depth-first search would explore more than
+    max_boxes boxes.
     """
     if isinstance(domains, Box):
         domains = [domains]
     if not delta > 0:
         raise ValueError("delta must be positive")
+    if not _is_count(max_boxes):
+        raise ValueError("max_boxes=%r: not an integer >= 0" % (max_boxes,))
     if not domains:
         raise ValueError("no domain")
     for domain in domains:
@@ -329,38 +344,39 @@ def check(phi, domains, delta, max_boxes=10_000_000):
         if not np.isfinite(domain.bounds).all():
             raise ValueError("unbounded domain %s" % (domain,))
     t0 = time.perf_counter()
-    witness, explored = _search(_atoms(phi.root), domains, delta, max_boxes)
+    witness, explored, passes = _search(_atoms(phi.root), domains, delta,
+                                        max_boxes)
     return DsatResult("UNSAT" if witness is None else "DELTA_SAT", witness,
-                      explored, time.perf_counter() - t0)
+                      explored, time.perf_counter() - t0, passes)
 
 
 @np.errstate(all="ignore")
 def _search(atoms, domains, delta, max_boxes):
-    """The work-set search of check: (witness or None, boxes explored)."""
+    """The work-set search of check: (witness or None, boxes explored,
+    passes).  Per box in path order, track holds its next pass (row 0:
+    contraction round 0..PRUNE_ROUNDS - 1, or the status pass) and the
+    boxes explored before it (row 1; last, before the end)."""
     boxes = np.array([d.bounds for d in domains]).transpose(1, 2, 0).copy()
-    # A box's next pass: contraction round 0..PRUNE_ROUNDS - 1, or the
-    # status pass (PRUNE_ROUNDS).
-    rounds = np.zeros(len(domains), int)
-    # Boxes explored before each box in path order; last, before the end.
-    before = np.zeros(len(domains) + 1, int)
-    witness = None
+    track = np.zeros((2, len(domains) + 1), int)
+    witness, passes = None, 0
     while boxes.shape[2]:
         m = min(boxes.shape[2], BATCH)
         head = boxes[:, :, :m]
-        # Depth-first search explores the front box after the before[0]
+        # Depth-first search explores the front box after the track[1, 0]
         # boxes before it, and any witness lies at or after it.
-        if before[0] >= max_boxes:
+        if track[1, 0] >= max_boxes:
             raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-        contract = rounds[:m] < PRUNE_ROUNDS
+        contract = track[0, :m] < PRUNE_ROUNDS
         prev = head.copy()
         status = prune(atoms, head, contract)
+        passes += 1
         if status is EMPTY:
             status = np.full(m, FALSE)
         alive = status != FALSE
         done = alive & (~contract | (head == prev).all(axis=(0, 1)))
         dims, mids = branch(head, delta)    # read for the done boxes
         sat = done & ((dims < 0) | (status == TRUE))
-        keep = alive & ~done
+        keep = alive ^ done
         cut, rest = m, slice(m, None)
         if sat.any():
             cut = int(sat.argmax())
@@ -372,24 +388,24 @@ def _search(atoms, domains, delta, max_boxes):
             witness = Box(ends)
             # The path ends with the witness: the boxes after it go.
             rest = slice(boxes.shape[2], None)
-            before[-1] = before[cut] + 1
-        # The boxes before cut, each in place of its box: the box itself
-        # while in process, its halves once split.
-        count = keep[:cut] + 2 * (done & ~sat)[:cut]
-        src = np.repeat(np.arange(cut), count)
-        new = head[:, :, src]
-        first = np.cumsum(count) - count
-        split = np.flatnonzero(count == 2)
-        new[dims[split], 1, first[split]] = mids[split]
-        new[dims[split], 0, first[split] + 1] = mids[split]
-        # A finished box is explored, before the boxes after it (its
-        # halves included).
-        reach = np.cumsum(np.concatenate(([0], ~keep[:cut])))
+            track[1, -1] = track[1, cut] + 1
+        # The boxes before cut (none sat), each in place of its box: the
+        # box itself while in process, its halves once split.
+        count = np.add(alive[:cut], done[:cut], dtype=np.intp)
+        src = np.arange(cut).repeat(count)
+        new = head.take(src, 2)
+        split = done[:cut].nonzero()[0]
+        at, d, mid = count.cumsum()[split] - 2, dims[split], mids[split]
+        new[d, 1, at] = mid
+        new[d, 0, at + 1] = mid
+        # A box in process goes on to its next round, a half starts at 0;
+        # a finished box is explored, before the boxes after it (halves too).
+        rounds, before = front = track[:, :cut]
+        np.multiply(rounds + 1, keep[:cut], out=rounds)
+        before += (~keep[:cut]).cumsum()
+        track[1, rest] += cut - np.count_nonzero(keep[:cut])
         boxes = np.concatenate((new, boxes[:, :, rest]), axis=2)
-        rounds = np.concatenate((np.where(count == 1, rounds[:cut] + 1,
-                                          0)[src], rounds[rest]))
-        before = np.concatenate(((before[:cut] + reach[1:])[src],
-                                 before[rest] + reach[-1]))
-    if before[0] > max_boxes:
+        track = np.concatenate((front.take(src, 1), track[:, rest]), axis=1)
+    if track[1, 0] > max_boxes:
         raise BudgetExhausted("explored more than %d boxes" % max_boxes)
-    return witness, int(before[0])
+    return witness, int(track[1, 0]), passes

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -228,19 +229,23 @@ _TRIG = {"sin": (math.sin, (-math.pi / 2, math.pi / 2)),
 def _vsincos(v, ops):
     """sin and cos (those of ops, in order) of one argument over B boxes,
     in the tape's slot layout: v (1, 2, B), the result (len(ops), 2, B).
-    One limit, extremum and width test serves both: a row is -1 or 1
-    where the argument grown by a relative 1e-9 holds a bottom or a top."""
+    One fromiter, two reduces and one limit, extremum and width test serve
+    both: a row is -1 or 1 where the argument grown by a relative 1e-9
+    holds a bottom or a top.  No lower end is above 1 and no upper end
+    below -1, so clipping both rows to [-1, 1] meets each with its bound."""
     (a,) = v
     fns, crit = zip(*map(_TRIG.get, ops))
-    bad = ~(np.abs(a) <= TRIG_ARG_LIMIT).all(axis=0)    # NaN included
-    safe = np.where(bad, 0.0, a)
-    out = np.empty((len(ops), 2, a.shape[1]))
-    for fn, o in zip(fns, out):
-        _vhull(_emap(fn, safe), o)
-    ends = a + _UNIT * (1e-9 * (1.0 + np.maximum.reduce(np.abs(a))))
+    mag = np.maximum(*np.abs(a))
+    bad = ~(mag <= TRIG_ARG_LIMIT)      # NaN included: maximum passes it on
+    safe = memoryview(np.where(bad, 0.0, a).reshape(-1))
+    p = np.fromiter(chain.from_iterable(map(fn, safe) for fn in fns), float,
+                    len(fns) * len(safe)).reshape(len(fns), 2, -1)
+    out = np.minimum.reduce(p, 1, keepdims=True).repeat(2, 1)
+    np.maximum.reduce(p, 1, out=out[:, 1])
+    ends = a + _UNIT * (1e-9 * (1.0 + mag))
     k = (ends[:, None, None] - np.array(crit)[:, :, None]) / _TWO_PI
     np.copyto(out, _UNIT, where=np.ceil(k[0]) <= np.floor(k[1]))
-    _vclip(_vwiden(out, 2).transpose(1, 0, 2), -1.0, 1.0)
+    np.minimum(np.maximum(_vwiden(out, 2), -1.0, out=out), 1.0, out=out)
     np.copyto(out, _UNIT, where=a[1] - a[0] >= _TWO_PI)
     np.copyto(out, _OUT, where=bad)
     return out

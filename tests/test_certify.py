@@ -332,7 +332,8 @@ class TestConfig:
         {"gamma": 0.0}, {"gamma": -1e-6}, {"gamma": math.inf},
         {"delta": 0.0}, {"delta": math.nan}, {"max_iterations": -1},
         {"n_seed_traces": 0}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
-        {"max_iterations": 1.5}, {"n_seed_traces": 2.5}])
+        {"max_iterations": 1.5}, {"n_seed_traces": 2.5}, {"gamma": True},
+        {"delta": True}, {"gamma": "x"}, {"delta": None}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError, match="^%s=" % next(iter(kwargs))):
             certify.CertifyConfig(**kwargs)
@@ -518,7 +519,7 @@ class TestCounterexampleSources:
 
         def always_sat(phi, domains, delta, max_boxes=None):
             dsat_calls.append(domains)
-            return dsat.DsatResult("DELTA_SAT", domains[0], 1, 0.0)
+            return dsat.DsatResult("DELTA_SAT", domains[0], 1, 0.0, 1)
         monkeypatch.setattr(certify, "falsify", recorded)
         monkeypatch.setattr(dsat, "check", always_sat)
         out = certify.verify(certify.default_spec(), _nn10_field(),
@@ -566,6 +567,18 @@ class TestVerify:
             assert out.iterations == 1
             assert tuple(out.transcripts[name].boxes_explored for name in (
                 "decrease", "init_containment", "unsafe_disjoint")) == boxes
+
+    @pytest.mark.parametrize("seed, passes", [(1, (23, 1, 2)),
+                                              (2, (20, 1, 3))])
+    def test_bundled_pass_counts(self, seed, passes):
+        # each query reports the work-set passes of its search, which the
+        # certificate file does not hold
+        out = certify.verify(certify.default_spec(), _nn10_field(),
+                             certify.CertifyConfig(seed=seed))
+        assert tuple(out.transcripts[name].passes for name in (
+            "decrease", "init_containment", "unsafe_disjoint")) == passes
+        assert all("passes" not in t.to_dict()
+                   for t in out.transcripts.values())
 
     def test_diverging_field_is_inconclusive(self):
         # xdot = (x0^2, x1): the seed traces blow up in finite time

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from barricade import dsat
+from barricade import interval as iv
 from barricade import symexpr as sx
 
 
@@ -289,6 +290,32 @@ class TestPrune:
         assert out.tolist() == [dsat.UNKNOWN, dsat.TRUE]
         assert bx.tolist() == _pack([(0.0, 1.0)], [(0.0, 0.25)]).tolist()
 
+    def test_conjunction_is_its_atoms_in_turn(self):
+        # x <= 0.5 refutes the first box and y >= 0.5 the second; the
+        # third is contracted by both, the fourth holds both, and the last
+        # only gets its status
+        x, y = sx.var(0), sx.var(1)
+        parts = (_c(x, "<=", 0.5), _c(y, ">=", 0.5))
+        boxes = _pack([(0.6, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 0.4)],
+                      [(0.0, 1.0), (0.0, 1.0)], [(0.0, 0.2), (0.7, 0.9)],
+                      [(0.0, 1.0), (0.0, 1.0)])
+        contract = np.array([True, True, True, True, False])
+        got, want = boxes.copy(), boxes.copy()
+        status = dsat.prune(dsat._atoms(dsat.And(parts)), got, contract)
+        false = np.zeros(5, bool)
+        unknown = np.zeros(5, bool)
+        for part in parts:
+            out = dsat.prune(dsat._atoms(part), want, contract & ~false)
+            out = np.full(5, dsat.FALSE) if out is dsat.EMPTY else out
+            false |= out == dsat.FALSE
+            unknown |= out == dsat.UNKNOWN
+        assert status.tolist() == np.where(false, dsat.FALSE, np.where(
+            unknown, dsat.UNKNOWN, dsat.TRUE)).tolist()
+        assert status.tolist() == [dsat.FALSE, dsat.FALSE, dsat.UNKNOWN,
+                                   dsat.TRUE, dsat.UNKNOWN]
+        assert got.tobytes() == want.tobytes()
+        assert got[:, :, 2].tolist() == [[0.0, 0.5], [0.5, 1.0]]
+
     def test_planted_solution_survives(self):
         rng = np.random.default_rng(31)
         for _ in range(10_000):
@@ -330,6 +357,20 @@ class TestBranch:
         left, right = _halves([one_float, (0.0, 1.0)], 1e-3)
         assert left == [one_float, (0.0, 0.5)]
         assert right == [one_float, (0.5, 1.0)]
+
+    def test_overflowing_sums_in_a_batch(self):
+        # lo + hi overflows in the first dimension of some boxes: each box
+        # gets the split it gets alone, at the finite midpoint _mid gives
+        boxes = [[(1.6e308, 1.7e308), (0.0, 1.0)], [(0.0, 4.0), (0.0, 1.0)],
+                 [(-1.7e308, -1e308), (0.0, 3.0)], [(-1e-3, 1e-3), (2.0, 2.5)],
+                 [(1e308, 1.7e308), (-1.0, 1.0)], [(1.0, 1.7e308), (0.0, 1.0)]]
+        dims, mids = dsat.branch(_pack(*boxes), 1e-3)
+        for box, dim, mid in zip(boxes, dims.tolist(), mids.tolist()):
+            (alone_dim,), (alone_mid,) = dsat.branch(_pack(box), 1e-3)
+            assert (dim, mid) == (alone_dim, alone_mid)
+            lo, hi = box[dim]
+            assert lo < mid < hi and mid == float(iv._mid(lo, hi))
+        assert dims.tolist() == [0, 0, 0, 1, 0, 0]
 
     def test_each_box_of_a_batch_alone(self):
         # ties go to the lowest dimension, as a stable sort by width did
@@ -405,6 +446,17 @@ def test_budget_is_the_depth_first_count(name):
     assert dsat.check(phi, dom, delta, max_boxes=n).boxes_explored == n
     with pytest.raises(dsat.BudgetExhausted):
         dsat.check(phi, dom, delta, max_boxes=n - 1)
+
+
+@pytest.mark.parametrize("max_boxes", [math.nan, 1.5, True, "5", None, -1])
+def test_budget_must_be_a_count(max_boxes):
+    phi = dsat.Formula(1, _c(sx.var(0), "<=", 0.5))
+    with pytest.raises(ValueError, match="^max_boxes="):
+        dsat.check(phi, sx.box((0.0, 1.0)), 1e-3, max_boxes=max_boxes)
+    with pytest.raises(dsat.BudgetExhausted):
+        dsat.check(phi, sx.box((0.0, 1.0)), 1e-3, max_boxes=0)
+    assert dsat.check(phi, sx.box((0.0, 1.0)), 1e-3,
+                      max_boxes=np.int64(5)).verdict == "DELTA_SAT"
 
 
 def test_budget_is_shared_by_the_domains():

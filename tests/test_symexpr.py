@@ -300,6 +300,16 @@ class TestExtremeEndpoints:
             assert lo == lo and hi == hi and lo <= hi, (name, args, lo, hi)
         assert len(cases) > 20000
 
+    def test_division_whose_quotients_sum_to_nan(self):
+        # no quotient is NaN, but their sum in order overflows to inf
+        # before it meets -inf: the scalar kernel gives the whole line,
+        # where the hull of the quotients would not
+        a, b = (-7e307, 1e308), (-1.0, -0.5)
+        with np.errstate(all="ignore"):
+            got = iv._vdiv(np.array(a)[:, None], np.array(b)[:, None])
+        assert tuple(got[:, 0].tolist()) == ref._idiv(a, b) == (
+            -math.inf, math.inf)
+
     def test_prune_on_extreme_boxes(self):
         x, y = sx.var(0), sx.var(1)
         formulas = [dsat.Formula(2, dsat.Constraint(lhs, rel, rhs))
